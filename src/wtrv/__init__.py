@@ -15,10 +15,10 @@ from .fit import (FitResult, NormalizedSample, fit_mle, from_unit_values,
                   loglik_beta, loglik_kw, loglik_wk, normalize, rmse_metric)
 from .gof import (GofReport, ad_test, bootstrap_pvalue, chisq_test, cvm_test,
                   ks_test, run_gof)
-from .numerics import (AccuracyError, BracketError, Interval, OptimizeResult,
-                       QuadratureResult, beta_fn, brent_root, finite_diff_grad,
-                       incomplete_beta_upper, integrate_adaptive, kolmogorov_sf,
-                       ln_gamma, minimize_bounded)
+from .numerics import (AccuracyError, BracketError, ConvergenceError, Interval,
+                       OptimizeResult, QuadratureResult, beta_fn, brent_root,
+                       finite_diff_grad, incomplete_beta_upper, integrate_adaptive,
+                       invert_monotone, kolmogorov_sf, ln_gamma, minimize_bounded)
 from .orders import (AuditReport, OrderVerdict, TheoremReport, check_order,
                      named_fixture, randomized_theorem_audit, ratio_curve,
                      verify_theorem)
@@ -28,4 +28,4 @@ from .weights import (IntegrabilityError, WeightFunction, make_weight,
                       parse_weight_spec, validate_weight,
                       weight_normalizer_integral)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -3,8 +3,9 @@
 Given a base distribution X with lower bound 0 and an admissible weight w,
 the constructed variable has density w'(x) * sf_X(x) / E[w(X)]. The cdf is
 tabulated once by cumulative quadrature on a mass-refined grid and evaluated
-through a monotone piecewise-cubic interpolant; the quantile inverts that
-interpolant by bracketed root finding.
+through a piecewise-cubic Hermite interpolant; the quantile inverts that
+interpolant for all points at once by safeguarded Newton-bisection, with each
+point bracketed by its table cell and the spline's own derivative as slope.
 """
 
 from __future__ import annotations
@@ -14,17 +15,20 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special as _sc
 from scipy.interpolate import CubicHermiteSpline
 
-from .distributions import (DistributionHandle, make_catalog)
-from .numerics import Interval, _gk15_cells, brent_root, integrate_adaptive
+from .distributions import DistributionHandle, _handle, make_catalog
+from .numerics import (AccuracyError, ConvergenceError, Interval, _gk15_cells,
+                       beta_fn, integrate_adaptive, invert_monotone, scalar_or_array)
+from .numerics import brent_root  # noqa: F401 (re-exported)
 from .weights import (IntegrabilityError, WeightFunction, make_weight,
                       tail_integrand, validate_weight, weight_normalizer_integral)
 
 
 def expected_weight(dist: DistributionHandle, weight: WeightFunction) -> float:
     """E[w(X)] via the tail identity: integral of w'(x) * sf(x)."""
-    return weight_normalizer_integral(weight, dist, abs_tol=1e-12, rel_tol=1e-10)
+    return weight_normalizer_integral(weight, dist)
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,6 @@ class WtrvDistribution(DistributionHandle):
 def _tail_cutoff(g: Callable, dist: DistributionHandle, total: float) -> float:
     """Smallest doubling point past which the unnormalized tail mass is
     negligible relative to the normalizer."""
-    from .numerics import AccuracyError
     x = max(1.0, float(dist.quantile(1.0 - 1e-9)))
     for _ in range(200):
         try:
@@ -59,7 +62,8 @@ def _tail_cutoff(g: Callable, dist: DistributionHandle, total: float) -> float:
 
 def _build_table(g: Callable, lo: float, x_max: float, total: float,
                  dist: DistributionHandle) -> tuple[np.ndarray, np.ndarray]:
-    """Mass-refined cumulative table for the unnormalized density g."""
+    """Mass-refined cumulative table for the unnormalized density g, scaled
+    by its own total so that the last value is exactly 1."""
     u = np.linspace(1e-5, 1.0 - 1e-5, 257)
     qs = np.asarray(dist.quantile(u), dtype=float)
     nodes = np.unique(np.concatenate([
@@ -87,7 +91,6 @@ def _build_table(g: Callable, lo: float, x_max: float, total: float,
         a, b, vals, errs = na[order], nb[order], vals[order], errs[order]
     # cells that never met the error cap (typically a pdf singularity at an
     # endpoint) get their mass from the fully adaptive integrator instead
-    from .numerics import AccuracyError
     stubborn = np.nonzero(errs > err_cap)[0]
     for i in stubborn[:64]:
         try:
@@ -98,8 +101,9 @@ def _build_table(g: Callable, lo: float, x_max: float, total: float,
             vals[i] = exc.estimate
     masses = np.maximum(vals, 0.0)
     x = np.concatenate([[a[0]], b])
-    cum = np.concatenate([[0.0], np.cumsum(masses)]) / total
-    return x, np.minimum.accumulate(np.minimum(cum, 1.0)[::-1])[::-1]
+    # nondecreasing, and ending at exactly 1, since the masses are >= 0
+    cum = np.concatenate([[0.0], np.cumsum(masses)])
+    return x, cum / cum[-1]
 
 
 def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribution:
@@ -111,7 +115,7 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
         raise IntegrabilityError(
             f"weight {weight.describe()} is not admissible for {dist.describe()}: "
             f"{report.detail or 'validity flags failed'}")
-    z = expected_weight(dist, weight)
+    z = report.normalizer
     hi = min(dist.support.hi, weight.domain_hint.hi)
     support = Interval(0.0, hi)
 
@@ -122,51 +126,31 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
         slopes = np.asarray(g(nodes), dtype=float) / z
     slopes = np.where(np.isfinite(slopes) & (slopes >= 0.0), slopes, 0.0)
     interp = CubicHermiteSpline(nodes, fvals, slopes, extrapolate=False)
-    f_end = float(fvals[-1])
+    density = interp.derivative()
 
+    @scalar_or_array
     def pdf(x):
-        arr = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.where((arr <= 0.0) | (arr >= hi), 0.0,
-                           np.asarray(g(np.clip(arr, 0.0, None)), dtype=float) / z)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+            return np.where((x <= 0.0) | (x >= hi), 0.0,
+                            np.asarray(g(np.clip(x, 0.0, None)), dtype=float) / z)
 
+    @scalar_or_array
     def cdf(x):
-        arr = np.asarray(x, dtype=float)
-        inner = interp(np.clip(arr, nodes[0], nodes[-1]))
-        out = np.where(arr <= 0.0, 0.0,
-                       np.where(arr >= hi, 1.0,
-                                np.where(arr >= nodes[-1], f_end,
-                                         np.clip(inner, 0.0, 1.0))))
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        inner = np.clip(interp(np.clip(x, nodes[0], nodes[-1])), 0.0, 1.0)
+        return np.where(x <= 0.0, 0.0, np.where(x >= nodes[-1], 1.0, inner))
 
+    @scalar_or_array
     def sf(x):
-        arr = np.asarray(x, dtype=float)
-        out = 1.0 - np.asarray(cdf(arr), dtype=float)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return 1.0 - cdf(x)
 
-    def q_scalar(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        if u >= 1.0:
-            return hi
-        if u >= f_end:
-            return float(nodes[-1])
-        i = int(np.searchsorted(fvals, u, side="right"))
-        i = min(max(i, 1), len(nodes) - 1)
-        a, b = float(nodes[i - 1]), float(nodes[i])
-        fa, fb = float(fvals[i - 1]), float(fvals[i])
-        if fa >= u:
-            return a
-        if fb <= u:
-            return b
-        return brent_root(lambda t: float(interp(t)) - u, a, b, tol=1e-14 * (1.0 + abs(b)))
-
+    @scalar_or_array
     def quantile(u):
-        arr = np.asarray(u, dtype=float)
-        if np.isscalar(u) or arr.ndim == 0:
-            return q_scalar(float(arr))
-        return np.array([q_scalar(float(v)) for v in arr.ravel()]).reshape(arr.shape)
+        out = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, hi, np.nan))
+        inside = (u > 0.0) & (u < 1.0)
+        ui = u[inside]
+        i = np.searchsorted(fvals, ui, side="right")
+        out[inside] = invert_monotone(interp, density, ui, nodes[i - 1], nodes[i])
+        return out
 
     return WtrvDistribution(
         name="wtrv", params={**{f"base_{k}": v for k, v in dist.params.items()},
@@ -194,36 +178,46 @@ def minimum_of(handles: Sequence[DistributionHandle]) -> DistributionHandle:
         if h.support != sup:
             raise ValueError("minimum requires identical supports")
 
+    @scalar_or_array
     def sf(x):
-        arr = np.asarray(x, dtype=float)
-        out = np.prod([np.asarray(h.sf(arr), dtype=float) for h in handles], axis=0)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return np.prod([np.asarray(h.sf(x), dtype=float) for h in handles], axis=0)
 
+    @scalar_or_array
     def cdf(x):
-        arr = np.asarray(x, dtype=float)
-        out = 1.0 - np.asarray(sf(arr), dtype=float)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return 1.0 - sf(x)
 
+    @scalar_or_array
     def pdf(x):
-        arr = np.asarray(x, dtype=float)
-        sfs = [np.asarray(h.sf(arr), dtype=float) for h in handles]
-        pdfs = [np.asarray(h.pdf(arr), dtype=float) for h in handles]
+        sfs = [np.asarray(h.sf(x), dtype=float) for h in handles]
+        pdfs = [np.asarray(h.pdf(x), dtype=float) for h in handles]
         total = np.prod(sfs, axis=0)
-        out = np.zeros_like(np.atleast_1d(total), dtype=float)
+        out = np.zeros_like(total)
         for s, p in zip(sfs, pdfs):
             with np.errstate(divide="ignore", invalid="ignore"):
-                term = np.where(np.atleast_1d(s) > 0,
-                                np.atleast_1d(p) * np.atleast_1d(total) / np.maximum(np.atleast_1d(s), 1e-300),
-                                0.0)
-            out = out + term
-        out = out.reshape(np.shape(total))
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+                out = out + np.where(s > 0, p * total / np.maximum(s, 1e-300), 0.0)
+        return out
 
-    from .distributions import _quantile_via_root
-    q = _quantile_via_root(cdf, sup)
+    @scalar_or_array
+    def quantile(u):
+        out = np.where(u <= 0.0, sup.lo, np.where(u >= 1.0, sup.hi, np.nan))
+        inside = (u > 0.0) & (u < 1.0)
+        ui = u[inside]
+        lo = np.full_like(ui, sup.lo)
+        hi = np.full_like(ui, sup.hi if sup.is_finite else max(1.0, sup.lo + 1.0))
+        # bracket doubling, all points at once
+        short = cdf(hi) < ui
+        while short.any():
+            if not np.isfinite(hi[short]).all():
+                raise ConvergenceError("no finite upper bracket for a quantile")
+            lo = np.where(short, hi, lo)
+            hi = np.where(short, 2.0 * hi, hi)
+            short = cdf(hi) < ui
+        out[inside] = invert_monotone(cdf, pdf, ui, lo, hi)
+        return out
+
     name = "min[" + ",".join(h.describe() for h in handles) + "]"
     return DistributionHandle(name=name, params={}, support=sup,
-                              pdf=pdf, cdf=cdf, sf=sf, quantile=q)
+                              pdf=pdf, cdf=cdf, sf=sf, quantile=quantile)
 
 
 def wtrv_of_minimum(dists: Sequence[DistributionHandle],
@@ -244,34 +238,22 @@ class Table1Row:
 
 
 def _burr_power_target(c: float, k: float, a: float) -> DistributionHandle:
-    """Closed-form density a x^(a-1) (1+x^c)^(-k) / (k B((ck-a)/c, (c+a)/c))."""
-    from .numerics import beta_fn
+    """Closed-form density a x^(a-1) (1+x^c)^(-k) / (k B((ck-a)/c, (c+a)/c)),
+    whose cdf is I_t(a/c, k - a/c) at t = x^c / (1 + x^c)."""
     if not a < c * k:
         raise ValueError("requires a < c*k for integrability")
     norm = k * beta_fn((c * k - a) / c, (c + a) / c)
-    base = make_catalog("burr12", {"c": c, "k": k})
+    p, q = a / c, k - a / c
 
-    def pdf(x):
-        arr = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(arr > 0, a * arr ** (a - 1) * (1 + arr ** c) ** (-k) / norm, 0.0)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    def quantile(u):
+        v = _sc.betaincinv(p, q, u)
+        return (v / (1.0 - v)) ** (1.0 / c)
 
-    def cdf(x):
-        arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr)
-        vals = np.array([
-            integrate_adaptive(pdf, Interval(0.0, float(v)), abs_tol=1e-12, rel_tol=1e-10).value
-            if v > 0 else 0.0 for v in flat])
-        out = np.clip(vals.reshape(arr.shape), 0.0, 1.0)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-    from .distributions import _quantile_via_root
-    sup = Interval(0.0, math.inf)
-    return DistributionHandle(name="burr12_power_wtrv", params={"c": c, "k": k, "a": a},
-                              support=sup, pdf=pdf, cdf=cdf,
-                              sf=lambda x: 1.0 - cdf(x),
-                              quantile=_quantile_via_root(cdf, sup))
+    return _handle("burr12_power_wtrv", {"c": c, "k": k, "a": a}, Interval(0.0, math.inf),
+                   pdf=lambda x: a * x ** (a - 1) * (1 + x ** c) ** (-k) / norm,
+                   cdf=lambda x: _sc.betainc(p, q, 1.0 / (1.0 + x ** -c)),
+                   sf=lambda x: _sc.betainc(q, p, 1.0 / (1.0 + x ** c)),
+                   quantile=quantile)
 
 
 def _table1_rows() -> list[tuple[str, DistributionHandle, WeightFunction, DistributionHandle, str]]:

@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 from scipy import special as _sc
 
-from .numerics import Interval, beta_fn, brent_root, incomplete_beta_upper
+from .numerics import Interval, beta_fn, scalar_or_array
+from .numerics import brent_root, incomplete_beta_upper  # noqa: F401 (re-exported)
 
 
 class CatalogError(ValueError):
@@ -38,75 +39,24 @@ class DistributionHandle:
         return f"{self.name}({args})"
 
 
-def _as_array(x):
-    return np.asarray(x, dtype=float)
-
-
-def _scalarize(fn: Callable) -> Callable:
-    """Return fn but with scalar-in/scalar-out behaviour preserved."""
-
-    def wrapped(x):
-        arr = _as_array(x)
-        out = fn(arr)
-        if np.isscalar(x) or arr.ndim == 0:
-            return float(out)
-        return out
-
-    return wrapped
-
-
-def _quantile_via_root(cdf: Callable, support: Interval) -> Callable:
-    """Numeric quantile by bracketed root finding on the cdf."""
-
-    def q_scalar(u: float) -> float:
-        if u <= 0.0:
-            return support.lo
-        if u >= 1.0:
-            return support.hi
-        hi = support.hi
-        if math.isinf(hi):
-            hi = max(1.0, support.lo + 1.0)
-            while float(cdf(hi)) < u:
-                hi *= 2.0
-                if hi > 1e300:
-                    return hi
-        return brent_root(lambda x: float(cdf(x)) - u, support.lo, hi, tol=1e-13)
-
-    def q(u):
-        arr = _as_array(u)
-        if np.isscalar(u) or arr.ndim == 0:
-            return q_scalar(float(arr))
-        return np.array([q_scalar(float(v)) for v in arr.ravel()]).reshape(arr.shape)
-
-    return q
-
-
 def _masked(support: Interval, inside: Callable, below: float, above: float) -> Callable:
     lo, hi = support.lo, support.hi
 
+    @scalar_or_array
     def fn(x):
-        x = _as_array(x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.where(x <= lo, below, np.where(x >= hi, above,
-                           inside(np.clip(x, lo, hi))))
-        return out
+            return np.where(x <= lo, below, np.where(x >= hi, above,
+                            inside(np.clip(x, lo, hi))))
 
-    return _scalarize(fn)
+    return fn
 
 
-def _handle(name, params, support, pdf, cdf, sf=None, quantile=None):
-    pdf_m = _masked(support, pdf, 0.0, 0.0)
-    cdf_m = _masked(support, cdf, 0.0, 1.0)
-    if sf is None:
-        sf_m = _scalarize(lambda x: 1.0 - _as_array(cdf_m(x)))
-    else:
-        sf_m = _masked(support, sf, 1.0, 0.0)
-    if quantile is None:
-        q = _quantile_via_root(cdf_m, support)
-    else:
-        q = _scalarize(lambda u: quantile(np.clip(_as_array(u), 0.0, 1.0)))
-    return DistributionHandle(name=name, params=dict(params), support=support,
-                              pdf=pdf_m, cdf=cdf_m, sf=sf_m, quantile=q)
+def _handle(name, params, support, pdf, cdf, sf, quantile):
+    return DistributionHandle(
+        name=name, params=dict(params), support=support,
+        pdf=_masked(support, pdf, 0.0, 0.0), cdf=_masked(support, cdf, 0.0, 1.0),
+        sf=_masked(support, sf, 1.0, 0.0),
+        quantile=scalar_or_array(lambda u: quantile(np.clip(u, 0.0, 1.0))))
 
 
 def _require_positive(params: dict[str, float], *names: str) -> None:
@@ -122,7 +72,7 @@ def _exponential(lam: float) -> DistributionHandle:
         pdf=lambda x: lam * np.exp(-lam * x),
         cdf=lambda x: -np.expm1(-lam * x),
         sf=lambda x: np.exp(-lam * x),
-        quantile=lambda u: -np.log1p(-_as_array(u)) / lam,
+        quantile=lambda u: -np.log1p(-u) / lam,
     )
 
 
@@ -134,7 +84,7 @@ def _gamma(k: float, lam: float) -> DistributionHandle:
         pdf=lambda x: np.exp(k * np.log(lam) + (k - 1) * np.log(x) - lam * x - lg),
         cdf=lambda x: _sc.gammainc(k, lam * x),
         sf=lambda x: _sc.gammaincc(k, lam * x),
-        quantile=lambda u: _sc.gammaincinv(k, _as_array(u)) / lam,
+        quantile=lambda u: _sc.gammaincinv(k, u) / lam,
     )
 
 
@@ -145,7 +95,7 @@ def _weibull(alpha: float, beta: float) -> DistributionHandle:
         pdf=lambda x: (alpha / beta) * (x / beta) ** (alpha - 1) * np.exp(-((x / beta) ** alpha)),
         cdf=lambda x: -np.expm1(-((x / beta) ** alpha)),
         sf=lambda x: np.exp(-((x / beta) ** alpha)),
-        quantile=lambda u: beta * (-np.log1p(-_as_array(u))) ** (1.0 / alpha),
+        quantile=lambda u: beta * (-np.log1p(-u)) ** (1.0 / alpha),
     )
 
 
@@ -157,7 +107,7 @@ def _rayleigh(sigma: float) -> DistributionHandle:
         pdf=lambda x: (x / s2) * np.exp(-x * x / (2 * s2)),
         cdf=lambda x: -np.expm1(-x * x / (2 * s2)),
         sf=lambda x: np.exp(-x * x / (2 * s2)),
-        quantile=lambda u: sigma * np.sqrt(-2.0 * np.log1p(-_as_array(u))),
+        quantile=lambda u: sigma * np.sqrt(-2.0 * np.log1p(-u)),
     )
 
 
@@ -169,7 +119,8 @@ def _half_normal(sigma: float) -> DistributionHandle:
         "half_normal", {"sigma": sigma}, sup,
         pdf=lambda x: c * np.exp(-x * x / (2 * sigma * sigma)),
         cdf=lambda x: _sc.erf(x / (sigma * rt2)),
-        quantile=lambda u: sigma * rt2 * _sc.erfinv(_as_array(u)),
+        sf=lambda x: _sc.erfc(x / (sigma * rt2)),
+        quantile=lambda u: sigma * rt2 * _sc.erfinv(u),
     )
 
 
@@ -182,7 +133,7 @@ def _generalized_gamma(p: float, a: float, d: float) -> DistributionHandle:
                              - d * np.log(a) - lg),
         cdf=lambda x: _sc.gammainc(d / p, (x / a) ** p),
         sf=lambda x: _sc.gammaincc(d / p, (x / a) ** p),
-        quantile=lambda u: a * _sc.gammaincinv(d / p, _as_array(u)) ** (1.0 / p),
+        quantile=lambda u: a * _sc.gammaincinv(d / p, u) ** (1.0 / p),
     )
 
 
@@ -193,7 +144,7 @@ def _burr12(c: float, k: float) -> DistributionHandle:
         pdf=lambda x: c * k * x ** (c - 1) * (1 + x ** c) ** (-(k + 1)),
         cdf=lambda x: 1.0 - (1 + x ** c) ** (-k),
         sf=lambda x: (1 + x ** c) ** (-k),
-        quantile=lambda u: ((1.0 - _as_array(u)) ** (-1.0 / k) - 1.0) ** (1.0 / c),
+        quantile=lambda u: ((1.0 - u) ** (-1.0 / k) - 1.0) ** (1.0 / c),
     )
 
 
@@ -204,7 +155,7 @@ def _pareto_lomax(alpha: float) -> DistributionHandle:
         pdf=lambda x: alpha * (1 + x) ** (-(alpha + 1)),
         cdf=lambda x: 1.0 - (1 + x) ** (-alpha),
         sf=lambda x: (1 + x) ** (-alpha),
-        quantile=lambda u: (1.0 - _as_array(u)) ** (-1.0 / alpha) - 1.0,
+        quantile=lambda u: (1.0 - u) ** (-1.0 / alpha) - 1.0,
     )
 
 
@@ -215,7 +166,7 @@ def _uniform() -> DistributionHandle:
         pdf=lambda x: np.ones_like(x),
         cdf=lambda x: x,
         sf=lambda x: 1.0 - x,
-        quantile=lambda u: _as_array(u),
+        quantile=lambda u: u,
     )
 
 
@@ -227,7 +178,7 @@ def _beta(alpha: float, beta: float) -> DistributionHandle:
         pdf=lambda x: np.exp((alpha - 1) * np.log(x) + (beta - 1) * np.log1p(-x) - lb),
         cdf=lambda x: _sc.betainc(alpha, beta, x),
         sf=lambda x: _sc.betaincc(alpha, beta, x),
-        quantile=lambda u: _sc.betaincinv(alpha, beta, _as_array(u)),
+        quantile=lambda u: _sc.betaincinv(alpha, beta, u),
     )
 
 
@@ -238,29 +189,21 @@ def _kumaraswamy(a: float, b: float) -> DistributionHandle:
         pdf=lambda x: a * b * x ** (a - 1) * (1 - x ** a) ** (b - 1),
         cdf=lambda x: 1.0 - (1 - x ** a) ** b,
         sf=lambda x: (1 - x ** a) ** b,
-        quantile=lambda u: (1.0 - (1.0 - _as_array(u)) ** (1.0 / b)) ** (1.0 / a),
+        quantile=lambda u: (1.0 - (1.0 - u) ** (1.0 / b)) ** (1.0 / a),
     )
 
 
 def _weighted_kumaraswamy(a: float, b: float, c: float) -> DistributionHandle:
-    sup = Interval(0.0, 1.0)
+    # Beta link: X^a ~ Beta(c/a, b+1)
     norm = b * beta_fn(1.0 + c / a, b)
-
-    def sf_inside(x):
-        xa = np.clip(x ** a, 0.0, 1.0)
-        flat = np.atleast_1d(xa)
-        vals = np.array([incomplete_beta_upper(float(v), c / a, b + 1.0) for v in flat])
-        out = (c / (a * norm)) * vals.reshape(np.shape(xa))
-        return np.clip(out, 0.0, 1.0)
-
-    cdf_inside = lambda x: 1.0 - sf_inside(x)
-    h = _handle(
-        "weighted_kumaraswamy", {"a": a, "b": b, "c": c}, sup,
+    p, q = c / a, b + 1.0
+    return _handle(
+        "weighted_kumaraswamy", {"a": a, "b": b, "c": c}, Interval(0.0, 1.0),
         pdf=lambda x: c * x ** (c - 1) * (1 - x ** a) ** b / norm,
-        cdf=cdf_inside,
-        sf=sf_inside,
+        cdf=lambda x: _sc.betainc(p, q, x ** a),
+        sf=lambda x: _sc.betaincc(p, q, x ** a),
+        quantile=lambda u: _sc.betaincinv(p, q, u) ** (1.0 / a),
     )
-    return h
 
 
 def wk_moment(a: float, b: float, c: float, n: int) -> float:
@@ -290,7 +233,7 @@ def _truncated_power(beta: float) -> DistributionHandle:
         pdf=lambda x: (beta - 1) * (1 - x) ** (beta - 2),
         cdf=lambda x: 1.0 - (1 - x) ** (beta - 1),
         sf=lambda x: (1 - x) ** (beta - 1),
-        quantile=lambda u: 1.0 - (1.0 - _as_array(u)) ** (1.0 / (beta - 1)),
+        quantile=lambda u: 1.0 - (1.0 - u) ** (1.0 / (beta - 1)),
     )
 
 

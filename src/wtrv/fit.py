@@ -8,6 +8,7 @@ quasi-Newton optimization, AIC/BIC, and a histogram-based RMSE metric.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -58,6 +59,17 @@ class NormalizedSample:
             return v[(v > 0.0) & (v < 1.0)]
         return (self.values * (self.n - 1) + 0.5) / self.n
 
+    @functools.cached_property
+    def _likelihood_set(self) -> np.ndarray:
+        """likelihood_values, checked for boundary values once per sample."""
+        x = self.likelihood_values
+        if len(x) == 0:
+            raise BoundaryError("likelihood set is empty after the boundary policy")
+        if np.any(x <= 0.0) or np.any(x >= 1.0):
+            raise BoundaryError("boundary values 0/1 present in the likelihood set")
+        x.flags.writeable = False
+        return x
+
 
 def normalize(z, policy: str = "exclude_boundary") -> NormalizedSample:
     """Exact min-max normalization of a raw sample onto [0, 1]."""
@@ -87,18 +99,9 @@ def from_unit_values(x, policy: str = "exclude_boundary") -> NormalizedSample:
                             n=len(arr), boundary_policy=policy)
 
 
-def _likelihood_set(sample: NormalizedSample) -> np.ndarray:
-    x = sample.likelihood_values
-    if len(x) == 0:
-        raise BoundaryError("likelihood set is empty after the boundary policy")
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
-        raise BoundaryError("boundary values 0/1 present in the likelihood set")
-    return x
-
-
 def loglik_wk(sample: NormalizedSample, a: float, b: float, c: float) -> float:
     """Log-likelihood of the weighted Kumaraswamy family."""
-    x = _likelihood_set(sample)
+    x = sample._likelihood_set
     n = len(x)
     const = math.log(c) - math.log(b) - (ln_gamma(1.0 + c / a) + ln_gamma(b)
                                          - ln_gamma(1.0 + c / a + b))
@@ -107,14 +110,14 @@ def loglik_wk(sample: NormalizedSample, a: float, b: float, c: float) -> float:
 
 
 def loglik_kw(sample: NormalizedSample, a: float, b: float) -> float:
-    x = _likelihood_set(sample)
+    x = sample._likelihood_set
     n = len(x)
     return (n * (math.log(a) + math.log(b)) + (a - 1.0) * float(np.sum(np.log(x)))
             + (b - 1.0) * float(np.sum(np.log1p(-x ** a))))
 
 
 def loglik_beta(sample: NormalizedSample, alpha: float, beta: float) -> float:
-    x = _likelihood_set(sample)
+    x = sample._likelihood_set
     n = len(x)
     lbeta = ln_gamma(alpha) + ln_gamma(beta) - ln_gamma(alpha + beta)
     return (-n * lbeta + (alpha - 1.0) * float(np.sum(np.log(x)))

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.stats import chi2 as _chi2
 from scipy.stats import cramervonmises as _scipy_cvm
 
-from .distributions import DistributionHandle, sample as _draw
-from .fit import MODELS, fit_mle, from_unit_values
+from .distributions import DistributionHandle, make_catalog, sample as _draw
+from .fit import _CATALOG_NAME, MODELS, FitError, fit_mle, from_unit_values
 from .numerics import kolmogorov_sf
 
 
@@ -31,22 +31,23 @@ class BootstrapError(RuntimeError):
 
 TEST_NAMES = ("ks", "ad", "cvm", "chisq")
 DF_CONVENTIONS = ("bins-1", "bins-1-k", "calibrated")
+_BOOTSTRAP_STARTS = 4
 
 
-def _pit(values: np.ndarray, model: DistributionHandle) -> np.ndarray:
-    """Probability-integral transform with boundary nudge."""
-    u = np.asarray(model.cdf(np.asarray(values, dtype=float)), dtype=float)
-    return np.clip(u, 1e-12, 1.0 - 1e-12)
-
-
-def ks_test(values, model: DistributionHandle) -> tuple[float, float]:
-    """Two-sided KS statistic and asymptotic p-value."""
+def _pit(values, model: DistributionHandle) -> tuple[int, np.ndarray, np.ndarray]:
+    """Sample size, probability-integral transform of the sorted sample with
+    boundary nudge, and ranks 1..n."""
     x = np.sort(np.asarray(values, dtype=float))
     n = len(x)
     if n < 2:
         raise ValueError("need at least 2 observations")
-    u = _pit(x, model)
-    i = np.arange(1, n + 1)
+    u = np.clip(np.asarray(model.cdf(x), dtype=float), 1e-12, 1.0 - 1e-12)
+    return n, u, np.arange(1, n + 1)
+
+
+def ks_test(values, model: DistributionHandle) -> tuple[float, float]:
+    """Two-sided KS statistic and asymptotic p-value."""
+    n, u, i = _pit(values, model)
     d = float(np.max(np.maximum(i / n - u, u - (i - 1) / n)))
     return d, kolmogorov_sf(math.sqrt(n) * d)
 
@@ -67,24 +68,14 @@ def _ad_pvalue(z: float) -> float:
 
 def ad_test(values, model: DistributionHandle) -> tuple[float, float]:
     """Anderson-Darling A-squared and asymptotic p-value."""
-    x = np.sort(np.asarray(values, dtype=float))
-    n = len(x)
-    if n < 2:
-        raise ValueError("need at least 2 observations")
-    u = _pit(x, model)
-    i = np.arange(1, n + 1)
+    n, u, i = _pit(values, model)
     a2 = float(-n - np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[::-1]))) / n)
     return a2, _ad_pvalue(a2)
 
 
 def cvm_test(values, model: DistributionHandle) -> tuple[float, float]:
     """Cramer-von Mises W-squared and asymptotic p-value."""
-    x = np.sort(np.asarray(values, dtype=float))
-    n = len(x)
-    if n < 2:
-        raise ValueError("need at least 2 observations")
-    u = _pit(x, model)
-    i = np.arange(1, n + 1)
+    n, u, i = _pit(values, model)
     w2 = float(np.sum((u - (2 * i - 1) / (2 * n)) ** 2) + 1.0 / (12 * n))
     p = float(_scipy_cvm(u, "uniform").pvalue)
     return w2, p
@@ -122,48 +113,69 @@ def chisq_test(values, model: DistributionHandle, bins: int = 10,
     return stat, float(_chi2.sf(stat, df))
 
 
+# (statistic, asymptotic p-value) of each test for (values, model, bins,
+# n_params, df_convention)
 _STATISTIC = {
-    "ks": lambda x, m, bins, k: ks_test(x, m)[0],
-    "ad": lambda x, m, bins, k: ad_test(x, m)[0],
-    "cvm": lambda x, m, bins, k: cvm_test(x, m)[0],
-    "chisq": lambda x, m, bins, k: chisq_test(x, m, bins=bins, n_params=k)[0],
+    "ks": lambda x, m, bins, k, df: ks_test(x, m),
+    "ad": lambda x, m, bins, k, df: ad_test(x, m),
+    "cvm": lambda x, m, bins, k, df: cvm_test(x, m),
+    "chisq": lambda x, m, bins, k, df: chisq_test(x, m, bins=bins, df_convention=df,
+                                                  n_params=k),
 }
 
 
-def bootstrap_pvalue(values, family: str, fitted_params: dict[str, float],
-                     test: str, replicates: int = 199, seed: int = 42,
-                     bins: int = 10, starts: int = 4) -> float:
-    """Parametric bootstrap p-value: simulate from the fitted model, refit,
-    recompute the statistic; p = (1 + #{T* >= T_obs}) / (replicates + 1)."""
+def _bootstrap_pvalues(x: np.ndarray, family: str, fitted_params: dict[str, float],
+                       tests: Sequence[str], replicates: int, seed: int, bins: int,
+                       starts: int) -> dict[str, float]:
+    """Bootstrap p-values of several tests from one set of simulations and
+    refits; failures are counted per test."""
     if replicates < 99:
         raise ValueError("replicates must be at least 99")
-    if test not in TEST_NAMES:
-        raise ValueError(f"unknown test {test!r}")
+    for test in tests:
+        if test not in TEST_NAMES:
+            raise ValueError(f"unknown test {test!r}")
     if family not in MODELS:
         raise ValueError(f"unknown model family {family!r}")
-    x = np.sort(np.asarray(values, dtype=float))
+    x = np.sort(np.asarray(x, dtype=float))
     n = len(x)
     k = len(MODELS[family])
-    from .fit import FitError, _CATALOG_NAME
-    from .distributions import make_catalog
     fitted = make_catalog(_CATALOG_NAME[family], dict(fitted_params))
-    t_obs = _STATISTIC[test](x, fitted, bins, k)
+    # the statistic does not depend on the chi-square df convention
+    t_obs = {t: _STATISTIC[t](x, fitted, bins, k, "calibrated")[0] for t in tests}
 
-    exceed = failures = 0
+    exceed = dict.fromkeys(tests, 0)
+    failures = dict.fromkeys(tests, 0)
     for r in range(replicates):
         sim = _draw(fitted, n, seed=seed + 1000 * (r + 1))
         try:
             refit = fit_mle(from_unit_values(sim), family, starts=starts,
-                            seed=seed + r)
-            t_star = _STATISTIC[test](np.sort(sim), refit.handle(), bins, k)
+                            seed=seed + r).handle()
         except (FitError, ValueError):
-            failures += 1
+            for t in tests:
+                failures[t] += 1
             continue
-        if t_star >= t_obs:
-            exceed += 1
-    if failures > 0.1 * replicates:
-        raise BootstrapError(f"{failures}/{replicates} bootstrap refits failed")
-    return (1.0 + exceed) / (replicates + 1.0)
+        sim = np.sort(sim)
+        for t in tests:
+            try:
+                t_star = _STATISTIC[t](sim, refit, bins, k, "calibrated")[0]
+            except ValueError:
+                failures[t] += 1
+                continue
+            if t_star >= t_obs[t]:
+                exceed[t] += 1
+    for t in tests:
+        if failures[t] > 0.1 * replicates:
+            raise BootstrapError(f"{failures[t]}/{replicates} bootstrap refits failed")
+    return {t: (1.0 + exceed[t]) / (replicates + 1.0) for t in tests}
+
+
+def bootstrap_pvalue(values, family: str, fitted_params: dict[str, float],
+                     test: str, replicates: int = 199, seed: int = 42,
+                     bins: int = 10, starts: int = _BOOTSTRAP_STARTS) -> float:
+    """Parametric bootstrap p-value: simulate from the fitted model, refit,
+    recompute the statistic; p = (1 + #{T* >= T_obs}) / (replicates + 1)."""
+    return _bootstrap_pvalues(values, family, fitted_params, (test,), replicates,
+                              seed, bins, starts)[test]
 
 
 @dataclass(frozen=True)
@@ -181,28 +193,20 @@ def run_gof(values, model: DistributionHandle, model_name: str,
     """Evaluate the selected tests and assemble a report."""
     if method not in ("asymptotic", "bootstrap"):
         raise ValueError(f"unknown p-value method {method!r}")
+    if method == "bootstrap" and (family is None or params is None):
+        raise ValueError("bootstrap p-values need the fitted family and params")
+    tests = tuple(tests)
     x = np.sort(np.asarray(values, dtype=float))
     k = len(MODELS[family]) if family in MODELS else 0
     results: dict[str, dict] = {}
     for name in tests:
-        if name == "ks":
-            stat, p = ks_test(x, model)
-        elif name == "ad":
-            stat, p = ad_test(x, model)
-        elif name == "cvm":
-            stat, p = cvm_test(x, model)
-        elif name == "chisq":
-            stat, p = chisq_test(x, model, bins=bins,
-                                 df_convention=df_convention, n_params=k)
-        else:
+        if name not in _STATISTIC:
             raise ValueError(f"unknown test {name!r}")
-        entry = {"statistic": stat, "p_value": p, "method": "asymptotic"}
-        if method == "bootstrap":
-            if family is None or params is None:
-                raise ValueError("bootstrap p-values need the fitted family and params")
-            entry["p_value"] = bootstrap_pvalue(x, family, params, name,
-                                                replicates=replicates, seed=seed,
-                                                bins=bins)
-            entry["method"] = "bootstrap"
-        results[name] = entry
+        stat, p = _STATISTIC[name](x, model, bins, k, df_convention)
+        results[name] = {"statistic": stat, "p_value": p, "method": "asymptotic"}
+    if method == "bootstrap":
+        boot = _bootstrap_pvalues(x, family, params, tests, replicates, seed, bins,
+                                  _BOOTSTRAP_STARTS)
+        for name in tests:
+            results[name].update(p_value=boot[name], method="bootstrap")
     return GofReport(model=model_name, n=len(x), tests=results)

@@ -7,6 +7,7 @@ multiple threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -70,6 +71,22 @@ class AccuracyError(RuntimeError):
 
 class BracketError(ValueError):
     """Root bracket does not enclose a sign change."""
+
+
+class ConvergenceError(RuntimeError):
+    """Vectorized root finding left points unconverged."""
+
+
+def scalar_or_array(fn: Callable) -> Callable:
+    """Call fn(x, *args) with x as a float array; a scalar x gives a float."""
+
+    @functools.wraps(fn)
+    def wrapped(x, *args):
+        arr = np.asarray(x, dtype=float)
+        out = fn(arr, *args)
+        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+    return wrapped
 
 
 def ln_gamma(x: float) -> float:
@@ -223,6 +240,55 @@ def brent_root(f: Callable[[float], float], lo: float, hi: float,
     if flo * fhi > 0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo:.3g}, {fhi:.3g}")
     return float(_opt.brentq(f, lo, hi, xtol=tol, rtol=max(4e-16, min(tol, 1e-10))))
+
+
+_NEWTON_ROUNDS = 200
+
+
+def invert_monotone(f: Callable, fprime: Callable, target, lo, hi) -> np.ndarray:
+    """Solve f(x) = target point by point for a nondecreasing vectorized f.
+
+    Each point has its own bracket [lo, hi] and gets lo (hi) when its target
+    is at or below f(lo) (at or above f(hi)). Safeguarded Newton steps on
+    fprime run on all points at once and fall back to bisection when a step
+    leaves the bracket or does not halve the step before last; a point stops
+    once its step or bracket is within 1e-14 * (1 + |x|). Raises
+    ConvergenceError when f is not finite or a point is still open after
+    _NEWTON_ROUNDS rounds.
+    """
+    shape = np.shape(target)
+    t = np.asarray(target, dtype=float).ravel()
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (lo, hi))
+    with np.errstate(invalid="ignore"):
+        f_lo, f_hi = np.asarray(f(lo), dtype=float) - t, np.asarray(f(hi), dtype=float) - t
+    if np.isnan(f_lo).any() or np.isnan(f_hi).any():
+        raise ConvergenceError("function is not finite at a bracket end")
+    x = np.where(f_lo >= 0.0, lo, hi)
+    act = np.nonzero((f_lo < 0.0) & (f_hi > 0.0))[0]
+    lo, hi, t = lo[act], hi[act], t[act]
+    xa = lo - (hi - lo) * f_lo[act] / (f_hi[act] - f_lo[act])  # regula falsi start
+    dx = dx_old = hi - lo
+    for _ in range(_NEWTON_ROUNDS):
+        if act.size == 0:
+            break
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            fx = np.asarray(f(xa), dtype=float) - t
+            if not np.isfinite(fx).all():
+                raise ConvergenceError("function is not finite inside a bracket")
+            lo, hi = np.where(fx < 0.0, xa, lo), np.where(fx > 0.0, xa, hi)
+            step = fx / np.asarray(fprime(xa), dtype=float)
+            newton = xa - step
+            ok = (newton >= lo) & (newton <= hi) & (np.abs(2.0 * step) <= np.abs(dx_old))
+        nxt = np.where(ok, newton, 0.5 * (lo + hi))
+        dx, dx_old = nxt - xa, dx
+        tol = 1e-14 * (1.0 + np.abs(nxt))
+        done = (fx == 0.0) | (np.abs(dx) <= tol) | (hi - lo <= tol)
+        x[act[done]] = np.where(fx == 0.0, xa, nxt)[done]
+        act, xa, lo, hi, t, dx, dx_old = (v[~done] for v in (act, nxt, lo, hi, t, dx, dx_old))
+    if act.size:
+        raise ConvergenceError(f"{act.size} of {x.size} points unconverged after "
+                               f"{_NEWTON_ROUNDS} Newton-bisection rounds")
+    return x.reshape(shape)
 
 
 def finite_diff_grad(f: Callable, x: Sequence[float], h: float | Sequence[float] = 1e-6) -> np.ndarray:

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import DistributionHandle
-from .numerics import AccuracyError, Interval, _gk15_cells, integrate_adaptive
+from .numerics import (AccuracyError, Interval, _gk15_cells, integrate_adaptive,
+                       scalar_or_array)
 from .weights import IntegrabilityError, WeightFunction
 
 
@@ -29,24 +30,22 @@ class TailError(ValueError):
 AGING_CLASSES = ("ILR", "DLR", "IFR", "DFR", "DMRL", "IMRL")
 
 
+@scalar_or_array
+def _pdf_ratio(x, dist: DistributionHandle, den, what: str):
+    d = np.asarray(den(x), dtype=float)
+    if np.any(d <= 0.0):
+        raise TailError(f"{what} vanishes on the requested points of {dist.describe()}")
+    return np.asarray(dist.pdf(x), dtype=float) / d
+
+
 def hazard(dist: DistributionHandle, x):
     """Failure rate pdf(x)/sf(x)."""
-    arr = np.asarray(x, dtype=float)
-    s = np.asarray(dist.sf(arr), dtype=float)
-    if np.any(np.atleast_1d(s) <= 0.0):
-        raise TailError(f"survival function vanishes on the requested points of {dist.describe()}")
-    out = np.asarray(dist.pdf(arr), dtype=float) / s
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return _pdf_ratio(x, dist, dist.sf, "survival function")
 
 
 def reversed_hazard(dist: DistributionHandle, x):
     """Reversed failure rate pdf(x)/cdf(x)."""
-    arr = np.asarray(x, dtype=float)
-    c = np.asarray(dist.cdf(arr), dtype=float)
-    if np.any(np.atleast_1d(c) <= 0.0):
-        raise TailError(f"cdf vanishes on the requested points of {dist.describe()}")
-    out = np.asarray(dist.pdf(arr), dtype=float) / c
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return _pdf_ratio(x, dist, dist.cdf, "cdf")
 
 
 def mrl(dist: DistributionHandle, x: float) -> float:

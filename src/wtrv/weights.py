@@ -146,7 +146,7 @@ def tail_integrand(weight: WeightFunction, dist: DistributionHandle) -> Callable
 
 
 def weight_normalizer_integral(weight: WeightFunction, dist: DistributionHandle,
-                               abs_tol: float = 1e-11, rel_tol: float = 1e-9) -> float:
+                               abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> float:
     """E[w(X)] computed as the integral of w'(x) * sf(x) over the support."""
     hi = min(dist.support.hi, weight.domain_hint.hi)
     rng = Interval(dist.support.lo, hi)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wtrv import make_catalog
 
@@ -31,3 +32,10 @@ def catalog_dist(request):
 def interior_grid(dist, n=64, u_lo=0.01, u_hi=0.99):
     u = np.linspace(u_lo, u_hi, n)
     return np.array([dist.quantile(v) for v in u])
+
+
+# Property tests run a fixed, bounded set of examples so the suite stays
+# deterministic and its run time predictable.
+settings.register_profile("deterministic", derandomize=True, max_examples=25,
+                          deadline=None, database=None)
+settings.load_profile("deterministic")

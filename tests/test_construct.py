@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wtrv import (beta_fn, construct, equilibrium, expected_weight,
+from wtrv import (beta_fn, classify_aging, construct, equilibrium, expected_weight,
                   make_catalog, make_weight, minimum_of, sample,
                   table1_oracle_suite, weighted_kumaraswamy, wtrv_of_minimum)
 from wtrv.numerics import integrate_adaptive
@@ -84,6 +84,60 @@ class TestConstruct:
         u = np.linspace(0.001, 0.999, 999)
         err = max(abs(float(xw.cdf(xw.quantile(v))) - v) for v in u)
         assert err <= 1e-7
+
+
+class TestConstructedQuantile:
+    # criterion-3 constructions plus a base density singular at 0
+    CASES = [
+        (("exponential", {"lambda": 1.5}), ("power", {"c": 2.5})),
+        (("uniform", {}), ("neg_log_sq", {})),
+        (("kumaraswamy", {"a": 2.0, "b": 3.0}), ("power", {"c": 1.5})),
+        (("burr12", {"c": 3.0, "k": 2.0}), ("power", {"c": 2.0})),
+        (("weibull", {"alpha": 1.7, "beta": 2.2}),
+         ("scaled_power", {"alpha": 1.7, "beta": 2.2})),
+        (("gamma", {"k": 2.5, "lambda": 1.5}), ("log1p_power", {"c": 2.5})),
+        (("exponential", {"lambda": 2.18}), ("power", {"c": 0.41})),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0][0]}+{c[1][0]}")
+    def test_roundtrip_to_1e14(self, case):
+        (dname, dparams), (wname, wparams) = case
+        xw = construct(make_catalog(dname, dict(dparams)),
+                       make_weight(wname, dict(wparams)))
+        u = np.linspace(0.001, 0.999, 10 ** 4)
+        assert np.max(np.abs(np.asarray(xw.cdf(xw.quantile(u))) - u)) <= 1e-14
+
+    def test_scalar_and_edges(self):
+        xw = construct(make_catalog("exponential", {"lambda": 1.0}),
+                       make_weight("linear", {}))
+        assert type(xw.quantile(0.5)) is float
+        assert xw.quantile(0.0) == 0.0 and xw.quantile(1.0) == math.inf
+        assert xw.cdf_values[-1] == 1.0
+        assert float(xw.cdf(xw.cdf_nodes[-1] * 2.0)) == 1.0
+
+    def test_normalizer_integrated_once(self, monkeypatch):
+        import wtrv.weights as weights
+        calls = []
+        original = weights.weight_normalizer_integral
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(weights, "weight_normalizer_integral", counted)
+        xw = construct(make_catalog("gamma", {"k": 2.0, "lambda": 1.0}),
+                       make_weight("power", {"c": 2.0}))
+        assert len(calls) == 1
+        assert xw.normalizer == pytest.approx(6.0, rel=1e-10)  # E[X^2] = k(k+1)
+
+    def test_infinite_support_tail_has_no_residual_mass(self):
+        # the constructed sf vanishes past the table, so the mean residual
+        # life integral converges
+        xw = construct(make_catalog("weibull", {"alpha": 1.7, "beta": 2.2}),
+                       make_weight("scaled_power", {"alpha": 1.7, "beta": 2.2}))
+        rep = classify_aging(xw)
+        assert rep.failures == {}
+        assert rep.classes["IFR"] and rep.classes["DMRL"]
 
 
 class TestEquilibrium:

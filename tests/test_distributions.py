@@ -80,6 +80,18 @@ class TestSpecificFamilies:
         d = make_catalog("weighted_kumaraswamy", {"a": 2.0, "b": 3.0, "c": 1.5})
         assert float(d.sf(1e-14)) == pytest.approx(1.0, abs=1e-9)
 
+    def test_wk_beta_link(self):
+        # X^a ~ Beta(c/a, b+1)
+        from scipy import stats
+        for a, b, c in ((2.0, 3.0, 1.5), (0.7, 12.0, 4.0), (5.0, 0.4, 0.3)):
+            d = make_catalog("weighted_kumaraswamy", {"a": a, "b": b, "c": c})
+            link = stats.beta(c / a, b + 1.0)
+            xs = np.linspace(0.01, 0.99, 99)
+            assert np.max(np.abs(np.asarray(d.sf(xs)) - link.sf(xs ** a))) <= 1e-13
+            u = np.linspace(0.001, 0.999, 999)
+            assert np.max(np.abs(np.asarray(d.quantile(u))
+                                 - link.ppf(u) ** (1.0 / a))) <= 1e-13
+
     def test_lomax_sf(self):
         d = make_catalog("pareto_lomax", {"alpha": 2.0})
         assert float(d.sf(1.0)) == pytest.approx(0.25, rel=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from wtrv import (finite_diff_grad, fit_mle, from_unit_values, loglik_beta,
                   loglik_kw, loglik_wk, make_catalog, normalize, rmse_metric,
                   sample)
-from wtrv.fit import DegenerateSampleError
+from wtrv.fit import BoundaryError, DegenerateSampleError
 
 
 def unit_sample(a=2.0, b=5.0, n=400, seed=3, family="kumaraswamy", **extra):
@@ -71,6 +71,18 @@ class TestLogLikelihoods:
         db = (-n / b - n * (digamma(b) - digamma(1 + c / a + b))
               + float(np.sum(np.log1p(-x ** a))))
         assert g[1] == pytest.approx(db, rel=1e-5)
+
+
+    def test_likelihood_set_built_once(self):
+        s = unit_sample()
+        assert s._likelihood_set is s._likelihood_set
+        assert np.array_equal(s._likelihood_set, s.likelihood_values)
+        assert not s._likelihood_set.flags.writeable
+
+    def test_empty_likelihood_set(self):
+        s = from_unit_values([0.0, 0.0, 1.0])
+        with pytest.raises(BoundaryError, match="empty"):
+            loglik_kw(s, 1.0, 1.0)
 
 
 class TestFitMle:

@@ -148,3 +148,16 @@ class TestBootstrap:
         assert p1 == p2
         assert 1.0 / 100 <= p1 <= 1.0
         assert p1 > 0.05  # true model should not be rejected
+
+    def test_run_gof_matches_per_test_bootstrap(self):
+        d = make_catalog("kumaraswamy", {"a": 2.0, "b": 3.0})
+        values = np.sort(np.asarray(sample(d, 40, seed=6)))
+        fitted = fit_mle(from_unit_values(values), "kw", starts=4, seed=0)
+        tests = ("ad", "chisq")
+        rep = run_gof(values, fitted.handle(), "kw", tests=tests,
+                      method="bootstrap", family="kw", params=fitted.params,
+                      replicates=99, seed=13)
+        for name in tests:
+            assert rep.tests[name]["method"] == "bootstrap"
+            assert rep.tests[name]["p_value"] == bootstrap_pvalue(
+                values, "kw", fitted.params, name, replicates=99, seed=13)

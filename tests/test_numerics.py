@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from wtrv import (AccuracyError, BracketError, Interval, beta_fn, brent_root,
-                  finite_diff_grad, incomplete_beta_upper, integrate_adaptive,
-                  kolmogorov_sf, ln_gamma, make_catalog, minimize_bounded)
+from wtrv import (AccuracyError, BracketError, ConvergenceError, Interval,
+                  beta_fn, brent_root, finite_diff_grad, incomplete_beta_upper,
+                  integrate_adaptive, invert_monotone, kolmogorov_sf, ln_gamma,
+                  make_catalog, minimize_bounded)
+from wtrv.numerics import scalar_or_array
 
 
 def simpson(f, a, b, n=2000):
@@ -127,6 +129,53 @@ class TestBrentRoot:
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             brent_root(lambda x: x * x + 1, -1.0, 1.0, 1e-10)
+
+
+class TestInvertMonotone:
+    CASES = [(lambda x: x ** 3 + x, lambda x: 3 * x ** 2 + 1, -2.0, 2.0),
+             (np.expm1, np.exp, -1.0, 3.0),
+             (np.arctan, lambda x: 1.0 / (1.0 + x * x), -50.0, 50.0)]
+
+    def test_matches_brent_root(self):
+        for f, fp, lo, hi in self.CASES:
+            targets = np.linspace(float(f(lo)), float(f(hi)), 41)[1:-1]
+            roots = invert_monotone(f, fp, targets, lo, hi)
+            for t, r in zip(targets, roots):
+                ref = brent_root(lambda x: float(f(x)) - t, lo, hi, 1e-15)
+                assert abs(r - ref) <= 1e-14 * (1.0 + abs(ref))
+
+    def test_per_point_brackets_and_shape(self):
+        lo = np.array([[0.0, 1.0], [2.0, 3.0]])
+        target = (lo + 0.5) ** 2
+        roots = invert_monotone(np.square, lambda x: 2.0 * x, target, lo, lo + 1.0)
+        assert roots.shape == (2, 2)
+        assert np.allclose(roots, lo + 0.5, rtol=0.0, atol=1e-14)
+
+    def test_targets_outside_bracket_clamp(self):
+        roots = invert_monotone(np.square, lambda x: 2.0 * x,
+                                np.array([-1.0, 0.0, 4.0, 9.0]), 0.0, 2.0)
+        assert list(roots) == [0.0, 0.0, 2.0, 2.0]
+
+    def test_unconverged_points_raise(self):
+        # a derivative that is off by 300 orders forces bisection on a
+        # bracket too wide to close within the round budget
+        with pytest.raises(ConvergenceError):
+            invert_monotone(np.log1p, lambda x: np.full_like(x, 1e-300),
+                            np.array([1.0]), 0.0, 1e300)
+
+    def test_non_finite_function_raises(self):
+        with pytest.raises(ConvergenceError):
+            invert_monotone(lambda x: np.where(x > 0.5, np.nan, x),
+                            np.ones_like, np.array([0.4]), 0.0, 0.6)
+
+
+class TestScalarOrArray:
+    def test_scalar_in_float_out(self):
+        f = scalar_or_array(lambda x: 2.0 * x)
+        assert type(f(1.5)) is float and f(1.5) == 3.0
+        assert type(f(np.float64(1.5))) is float
+        assert type(f(np.array(1.5))) is float
+        assert np.array_equal(f([1.0, 2.0]), np.array([2.0, 4.0]))
 
 
 class TestMinimizeBounded:
