@@ -162,12 +162,7 @@ def _moment_start(sample: NormalizedSample, model: str) -> np.ndarray:
     common = max(m * (1.0 - m) / v - 1.0, 1e-2)
     alpha = max(m * common, PARAM_BOUNDS[0])
     beta = max((1.0 - m) * common, PARAM_BOUNDS[0])
-    if model == "beta":
-        start = [alpha, beta]
-    elif model == "kw":
-        start = [alpha, beta]
-    else:
-        start = [alpha, beta, alpha]
+    start = [alpha, beta] if model in ("beta", "kw") else [alpha, beta, alpha]
     return np.clip(np.asarray(start, dtype=float), *PARAM_BOUNDS)
 
 
@@ -201,7 +196,7 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16,
     for point in start_points:
         try:
             res = minimize_bounded(objective, point, bounds)
-        except Exception:
+        except ValueError:  # start outside the box or non-finite there
             continue
         if not math.isfinite(res.objective):
             continue
@@ -214,7 +209,7 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16,
         polish = minimize_bounded(objective, best.argmin, bounds)
         if math.isfinite(polish.objective) and polish.objective <= best.objective:
             best = polish
-    except Exception:
+    except ValueError:
         pass
     # convergence judged relative to the objective scale
     tol_eff = 1e-4 * (1.0 + abs(best.objective))

@@ -376,14 +376,4 @@ def kolmogorov_sf(lam: float) -> float:
     """Asymptotic Kolmogorov survival function Q(lam) = 2 sum (-1)^{k-1} exp(-2 k^2 lam^2)."""
     if lam < 0:
         raise ValueError(f"kolmogorov_sf requires lam >= 0, got {lam}")
-    if lam == 0.0:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 1001):
-        term = math.exp(-2.0 * k * k * lam * lam)
-        total += sign * term
-        if term < 1e-12:
-            break
-        sign = -sign
-    return min(1.0, max(0.0, 2.0 * total))
+    return float(_sc.kolmogorov(lam))

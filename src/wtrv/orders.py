@@ -16,6 +16,7 @@ import numpy as np
 
 from .construct import construct, minimum_of, wtrv_of_minimum
 from .distributions import DistributionHandle, make_catalog
+from .reliability import _interior_grid, _monotone, _weight_over_hazard
 from .weights import IntegrabilityError, WeightFunction, make_weight
 
 ORDER_NAMES = ("lr", "fr", "rfr", "st")
@@ -33,13 +34,9 @@ class OrderVerdict:
         return self.holds_on_grid
 
 
-def _merged_grid(x: DistributionHandle, y: DistributionHandle, grid_size: int,
-                 u_lo: float = 0.005, u_hi: float = 0.995) -> np.ndarray:
+def _merged_grid(x: DistributionHandle, y: DistributionHandle, grid_size: int) -> np.ndarray:
     half = max(grid_size // 2, 32)
-    u = np.linspace(u_lo, u_hi, half)
-    pts = np.concatenate([np.asarray(x.quantile(u), dtype=float),
-                          np.asarray(y.quantile(u), dtype=float)])
-    return np.unique(pts)
+    return np.union1d(_interior_grid(x, half), _interior_grid(y, half))
 
 
 def _cdf_accuracy(dist: DistributionHandle) -> float:
@@ -132,28 +129,12 @@ class TheoremReport:
 THEOREM_IDS = ("thm5i", "thm5ii", "thm6", "thm7", "thm8", "thm9", "thm10")
 
 
-def _grid_increasing(xs, vals, slack: float = 1e-9) -> bool:
-    ok = np.isfinite(vals)
-    v = np.asarray(vals, dtype=float)[ok]
-    if len(v) < 3:
-        return False
-    scale = max(float(np.max(np.abs(v))), 1e-300)
-    return bool(np.all(np.diff(v) >= -slack * scale))
-
-
 def _weight_deriv_ratio(xs, wa: WeightFunction, wb: WeightFunction):
     """w_a'(x)/w_b'(x) on a grid, nan where the denominator vanishes."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         num = np.asarray(wa.w_prime(xs), dtype=float)
         den = np.asarray(wb.w_prime(xs), dtype=float)
         return np.where(np.abs(den) > 0, num / np.where(den == 0, 1.0, den), np.nan)
-
-
-def _weight_over_hazard(xs, dist: DistributionHandle, w: WeightFunction):
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        num = np.asarray(w.w_prime(xs), dtype=float) * np.asarray(dist.sf(xs), dtype=float)
-        den = np.asarray(dist.pdf(xs), dtype=float)
-        return np.where(den > 0, num / np.maximum(den, 1e-300), np.nan)
 
 
 def _try_construct(dist, weight):
@@ -194,14 +175,16 @@ def verify_theorem(x: DistributionHandle, y: DistributionHandle,
     if which == "thm5i":
         hyp = {**bounds,
                "X_fr_Y": check_order(x, y, "fr", grid_size).holds_on_grid,
-               "w2p_over_w1p_increasing": _grid_increasing(inner, _weight_deriv_ratio(inner, w2, w1)),
+               "w2p_over_w1p_increasing": _monotone(
+                   inner, _weight_deriv_ratio(inner, w2, w1), 1e-9)[0],
                "w1p_nonzero": bool(np.all(np.abs(np.asarray(w1.w_prime(inner), dtype=float)) > 0))}
         concl = check_order(xw, yw, "lr", grid_size)
         return _report(which, hyp, "lr", concl)
 
     if which == "thm5ii":
         hyp = {"Xw1_lr_Yw2": check_order(xw, yw, "lr", grid_size).holds_on_grid,
-               "w1p_over_w2p_increasing": _grid_increasing(inner, _weight_deriv_ratio(inner, w1, w2)),
+               "w1p_over_w2p_increasing": _monotone(
+                   inner, _weight_deriv_ratio(inner, w1, w2), 1e-9)[0],
                "w2p_nonzero": bool(np.all(np.abs(np.asarray(w2.w_prime(inner), dtype=float)) > 0))}
         concl = check_order(x, y, "fr", grid_size)
         return _report(which, hyp, "fr", concl)
@@ -210,7 +193,8 @@ def verify_theorem(x: DistributionHandle, y: DistributionHandle,
         with np.errstate(divide="ignore", invalid="ignore"):
             w1p0 = float(np.asarray(w1.w_prime(0.0), dtype=float))
         hyp = {"Xw1_rfr_Yw2": check_order(xw, yw, "rfr", grid_size).holds_on_grid,
-               "w1p_over_w2p_increasing": _grid_increasing(inner, _weight_deriv_ratio(inner, w1, w2)),
+               "w1p_over_w2p_increasing": _monotone(
+                   inner, _weight_deriv_ratio(inner, w1, w2), 1e-9)[0],
                "w2p_nonzero": bool(np.all(np.abs(np.asarray(w2.w_prime(inner), dtype=float)) > 0)),
                "w1p_nonzero_at_origin": bool(w1p0 == w1p0 and w1p0 != 0.0)}
         concl = check_order(x, y, "st", grid_size)
@@ -233,8 +217,8 @@ def verify_theorem(x: DistributionHandle, y: DistributionHandle,
     # thm8 / thm9 / thm10: hazard-weighted monotonicity plus a base order
     gx = grid[(grid > x.support.lo) & (grid < min(x.support.hi, w1.domain_hint.hi))]
     gy = grid[(grid > y.support.lo) & (grid < min(y.support.hi, w2.domain_hint.hi))]
-    hyp = {"w1p_over_rX_decreasing": _grid_increasing(gx, -_weight_over_hazard(gx, x, w1)),
-           "w2p_over_rY_increasing": _grid_increasing(gy, _weight_over_hazard(gy, y, w2))}
+    hyp = {"w1p_over_rX_decreasing": _monotone(gx, _weight_over_hazard(gx, x, w1), 1e-9)[1],
+           "w2p_over_rY_increasing": _monotone(gy, _weight_over_hazard(gy, y, w2), 1e-9)[0]}
     if which == "thm8":
         base = "st"
         hyp["X_st_Y"] = check_order(x, y, "st", grid_size).holds_on_grid

@@ -3,7 +3,9 @@
 Provides the hazard rate, reversed hazard rate, mean residual life, and
 Glaser function of a distribution handle, a grid-based aging classifier for
 the ILR/DLR, IFR/DFR, and DMRL/IMRL classes, and hypothesis/conclusion
-checkers for the aging-preservation results of the construction.
+checkers for the aging-preservation results of the construction, driven by
+one table of results. The hazard and the Glaser function are evaluated on
+the whole grid at once.
 
 Grid checks are one-sided: a violation disproves membership, absence of a
 violation on the grid supports it but proves nothing.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -64,16 +66,29 @@ def mrl(dist: DistributionHandle, x: float) -> float:
     return res.value / s
 
 
-def glaser(dist: DistributionHandle, x: float, h_rel: float = 1e-6) -> float:
-    """Glaser function -pdf'(x)/pdf(x), via central differences of log pdf."""
+@scalar_or_array
+def _log_pdf_slope(x, dist: DistributionHandle, h_rel: float):
     lo, hi = dist.support.lo, dist.support.hi
-    h = h_rel * (1.0 + abs(float(x)))
-    if x - h <= lo or (math.isfinite(hi) and x + h >= hi):
-        raise TailError(f"point {x} too close to the support boundary of {dist.describe()}")
-    fp, fm = float(dist.pdf(x + h)), float(dist.pdf(x - h))
-    if fp <= 0.0 or fm <= 0.0:
-        raise TailError(f"pdf vanishes near {x} for {dist.describe()}")
-    return -(math.log(fp) - math.log(fm)) / (2.0 * h)
+    h = h_rel * (1.0 + np.abs(x))
+    close = (x - h <= lo) | (math.isfinite(hi) & (x + h >= hi))
+    with np.errstate(all="ignore"):
+        fp = np.asarray(dist.pdf(x + h), dtype=float)
+        fm = np.asarray(dist.pdf(x - h), dtype=float)
+    bad = close | (fp <= 0.0) | (fm <= 0.0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        xi = float(x.flat[i])
+        if close.flat[i]:
+            raise TailError(f"point {xi} too close to the support boundary of {dist.describe()}")
+        raise TailError(f"pdf vanishes near {xi} for {dist.describe()}")
+    return -(np.log(fp) - np.log(fm)) / (2.0 * h)
+
+
+def glaser(dist: DistributionHandle, x, h_rel: float = 1e-6):
+    """Glaser function -pdf'(x)/pdf(x), via central differences of log pdf;
+    TailError names the first point too close to the support boundary or
+    where the pdf vanishes."""
+    return _log_pdf_slope(x, dist, h_rel)
 
 
 def _interior_grid(dist: DistributionHandle, grid_size: int,
@@ -170,29 +185,27 @@ def classify_aging(dist: DistributionHandle, grid_size: int = 128) -> AgingRepor
     witnesses: dict[str, tuple] = {}
     failures: dict[str, str] = {}
 
-    def record(pair, xs, vals, inc_class, dec_class):
+    def record(xs, vals, inc_class, dec_class):
         nondec, noninc, witness = _monotone(xs, vals, slack_rel=5e-7)
-        classes[inc_class], classes[dec_class] = pair(nondec, noninc)
+        classes[inc_class], classes[dec_class] = nondec, noninc
         if witness is not None:
-            for c, ok in ((inc_class, classes[inc_class]), (dec_class, classes[dec_class])):
-                if not ok:
+            for c in (inc_class, dec_class):
+                if not classes[c]:
                     witnesses[c] = witness
 
     try:
-        eta = np.array([glaser(dist, float(x)) for x in grid[1:-1]])
-        record(lambda nd, ni: (nd, ni), grid[1:-1], eta, "ILR", "DLR")
+        record(grid[1:-1], glaser(dist, grid[1:-1]), "ILR", "DLR")
     except TailError as exc:
         failures["glaser"] = str(exc)
 
     try:
-        r = np.asarray(hazard(dist, grid), dtype=float)
-        record(lambda nd, ni: (nd, ni), grid, r, "IFR", "DFR")
+        record(grid, np.asarray(hazard(dist, grid), dtype=float), "IFR", "DFR")
     except TailError as exc:
         failures["hazard"] = str(exc)
 
     m = _mrl_grid(dist, grid)
     if np.isfinite(m).sum() >= 3:
-        record(lambda nd, ni: (ni, nd), grid, m, "DMRL", "IMRL")
+        record(grid, m, "IMRL", "DMRL")
     else:
         failures["mrl"] = "residual-life integral unavailable on the grid"
 
@@ -221,22 +234,57 @@ class ConditionReport:
     detail: str = ""
 
 
-_THEOREM_IDS = ("prop1", "thm1", "thm2", "thm3", "thm4", "prop2")
+# Each aging result: its branches, tried in order, as (hypothesis keys,
+# conclusion, target), and the conclusion reported when no branch holds.
+# A target is an aging class of X_w, or an lr-ordered pair of "X" and "X_w".
+_AGING_RESULTS = {
+    "prop1": ([(("X_IFR", "w_prime_log_concave"), "X_w is ILR", "ILR"),
+               (("X_DFR", "w_prime_log_convex"), "X_w is DLR", "DLR")],
+              "X_w is ILR or DLR"),
+    "thm1": ([(("X_IFR", "ratio_increasing", "ratio_log_concave"), "X_w is IFR", "IFR")],
+             "X_w is IFR"),
+    "thm2": ([(("X_DFR", "ratio_increasing", "ratio_log_convex"), "X_w is DFR", "DFR")],
+             "X_w is DFR"),
+    "thm3": ([(("X_DMRL", "ratio_increasing", "ratio_log_concave", "mrl_log_convex"),
+               "X_w is IFR (hence DMRL)", "IFR")], "X_w is IFR (hence DMRL)"),
+    "thm4": ([(("X_IMRL", "ratio_increasing", "ratio_log_convex", "mrl_log_concave"),
+               "X_w is DFR (hence IMRL)", "DFR")], "X_w is DFR (hence IMRL)"),
+    "prop2": ([(("X_IFR", "w_strictly_increasing", "w_concave"), "X_w <=lr X", ("X_w", "X")),
+               (("X_DFR", "w_strictly_increasing", "w_convex"), "X <=lr X_w", ("X", "X_w"))],
+              "X_w <=lr X or X <=lr X_w"),
+}
 
 
-def _weight_ratio_grid(dist: DistributionHandle, weight: WeightFunction,
-                       grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid values of w'(x)/r_X(x) = w'(x) sf(x) / pdf(x)."""
+def _weight_over_hazard(xs, dist: DistributionHandle, w: WeightFunction):
+    """w'(x)/r_X(x) = w'(x) sf(x) / pdf(x) on a grid, nan where the pdf vanishes."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        num = np.asarray(w.w_prime(xs), dtype=float) * np.asarray(dist.sf(xs), dtype=float)
+        den = np.asarray(dist.pdf(xs), dtype=float)
+        return np.where(den > 0, num / np.maximum(den, 1e-300), np.nan)
+
+
+def _aging_facts(dist: DistributionHandle, weight: WeightFunction,
+                 grid_size: int) -> dict[str, bool]:
+    """Every grid hypothesis of the aging results, keyed as in _AGING_RESULTS."""
+    base = classify_aging(dist, grid_size=max(grid_size, 64)).classes
     hi = min(dist.support.hi, weight.domain_hint.hi)
     if math.isinf(hi):
         grid = _interior_grid(dist, grid_size)
     else:
         grid = np.linspace(dist.support.lo, hi, grid_size + 2)[1:-1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        num = np.asarray(weight.w_prime(grid), dtype=float) * np.asarray(dist.sf(grid), dtype=float)
-        den = np.asarray(dist.pdf(grid), dtype=float)
-        vals = np.where(den > 0, num / np.maximum(den, 1e-300), np.nan)
-    return grid, vals
+    ratio = _weight_over_hazard(grid, dist, weight)
+    wp = np.asarray(weight.w_prime(grid), dtype=float)
+    m = _mrl_grid(dist, grid)
+    facts = {f"X_{c}": base[c] for c in ("IFR", "DFR", "DMRL", "IMRL")}
+    facts["ratio_increasing"] = _monotone(grid, ratio)[0]
+    facts["ratio_log_concave"], facts["ratio_log_convex"] = log_concavity_on_grid(grid, ratio)
+    facts["w_prime_log_concave"], facts["w_prime_log_convex"] = log_concavity_on_grid(grid, wp)
+    facts["w_concave"], facts["w_convex"] = concavity_on_grid(
+        grid, np.asarray(weight.w(grid), dtype=float))
+    facts["mrl_log_concave"], facts["mrl_log_convex"] = (
+        log_concavity_on_grid(grid, m) if np.isfinite(m).sum() >= 3 else (False, False))
+    facts["w_strictly_increasing"] = bool(np.all(wp[np.isfinite(wp)] > 0))
+    return facts
 
 
 def check_theorem_conditions(dist: DistributionHandle, weight: WeightFunction,
@@ -245,94 +293,28 @@ def check_theorem_conditions(dist: DistributionHandle, weight: WeightFunction,
     they pass, verify its conclusion on the constructed variable."""
     from .construct import construct  # deferred: construct imports weights only
 
-    if which not in _THEOREM_IDS:
-        raise ValueError(f"unknown result id {which!r}; known: {', '.join(_THEOREM_IDS)}")
-
-    base_report = classify_aging(dist, grid_size=max(grid_size, 64))
-    grid, ratio = _weight_ratio_grid(dist, weight, grid_size)
-    ratio_inc, _, _ = _monotone(grid, ratio)
-    ratio_lc, ratio_lx = log_concavity_on_grid(grid, ratio)
-    wp = np.asarray(weight.w_prime(grid), dtype=float)
-    wp_lc, wp_lx = log_concavity_on_grid(grid, wp)
-    wv = np.asarray(weight.w(grid), dtype=float)
-    w_concave, w_convex = concavity_on_grid(grid, wv)
-    m = _mrl_grid(dist, grid)
-    if np.isfinite(m).sum() >= 3:
-        m_lc, m_lx = log_concavity_on_grid(grid, m)
+    if which not in _AGING_RESULTS:
+        raise ValueError(f"unknown result id {which!r}; known: {', '.join(_AGING_RESULTS)}")
+    branches, fallback = _AGING_RESULTS[which]
+    facts = _aging_facts(dist, weight, grid_size)
+    for keys, conclusion, target in branches:
+        hyp = {k: facts[k] for k in keys}
+        if all(hyp.values()):
+            break
     else:
-        m_lc = m_lx = False
+        hyp = {k: facts[k] for keys, _, _ in branches for k in keys}
+        return ConditionReport(which, hyp, False, fallback, None, "hypotheses not met")
 
-    def conclude_aging(target: str):
-        try:
-            built = construct(dist, weight)
-        except IntegrabilityError as exc:
-            return None, f"construction failed: {exc}"
-        return bool(classify_aging(built, grid_size=max(grid_size, 64)).classes[target]), ""
-
-    def conclude_order(first_is_wtrv: bool):
+    try:
+        built = construct(dist, weight)
+    except IntegrabilityError as exc:
+        return ConditionReport(which, hyp, True, conclusion, None, f"construction failed: {exc}")
+    grid_size = max(grid_size, 64)
+    if isinstance(target, str):
+        holds = classify_aging(built, grid_size=grid_size).classes[target]
+    else:
         from .orders import check_order
-        try:
-            built = construct(dist, weight)
-        except IntegrabilityError as exc:
-            return None, f"construction failed: {exc}"
-        pair = (built, dist) if first_is_wtrv else (dist, built)
-        return bool(check_order(pair[0], pair[1], "lr",
-                                grid_size=max(grid_size, 64)).holds_on_grid), ""
-
-    if which == "prop1":
-        branch_ifr = {"X_IFR": base_report.classes["IFR"], "w_prime_log_concave": wp_lc}
-        branch_dfr = {"X_DFR": base_report.classes["DFR"], "w_prime_log_convex": wp_lx}
-        if all(branch_ifr.values()):
-            hyp, concl = branch_ifr, "ILR"
-        elif all(branch_dfr.values()):
-            hyp, concl = branch_dfr, "DLR"
-        else:
-            hyp, concl = {**branch_ifr, **branch_dfr}, "ILR or DLR"
-        ok = all(hyp.values()) and concl != "ILR or DLR"
-        conclusion_pass, detail = conclude_aging(concl) if ok else (None, "hypotheses not met")
-        return ConditionReport(which, hyp, ok, f"X_w is {concl}", conclusion_pass, detail)
-
-    if which == "thm1":
-        hyp = {"X_IFR": base_report.classes["IFR"],
-               "ratio_increasing": ratio_inc, "ratio_log_concave": ratio_lc}
-        ok = all(hyp.values())
-        conclusion_pass, detail = conclude_aging("IFR") if ok else (None, "hypotheses not met")
-        return ConditionReport(which, hyp, ok, "X_w is IFR", conclusion_pass, detail)
-
-    if which == "thm2":
-        hyp = {"X_DFR": base_report.classes["DFR"],
-               "ratio_increasing": ratio_inc, "ratio_log_convex": ratio_lx}
-        ok = all(hyp.values())
-        conclusion_pass, detail = conclude_aging("DFR") if ok else (None, "hypotheses not met")
-        return ConditionReport(which, hyp, ok, "X_w is DFR", conclusion_pass, detail)
-
-    if which == "thm3":
-        hyp = {"X_DMRL": base_report.classes["DMRL"], "ratio_increasing": ratio_inc,
-               "ratio_log_concave": ratio_lc, "mrl_log_convex": m_lx}
-        ok = all(hyp.values())
-        conclusion_pass, detail = conclude_aging("IFR") if ok else (None, "hypotheses not met")
-        return ConditionReport(which, hyp, ok, "X_w is IFR (hence DMRL)", conclusion_pass, detail)
-
-    if which == "thm4":
-        hyp = {"X_IMRL": base_report.classes["IMRL"], "ratio_increasing": ratio_inc,
-               "ratio_log_convex": ratio_lx, "mrl_log_concave": m_lc}
-        ok = all(hyp.values())
-        conclusion_pass, detail = conclude_aging("DFR") if ok else (None, "hypotheses not met")
-        return ConditionReport(which, hyp, ok, "X_w is DFR (hence IMRL)", conclusion_pass, detail)
-
-    # prop2
-    w_strictly_increasing = bool(np.all(wp[np.isfinite(wp)] > 0))
-    branch_ifr = {"X_IFR": base_report.classes["IFR"],
-                  "w_strictly_increasing": w_strictly_increasing, "w_concave": w_concave}
-    branch_dfr = {"X_DFR": base_report.classes["DFR"],
-                  "w_strictly_increasing": w_strictly_increasing, "w_convex": w_convex}
-    if all(branch_ifr.values()):
-        hyp, first_is_wtrv, concl = branch_ifr, True, "X_w <=lr X"
-    elif all(branch_dfr.values()):
-        hyp, first_is_wtrv, concl = branch_dfr, False, "X <=lr X_w"
-    else:
-        hyp = {**branch_ifr, **branch_dfr}
-        return ConditionReport("prop2", hyp, False, "X_w <=lr X or X <=lr X_w",
-                               None, "hypotheses not met")
-    conclusion_pass, detail = conclude_order(first_is_wtrv)
-    return ConditionReport("prop2", hyp, True, concl, conclusion_pass, detail)
+        named = {"X": dist, "X_w": built}
+        holds = check_order(named[target[0]], named[target[1]], "lr",
+                            grid_size=grid_size).holds_on_grid
+    return ConditionReport(which, hyp, True, conclusion, bool(holds), "")

@@ -235,3 +235,12 @@ class TestKolmogorovSf:
         lam = np.linspace(0.3, 2.5, 40)
         vals = [kolmogorov_sf(v) for v in lam]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    def test_small_argument_is_one(self):
+        # the alternating series needs millions of terms below lam ~ 0.01
+        assert kolmogorov_sf(0.001) == pytest.approx(1.0, abs=1e-15)
+        assert kolmogorov_sf(1e-4) == pytest.approx(1.0, abs=1e-15)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            kolmogorov_sf(-0.1)

@@ -3,7 +3,8 @@ import pytest
 
 from wtrv import (check_theorem_conditions, classify_aging, construct,
                   equilibrium, glaser, hazard, make_catalog, make_weight, mrl,
-                  reversed_hazard)
+                  parse_dist_spec, parse_weight_spec, reversed_hazard)
+from wtrv.reliability import TailError
 
 from conftest import interior_grid
 
@@ -50,6 +51,20 @@ class TestPointwiseFunctions:
         for x in (0.2, 0.4, 0.6):
             expected = (b - 1) / (1 - x) - (a - 1) / x
             assert glaser(d, x) == pytest.approx(expected, rel=1e-4)
+
+    def test_glaser_array_matches_points(self):
+        a, b = 2.25, 3.5
+        d = make_catalog("beta", {"alpha": a, "beta": b})
+        xs = np.array([0.2, 0.4, 0.6])
+        g = glaser(d, xs)
+        assert isinstance(g, np.ndarray) and g.shape == xs.shape
+        assert np.allclose(g, (b - 1) / (1 - xs) - (a - 1) / xs, rtol=1e-4)
+        assert np.allclose(g, [glaser(d, float(x)) for x in xs], rtol=1e-6, atol=0.0)
+
+    def test_glaser_array_near_support_raises(self):
+        d = make_catalog("beta", {"alpha": 2.25, "beta": 3.5})
+        with pytest.raises(TailError, match="1e-07"):
+            glaser(d, np.array([0.2, 1e-7, 0.6]))
 
 
 class TestClassification:
@@ -145,3 +160,14 @@ class TestTheoremConditions:
         assert rep.conclusion_pass in (True, None)
         if rep.hypotheses_pass:
             assert rep.conclusion_pass is True
+
+    @pytest.mark.parametrize("base, weight, conclusion", [
+        ("exponential(lambda=1)", "power(c=0.6)", "X_w <=lr X"),
+        ("gamma(k=0.6,lambda=1)", "power(c=2)", "X <=lr X_w"),
+    ])
+    def test_lr_order_branches(self, base, weight, conclusion):
+        rep = check_theorem_conditions(parse_dist_spec(base), parse_weight_spec(weight),
+                                       "prop2")
+        assert rep.hypotheses_pass
+        assert rep.conclusion == conclusion
+        assert rep.conclusion_pass is True
