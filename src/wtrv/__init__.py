@@ -12,7 +12,8 @@ from .construct import (WtrvDistribution, construct, equilibrium,
 from .distributions import (CatalogError, DistributionHandle, kumaraswamy_moment,
                             make_catalog, parse_dist_spec, sample, wk_moment)
 from .fit import (FitResult, NormalizedSample, fit_mle, from_unit_values,
-                  loglik_beta, loglik_kw, loglik_wk, normalize, rmse_metric)
+                  loglik_beta, loglik_kw, loglik_wk, normalize, rmse_metric,
+                  score_beta, score_kw, score_wk)
 from .gof import (GofReport, ad_test, bootstrap_pvalue, chisq_test, cvm_test,
                   ks_test, run_gof)
 from .numerics import (AccuracyError, BracketError, ConvergenceError, Interval,

@@ -2,7 +2,8 @@
 
 Supports the two-parameter beta and Kumaraswamy families plus the
 three-parameter weighted Kumaraswamy family, with multi-start bounded
-quasi-Newton optimization, AIC/BIC, and a histogram-based RMSE metric.
+quasi-Newton optimization on the closed-form scores, AIC/BIC, and a
+histogram-based RMSE metric.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import digamma
 
 from .distributions import DistributionHandle, make_catalog
 from .numerics import OptimizeResult, ln_gamma, minimize_bounded
@@ -70,6 +72,19 @@ class NormalizedSample:
         x.flags.writeable = False
         return x
 
+    @functools.cached_property
+    def _log_x(self) -> np.ndarray:
+        """log of the likelihood set, once per sample."""
+        return np.log(self._likelihood_set)
+
+    @functools.cached_property
+    def _sum_log_x(self) -> float:
+        return float(np.sum(self._log_x))
+
+    @functools.cached_property
+    def _sum_log1m_x(self) -> float:
+        return float(np.sum(np.log1p(-self._likelihood_set)))
+
 
 def normalize(z, policy: str = "exclude_boundary") -> NormalizedSample:
     """Exact min-max normalization of a raw sample onto [0, 1]."""
@@ -102,29 +117,63 @@ def from_unit_values(x, policy: str = "exclude_boundary") -> NormalizedSample:
 def loglik_wk(sample: NormalizedSample, a: float, b: float, c: float) -> float:
     """Log-likelihood of the weighted Kumaraswamy family."""
     x = sample._likelihood_set
-    n = len(x)
     const = math.log(c) - math.log(b) - (ln_gamma(1.0 + c / a) + ln_gamma(b)
                                          - ln_gamma(1.0 + c / a + b))
-    return (n * const + (c - 1.0) * float(np.sum(np.log(x)))
+    return (len(x) * const + (c - 1.0) * sample._sum_log_x
             + b * float(np.sum(np.log1p(-x ** a))))
 
 
 def loglik_kw(sample: NormalizedSample, a: float, b: float) -> float:
     x = sample._likelihood_set
-    n = len(x)
-    return (n * (math.log(a) + math.log(b)) + (a - 1.0) * float(np.sum(np.log(x)))
+    return (len(x) * (math.log(a) + math.log(b)) + (a - 1.0) * sample._sum_log_x
             + (b - 1.0) * float(np.sum(np.log1p(-x ** a))))
 
 
 def loglik_beta(sample: NormalizedSample, alpha: float, beta: float) -> float:
-    x = sample._likelihood_set
-    n = len(x)
+    n = len(sample._likelihood_set)
     lbeta = ln_gamma(alpha) + ln_gamma(beta) - ln_gamma(alpha + beta)
-    return (-n * lbeta + (alpha - 1.0) * float(np.sum(np.log(x)))
-            + (beta - 1.0) * float(np.sum(np.log1p(-x))))
+    return (-n * lbeta + (alpha - 1.0) * sample._sum_log_x
+            + (beta - 1.0) * sample._sum_log1m_x)
+
+
+def _power_sums(sample: NormalizedSample, a: float) -> tuple[float, float]:
+    """(Σ log(1 − xᵃ), Σ xᵃ·log x / (1 − xᵃ)), with 1 − xᵃ = −expm1(a·log x)."""
+    lx = sample._log_x
+    u = a * lx
+    one_minus = -np.expm1(u)
+    return (float(np.sum(np.log(one_minus))),
+            float(np.sum(np.exp(u) * lx / one_minus)))
+
+
+def score_wk(sample: NormalizedSample, a: float, b: float, c: float) -> np.ndarray:
+    """Gradient of loglik_wk in (a, b, c)."""
+    n = len(sample._log_x)
+    big_l, t = _power_sums(sample, a)
+    p = 1.0 + c / a
+    psi_pb = digamma(p + b)
+    d_psi = digamma(p) - psi_pb
+    return np.array([n * c * d_psi / a ** 2 - b * t,
+                     n * (psi_pb - digamma(b) - 1.0 / b) + big_l,
+                     n * (1.0 / c - d_psi / a) + sample._sum_log_x])
+
+
+def score_kw(sample: NormalizedSample, a: float, b: float) -> np.ndarray:
+    """Gradient of loglik_kw in (a, b)."""
+    n = len(sample._log_x)
+    big_l, t = _power_sums(sample, a)
+    return np.array([n / a + sample._sum_log_x - (b - 1.0) * t, n / b + big_l])
+
+
+def score_beta(sample: NormalizedSample, alpha: float, beta: float) -> np.ndarray:
+    """Gradient of loglik_beta in (alpha, beta)."""
+    n = len(sample._likelihood_set)
+    psi_ab = digamma(alpha + beta)
+    return np.array([-n * (digamma(alpha) - psi_ab) + sample._sum_log_x,
+                     -n * (digamma(beta) - psi_ab) + sample._sum_log1m_x])
 
 
 _LOGLIK: dict[str, Callable] = {"beta": loglik_beta, "kw": loglik_kw, "wk": loglik_wk}
+_SCORE: dict[str, Callable] = {"beta": score_beta, "kw": score_kw, "wk": score_wk}
 
 
 @dataclass(frozen=True)
@@ -137,6 +186,7 @@ class FitResult:
     rmse: float
     optimizer: OptimizeResult
     starts_tried: int
+    starts_failed: int  # raised ValueError or ended non-finite
     boundary_policy: str
 
     def handle(self) -> DistributionHandle:
@@ -175,7 +225,7 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16,
         raise ValueError("starts must be at least 1")
     names = MODELS[model]
     k = len(names)
-    loglik = _LOGLIK[model]
+    loglik, score = _LOGLIK[model], _SCORE[model]
     bounds = [PARAM_BOUNDS] * k
 
     def objective(theta):
@@ -184,8 +234,10 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16,
         except (ValueError, OverflowError):
             return math.inf
 
+    def gradient(theta):
+        return -score(sample, *[float(t) for t in theta])
+
     rng = np.random.default_rng(seed)
-    lo, hi = np.log(PARAM_BOUNDS[0]), np.log(PARAM_BOUNDS[1])
     start_points = [_moment_start(sample, model), np.ones(k)]
     # random starts stay near the unit scale where bounded densities live
     for _ in range(max(starts - len(start_points), 0)):
@@ -193,12 +245,15 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16,
     start_points = start_points[:max(starts, 1)]
 
     best: Optional[OptimizeResult] = None
+    failed = 0
     for point in start_points:
         try:
-            res = minimize_bounded(objective, point, bounds)
+            res = minimize_bounded(objective, gradient, point, bounds)
         except ValueError:  # start outside the box or non-finite there
+            failed += 1
             continue
         if not math.isfinite(res.objective):
+            failed += 1
             continue
         if best is None or res.objective < best.objective - 1e-12:
             best = res
@@ -206,7 +261,7 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16,
         raise FitError(f"all {len(start_points)} starts failed for model {model!r} "
                        f"(n={sample.n}, policy={sample.boundary_policy})")
     try:  # polish from the winning start
-        polish = minimize_bounded(objective, best.argmin, bounds)
+        polish = minimize_bounded(objective, gradient, best.argmin, bounds)
         if math.isfinite(polish.objective) and polish.objective <= best.objective:
             best = polish
     except ValueError:
@@ -223,4 +278,5 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16,
                      aic=2.0 * k - 2.0 * ll, bic=k * math.log(n_lik) - 2.0 * ll,
                      rmse=rmse_metric(sample, fitted),
                      optimizer=best, starts_tried=len(start_points),
+                     starts_failed=failed,
                      boundary_policy=sample.boundary_policy)

@@ -141,16 +141,14 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 
 def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, falling back to a scalar loop if f is not
-    vectorized."""
+    """Evaluate a vectorized f on an array; a result of another shape raises
+    TypeError."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            y = np.asarray(f(x), dtype=float)
-            if y.shape == x.shape:
-                return y
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(f(float(v))) for v in x])
+        y = np.asarray(f(x), dtype=float)
+    if y.shape != x.shape:
+        raise TypeError(f"integrand returned shape {y.shape} for input shape "
+                        f"{x.shape}; it must be vectorized")
+    return y
 
 
 def _gk15_cells(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -310,11 +308,11 @@ def finite_diff_grad(f: Callable, x: Sequence[float], h: float | Sequence[float]
 _PENALTY = 1e100
 
 
-def minimize_bounded(objective: Callable, x0: Sequence[float],
+def minimize_bounded(objective: Callable, gradient: Callable, x0: Sequence[float],
                      bounds: Sequence[Interval | tuple[float, float]],
                      tol: float = 1e-6) -> OptimizeResult:
-    """Box-constrained limited-memory quasi-Newton descent with numerical
-    gradients.
+    """Box-constrained limited-memory quasi-Newton descent on the caller's
+    gradient.
 
     Non-finite objective values during the search are replaced by a large
     penalty, which makes the line search back off. The converged flag is set
@@ -337,25 +335,11 @@ def minimize_bounded(objective: Callable, x0: Sequence[float],
         v = float(objective(np.asarray(x, dtype=float)))
         return v if math.isfinite(v) else _PENALTY
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        h = 1e-6 * (1.0 + np.abs(x))
-        g = np.empty_like(x)
-        for i in range(x.size):
-            step = np.zeros_like(x)
-            step[i] = h[i]
-            # keep the stencil inside the box near a bound
-            xp = np.minimum(x + step, hi)
-            xm = np.maximum(x - step, lo)
-            g[i] = (safe(xp) - safe(xm)) / max(xp[i] - xm[i], 1e-300)
-        return g
-
-    res = _opt.minimize(safe, x0, jac=grad, method="L-BFGS-B", bounds=box,
+    res = _opt.minimize(safe, x0, jac=gradient, method="L-BFGS-B", bounds=box,
                         options={"maxiter": 500, "maxcor": 10,
                                  "ftol": 1e-13, "gtol": min(tol, 1e-7)})
     x = np.clip(res.x, lo, hi)
-    g = grad(x)
-    pg = projected_gradient(g, x, lo, hi)
+    pg = projected_gradient(gradient(x), x, lo, hi)
     norm = float(np.max(np.abs(pg))) if pg.size else 0.0
     return OptimizeResult(argmin=x, objective=float(safe(x)), gradient_norm=norm,
                           iterations=int(res.nit), converged=norm <= tol)

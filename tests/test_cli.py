@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from wtrv import cli
 from wtrv.cli import main
 
 
@@ -35,6 +37,52 @@ class TestConstruct:
         for row in rows[::50]:
             x, pdf, _ = map(float, row.split(","))
             assert pdf == pytest.approx(x * np.exp(-x), abs=1e-6)
+
+
+def recursive_jsonable(obj):
+    """The element-by-element encoding that cli._jsonable shortcuts for
+    arrays without NaN or inf."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {k: recursive_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+    if isinstance(obj, np.ndarray):
+        return [recursive_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, dict):
+        return {str(k): recursive_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [recursive_jsonable(v) for v in obj]
+    if isinstance(obj, float) and (obj != obj):
+        return None
+    return obj
+
+
+def dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class TestJsonEncoding:
+    def test_construct_json_matches_recursive_encoding(self, capsys, monkeypatch):
+        emitted = []
+        real = cli._emit_json
+        monkeypatch.setattr(cli, "_emit_json",
+                            lambda obj, out: (emitted.append(obj), real(obj, out)))
+        code, out, _ = run_cli(capsys, "construct", "--dist", "gamma(k=2,lambda=1.5)",
+                               "--weight", "power(c=1.5)", "--format", "json")
+        assert code == 0 and len(emitted) == 1
+        assert out == dumps(recursive_jsonable(emitted[0]))
+
+    @pytest.mark.parametrize("arr", [
+        np.array([0.1, np.nan, np.inf, -np.inf, 2.5]),
+        np.linspace(0.0, 1.0, 7),
+        np.arange(5),
+        np.array([True, False]),
+        np.arange(6.0).reshape(2, 3),
+    ], ids=["nonfinite", "float", "int", "bool", "2d"])
+    def test_arrays_match_recursive_encoding(self, arr):
+        assert dumps(cli._jsonable({"v": arr})) == dumps(recursive_jsonable({"v": arr}))
+        if not np.isfinite(arr.astype(float)).all():
+            assert json.loads(dumps(cli._jsonable(arr)))[1] is None
 
 
 class TestJsonCommands:
@@ -83,6 +131,9 @@ class TestDataCommands:
                                  "42", "--starts", "4", csv_path)
         assert code1 == code2 == 0
         assert out1 == out2
+        assert set(json.loads(out1)) == {"model", "params", "loglik", "aic", "bic",
+                                         "rmse", "boundary_policy", "starts_tried",
+                                         "converged"}
 
     def test_fit_and_gof(self, capsys, csv_path):
         code, out, _ = run_cli(capsys, "fit", "--model", "wk", "--starts",

@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 
+import wtrv.fit as fit_mod
 from wtrv import (finite_diff_grad, fit_mle, from_unit_values, loglik_beta,
                   loglik_kw, loglik_wk, make_catalog, normalize, rmse_metric,
-                  sample)
+                  sample, score_beta, score_kw, score_wk)
 from wtrv.fit import BoundaryError, DegenerateSampleError
 
 
@@ -61,17 +64,8 @@ class TestLogLikelihoods:
     def test_finite_diff_gradient_consistency(self):
         s = unit_sample()
         theta = np.array([1.9, 4.5, 2.3])
-        f = lambda v: loglik_wk(s, v[0], v[1], v[2])
-        g = finite_diff_grad(f, theta, 1e-6)
-        # analytic partial for b: d/db [n log(c/(b B(1+c/a,b))) + b sum log(1-x^a)]
-        from scipy.special import digamma
-        a, b, c = theta
-        x = s.likelihood_values
-        n = len(x)
-        db = (-n / b - n * (digamma(b) - digamma(1 + c / a + b))
-              + float(np.sum(np.log1p(-x ** a))))
-        assert g[1] == pytest.approx(db, rel=1e-5)
-
+        g = finite_diff_grad(lambda v: loglik_wk(s, *v), theta, 1e-6)
+        np.testing.assert_allclose(g, score_wk(s, *theta), rtol=1e-5)
 
     def test_likelihood_set_built_once(self):
         s = unit_sample()
@@ -83,6 +77,46 @@ class TestLogLikelihoods:
         s = from_unit_values([0.0, 0.0, 1.0])
         with pytest.raises(BoundaryError, match="empty"):
             loglik_kw(s, 1.0, 1.0)
+
+
+SCORED = [
+    ("wk", loglik_wk, score_wk, "weighted_kumaraswamy", {"a": 2.0, "b": 3.0, "c": 1.5}),
+    ("kw", loglik_kw, score_kw, "kumaraswamy", {"a": 2.0, "b": 3.0}),
+    ("beta", loglik_beta, score_beta, "beta", {"alpha": 2.25, "beta": 3.5}),
+]
+
+
+@pytest.mark.parametrize("loglik, score, family, params",
+                         [m[1:] for m in SCORED], ids=[m[0] for m in SCORED])
+class TestScores:
+    def test_matches_finite_differences(self, loglik, score, family, params):
+        s = from_unit_values(sample(make_catalog(family, params), 80, seed=12))
+        rng = np.random.default_rng(7)
+        for theta in np.exp(rng.uniform(math.log(0.05), math.log(50.0),
+                                        size=(30, len(params)))):
+            fd = finite_diff_grad(lambda v: loglik(s, *v), theta, 1e-6 * theta)
+            np.testing.assert_allclose(score(s, *theta), fd, rtol=1e-5)
+
+    def test_finite_at_box_corners(self, loglik, score, family, params):
+        s = from_unit_values([1e-9, 0.2, 0.5, 0.8, 1.0 - 1e-9])
+        for theta in itertools.product((1e-3, 1.0, 1e3), repeat=len(params)):
+            assert math.isfinite(loglik(s, *theta)), theta
+            assert np.isfinite(score(s, *theta)).all(), theta
+
+
+def rainfall_series(rng, law):
+    """A normalized series drawn like the benchmark's report inputs:
+    n in 30-100, a Kw or WK law, rescaled and written to 3 decimals."""
+    n = int(rng.integers(30, 101))
+    a, b = float(rng.uniform(1.0, 4.0)), float(rng.uniform(1.0, 6.0))
+    u = rng.random(n)
+    if law == "kw":
+        x = betaincinv(1.0, b, u) ** (1.0 / a)
+    else:  # WK(a, b, c): X^a ~ Beta(c/a, b+1)
+        c = float(rng.uniform(0.5, 4.0))
+        x = betaincinv(c / a, b + 1.0, u) ** (1.0 / a)
+    low, span = rng.uniform(100.0, 600.0), rng.uniform(500.0, 2500.0)
+    return normalize([float(f"{v:.3f}") for v in low + span * x])
 
 
 class TestFitMle:
@@ -99,6 +133,34 @@ class TestFitMle:
         wk = fit_mle(s, "wk", starts=6, seed=0)
         kw = fit_mle(s, "kw", starts=6, seed=0)
         assert wk.loglik >= kw.loglik - 1e-6
+
+    def test_wk_nests_kw_on_report_series(self):
+        # WK(a, b - 1, a) is Kw(a, b), so the WK maximum cannot be lower
+        # whenever the fitted Kw law lies inside the WK parameter box
+        inside = 0
+        for i in range(40):
+            s = rainfall_series(np.random.default_rng([2026, i]), ("kw", "wk")[i % 2])
+            kw = fit_mle(s, "kw", starts=4, seed=i)
+            wk = fit_mle(s, "wk", starts=4, seed=i)
+            if 1.001 <= kw.params["b"] <= 1001.0:
+                inside += 1
+                assert wk.loglik >= kw.loglik - 1e-9 * (1.0 + abs(kw.loglik)), i
+        assert inside >= 30
+
+    def test_failed_start_counted(self, monkeypatch):
+        real, calls = fit_mod.minimize_bounded, []
+
+        def fail_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise ValueError("forced failure")
+            return real(*args)
+
+        s = unit_sample(n=300)
+        assert fit_mle(s, "kw", starts=4, seed=0).starts_failed == 0
+        monkeypatch.setattr(fit_mod, "minimize_bounded", fail_first)
+        res = fit_mle(s, "kw", starts=4, seed=0)
+        assert res.starts_tried == 4 and res.starts_failed == 1
 
     def test_aic_bic_identities(self):
         s = unit_sample(n=500, seed=2)

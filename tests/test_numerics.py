@@ -105,6 +105,15 @@ class TestIntegrateAdaptive:
                                Interval(0.0, 1.0), 1e-300, 1e-300, max_cells=2)
         assert err.value.estimate == pytest.approx(0.5, abs=0.2)
 
+    def test_scalar_integrand_raises(self):
+        # no per-point retry: a scalar-only integrand fails on the node batch
+        with pytest.raises(TypeError):
+            integrate_adaptive(lambda x: math.exp(-x), Interval(0.0, 1.0))
+
+    def test_wrong_shape_names_both_shapes(self):
+        with pytest.raises(TypeError, match=r"shape \(\) for input shape \(120,\)"):
+            integrate_adaptive(lambda x: 1.0, Interval(0.0, 1.0))
+
 
 class TestBrentRoot:
     def test_sqrt2(self):
@@ -180,14 +189,15 @@ class TestScalarOrArray:
 
 class TestMinimizeBounded:
     def test_1d_quadratic(self):
-        res = minimize_bounded(lambda v: (v[0] - 3.0) ** 2, [1.0],
+        res = minimize_bounded(lambda v: (v[0] - 3.0) ** 2,
+                               lambda v: [2.0 * (v[0] - 3.0)], [1.0],
                                [Interval(0.0, 10.0)], 1e-8)
         assert res.argmin[0] == pytest.approx(3.0, abs=1e-6)
         assert res.converged
 
     def test_2d_bowl(self):
-        res = minimize_bounded(lambda v: v[0] ** 2 + v[1] ** 2, [0.5, 0.5],
-                               [Interval(-1.0, 1.0)] * 2, 1e-8)
+        res = minimize_bounded(lambda v: v[0] ** 2 + v[1] ** 2, lambda v: 2.0 * v,
+                               [0.5, 0.5], [Interval(-1.0, 1.0)] * 2, 1e-8)
         assert abs(res.argmin[0]) <= 1e-6 and abs(res.argmin[1]) <= 1e-6
 
     def test_convex_quadratic_generic(self):
@@ -195,11 +205,13 @@ class TestMinimizeBounded:
         res = minimize_bounded(
             lambda v: 2 * (v[0] - target[0]) ** 2 + 5 * (v[1] - target[1]) ** 2
             + (v[0] - target[0]) * (v[1] - target[1]),
+            lambda v: np.array([[4.0, 1.0], [1.0, 10.0]]) @ (v - target),
             [0.0, 0.0], [Interval(-1.0, 1.0)] * 2, 1e-9)
         assert np.allclose(res.argmin, target, atol=1e-6)
 
     def test_argmin_in_bounds(self):
-        res = minimize_bounded(lambda v: (v[0] + 5.0) ** 2, [1.0],
+        res = minimize_bounded(lambda v: (v[0] + 5.0) ** 2,
+                               lambda v: [2.0 * (v[0] + 5.0)], [1.0],
                                [Interval(0.0, 10.0)], 1e-8)
         assert 0.0 <= res.argmin[0] <= 10.0
         assert res.argmin[0] == pytest.approx(0.0, abs=1e-6)
@@ -216,7 +228,8 @@ class TestFiniteDiffGrad:
 
     def test_converged_gradient_scaled_norm(self):
         f = lambda v: (v[0] - 2.0) ** 4 + (v[1] + 1.0) ** 2 + 10.0
-        res = minimize_bounded(f, [0.0, 0.0], [Interval(-5.0, 5.0)] * 2, 1e-7)
+        df = lambda v: np.array([4.0 * (v[0] - 2.0) ** 3, 2.0 * (v[1] + 1.0)])
+        res = minimize_bounded(f, df, [0.0, 0.0], [Interval(-5.0, 5.0)] * 2, 1e-7)
         g = finite_diff_grad(f, res.argmin, 1e-6)
         assert float(np.max(np.abs(g))) <= 1e-4 * (1.0 + abs(res.objective))
 
