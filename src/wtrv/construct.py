@@ -19,7 +19,7 @@ from scipy import special as _sc
 from scipy.interpolate import CubicHermiteSpline
 
 from .distributions import DistributionHandle, _handle, make_catalog
-from .numerics import (AccuracyError, ConvergenceError, Interval, _gk15_cells,
+from .numerics import (AccuracyError, ConvergenceError, Interval, _gk15_cells, _split_cells,
                        beta_fn, integrate_adaptive, invert_monotone, scalar_or_array)
 from .numerics import brent_root  # noqa: F401 (re-exported)
 from .weights import (IntegrabilityError, WeightFunction, make_weight,
@@ -38,6 +38,8 @@ class WtrvDistribution(DistributionHandle):
     normalizer: float = float("nan")
     cdf_nodes: np.ndarray = field(default=None, repr=False)
     cdf_values: np.ndarray = field(default=None, repr=False)
+    # table cells whose GK15 error missed the cap, left to the per-cell fallback
+    stubborn_cells: int = 0
 
     def describe(self) -> str:
         return f"wtrv[{self.base.describe()}; {self.weight.describe()}]"
@@ -61,9 +63,10 @@ def _tail_cutoff(g: Callable, dist: DistributionHandle, total: float) -> float:
 
 
 def _build_table(g: Callable, lo: float, x_max: float, total: float,
-                 dist: DistributionHandle) -> tuple[np.ndarray, np.ndarray]:
+                 dist: DistributionHandle) -> tuple[np.ndarray, np.ndarray, int]:
     """Mass-refined cumulative table for the unnormalized density g, scaled
-    by its own total so that the last value is exactly 1."""
+    by its own total so that the last value is exactly 1, and the number of
+    cells whose GK15 error stayed above the cap."""
     u = np.linspace(1e-5, 1.0 - 1e-5, 257)
     qs = np.asarray(dist.quantile(u), dtype=float)
     nodes = np.unique(np.concatenate([
@@ -76,21 +79,13 @@ def _build_table(g: Callable, lo: float, x_max: float, total: float,
     mass_cap = total / 1024.0
     err_cap = 1e-12 * max(total, 1e-300)
     for _ in range(14):
-        width_ok = (b - a) > 1e-14 * (1.0 + np.abs(a))
+        width_ok = (b - a) > 1e-14 * np.abs(b)
         mask = ((vals > mass_cap) | (errs > err_cap)) & width_ok
         if not mask.any() or len(a) > 16384:
             break
-        sa, sb = a[mask], b[mask]
-        sm = 0.5 * (sa + sb)
-        na = np.concatenate([a[~mask], sa, sm])
-        nb = np.concatenate([b[~mask], sm, sb])
-        nv, ne, _ = _gk15_cells(g, np.concatenate([sa, sm]), np.concatenate([sm, sb]))
-        vals = np.concatenate([vals[~mask], nv])
-        errs = np.concatenate([errs[~mask], ne])
-        order = np.argsort(na)
-        a, b, vals, errs = na[order], nb[order], vals[order], errs[order]
-    # cells that never met the error cap (typically a pdf singularity at an
-    # endpoint) get their mass from the fully adaptive integrator instead
+        a, b, vals, errs, _ = _split_cells(g, a, b, vals, errs, mask, lo)
+    # cells that never met the error cap (a pdf singularity at the upper end,
+    # or a heavy tail) get their mass from the fully adaptive integrator
     stubborn = np.nonzero(errs > err_cap)[0]
     for i in stubborn[:64]:
         try:
@@ -103,7 +98,7 @@ def _build_table(g: Callable, lo: float, x_max: float, total: float,
     x = np.concatenate([[a[0]], b])
     # nondecreasing, and ending at exactly 1, since the masses are >= 0
     cum = np.concatenate([[0.0], np.cumsum(masses)])
-    return x, cum / cum[-1]
+    return x, cum / cum[-1], stubborn.size
 
 
 def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribution:
@@ -121,7 +116,7 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
 
     g = tail_integrand(weight, dist)
     x_max = hi if math.isfinite(hi) else _tail_cutoff(g, dist, z)
-    nodes, fvals = _build_table(g, 0.0, x_max, z, dist)
+    nodes, fvals, stubborn = _build_table(g, 0.0, x_max, z, dist)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         slopes = np.asarray(g(nodes), dtype=float) / z
     slopes = np.where(np.isfinite(slopes) & (slopes >= 0.0), slopes, 0.0)
@@ -156,7 +151,8 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
         name="wtrv", params={**{f"base_{k}": v for k, v in dist.params.items()},
                              **{f"w_{k}": v for k, v in weight.params.items()}},
         support=support, pdf=pdf, cdf=cdf, sf=sf, quantile=quantile,
-        base=dist, weight=weight, normalizer=z, cdf_nodes=nodes, cdf_values=fvals)
+        base=dist, weight=weight, normalizer=z, cdf_nodes=nodes, cdf_values=fvals,
+        stubborn_cells=stubborn)
 
 
 def equilibrium(dist: DistributionHandle) -> WtrvDistribution:

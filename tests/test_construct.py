@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wtrv import (beta_fn, classify_aging, construct, equilibrium, expected_weight,
-                  make_catalog, make_weight, minimum_of, sample,
+                  make_catalog, make_weight, minimum_of, parse_dist_spec,
+                  parse_weight_spec, sample,
                   table1_oracle_suite, weighted_kumaraswamy, wtrv_of_minimum)
 from wtrv.numerics import integrate_adaptive
 from wtrv.weights import IntegrabilityError
@@ -138,6 +139,26 @@ class TestConstructedQuantile:
         rep = classify_aging(xw)
         assert rep.failures == {}
         assert rep.classes["IFR"] and rep.classes["DMRL"]
+
+
+class TestStubbornCells:
+    # a singular density at x = 0 is refined geometrically, so no table cell
+    # there needs the per-cell adaptive fallback
+    @pytest.mark.parametrize("base, weight", [
+        ("exponential(lambda=2.18)", "power(c=0.41)"),
+        ("exponential(lambda=1)", "power(c=0.7)"),
+        ("exponential(lambda=2)", "power(c=0.5)"),
+        ("weibull(alpha=0.6,beta=1.2)", "scaled_power(alpha=0.6,beta=1.2)"),
+        ("kumaraswamy(a=1,b=0.5)", "power(c=0.8)"),
+    ])
+    def test_lower_end_singularity_converges(self, base, weight):
+        xw = construct(parse_dist_spec(base), parse_weight_spec(weight))
+        assert xw.stubborn_cells == 0
+
+    def test_upper_end_singularity_counted(self):
+        xw = construct(make_catalog("kumaraswamy", {"a": 1.0, "b": 0.5}),
+                       make_weight("neg_log_sq", {}))
+        assert xw.stubborn_cells >= 1
 
 
 class TestEquilibrium:

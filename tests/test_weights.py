@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from wtrv import make_catalog, make_weight, parse_weight_spec, validate_weight
+from wtrv import (make_catalog, make_weight, parse_weight_spec, validate_weight,
+                  weight_normalizer_integral)
 
 WEIGHT_INSTANCES = [
     ("power", {"c": 2.0}),
@@ -94,3 +98,23 @@ class TestValidation:
         assert rep.starts_at_zero and rep.nondecreasing_on_grid
         assert rep.integrability_ok
         assert rep.normalizer is not None and rep.normalizer > 0
+
+
+class TestNormalizerNearSingularity:
+    # w'(x) = c x^(c-1) is unbounded (c < 1) or not smooth (c near 1) at 0;
+    # the GK15 error estimate alone misses the weak cases near c = 1
+    @pytest.mark.parametrize("lam, c", itertools.product(
+        [0.5, 1.0, 2.41, 3.0],
+        [0.3, 0.41, 0.5, 0.7, 0.9, 0.99, 0.996, 1.004, 1.01, 1.3, 2.5]))
+    def test_exponential_power_is_gamma_moment(self, lam, c):
+        z = weight_normalizer_integral(make_weight("power", {"c": c}),
+                                       make_catalog("exponential", {"lambda": lam}))
+        assert z == pytest.approx(math.gamma(c + 1.0) / lam ** c, rel=2e-9)
+
+    @pytest.mark.parametrize("alpha, beta", itertools.product(
+        [0.4, 0.6, 0.8, 0.99, 1.01, 1.7, 2.5], [0.5, 1.2, 2.2]))
+    def test_weibull_fixed_point_normalizer_is_one(self, alpha, beta):
+        params = {"alpha": alpha, "beta": beta}
+        z = weight_normalizer_integral(make_weight("scaled_power", params),
+                                       make_catalog("weibull", params))
+        assert z == pytest.approx(1.0, abs=2e-9)
