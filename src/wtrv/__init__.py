@@ -17,9 +17,9 @@ from .fit import (FitResult, NormalizedSample, fit_mle, from_unit_values,
 from .gof import (GofReport, ad_test, bootstrap_pvalue, chisq_test, cvm_test,
                   ks_test, run_gof)
 from .numerics import (AccuracyError, BracketError, ConvergenceError, Interval,
-                       OptimizeResult, QuadratureResult, beta_fn, brent_root,
-                       finite_diff_grad, incomplete_beta_upper, integrate_adaptive,
-                       invert_monotone, kolmogorov_sf, ln_gamma, minimize_bounded)
+                       OptimizeResult, QuadratureResult, brent_root, finite_diff_grad,
+                       incomplete_beta_upper, integrate_adaptive, invert_monotone,
+                       kolmogorov_sf, minimize_bounded)
 from .orders import (AuditReport, OrderVerdict, TheoremReport, check_order,
                      named_fixture, randomized_theorem_audit, ratio_curve,
                      verify_theorem)

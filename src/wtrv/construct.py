@@ -1,9 +1,10 @@
 """Construction engine for weighted tail random variables.
 
 Given a base distribution X with lower bound 0 and an admissible weight w,
-the constructed variable has density w'(x) * sf_X(x) / E[w(X)]. The cdf is
-tabulated once by cumulative quadrature on a mass-refined grid and evaluated
-through a piecewise-cubic Hermite interpolant; the quantile inverts that
+the constructed variable has density w'(x) * sf_X(x) / E[w(X)]. Its cdf is
+tabulated by cumulative GK15 quadrature and read through a piecewise-cubic
+Hermite interpolant, both in the quadrature's coordinate: x on a finite
+support, t = x / (1 + x) on an infinite one. The quantile inverts that
 interpolant for all points at once by safeguarded Newton-bisection, with each
 point bracketed by its table cell and the spline's own derivative as slope.
 """
@@ -19,9 +20,9 @@ from scipy import special as _sc
 from scipy.interpolate import CubicHermiteSpline
 
 from .distributions import DistributionHandle, _handle, make_catalog
-from .numerics import (AccuracyError, ConvergenceError, Interval, _gk15_cells, _split_cells,
-                       beta_fn, integrate_adaptive, invert_monotone, scalar_or_array)
-from .numerics import brent_root  # noqa: F401 (re-exported)
+from .numerics import (ConvergenceError, Interval, _gk15_cells, _split_cells, invert_monotone,
+                       scalar_or_array, unit_integrand)
+from .numerics import brent_root, integrate_adaptive  # noqa: F401 (re-exported)
 from .weights import (IntegrabilityError, WeightFunction, make_weight,
                       tail_integrand, validate_weight, weight_normalizer_integral)
 
@@ -38,67 +39,57 @@ class WtrvDistribution(DistributionHandle):
     normalizer: float = float("nan")
     cdf_nodes: np.ndarray = field(default=None, repr=False)
     cdf_values: np.ndarray = field(default=None, repr=False)
-    # table cells whose GK15 error missed the cap, left to the per-cell fallback
-    stubborn_cells: int = 0
+    # largest miss of the cdf interpolant against a cell's partial masses
+    table_gap: float = 0.0
 
     def describe(self) -> str:
         return f"wtrv[{self.base.describe()}; {self.weight.describe()}]"
 
 
-def _tail_cutoff(g: Callable, dist: DistributionHandle, total: float) -> float:
-    """Smallest doubling point past which the unnormalized tail mass is
-    negligible relative to the normalizer."""
-    x = max(1.0, float(dist.quantile(1.0 - 1e-9)))
-    for _ in range(200):
-        try:
-            res = integrate_adaptive(g, Interval(x, math.inf),
-                                     abs_tol=1e-14 * max(total, 1.0), rel_tol=1e-6)
-            tail = res.value + res.abs_error_estimate
-        except AccuracyError as exc:
-            tail = exc.estimate + exc.abs_error_estimate
-        if tail <= 1e-13 * total:
-            return x
-        x *= 2.0
-    raise IntegrabilityError("could not locate a negligible-mass tail cutoff")
+# A table cell is split while its Hermite cdf misses its partial masses at
+# 1/4, 1/2 and 3/4 of its width by more than this fraction of the total.
+_TABLE_TOL = 1e-10
+# Hermite basis at those fractions s: weights of the cell mass (3s^2 - 2s^3),
+# and of the width times the left (s^3 - 2s^2 + s) and right (s^3 - s^2) slope
+_S = np.array([0.25, 0.5, 0.75])
+_H_MASS, _H_LEFT, _H_RIGHT = 3 * _S**2 - 2 * _S**3, _S**3 - 2 * _S**2 + _S, _S**3 - _S**2
 
 
-def _build_table(g: Callable, lo: float, x_max: float, total: float,
-                 dist: DistributionHandle) -> tuple[np.ndarray, np.ndarray, int]:
-    """Mass-refined cumulative table for the unnormalized density g, scaled
-    by its own total so that the last value is exactly 1, and the number of
-    cells whose GK15 error stayed above the cap."""
-    u = np.linspace(1e-5, 1.0 - 1e-5, 257)
-    qs = np.asarray(dist.quantile(u), dtype=float)
-    nodes = np.unique(np.concatenate([
-        np.linspace(lo, x_max, 257),
-        np.clip(qs, lo, x_max),
-        [lo, x_max],
-    ]))
-    a, b = nodes[:-1], nodes[1:]
-    vals, errs, _ = _gk15_cells(g, a, b)
-    mass_cap = total / 1024.0
-    err_cap = 1e-12 * max(total, 1e-300)
-    for _ in range(14):
-        width_ok = (b - a) > 1e-14 * np.abs(b)
-        mask = ((vals > mass_cap) | (errs > err_cap)) & width_ok
-        if not mask.any() or len(a) > 16384:
-            break
-        a, b, vals, errs, _ = _split_cells(g, a, b, vals, errs, mask, lo)
-    # cells that never met the error cap (a pdf singularity at the upper end,
-    # or a heavy tail) get their mass from the fully adaptive integrator
-    stubborn = np.nonzero(errs > err_cap)[0]
-    for i in stubborn[:64]:
-        try:
-            res = integrate_adaptive(g, Interval(float(a[i]), float(b[i])),
-                                     abs_tol=err_cap, rel_tol=1e-12)
-            vals[i] = res.value
-        except AccuracyError as exc:
-            vals[i] = exc.estimate
-    masses = np.maximum(vals, 0.0)
-    x = np.concatenate([[a[0]], b])
+def _build_table(g: Callable, hi: float, total: float) -> tuple:
+    """Cumulative table of the density g on [0, hi], whose integral is total.
+
+    Each cell whose cubic Hermite cdf misses its GK15 partial masses by more
+    than _TABLE_TOL * total is cut into k equal parts, k from the h^4 error
+    of the Hermite (the cell at 0 gets graded cuts), until every cell passes
+    or is too narrow for the floats to split. Returns the nodes, the cdf
+    values scaled to end at exactly 1, the cdf slopes and the largest gap
+    left as a fraction of total.
+    """
+    tol = _TABLE_TOL * total
+    a, b = np.linspace(0.0, hi, 9)[:-1], np.linspace(0.0, hi, 9)[1:]
+    done = []
+    while a.size:
+        mass, _, parts, _ = _gk15_cells(g, a, b)
+        ends, where = np.unique(np.concatenate([a, b]), return_inverse=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.asarray(g(ends), dtype=float)[where]
+        ga, gb = np.split(np.where(np.isfinite(slope) & (slope >= 0.0), slope, 0.0), 2)
+        h = b - a
+        with np.errstate(invalid="ignore", over="ignore"):
+            miss = (mass[:, None] * _H_MASS
+                    + h[:, None] * (ga[:, None] * _H_LEFT + gb[:, None] * _H_RIGHT) - parts)
+        gap = np.nan_to_num(np.abs(miss).max(axis=1), nan=np.inf)
+        split = (gap > tol) & (h > np.maximum(1e-13 * np.abs(b), 1e-300))
+        done.append((a[~split], mass[~split], ga[~split], gb[~split], gap[~split]))
+        pieces = np.clip(np.ceil(1.2 * (gap[split] / tol) ** 0.25), 2, 32).astype(int)
+        a, b = _split_cells(a[split], b[split], pieces, 0.0)
+    a, mass, ga, gb, gap = (np.concatenate(v) for v in zip(*done))
+    order = np.argsort(a)
     # nondecreasing, and ending at exactly 1, since the masses are >= 0
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
-    return x, cum / cum[-1], stubborn.size
+    cum = np.concatenate([[0.0], np.cumsum(np.maximum(mass[order], 0.0))])
+    nodes = np.append(a[order], hi)
+    slopes = np.append(ga[order], gb[order][-1]) / cum[-1]
+    return nodes, cum / cum[-1], slopes, float(gap.max()) / total
 
 
 def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribution:
@@ -115,11 +106,12 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
     support = Interval(0.0, hi)
 
     g = tail_integrand(weight, dist)
-    x_max = hi if math.isfinite(hi) else _tail_cutoff(g, dist, z)
-    nodes, fvals, stubborn = _build_table(g, 0.0, x_max, z, dist)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slopes = np.asarray(g(nodes), dtype=float) / z
-    slopes = np.where(np.isfinite(slopes) & (slopes >= 0.0), slopes, 0.0)
+    if math.isfinite(hi):
+        nodes, fvals, slopes, gap = _build_table(g, hi, z)
+        to_t = to_x = lambda v: v
+    else:
+        nodes, fvals, slopes, gap = _build_table(unit_integrand(g, 0.0), 1.0, z)
+        to_t, to_x = (lambda x: x / (1.0 + x)), (lambda t: t / (1.0 - t))
     interp = CubicHermiteSpline(nodes, fvals, slopes, extrapolate=False)
     density = interp.derivative()
 
@@ -131,8 +123,9 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
 
     @scalar_or_array
     def cdf(x):
-        inner = np.clip(interp(np.clip(x, nodes[0], nodes[-1])), 0.0, 1.0)
-        return np.where(x <= 0.0, 0.0, np.where(x >= nodes[-1], 1.0, inner))
+        with np.errstate(invalid="ignore"):
+            inner = np.clip(interp(to_t(np.clip(x, 0.0, hi))), 0.0, 1.0)
+        return np.where(x <= 0.0, 0.0, np.where(x >= hi, 1.0, inner))
 
     @scalar_or_array
     def sf(x):
@@ -144,15 +137,17 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
         inside = (u > 0.0) & (u < 1.0)
         ui = u[inside]
         i = np.searchsorted(fvals, ui, side="right")
-        out[inside] = invert_monotone(interp, density, ui, nodes[i - 1], nodes[i])
+        out[inside] = to_x(invert_monotone(interp, density, ui, nodes[i - 1], nodes[i]))
         return out
 
+    with np.errstate(divide="ignore"):
+        x_nodes = to_x(nodes)
     return WtrvDistribution(
         name="wtrv", params={**{f"base_{k}": v for k, v in dist.params.items()},
                              **{f"w_{k}": v for k, v in weight.params.items()}},
         support=support, pdf=pdf, cdf=cdf, sf=sf, quantile=quantile,
-        base=dist, weight=weight, normalizer=z, cdf_nodes=nodes, cdf_values=fvals,
-        stubborn_cells=stubborn)
+        base=dist, weight=weight, normalizer=z, cdf_nodes=x_nodes, cdf_values=fvals,
+        table_gap=gap)
 
 
 def equilibrium(dist: DistributionHandle) -> WtrvDistribution:
@@ -238,7 +233,7 @@ def _burr_power_target(c: float, k: float, a: float) -> DistributionHandle:
     whose cdf is I_t(a/c, k - a/c) at t = x^c / (1 + x^c)."""
     if not a < c * k:
         raise ValueError("requires a < c*k for integrability")
-    norm = k * beta_fn((c * k - a) / c, (c + a) / c)
+    norm = k * _sc.beta((c * k - a) / c, (c + a) / c)
     p, q = a / c, k - a / c
 
     def quantile(u):

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as _sc
 
-from .numerics import Interval, beta_fn, scalar_or_array
+from .numerics import Interval, scalar_or_array
 from .numerics import brent_root, incomplete_beta_upper  # noqa: F401 (re-exported)
 
 
@@ -195,7 +195,7 @@ def _kumaraswamy(a: float, b: float) -> DistributionHandle:
 
 def _weighted_kumaraswamy(a: float, b: float, c: float) -> DistributionHandle:
     # Beta link: X^a ~ Beta(c/a, b+1)
-    norm = b * beta_fn(1.0 + c / a, b)
+    norm = b * _sc.beta(1.0 + c / a, b)
     p, q = c / a, b + 1.0
     return _handle(
         "weighted_kumaraswamy", {"a": a, "b": b, "c": c}, Interval(0.0, 1.0),
@@ -208,13 +208,14 @@ def _weighted_kumaraswamy(a: float, b: float, c: float) -> DistributionHandle:
 
 def wk_moment(a: float, b: float, c: float, n: int) -> float:
     """n-th raw moment of the weighted Kumaraswamy family."""
-    _ = _require_positive({"a": a, "b": b, "c": c}, "a", "b", "c")
-    return c * beta_fn((c + n) / a, b + 1.0) / (a * b * beta_fn(1.0 + c / a, b))
+    _require_positive({"a": a, "b": b, "c": c}, "a", "b", "c")
+    return float(c * _sc.beta((c + n) / a, b + 1.0) / (a * b * _sc.beta(1.0 + c / a, b)))
 
 
 def kumaraswamy_moment(a: float, b: float, n: int) -> float:
     """n-th raw moment of the Kumaraswamy family: b * B(1 + n/a, b)."""
-    return b * beta_fn(1.0 + n / a, b)
+    _require_positive({"a": a, "b": b}, "a", "b")
+    return float(b * _sc.beta(1.0 + n / a, b))
 
 
 def _chi_square(k: float) -> DistributionHandle:

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import digamma
+from scipy.special import digamma, gammaln
 
 from .distributions import DistributionHandle, make_catalog
-from .numerics import OptimizeResult, ln_gamma, minimize_bounded
+from .numerics import OptimizeResult, minimize_bounded
 
 
 class DegenerateSampleError(ValueError):
@@ -117,8 +117,8 @@ def from_unit_values(x, policy: str = "exclude_boundary") -> NormalizedSample:
 def loglik_wk(sample: NormalizedSample, a: float, b: float, c: float) -> float:
     """Log-likelihood of the weighted Kumaraswamy family."""
     x = sample._likelihood_set
-    const = math.log(c) - math.log(b) - (ln_gamma(1.0 + c / a) + ln_gamma(b)
-                                         - ln_gamma(1.0 + c / a + b))
+    const = math.log(c) - math.log(b) - float(gammaln(1.0 + c / a) + gammaln(b)
+                                              - gammaln(1.0 + c / a + b))
     return (len(x) * const + (c - 1.0) * sample._sum_log_x
             + b * float(np.sum(np.log1p(-x ** a))))
 
@@ -131,7 +131,7 @@ def loglik_kw(sample: NormalizedSample, a: float, b: float) -> float:
 
 def loglik_beta(sample: NormalizedSample, alpha: float, beta: float) -> float:
     n = len(sample._likelihood_set)
-    lbeta = ln_gamma(alpha) + ln_gamma(beta) - ln_gamma(alpha + beta)
+    lbeta = float(gammaln(alpha) + gammaln(beta) - gammaln(alpha + beta))
     return (-n * lbeta + (alpha - 1.0) * sample._sum_log_x
             + (beta - 1.0) * sample._sum_log1m_x)
 

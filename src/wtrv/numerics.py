@@ -89,20 +89,6 @@ def scalar_or_array(fn: Callable) -> Callable:
     return wrapped
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return float(_sc.gammaln(x))
-
-
-def beta_fn(p: float, q: float) -> float:
-    """Euler beta function B(p, q) for p, q > 0."""
-    if not (p > 0 and q > 0):
-        raise ValueError(f"beta_fn requires positive arguments, got ({p}, {q})")
-    return math.exp(ln_gamma(p) + ln_gamma(q) - ln_gamma(p + q))
-
-
 def incomplete_beta_upper(y: float, p: float, q: float) -> float:
     """Upper (non-regularized) incomplete beta: integral of t^{p-1}(1-t)^{q-1}
     over [y, 1]."""
@@ -110,11 +96,9 @@ def incomplete_beta_upper(y: float, p: float, q: float) -> float:
         raise ValueError(f"incomplete_beta_upper requires y in [0, 1], got {y}")
     if not (p > 0 and q > 0):
         raise ValueError(f"incomplete_beta_upper requires positive shape args, got ({p}, {q})")
-    if y == 0.0:
-        return beta_fn(p, q)
     if y == 1.0:
         return 0.0
-    return beta_fn(p, q) * float(_sc.betaincc(p, q, y))
+    return float(_sc.beta(p, q) * _sc.betaincc(p, q, y))
 
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule (nodes on [-1, 1]).
@@ -140,6 +124,18 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
+def _partial_weights(ends: Sequence[float]) -> np.ndarray:
+    """(15, len(ends)) weights that integrate the degree-14 interpolant
+    through the Kronrod nodes over [-1, s], for each s in ends."""
+    leg = np.polynomial.legendre
+    moments = leg.legval(np.asarray(ends), leg.legint(np.eye(15), lbnd=-1))
+    return np.linalg.solve(leg.legvander(_XK, 14).T, moments)
+
+
+# a cell's partial masses up to 1/4, 1/2 and 3/4 of its width
+_WPART = _partial_weights([-0.5, 0.0, 0.5])
+
+
 def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
     """Evaluate a vectorized f on an array; a result of another shape raises
     TypeError."""
@@ -151,8 +147,10 @@ def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _gk15_cells(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Gauss-Kronrod 15/7 estimates for a batch of cells [a_i, b_i]."""
+def _gk15_cells(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Gauss-Kronrod 15/7 estimates for a batch of cells [a_i, b_i]: the
+    integrals, their error estimates, the (n, 3) partial integrals up to 1/4,
+    1/2 and 3/4 of each cell, and the number of integrand evaluations."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * _XK[None, :]
@@ -162,11 +160,12 @@ def _gk15_cells(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, 
         kron = half * (vals @ _WK)
         gauss = half * (vals[:, _GAUSS_IDX] @ _WG)
         err = np.abs(kron - gauss)
+        parts = half[:, None] * (vals @ _WPART)
     # QUADPACK-style sharpening of the raw difference estimate.
     with np.errstate(invalid="ignore"):
         scale = np.where(err > 0, np.minimum(1.0, (200.0 * err / np.maximum(np.abs(kron), 1e-300)) ** 1.5), 0.0)
     err = np.where(np.isfinite(kron), err * np.maximum(scale, 1e-3) + np.abs(kron) * 1e-16, np.inf)
-    return kron, err, vals.size
+    return kron, err, parts, vals.size
 
 
 # Cuts, as fractions of its width, of a refined cell at the range's lower end.
@@ -175,26 +174,32 @@ def _gk15_cells(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, 
 _GRADED_CUTS = 2.0 ** -np.arange(24, 0, -1)
 
 
-def _split_cells(f: Callable, a: np.ndarray, b: np.ndarray, vals: np.ndarray,
-                 errs: np.ndarray, mask: np.ndarray, lo: float) -> tuple:
-    """Refine the masked cells of a partition of [lo, ...) with GK15.
+def _split_cells(a: np.ndarray, b: np.ndarray, pieces: np.ndarray, lo: float) -> tuple:
+    """Cut cell i of a partition of [lo, ...) into pieces[i] equal parts.
 
-    Each masked cell is halved, except the one that starts at lo, which is
-    cut at lo + d*2^-k for k = 24..1 (d its width). Returns the cells sorted
-    by left end, their estimates and the number of integrand evaluations.
+    The cell that starts at lo is cut at lo + d*2^-k for k = 24..1 instead
+    (d its width). Returns the new cells' left and right ends, sorted.
     """
-    sa, sb = a[mask], b[mask]
-    edge = sa == lo
-    mid = 0.5 * (sa + sb)[~edge]
-    cuts = (sa[edge, None] + (sb - sa)[edge, None] * _GRADED_CUTS).ravel()
-    # the new cells tile the masked ones, so sorted left and right ends pair up
-    na = np.sort(np.concatenate([sa, mid, cuts]))
-    nb = np.sort(np.concatenate([mid, sb, cuts]))
-    nv, ne, n = _gk15_cells(f, na, nb)
-    a, b = np.concatenate([a[~mask], na]), np.concatenate([b[~mask], nb])
-    vals, errs = np.concatenate([vals[~mask], nv]), np.concatenate([errs[~mask], ne])
-    order = np.argsort(a)
-    return a[order], b[order], vals[order], errs[order], n
+    edge = a == lo
+    ra, rb, k = a[~edge], b[~edge], np.broadcast_to(pieces, a.shape)[~edge]
+    j = np.arange(1, k.max(initial=1))
+    inner = (((k[:, None] - j) * ra[:, None] + j * rb[:, None]) / k[:, None])[j < k[:, None]]
+    cuts = (a[edge, None] + (b - a)[edge, None] * _GRADED_CUTS).ravel()
+    # the new cells tile the old ones, so sorted left and right ends pair up
+    return (np.sort(np.concatenate([a, inner, cuts])),
+            np.sort(np.concatenate([inner, b, cuts])))
+
+
+def unit_integrand(f: Callable, lo: float) -> Callable:
+    """The integral of f over [lo, inf) as one over [0, 1): the integrand
+    f(x(t)) x'(t) of the substitution x(t) = lo + t / (1 - t)."""
+
+    def g(t):
+        om = 1.0 - t
+        x = lo + t / om
+        return _eval_batch(f, x) / (om * om)
+
+    return g
 
 
 def integrate_adaptive(f: Callable, rng: Interval, abs_tol: float = 1e-10,
@@ -214,19 +219,11 @@ def integrate_adaptive(f: Callable, rng: Interval, abs_tol: float = 1e-10,
         raise ValueError("tolerances must be positive")
     lo, hi = rng.lo, rng.hi
     if math.isinf(hi):
-        base = f
-
-        def g(t, _lo=lo):
-            t = np.asarray(t, dtype=float)
-            om = 1.0 - t
-            x = _lo + t / om
-            return _eval_batch(base, x) / (om * om)
-
-        f, lo, hi = g, 0.0, 1.0
+        f, lo, hi = unit_integrand(f, lo), 0.0, 1.0
 
     a = np.linspace(lo, hi, 9)[:-1]
     b = np.linspace(lo, hi, 9)[1:]
-    vals, errs, evals = _gk15_cells(f, a, b)
+    vals, errs, _, evals = _gk15_cells(f, a, b)
 
     while True:
         total = float(vals.sum())
@@ -242,7 +239,11 @@ def integrate_adaptive(f: Callable, rng: Interval, abs_tol: float = 1e-10,
         mask = errs > err_total / (2 * len(a))
         if not mask.any():
             mask = errs == errs.max()
-        a, b, vals, errs, n = _split_cells(f, a, b, vals, errs, mask, lo)
+        na, nb = _split_cells(a[mask], b[mask], 2, lo)
+        nv, ne, _, n = _gk15_cells(f, na, nb)
+        order = np.argsort(np.concatenate([a[~mask], na]))
+        a, b, vals, errs = (np.concatenate([old[~mask], new])[order] for old, new in
+                            zip((a, b, vals, errs), (na, nb, nv, ne)))
         evals += n
 
 

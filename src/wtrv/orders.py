@@ -41,9 +41,10 @@ def _merged_grid(x: DistributionHandle, y: DistributionHandle, grid_size: int) -
 
 def _cdf_accuracy(dist: DistributionHandle) -> float:
     """Absolute accuracy of the handle's cdf/sf: closed-form handles are
-    exact to rounding; tabulated constructions carry the table's error."""
-    from .construct import WtrvDistribution
-    return 2e-8 if isinstance(dist, WtrvDistribution) else 1e-12
+    exact to rounding; a construction carries twice its table gap, which is
+    sampled at three points per cell, and at least twice the table tolerance."""
+    from .construct import _TABLE_TOL, WtrvDistribution
+    return 2.0 * max(dist.table_gap, _TABLE_TOL) if isinstance(dist, WtrvDistribution) else 1e-12
 
 
 def _ratio_nondecreasing(xs, num, den, slack: float, noise=None):
@@ -85,7 +86,7 @@ def check_order(x: DistributionHandle, y: DistributionHandle, order: str,
     if order == "st":
         sfx = np.asarray(x.sf(grid), dtype=float)
         sfy = np.asarray(y.sf(grid), dtype=float)
-        bad = np.nonzero(sfx > sfy + slack)[0]
+        bad = np.nonzero(sfx > sfy + slack + _cdf_accuracy(x) + _cdf_accuracy(y))[0]
         violation = None
         if bad.size:
             i = int(bad[0])

@@ -161,7 +161,7 @@ class AgingReport:
 def _mrl_grid(dist: DistributionHandle, grid: np.ndarray) -> np.ndarray:
     """Mean residual life on an increasing grid via one batched quadrature."""
     sf = lambda t: np.asarray(dist.sf(t), dtype=float)
-    seg, _, _ = _gk15_cells(sf, grid[:-1], grid[1:])
+    seg = _gk15_cells(sf, grid[:-1], grid[1:])[0]
     hi = dist.support.hi
     try:
         tail = integrate_adaptive(sf, Interval(float(grid[-1]), hi),

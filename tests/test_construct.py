@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from wtrv import (beta_fn, classify_aging, construct, equilibrium, expected_weight,
+from scipy import special
+
+from wtrv import (check_order, classify_aging, construct, equilibrium, expected_weight,
                   make_catalog, make_weight, minimum_of, parse_dist_spec,
                   parse_weight_spec, sample,
                   table1_oracle_suite, weighted_kumaraswamy, wtrv_of_minimum)
+from wtrv.construct import _table1_rows
 from wtrv.numerics import integrate_adaptive
 from wtrv.weights import IntegrabilityError
 
@@ -28,7 +31,7 @@ class TestExpectedWeight:
         a, b, c = 2.0, 3.0, 1.5
         v = expected_weight(make_catalog("kumaraswamy", {"a": a, "b": b}),
                             make_weight("power", {"c": c}))
-        assert v == pytest.approx(b * beta_fn(1 + c / a, b), rel=1e-9)
+        assert v == pytest.approx(b * special.beta(1 + c / a, b), rel=1e-9)
 
     def test_divergent_weight(self):
         with pytest.raises(IntegrabilityError):
@@ -141,9 +144,9 @@ class TestConstructedQuantile:
         assert rep.classes["IFR"] and rep.classes["DMRL"]
 
 
-class TestStubbornCells:
-    # a singular density at x = 0 is refined geometrically, so no table cell
-    # there needs the per-cell adaptive fallback
+class TestTableGap:
+    # a singular density at x = 0 is refined geometrically, so the table
+    # meets its tolerance there
     @pytest.mark.parametrize("base, weight", [
         ("exponential(lambda=2.18)", "power(c=0.41)"),
         ("exponential(lambda=1)", "power(c=0.7)"),
@@ -153,12 +156,45 @@ class TestStubbornCells:
     ])
     def test_lower_end_singularity_converges(self, base, weight):
         xw = construct(parse_dist_spec(base), parse_weight_spec(weight))
-        assert xw.stubborn_cells == 0
+        assert xw.table_gap <= 1e-10
 
-    def test_upper_end_singularity_counted(self):
+    def test_upper_end_singularity_reported(self):
+        # the floats next to x = 1 cannot resolve this singular end, and the
+        # gap left there is reported, not hidden
         xw = construct(make_catalog("kumaraswamy", {"a": 1.0, "b": 0.5}),
                        make_weight("neg_log_sq", {}))
-        assert xw.stubborn_cells >= 1
+        assert xw.table_gap > 1e-10
+
+
+def _gate_cases():
+    cases = [(f"table1-row{i}", base, weight, target)
+             for i, (_, base, weight, target, _) in enumerate(_table1_rows(), start=1)]
+    cases += [(f"exponential+power({c})", make_catalog("exponential", {"lambda": 1.5}),
+               make_weight("power", {"c": c}), make_catalog("gamma", {"k": c, "lambda": 1.5}))
+              for c in (0.41, 0.7)]
+    cases += [(f"pareto_lomax({alpha})+linear", make_catalog("pareto_lomax", {"alpha": alpha}),
+               make_weight("linear"), make_catalog("pareto_lomax", {"alpha": alpha - 1.0}))
+              for alpha in (1.8, 2.5, 3.5, 6.0)]
+    return cases
+
+
+class TestCdfAccuracyGate:
+    # constructions with a closed form: the tabulated cdf meets 1e-8 from
+    # the far lower to the far upper tail, and no order check finds a
+    # violation between a construction and its own closed form
+    U = np.unique(np.concatenate([np.geomspace(1e-9, 1e-3, 61),
+                                  np.linspace(1e-3, 1.0 - 1e-3, 999),
+                                  1.0 - np.geomspace(1e-3, 1e-9, 61)]))
+
+    @pytest.mark.parametrize("case", _gate_cases(), ids=lambda c: c[0])
+    def test_cdf_and_orders_match_closed_form(self, case):
+        _, base, weight, target = case
+        xw = construct(base, weight)
+        xs = np.asarray(target.quantile(self.U))
+        assert np.max(np.abs(np.asarray(xw.cdf(xs)) - self.U)) <= 1e-8
+        for order in ("st", "fr", "rfr", "lr"):
+            assert check_order(xw, target, order).holds_on_grid, (order, "built <= closed")
+            assert check_order(target, xw, order).holds_on_grid, (order, "closed <= built")
 
 
 class TestEquilibrium:

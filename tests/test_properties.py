@@ -103,6 +103,4 @@ def test_weighted_kumaraswamy_closed_form_matches_construction(a, b, c):
     xs = np.asarray(closed.quantile(np.linspace(0.001, 0.999, 999)))
     pdf = np.asarray(closed.pdf(xs))
     assert np.max(np.abs(np.asarray(built.pdf(xs)) - pdf) / pdf) <= 1e-8
-    # The tabulated cdf is ~1e-8 accurate only where the density is smooth;
-    # near 0 with c < 2 the first table cells miss by up to a few 1e-6.
-    assert np.max(np.abs(np.asarray(built.cdf(xs)) - np.asarray(closed.cdf(xs)))) <= 1e-5
+    assert np.max(np.abs(np.asarray(built.cdf(xs)) - np.asarray(closed.cdf(xs)))) <= 1e-8
