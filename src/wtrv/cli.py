@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Optional
@@ -226,6 +227,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args returns a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wtrv",

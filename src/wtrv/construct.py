@@ -3,10 +3,11 @@
 Given a base distribution X with lower bound 0 and an admissible weight w,
 the constructed variable has density w'(x) * sf_X(x) / E[w(X)]. Its cdf is
 tabulated by cumulative GK15 quadrature and read through a piecewise-cubic
-Hermite interpolant, both in the quadrature's coordinate: x on a finite
-support, t = x / (1 + x) on an infinite one. The quantile inverts that
-interpolant for all points at once by safeguarded Newton-bisection, with each
-point bracketed by its table cell and the spline's own derivative as slope.
+Hermite interpolant (written out in _hermite), both in the quadrature's
+coordinate: x on a finite support, t = x / (1 + x) on an infinite one. The
+quantile inverts that interpolant for all points at once by safeguarded
+Newton-bisection, with each point bracketed by its table cell and the
+interpolant's own slope.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special as _sc
-from scipy.interpolate import CubicHermiteSpline
 
 from .distributions import DistributionHandle, _handle, make_catalog
 from .numerics import (ConvergenceError, Interval, _gk15_cells, _split_cells, invert_monotone,
@@ -92,6 +92,32 @@ def _build_table(g: Callable, hi: float, total: float) -> tuple:
     return nodes, cum / cum[-1], slopes, float(gap.max()) / total
 
 
+def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> tuple[Callable, Callable]:
+    """Value and slope functions of the piecewise cubic through (x, y) with
+    slopes dydx, on [x[0], x[-1]]. On [x[i], x[i+1]) (the last cell closed) it
+    is SciPy's CubicHermiteSpline cubic in s = v - x[i], summed in SciPy's
+    order, so the two give the same floats."""
+    h = np.diff(x)
+    secant = np.diff(y) / h
+    t = (dydx[:-1] + dydx[1:] - 2 * secant) / h
+    c1, c2, c3 = dydx[:-1], (secant - dydx[:-1]) / h - t, t / h
+    d2, d3 = c2 * 2, c3 * 3
+
+    def cell(v):
+        i = np.clip(np.searchsorted(x, v, side="right") - 1, 0, h.size - 1)
+        return i, v - x[i]
+
+    def value(v):
+        i, s = cell(v)
+        return y[i] + c1[i] * s + c2[i] * (s * s) + c3[i] * (s * s * s)
+
+    def slope(v):
+        i, s = cell(v)
+        return c1[i] + d2[i] * s + d3[i] * (s * s)
+
+    return value, slope
+
+
 def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribution:
     """Build the weighted tail variable of (X, w) with tabulated cdf."""
     if dist.support.lo != 0.0:
@@ -112,8 +138,7 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
     else:
         nodes, fvals, slopes, gap = _build_table(unit_integrand(g, 0.0), 1.0, z)
         to_t, to_x = (lambda x: x / (1.0 + x)), (lambda t: t / (1.0 - t))
-    interp = CubicHermiteSpline(nodes, fvals, slopes, extrapolate=False)
-    density = interp.derivative()
+    interp, density = _hermite(nodes, fvals, slopes)
 
     @scalar_or_array
     def pdf(x):

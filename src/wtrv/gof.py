@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
-from scipy.stats import cramervonmises as _scipy_cvm
+from scipy.special import chdtrc
 
 from .distributions import DistributionHandle, make_catalog, sample as _draw
 from .fit import _CATALOG_NAME, MODELS, FitError, fit_mle, from_unit_values
@@ -77,7 +76,8 @@ def cvm_test(values, model: DistributionHandle) -> tuple[float, float]:
     """Cramer-von Mises W-squared and asymptotic p-value."""
     n, u, i = _pit(values, model)
     w2 = float(np.sum((u - (2 * i - 1) / (2 * n)) ** 2) + 1.0 / (12 * n))
-    p = float(_scipy_cvm(u, "uniform").pvalue)
+    from scipy.stats import cramervonmises  # deferred: slow to import, used only here
+    p = float(cramervonmises(u, "uniform").pvalue)
     return w2, p
 
 
@@ -110,7 +110,7 @@ def chisq_test(values, model: DistributionHandle, bins: int = 10,
     else:
         df = bins - 1 - n_params
     df = max(df, 1)
-    return stat, float(_chi2.sf(stat, df))
+    return stat, float(chdtrc(df, stat))
 
 
 # (statistic, asymptotic p-value) of each test for (values, model, bins,

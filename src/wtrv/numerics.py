@@ -2,7 +2,9 @@
 finding, box-constrained minimization, finite differences.
 
 Everything here is a pure function of its inputs and safe to call from
-multiple threads.
+multiple threads. The module loads NumPy and scipy.special only;
+brent_root and minimize_bounded import scipy.optimize on their first call,
+so commands that never fit do not pay for it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize as _opt
 from scipy import special as _sc
 
 
@@ -259,7 +260,8 @@ def brent_root(f: Callable[[float], float], lo: float, hi: float,
         return hi
     if flo * fhi > 0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo:.3g}, {fhi:.3g}")
-    return float(_opt.brentq(f, lo, hi, xtol=tol, rtol=max(4e-16, min(tol, 1e-10))))
+    from scipy.optimize import brentq  # deferred: most commands never optimize
+    return float(brentq(f, lo, hi, xtol=tol, rtol=max(4e-16, min(tol, 1e-10))))
 
 
 _NEWTON_ROUNDS = 200
@@ -357,7 +359,8 @@ def minimize_bounded(objective: Callable, gradient: Callable, x0: Sequence[float
         v = float(objective(np.asarray(x, dtype=float)))
         return v if math.isfinite(v) else _PENALTY
 
-    res = _opt.minimize(safe, x0, jac=gradient, method="L-BFGS-B", bounds=box,
+    from scipy.optimize import minimize  # deferred: only fitting optimizes
+    res = minimize(safe, x0, jac=gradient, method="L-BFGS-B", bounds=box,
                         options={"maxiter": 500, "maxcor": 10,
                                  "ftol": 1e-13, "gtol": min(tol, 1e-7)})
     x = np.clip(res.x, lo, hi)

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -177,3 +181,60 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["construct", "--weight", "power(c=2)"])
         assert exc.value.code == 2
+
+
+class TestParserCache:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("first, second", [
+        (["construct", "--dist", "gamma(k=2,lambda=1)", "--weight", "power(c=1.5)",
+          "--grid", "50", "--format", "json", "--seed", "7"],
+         ["simulate", "--dist", "weighted_kumaraswamy(a=2,b=3,c=1.5)", "--n", "20"]),
+        (["report", "--starts", "4", "--bins", "5", "--seed", "3", "CSV"],
+         ["describe", "CSV"]),
+    ], ids=["construct-simulate", "report-describe"])
+    def test_no_state_carries_between_calls(self, capsys, tmp_path, csv_path, first, second):
+        # the first call writes to --out and sets non-default flags; the
+        # second, on defaults and stdout, must print what it prints alone
+        first = [csv_path if a == "CSV" else a for a in first]
+        second = [csv_path if a == "CSV" else a for a in second]
+
+        def run(argv, out=None):
+            code = main(argv + (["--out", str(out)] if out else []))
+            assert code == 0
+            return out.read_bytes() if out else capsys.readouterr().out.encode()
+
+        cli._build_parser.cache_clear()
+        in_turn = run(first, tmp_path / "a"), run(second)
+        cli._build_parser.cache_clear()
+        first_alone = run(first, tmp_path / "b")
+        cli._build_parser.cache_clear()
+        assert (first_alone, run(second)) == in_turn
+        assert in_turn[1]
+
+
+class TestImportFootprint:
+    def test_commands_load_no_deferred_scipy(self):
+        # scipy.stats, scipy.optimize and scipy.interpolate load only inside
+        # the functions that use them (fit and gof); importing the package
+        # and running simulate or construct must not pull them in
+        script = textwrap.dedent("""
+            import json, os, sys
+            import wtrv, wtrv.cli
+            heavy = ("scipy.stats", "scipy.optimize", "scipy.interpolate")
+            seen = {"import": [m for m in heavy if m in sys.modules]}
+            for argv in (["simulate", "--dist", "weighted_kumaraswamy(a=2,b=3,c=1.5)", "--n", "50"],
+                         ["construct", "--dist", "gamma(k=2,lambda=1)", "--weight", "power(c=1.5)",
+                          "--format", "json"]):
+                assert wtrv.cli.main(argv + ["--out", os.devnull]) == 0
+                seen[argv[0]] = [m for m in heavy if m in sys.modules]
+            print(json.dumps(seen))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"import": [], "simulate": [], "construct": []}
