@@ -17,14 +17,14 @@ from .fit import (FitResult, NormalizedSample, fit_mle, from_unit_values,
 from .gof import (GofReport, ad_test, bootstrap_pvalue, chisq_test, cvm_test,
                   ks_test, run_gof)
 from .numerics import (AccuracyError, BracketError, ConvergenceError, Interval,
-                       OptimizeResult, QuadratureResult, brent_root, finite_diff_grad,
-                       incomplete_beta_upper, integrate_adaptive, invert_monotone,
-                       kolmogorov_sf, minimize_bounded)
-from .orders import (AuditReport, OrderVerdict, TheoremReport, check_order,
-                     named_fixture, randomized_theorem_audit, ratio_curve,
-                     verify_theorem)
-from .reliability import (AgingReport, ConditionReport, check_theorem_conditions,
-                          classify_aging, glaser, hazard, mrl, reversed_hazard)
+                       OptimizeResult, QuadratureResult, WtrvError, brent_root,
+                       finite_diff_grad, incomplete_beta_upper, integrate_adaptive,
+                       invert_monotone, kolmogorov_sf, minimize_bounded)
+from .orders import (AuditReport, ConditionReport, OrderVerdict, TheoremReport,
+                     check_order, check_theorem_conditions, named_fixture,
+                     randomized_theorem_audit, ratio_curve, verify_theorem)
+from .reliability import (AgingReport, classify_aging, glaser, hazard, mrl,
+                          reversed_hazard)
 from .weights import (IntegrabilityError, WeightFunction, make_weight,
                       parse_weight_spec, validate_weight,
                       weight_normalizer_integral)

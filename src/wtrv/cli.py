@@ -23,6 +23,7 @@ from . import reliability as _rel_mod
 from .construct import construct as _construct
 from .construct import table1_oracle_suite as _table1_oracle_suite
 from .distributions import parse_dist_spec, sample as _draw
+from .numerics import WtrvError
 from .weights import parse_weight_spec
 
 
@@ -82,12 +83,16 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _maybe_weighted(spec: str, wspec: Optional[str]):
+    dist = parse_dist_spec(spec)
+    if wspec:
+        return _construct(dist, parse_weight_spec(wspec))
+    return dist
+
+
 def _cmd_check_aging(args) -> int:
-    dist = parse_dist_spec(args.dist)
+    dist = _maybe_weighted(args.dist, args.weight)
     label = dist.describe()
-    if args.weight:
-        dist = _construct(dist, parse_weight_spec(args.weight))
-        label = dist.describe()
     report = _rel_mod.classify_aging(dist, grid_size=args.grid_size)
     if args.format == "json":
         _emit_json({"distribution": label, "classes": report.classes,
@@ -100,13 +105,6 @@ def _cmd_check_aging(args) -> int:
             lines.append(f"  {name:5s} {'yes' if report.classes[name] else 'no'}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _maybe_weighted(spec: str, wspec: Optional[str]):
-    dist = parse_dist_spec(spec)
-    if wspec:
-        return _construct(dist, parse_weight_spec(wspec))
-    return dist
 
 
 def _cmd_check_order(args) -> int:
@@ -338,7 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # module errors: structured message, exit 1
+    except (WtrvError, ValueError, OSError) as exc:  # structured message, exit 1
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

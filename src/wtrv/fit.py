@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from .distributions import DistributionHandle, make_catalog
-from .numerics import OptimizeResult, minimize_bounded
+from .numerics import OptimizeResult, WtrvError, minimize_bounded
 
 
 class DegenerateSampleError(ValueError):
@@ -29,7 +29,7 @@ class BoundaryError(ValueError):
     """A boundary value (0 or 1) entered a likelihood sum."""
 
 
-class FitError(RuntimeError):
+class FitError(WtrvError):
     """No optimizer start produced a finite optimum."""
 
 

@@ -17,19 +17,19 @@ from scipy.special import chdtrc
 
 from .distributions import DistributionHandle, make_catalog, sample as _draw
 from .fit import _CATALOG_NAME, MODELS, FitError, fit_mle, from_unit_values
-from .numerics import kolmogorov_sf
+from .numerics import WtrvError, kolmogorov_sf
 
 
 class BinningError(ValueError):
     """Chi-square expected counts too small for the requested bins."""
 
 
-class BootstrapError(RuntimeError):
+class BootstrapError(WtrvError):
     """Too many bootstrap replicates failed to refit."""
 
 
 TEST_NAMES = ("ks", "ad", "cvm", "chisq")
-DF_CONVENTIONS = ("bins-1", "bins-1-k", "calibrated")
+DF_CONVENTIONS = ("bins-1", "calibrated")
 _BOOTSTRAP_STARTS = 4
 
 

@@ -35,9 +35,6 @@ class Interval:
     def is_finite(self) -> bool:
         return math.isfinite(self.hi)
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -55,7 +52,12 @@ class OptimizeResult:
     converged: bool
 
 
-class AccuracyError(RuntimeError):
+class WtrvError(RuntimeError):
+    """Base of the package's runtime failures: a quadrature, root search,
+    weighted construction, fit or bootstrap that could not deliver a result."""
+
+
+class AccuracyError(WtrvError):
     """Quadrature could not reach the requested tolerance within budget.
 
     Carries the best available estimate so callers can distinguish a slowly
@@ -74,7 +76,7 @@ class BracketError(ValueError):
     """Root bracket does not enclose a sign change."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(WtrvError):
     """Vectorized root finding left points unconverged."""
 
 

@@ -1,23 +1,26 @@
-"""Grid-based stochastic order checks and order-preservation verifiers.
+"""Grid-based stochastic order checks and the paper's preservation results.
 
 Implements the likelihood ratio (lr), failure rate (fr), reversed failure
-rate (rfr), and usual stochastic (st) orders as one-sided grid checks, plus
-verifiers that test the hypotheses of each order-preservation result and,
-when they pass, assert its conclusion on the constructed variables.
+rate (rfr), and usual stochastic (st) orders as one-sided grid checks, and
+one table of the aging- and order-preservation results, read by two
+verifiers: each tests a result's hypotheses and, when they pass (always, for
+the order results), its conclusion on the constructed variables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .construct import construct, minimum_of, wtrv_of_minimum
-from .distributions import DistributionHandle, make_catalog
-from .reliability import _interior_grid, _monotone, _weight_over_hazard
-from .weights import IntegrabilityError, WeightFunction, make_weight
+from . import reliability
+from .construct import _TABLE_TOL, WtrvDistribution, construct, minimum_of, wtrv_of_minimum
+from .distributions import DistributionHandle, make_catalog, parse_dist_spec
+from .reliability import AGING_CLASSES, _interior_grid, _monotone, _mrl_grid
+from .weights import IntegrabilityError, WeightFunction, make_weight, parse_weight_spec
 
 ORDER_NAMES = ("lr", "fr", "rfr", "st")
 
@@ -43,7 +46,6 @@ def _cdf_accuracy(dist: DistributionHandle) -> float:
     """Absolute accuracy of the handle's cdf/sf: closed-form handles are
     exact to rounding; a construction carries twice its table gap, which is
     sampled at three points per cell, and at least twice the table tolerance."""
-    from .construct import _TABLE_TOL, WtrvDistribution
     return 2.0 * max(dist.table_gap, _TABLE_TOL) if isinstance(dist, WtrvDistribution) else 1e-12
 
 
@@ -127,15 +129,178 @@ class TheoremReport:
     detail: str = ""
 
 
+@dataclass(frozen=True)
+class ConditionReport:
+    which: str
+    hypotheses: dict[str, bool]
+    hypotheses_pass: bool
+    conclusion: str
+    conclusion_pass: Optional[bool]
+    detail: str = ""
+
+
+# The paper's thirteen results: for each, its branches, tried in order, as
+# (hypotheses, conclusion label, conclusion), and the label reported when no
+# branch holds. One rule reads every name (see _resolver): "A_o_B" is the
+# grid verdict A <=_o B and "A_C" says that A is in the aging class C, for A
+# and B among X, Y, Xw1 = Xw (X weighted by w1), Yw2 = Yw and the two sides
+# of Theorem 7; any other name is a grid fact of _aging_facts or _order_facts.
+_RESULTS = {
+    "prop1": ([(("X_IFR", "w_prime_log_concave"), "X_w is ILR", "Xw_ILR"),
+               (("X_DFR", "w_prime_log_convex"), "X_w is DLR", "Xw_DLR")],
+              "X_w is ILR or DLR"),
+    "thm1": ([(("X_IFR", "ratio_increasing", "ratio_log_concave"), "X_w is IFR", "Xw_IFR")],
+             "X_w is IFR"),
+    "thm2": ([(("X_DFR", "ratio_increasing", "ratio_log_convex"), "X_w is DFR", "Xw_DFR")],
+             "X_w is DFR"),
+    "thm3": ([(("X_DMRL", "ratio_increasing", "ratio_log_concave", "mrl_log_convex"),
+               "X_w is IFR (hence DMRL)", "Xw_IFR")], "X_w is IFR (hence DMRL)"),
+    "thm4": ([(("X_IMRL", "ratio_increasing", "ratio_log_convex", "mrl_log_concave"),
+               "X_w is DFR (hence IMRL)", "Xw_DFR")], "X_w is DFR (hence IMRL)"),
+    "prop2": ([(("X_IFR", "w_strictly_increasing", "w_concave"), "X_w <=lr X", "Xw_lr_X"),
+               (("X_DFR", "w_strictly_increasing", "w_convex"), "X <=lr X_w", "X_lr_Xw")],
+              "X_w <=lr X or X <=lr X_w"),
+    "thm5i": ([(("l1_le_l2", "u1_le_u2", "X_fr_Y", "w2p_over_w1p_increasing", "w1p_nonzero"),
+                "lr", "Xw1_lr_Yw2")], "lr"),
+    "thm5ii": ([(("Xw1_lr_Yw2", "w1p_over_w2p_increasing", "w2p_nonzero"), "fr", "X_fr_Y")],
+               "fr"),
+    "thm6": ([(("Xw1_rfr_Yw2", "w1p_over_w2p_increasing", "w2p_nonzero",
+                "w1p_nonzero_at_origin"), "st", "X_st_Y")], "st"),
+    "thm7": ([(("common_weight", "same_support", "Xw_fr_X", "Yw_fr_Y"), "lr",
+               "min(Xw,Yw)_lr_min(X,Y)w")], "lr"),
+    "thm8": ([(("w1p_over_rX_decreasing", "w2p_over_rY_increasing", "X_st_Y"), "st",
+               "Xw1_st_Yw2")], "st"),
+    "thm9": ([(("w1p_over_rX_decreasing", "w2p_over_rY_increasing", "l1_le_l2", "u1_le_u2",
+                "X_fr_Y"), "fr", "Xw1_fr_Yw2")], "fr"),
+    "thm10": ([(("w1p_over_rX_decreasing", "w2p_over_rY_increasing", "l1_le_l2", "u1_le_u2",
+                 "X_rfr_Y"), "rfr", "Xw1_rfr_Yw2")], "rfr"),
+}
 THEOREM_IDS = ("thm5i", "thm5ii", "thm6", "thm7", "thm8", "thm9", "thm10")
+_AGING_IDS = tuple(k for k in _RESULTS if k not in THEOREM_IDS)
 
 
-def _weight_deriv_ratio(xs, wa: WeightFunction, wb: WeightFunction):
-    """w_a'(x)/w_b'(x) on a grid, nan where the denominator vanishes."""
+def _resolver(operands: dict, facts: dict, grid_size: int) -> Callable:
+    """Evaluate names by the rule of _RESULTS, each at most once. `operands`
+    maps a variable name to its handle, or to a function that builds it (or
+    returns None when it does not exist, which makes its verdicts None);
+    `facts` maps every other name to the function that computes it."""
+    @functools.cache
+    def operand(name):
+        v = operands[name]
+        return v if isinstance(v, DistributionHandle) else v()
+
+    @functools.cache
+    def classes(name):
+        # looked up on the module, so a wrapper installed there sees these calls
+        return reliability.classify_aging(operand(name), grid_size=grid_size).classes
+
+    @functools.cache
+    def resolve(name):
+        a, *rest = name.split("_")
+        if len(rest) == 2 and rest[0] in ORDER_NAMES:
+            x, y = operand(a), operand(rest[1])
+            return None if x is None or y is None else check_order(x, y, rest[0], grid_size)
+        if len(rest) == 1 and rest[0] in AGING_CLASSES:
+            return classes(a)[rest[0]]
+        return facts[name]()
+
+    return resolve
+
+
+def _weight_over_hazard(xs, dist: DistributionHandle, w: WeightFunction):
+    """w'(x)/r_X(x) = w'(x) sf(x) / pdf(x) on a grid, nan where the pdf vanishes."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        num = np.asarray(wa.w_prime(xs), dtype=float)
-        den = np.asarray(wb.w_prime(xs), dtype=float)
-        return np.where(np.abs(den) > 0, num / np.where(den == 0, 1.0, den), np.nan)
+        num = np.asarray(w.w_prime(xs), dtype=float) * np.asarray(dist.sf(xs), dtype=float)
+        den = np.asarray(dist.pdf(xs), dtype=float)
+        return np.where(den > 0, num / np.maximum(den, 1e-300), np.nan)
+
+
+def concavity_on_grid(xs: np.ndarray, vals: np.ndarray, slack_rel: float = 1e-9):
+    """(concave_ok, convex_ok): divided-difference slopes monotone on the grid."""
+    ok = np.isfinite(vals) & np.isfinite(xs)
+    x, v = xs[ok], vals[ok]
+    dx = np.diff(x)
+    keep = dx > 0
+    if np.count_nonzero(keep) < 2:
+        return False, False
+    nondec, noninc, _ = _monotone(x[:-1][keep], np.diff(v)[keep] / dx[keep], slack_rel=slack_rel)
+    return noninc, nondec
+
+
+def log_concavity_on_grid(xs: np.ndarray, vals: np.ndarray, slack_rel: float = 1e-9):
+    """(log_concave_ok, log_convex_ok) for a positive function sampled on a grid."""
+    v = np.asarray(vals, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(v > 0, np.log(np.maximum(v, 1e-300)), np.nan)
+    if np.count_nonzero(np.isfinite(logs)) < len(v) - 2:
+        return False, False
+    return concavity_on_grid(xs, logs, slack_rel=slack_rel)
+
+
+def _aging_facts(dist: DistributionHandle, weight: WeightFunction, grid_size: int) -> dict:
+    """The grid facts of the aging results, each computed when first named."""
+    hi = min(dist.support.hi, weight.domain_hint.hi)
+    if math.isinf(hi):
+        grid = _interior_grid(dist, grid_size)
+    else:
+        grid = np.linspace(dist.support.lo, hi, grid_size + 2)[1:-1]
+    ratio = _weight_over_hazard(grid, dist, weight)
+    wp = np.asarray(weight.w_prime(grid), dtype=float)
+    w = np.asarray(weight.w(grid), dtype=float)
+
+    def mrl_shape():
+        m = _mrl_grid(dist, grid)
+        return log_concavity_on_grid(grid, m) if np.isfinite(m).sum() >= 3 else (False, False)
+
+    return {"ratio_increasing": lambda: _monotone(grid, ratio)[0],
+            "ratio_log_concave": lambda: log_concavity_on_grid(grid, ratio)[0],
+            "ratio_log_convex": lambda: log_concavity_on_grid(grid, ratio)[1],
+            "w_prime_log_concave": lambda: log_concavity_on_grid(grid, wp)[0],
+            "w_prime_log_convex": lambda: log_concavity_on_grid(grid, wp)[1],
+            "w_concave": lambda: concavity_on_grid(grid, w)[0],
+            "w_convex": lambda: concavity_on_grid(grid, w)[1],
+            "mrl_log_concave": lambda: mrl_shape()[0],
+            "mrl_log_convex": lambda: mrl_shape()[1],
+            "w_strictly_increasing": lambda: bool(np.all(wp[np.isfinite(wp)] > 0))}
+
+
+def _order_facts(x: DistributionHandle, y: DistributionHandle, w1: WeightFunction,
+                 w2: WeightFunction, xw, yw, grid: np.ndarray) -> dict:
+    """The grid facts of the order results, each computed when first named."""
+    lo = max(x.support.lo, y.support.lo)
+    hi = min(x.support.hi, y.support.hi, w1.domain_hint.hi, w2.domain_hint.hi)
+    inner = grid[(grid > lo) & (grid < hi)]
+
+    def slope_ratio_increasing(wa, wb):  # w_a'/w_b', nan where w_b' vanishes
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            num = np.asarray(wa.w_prime(inner), dtype=float)
+            den = np.asarray(wb.w_prime(inner), dtype=float)
+            ratio = np.where(np.abs(den) > 0, num / np.where(den == 0, 1.0, den), np.nan)
+        return _monotone(inner, ratio, 1e-9)[0]
+
+    def slope_nonzero(w):
+        return bool(np.all(np.abs(np.asarray(w.w_prime(inner), dtype=float)) > 0))
+
+    def over_hazard(dist, w):
+        g = grid[(grid > dist.support.lo) & (grid < min(dist.support.hi, w.domain_hint.hi))]
+        return _monotone(g, _weight_over_hazard(g, dist, w), 1e-9)
+
+    def slope_nonzero_at_origin():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w1p0 = float(np.asarray(w1.w_prime(0.0), dtype=float))
+        return bool(w1p0 == w1p0 and w1p0 != 0.0)
+
+    return {"l1_le_l2": lambda: xw.support.lo <= yw.support.lo,
+            "u1_le_u2": lambda: xw.support.hi <= yw.support.hi,
+            "w1p_over_w2p_increasing": lambda: slope_ratio_increasing(w1, w2),
+            "w2p_over_w1p_increasing": lambda: slope_ratio_increasing(w2, w1),
+            "w1p_nonzero": lambda: slope_nonzero(w1),
+            "w2p_nonzero": lambda: slope_nonzero(w2),
+            "w1p_nonzero_at_origin": slope_nonzero_at_origin,
+            "common_weight": lambda: w1.describe() == w2.describe(),
+            "same_support": lambda: x.support == y.support,
+            "w1p_over_rX_decreasing": lambda: over_hazard(x, w1)[1],
+            "w2p_over_rY_increasing": lambda: over_hazard(y, w2)[0]}
 
 
 def _try_construct(dist, weight):
@@ -145,94 +310,56 @@ def _try_construct(dist, weight):
         return None, str(exc)
 
 
-def _report(which, hyp, order, conclusion, detail=""):
-    ok = all(hyp.values())
-    consistent = (not ok) or (conclusion is not None and conclusion.holds_on_grid)
-    return TheoremReport(which=which, hypotheses=hyp, hypotheses_pass=ok,
-                         conclusion_order=order, conclusion=conclusion,
-                         consistent=consistent, detail=detail)
-
-
 def verify_theorem(x: DistributionHandle, y: DistributionHandle,
                    w1: WeightFunction, w2: WeightFunction, which: str,
                    grid_size: int = 128) -> TheoremReport:
-    """Check one order-preservation result end to end: grid-test its
-    hypotheses, construct the weighted variables, test the conclusion."""
+    """Check one order-preservation result end to end: construct the weighted
+    variables, grid-test the hypotheses, test the conclusion."""
     if which not in THEOREM_IDS:
         raise ValueError(f"unknown result id {which!r}; known: {', '.join(THEOREM_IDS)}")
+    [(keys, order, conclusion)], _ = _RESULTS[which]
     grid = _merged_grid(x, y, grid_size)
-    lo = max(x.support.lo, y.support.lo)
-    hi = min(x.support.hi, y.support.hi, w1.domain_hint.hi, w2.domain_hint.hi)
-    inner = grid[(grid > lo) & (grid < hi)]
-
     xw, dx = _try_construct(x, w1)
     yw, dy = _try_construct(y, w2)
     if xw is None or yw is None:
         return TheoremReport(which, {"construction_ok": False}, False, "", None,
                              True, dx or dy)
-    bounds = {"l1_le_l2": xw.support.lo <= yw.support.lo,
-              "u1_le_u2": xw.support.hi <= yw.support.hi}
+    same = x.support == y.support
+    resolve = _resolver({"X": x, "Y": y, "Xw1": xw, "Xw": xw, "Yw2": yw, "Yw": yw,
+                         "min(Xw,Yw)": lambda: minimum_of([xw, yw]) if same else None,
+                         "min(X,Y)w": lambda: wtrv_of_minimum([x, y], w1) if same else None},
+                        _order_facts(x, y, w1, w2, xw, yw, grid), grid_size)
+    if "common_weight" in keys and not resolve("common_weight"):
+        # the result speaks of one weight; nothing else is checked
+        return TheoremReport(which, {"common_weight": False}, False, order, None,
+                             True, "requires a common weight for both variables")
+    hyp = {k: bool(resolve(k)) for k in keys}
+    verdict = resolve(conclusion)
+    ok = all(hyp.values())
+    return TheoremReport(which, hyp, ok, order, verdict, not ok or bool(verdict))
 
-    if which == "thm5i":
-        hyp = {**bounds,
-               "X_fr_Y": check_order(x, y, "fr", grid_size).holds_on_grid,
-               "w2p_over_w1p_increasing": _monotone(
-                   inner, _weight_deriv_ratio(inner, w2, w1), 1e-9)[0],
-               "w1p_nonzero": bool(np.all(np.abs(np.asarray(w1.w_prime(inner), dtype=float)) > 0))}
-        concl = check_order(xw, yw, "lr", grid_size)
-        return _report(which, hyp, "lr", concl)
 
-    if which == "thm5ii":
-        hyp = {"Xw1_lr_Yw2": check_order(xw, yw, "lr", grid_size).holds_on_grid,
-               "w1p_over_w2p_increasing": _monotone(
-                   inner, _weight_deriv_ratio(inner, w1, w2), 1e-9)[0],
-               "w2p_nonzero": bool(np.all(np.abs(np.asarray(w2.w_prime(inner), dtype=float)) > 0))}
-        concl = check_order(x, y, "fr", grid_size)
-        return _report(which, hyp, "fr", concl)
-
-    if which == "thm6":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w1p0 = float(np.asarray(w1.w_prime(0.0), dtype=float))
-        hyp = {"Xw1_rfr_Yw2": check_order(xw, yw, "rfr", grid_size).holds_on_grid,
-               "w1p_over_w2p_increasing": _monotone(
-                   inner, _weight_deriv_ratio(inner, w1, w2), 1e-9)[0],
-               "w2p_nonzero": bool(np.all(np.abs(np.asarray(w2.w_prime(inner), dtype=float)) > 0)),
-               "w1p_nonzero_at_origin": bool(w1p0 == w1p0 and w1p0 != 0.0)}
-        concl = check_order(x, y, "st", grid_size)
-        return _report(which, hyp, "st", concl)
-
-    if which == "thm7":
-        if w1.describe() != w2.describe():
-            return TheoremReport(which, {"common_weight": False}, False, "lr", None,
-                                 True, "requires a common weight for both variables")
-        hyp = {"common_weight": True,
-               "same_support": x.support == y.support,
-               "Xw_fr_X": check_order(xw, x, "fr", grid_size).holds_on_grid,
-               "Yw_fr_Y": check_order(yw, y, "fr", grid_size).holds_on_grid}
-        concl = None
-        if hyp["same_support"]:
-            concl = check_order(minimum_of([xw, yw]), wtrv_of_minimum([x, y], w1),
-                                "lr", grid_size)
-        return _report(which, hyp, "lr", concl)
-
-    # thm8 / thm9 / thm10: hazard-weighted monotonicity plus a base order
-    gx = grid[(grid > x.support.lo) & (grid < min(x.support.hi, w1.domain_hint.hi))]
-    gy = grid[(grid > y.support.lo) & (grid < min(y.support.hi, w2.domain_hint.hi))]
-    hyp = {"w1p_over_rX_decreasing": _monotone(gx, _weight_over_hazard(gx, x, w1), 1e-9)[1],
-           "w2p_over_rY_increasing": _monotone(gy, _weight_over_hazard(gy, y, w2), 1e-9)[0]}
-    if which == "thm8":
-        base = "st"
-        hyp["X_st_Y"] = check_order(x, y, "st", grid_size).holds_on_grid
-    elif which == "thm9":
-        base = "fr"
-        hyp.update(bounds)
-        hyp["X_fr_Y"] = check_order(x, y, "fr", grid_size).holds_on_grid
+def check_theorem_conditions(dist: DistributionHandle, weight: WeightFunction,
+                             which: str, grid_size: int = 128) -> ConditionReport:
+    """Grid-check the hypotheses of one aging-preservation result and, when
+    they pass, verify its conclusion on the constructed variable."""
+    if which not in _AGING_IDS:
+        raise ValueError(f"unknown result id {which!r}; known: {', '.join(_AGING_IDS)}")
+    branches, fallback = _RESULTS[which]
+    operands = {"X": dist}
+    resolve = _resolver(operands, _aging_facts(dist, weight, grid_size), max(grid_size, 64))
+    for keys, label, conclusion in branches:
+        hyp = {k: bool(resolve(k)) for k in keys}
+        if all(hyp.values()):
+            break
     else:
-        base = "rfr"
-        hyp.update(bounds)
-        hyp["X_rfr_Y"] = check_order(x, y, "rfr", grid_size).holds_on_grid
-    concl = check_order(xw, yw, base, grid_size)
-    return _report(which, hyp, base, concl)
+        hyp = {k: bool(resolve(k)) for keys, _, _ in branches for k in keys}
+        return ConditionReport(which, hyp, False, fallback, None, "hypotheses not met")
+    try:
+        operands["Xw"] = construct(dist, weight)
+    except IntegrabilityError as exc:
+        return ConditionReport(which, hyp, True, label, None, f"construction failed: {exc}")
+    return ConditionReport(which, hyp, True, label, bool(resolve(conclusion)), "")
 
 
 FIXTURES = {
@@ -247,8 +374,6 @@ FIXTURES = {
 
 def named_fixture(name: str):
     """(X, Y, w1, w2, which) for a catalogued worked example."""
-    from .distributions import parse_dist_spec
-    from .weights import parse_weight_spec
     if name not in FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; known: {', '.join(sorted(FIXTURES))}")
     xs, ys, w1s, w2s, which = FIXTURES[name]
@@ -284,36 +409,31 @@ class AuditReport:
     counterexample: Optional[dict] = None
 
 
+def _power(c: float) -> WeightFunction:
+    return make_weight("power", {"c": c})
+
+
+def _hazard_weights(u):
+    return _power(u(0.5, 1.0)), _power(u(1.0, 2.5))
+
+
+# Weights (w1, w2) inside each result's hypothesis class, drawn by u(lo, hi)
+_AUDIT_WEIGHTS = {
+    "thm5i": lambda u: (_power(k := u(0.8, 1.5)), _power(k + u(0.2, 1.5))),
+    "thm5ii": lambda u: (_power(k := u(0.8, 2.0)), _power(k)),
+    "thm6": lambda u: (make_weight("linear"), make_weight("linear")),
+    "thm7": lambda u: (w := _power(u(0.5, 1.0)), w),
+    "thm8": _hazard_weights, "thm9": _hazard_weights, "thm10": _hazard_weights,
+}
+
+
 def _audit_tuple(which: str, rng: np.random.Generator):
     """Random (X, Y, w1, w2) inside the hypothesis class of each result."""
     lam1 = rng.uniform(1.0, 3.0)
     lam2 = lam1 * rng.uniform(0.35, 0.95)
-    if which == "thm5i":
-        k1 = rng.uniform(0.8, 1.5)
-        k2 = k1 + rng.uniform(0.2, 1.5)
-        return (make_catalog("exponential", {"lambda": lam1}),
-                make_catalog("exponential", {"lambda": lam2}),
-                make_weight("power", {"c": k1}), make_weight("power", {"c": k2}))
-    if which == "thm5ii":
-        k = rng.uniform(0.8, 2.0)
-        return (make_catalog("exponential", {"lambda": lam1}),
-                make_catalog("exponential", {"lambda": lam2}),
-                make_weight("power", {"c": k}), make_weight("power", {"c": k}))
-    if which == "thm6":
-        return (make_catalog("exponential", {"lambda": lam1}),
-                make_catalog("exponential", {"lambda": lam2}),
-                make_weight("linear"), make_weight("linear"))
-    if which == "thm7":
-        k = rng.uniform(0.5, 1.0)
-        w = make_weight("power", {"c": k})
-        return (make_catalog("exponential", {"lambda": lam1}),
-                make_catalog("exponential", {"lambda": lam2}), w, w)
-    # thm8 / thm9 / thm10
-    k1 = rng.uniform(0.5, 1.0)
-    k2 = rng.uniform(1.0, 2.5)
     return (make_catalog("exponential", {"lambda": lam1}),
             make_catalog("exponential", {"lambda": lam2}),
-            make_weight("power", {"c": k1}), make_weight("power", {"c": k2}))
+            *_AUDIT_WEIGHTS[which](rng.uniform))
 
 
 def randomized_theorem_audit(which: str, trials: int, seed: int,

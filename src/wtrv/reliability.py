@@ -1,11 +1,9 @@
 """Reliability functionals and aging-class checks.
 
 Provides the hazard rate, reversed hazard rate, mean residual life, and
-Glaser function of a distribution handle, a grid-based aging classifier for
-the ILR/DLR, IFR/DFR, and DMRL/IMRL classes, and hypothesis/conclusion
-checkers for the aging-preservation results of the construction, driven by
-one table of results. The hazard and the Glaser function are evaluated on
-the whole grid at once.
+Glaser function of a distribution handle, and a grid-based aging classifier
+for the ILR/DLR, IFR/DFR, and DMRL/IMRL classes. The hazard and the Glaser
+function are evaluated on the whole grid at once.
 
 Grid checks are one-sided: a violation disproves membership, absence of a
 violation on the grid supports it but proves nothing.
@@ -15,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .distributions import DistributionHandle
 from .numerics import (AccuracyError, Interval, _gk15_cells, integrate_adaptive,
                        scalar_or_array)
-from .weights import IntegrabilityError, WeightFunction
+from .weights import IntegrabilityError
 
 
 class TailError(ValueError):
@@ -118,33 +115,6 @@ def _monotone(xs: np.ndarray, vals: np.ndarray, slack_rel: float = 5e-7):
     return inc_bad.size == 0, dec_bad.size == 0, witness
 
 
-def _slopes(xs: np.ndarray, vals: np.ndarray):
-    ok = np.isfinite(vals) & np.isfinite(xs)
-    x, v = xs[ok], vals[ok]
-    dx = np.diff(x)
-    keep = dx > 0
-    return x[:-1][keep], np.diff(v)[keep] / dx[keep]
-
-
-def concavity_on_grid(xs: np.ndarray, vals: np.ndarray, slack_rel: float = 1e-9):
-    """(concave_ok, convex_ok): divided-difference slopes monotone on the grid."""
-    sx, s = _slopes(xs, vals)
-    if len(s) < 2:
-        return False, False
-    nondec, noninc, _ = _monotone(sx, s, slack_rel=slack_rel)
-    return noninc, nondec
-
-
-def log_concavity_on_grid(xs: np.ndarray, vals: np.ndarray, slack_rel: float = 1e-9):
-    """(log_concave_ok, log_convex_ok) for a positive function sampled on a grid."""
-    v = np.asarray(vals, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(v > 0, np.log(np.maximum(v, 1e-300)), np.nan)
-    if np.count_nonzero(np.isfinite(logs)) < len(v) - 2:
-        return False, False
-    return concavity_on_grid(xs, logs, slack_rel=slack_rel)
-
-
 @dataclass(frozen=True)
 class AgingReport:
     classes: dict[str, bool]
@@ -222,99 +192,3 @@ def classify_aging(dist: DistributionHandle, grid_size: int = 128) -> AgingRepor
         if classes[c]:
             witnesses.pop(c, None)
     return AgingReport(classes=classes, grid=grid, witnesses=witnesses, failures=failures)
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    which: str
-    hypotheses: dict[str, bool]
-    hypotheses_pass: bool
-    conclusion: str
-    conclusion_pass: Optional[bool]
-    detail: str = ""
-
-
-# Each aging result: its branches, tried in order, as (hypothesis keys,
-# conclusion, target), and the conclusion reported when no branch holds.
-# A target is an aging class of X_w, or an lr-ordered pair of "X" and "X_w".
-_AGING_RESULTS = {
-    "prop1": ([(("X_IFR", "w_prime_log_concave"), "X_w is ILR", "ILR"),
-               (("X_DFR", "w_prime_log_convex"), "X_w is DLR", "DLR")],
-              "X_w is ILR or DLR"),
-    "thm1": ([(("X_IFR", "ratio_increasing", "ratio_log_concave"), "X_w is IFR", "IFR")],
-             "X_w is IFR"),
-    "thm2": ([(("X_DFR", "ratio_increasing", "ratio_log_convex"), "X_w is DFR", "DFR")],
-             "X_w is DFR"),
-    "thm3": ([(("X_DMRL", "ratio_increasing", "ratio_log_concave", "mrl_log_convex"),
-               "X_w is IFR (hence DMRL)", "IFR")], "X_w is IFR (hence DMRL)"),
-    "thm4": ([(("X_IMRL", "ratio_increasing", "ratio_log_convex", "mrl_log_concave"),
-               "X_w is DFR (hence IMRL)", "DFR")], "X_w is DFR (hence IMRL)"),
-    "prop2": ([(("X_IFR", "w_strictly_increasing", "w_concave"), "X_w <=lr X", ("X_w", "X")),
-               (("X_DFR", "w_strictly_increasing", "w_convex"), "X <=lr X_w", ("X", "X_w"))],
-              "X_w <=lr X or X <=lr X_w"),
-}
-
-
-def _weight_over_hazard(xs, dist: DistributionHandle, w: WeightFunction):
-    """w'(x)/r_X(x) = w'(x) sf(x) / pdf(x) on a grid, nan where the pdf vanishes."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        num = np.asarray(w.w_prime(xs), dtype=float) * np.asarray(dist.sf(xs), dtype=float)
-        den = np.asarray(dist.pdf(xs), dtype=float)
-        return np.where(den > 0, num / np.maximum(den, 1e-300), np.nan)
-
-
-def _aging_facts(dist: DistributionHandle, weight: WeightFunction,
-                 grid_size: int) -> dict[str, bool]:
-    """Every grid hypothesis of the aging results, keyed as in _AGING_RESULTS."""
-    base = classify_aging(dist, grid_size=max(grid_size, 64)).classes
-    hi = min(dist.support.hi, weight.domain_hint.hi)
-    if math.isinf(hi):
-        grid = _interior_grid(dist, grid_size)
-    else:
-        grid = np.linspace(dist.support.lo, hi, grid_size + 2)[1:-1]
-    ratio = _weight_over_hazard(grid, dist, weight)
-    wp = np.asarray(weight.w_prime(grid), dtype=float)
-    m = _mrl_grid(dist, grid)
-    facts = {f"X_{c}": base[c] for c in ("IFR", "DFR", "DMRL", "IMRL")}
-    facts["ratio_increasing"] = _monotone(grid, ratio)[0]
-    facts["ratio_log_concave"], facts["ratio_log_convex"] = log_concavity_on_grid(grid, ratio)
-    facts["w_prime_log_concave"], facts["w_prime_log_convex"] = log_concavity_on_grid(grid, wp)
-    facts["w_concave"], facts["w_convex"] = concavity_on_grid(
-        grid, np.asarray(weight.w(grid), dtype=float))
-    facts["mrl_log_concave"], facts["mrl_log_convex"] = (
-        log_concavity_on_grid(grid, m) if np.isfinite(m).sum() >= 3 else (False, False))
-    facts["w_strictly_increasing"] = bool(np.all(wp[np.isfinite(wp)] > 0))
-    return facts
-
-
-def check_theorem_conditions(dist: DistributionHandle, weight: WeightFunction,
-                             which: str, grid_size: int = 128) -> ConditionReport:
-    """Grid-check the hypotheses of one aging-preservation result and, when
-    they pass, verify its conclusion on the constructed variable."""
-    from .construct import construct  # deferred: construct imports weights only
-
-    if which not in _AGING_RESULTS:
-        raise ValueError(f"unknown result id {which!r}; known: {', '.join(_AGING_RESULTS)}")
-    branches, fallback = _AGING_RESULTS[which]
-    facts = _aging_facts(dist, weight, grid_size)
-    for keys, conclusion, target in branches:
-        hyp = {k: facts[k] for k in keys}
-        if all(hyp.values()):
-            break
-    else:
-        hyp = {k: facts[k] for keys, _, _ in branches for k in keys}
-        return ConditionReport(which, hyp, False, fallback, None, "hypotheses not met")
-
-    try:
-        built = construct(dist, weight)
-    except IntegrabilityError as exc:
-        return ConditionReport(which, hyp, True, conclusion, None, f"construction failed: {exc}")
-    grid_size = max(grid_size, 64)
-    if isinstance(target, str):
-        holds = classify_aging(built, grid_size=grid_size).classes[target]
-    else:
-        from .orders import check_order
-        named = {"X": dist, "X_w": built}
-        holds = check_order(named[target[0]], named[target[1]], "lr",
-                            grid_size=grid_size).holds_on_grid
-    return ConditionReport(which, hyp, True, conclusion, bool(holds), "")

@@ -16,10 +16,10 @@ from typing import Callable
 import numpy as np
 
 from .distributions import DistributionHandle, parse_kv_spec
-from .numerics import AccuracyError, Interval, integrate_adaptive
+from .numerics import AccuracyError, Interval, WtrvError, integrate_adaptive
 
 
-class IntegrabilityError(RuntimeError):
+class IntegrabilityError(WtrvError):
     """Weight derivative is not integrable against the base distribution."""
 
 

@@ -177,6 +177,20 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_missing_csv_exit_one(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "describe", str(tmp_path / "missing.csv"))
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
+    def test_programming_error_propagates(self, capsys, monkeypatch):
+        # only the package's typed failures, bad input and I/O become exit 1
+        def broken(*args, **kwargs):
+            raise TypeError("broken command")
+
+        monkeypatch.setattr(cli, "_draw", broken)
+        with pytest.raises(TypeError, match="broken command"):
+            main(["simulate", "--dist", "uniform()", "--n", "3"])
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "--weight", "power(c=2)"])

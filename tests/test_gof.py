@@ -88,6 +88,8 @@ class TestChisq:
                               df_convention="calibrated", n_params=2)
         assert p_full == pytest.approx(float(chi2.sf(stat, 9)), abs=1e-12)
         assert p_cal == pytest.approx(float(chi2.sf(stat, 7)), abs=1e-12)
+        with pytest.raises(ValueError):  # a second spelling of "calibrated", dropped
+            chisq_test(values, UNIFORM, bins=10, df_convention="bins-1-k", n_params=2)
 
     def test_bad_bins(self):
         with pytest.raises(Exception):

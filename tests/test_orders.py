@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from wtrv import (check_order, construct, make_catalog, make_weight,
-                  named_fixture, randomized_theorem_audit, ratio_curve,
-                  verify_theorem)
+from wtrv import (check_order, check_theorem_conditions, construct, make_catalog,
+                  make_weight, named_fixture, parse_dist_spec, parse_weight_spec,
+                  randomized_theorem_audit, ratio_curve, verify_theorem)
+from wtrv import orders
 from wtrv.orders import FIXTURES, THEOREM_IDS
 
 
@@ -130,3 +131,67 @@ class TestAudits:
     def test_audit_ids_cover_all_theorems(self):
         assert set(THEOREM_IDS) == {"thm5i", "thm5ii", "thm6", "thm7", "thm8",
                                     "thm9", "thm10"}
+
+
+# One in-class input per paper result: (X, w) for the aging results and
+# (X, Y, w1, w2) for the order results, the hypothesis keys in report order,
+# and the conclusion label (the order, for thm5i..thm10). Every case passes
+# its hypotheses and its conclusion; the values are those of the two
+# verifiers before they were merged into one table.
+RESULT_CASES = {
+    "prop1": (("truncated_power(beta=3.5)", "power(c=2.25)"),
+              ("X_IFR", "w_prime_log_concave"), "X_w is ILR"),
+    "thm1": (("exponential(lambda=1)", "power(c=2)"),
+             ("X_IFR", "ratio_increasing", "ratio_log_concave"), "X_w is IFR"),
+    "thm2": (("exponential(lambda=2)", "expm1()"),
+             ("X_DFR", "ratio_increasing", "ratio_log_convex"), "X_w is DFR"),
+    "thm3": (("weibull(alpha=1.5,beta=1)", "power(c=2)"),
+             ("X_DMRL", "ratio_increasing", "ratio_log_concave", "mrl_log_convex"),
+             "X_w is IFR (hence DMRL)"),
+    # w = x^alpha leaves a Weibull(alpha) base unchanged: w'/r_X is constant
+    "thm4": (("weibull(alpha=0.7,beta=1)", "power(c=0.7)"),
+             ("X_IMRL", "ratio_increasing", "ratio_log_convex", "mrl_log_concave"),
+             "X_w is DFR (hence IMRL)"),
+    # the second branch: a DFR base and a convex weight
+    "prop2": (("weibull(alpha=0.7,beta=1)", "power(c=2)"),
+              ("X_DFR", "w_strictly_increasing", "w_convex"), "X <=lr X_w"),
+    "thm5i": (("exponential(lambda=2)", "exponential(lambda=1)", "power(c=1.5)", "power(c=2.5)"),
+              ("l1_le_l2", "u1_le_u2", "X_fr_Y", "w2p_over_w1p_increasing", "w1p_nonzero"),
+              "lr"),
+    "thm5ii": (("exponential(lambda=2)", "exponential(lambda=1)", "power(c=1.5)", "power(c=1.5)"),
+               ("Xw1_lr_Yw2", "w1p_over_w2p_increasing", "w2p_nonzero"), "fr"),
+    "thm6": (("exponential(lambda=2)", "exponential(lambda=1)", "linear()", "linear()"),
+             ("Xw1_rfr_Yw2", "w1p_over_w2p_increasing", "w2p_nonzero",
+              "w1p_nonzero_at_origin"), "st"),
+    "thm7": (("exponential(lambda=1)", "exponential(lambda=2)", "power(c=0.7)", "power(c=0.7)"),
+             ("common_weight", "same_support", "Xw_fr_X", "Yw_fr_Y"), "lr"),
+    "thm8": (("exponential(lambda=2)", "exponential(lambda=1)", "power(c=0.7)", "power(c=1.5)"),
+             ("w1p_over_rX_decreasing", "w2p_over_rY_increasing", "X_st_Y"), "st"),
+    "thm9": (("exponential(lambda=2)", "exponential(lambda=1)", "power(c=0.7)", "power(c=1.5)"),
+             ("w1p_over_rX_decreasing", "w2p_over_rY_increasing", "l1_le_l2", "u1_le_u2",
+              "X_fr_Y"), "fr"),
+    "thm10": (("exponential(lambda=2)", "exponential(lambda=1)", "power(c=0.7)", "power(c=1.5)"),
+              ("w1p_over_rX_decreasing", "w2p_over_rY_increasing", "l1_le_l2", "u1_le_u2",
+               "X_rfr_Y"), "rfr"),
+}
+
+
+class TestEveryResult:
+    def test_cases_cover_the_table(self):
+        assert list(RESULT_CASES) == list(orders._RESULTS)
+
+    @pytest.mark.parametrize("which", list(RESULT_CASES))
+    def test_in_class_input(self, which):
+        specs, keys, label = RESULT_CASES[which]
+        if len(specs) == 2:
+            rep = check_theorem_conditions(parse_dist_spec(specs[0]),
+                                           parse_weight_spec(specs[1]), which)
+            assert (rep.conclusion, rep.conclusion_pass) == (label, True)
+        else:
+            x, y = parse_dist_spec(specs[0]), parse_dist_spec(specs[1])
+            w1, w2 = parse_weight_spec(specs[2]), parse_weight_spec(specs[3])
+            rep = verify_theorem(x, y, w1, w2, which)
+            assert rep.conclusion_order == label
+            assert rep.conclusion.holds_on_grid and rep.consistent
+        assert tuple(rep.hypotheses) == keys
+        assert rep.hypotheses_pass and rep.detail == ""
