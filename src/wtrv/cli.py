@@ -171,8 +171,7 @@ def _load_sample(args):
 
 def _cmd_fit(args) -> int:
     sample = _load_sample(args)
-    result = _fit_mod.fit_mle(sample, args.model, starts=args.starts,
-                              seed=args.seed)
+    result = _fit_mod.fit_mle(sample, args.model, starts=args.starts)
     if args.emit_density:
         grid = np.linspace(0.001, 0.999, 399)
         _emit_csv(["x", "pdf"],
@@ -188,8 +187,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_gof(args) -> int:
     sample = _load_sample(args)
-    result = _fit_mod.fit_mle(sample, args.model, starts=args.starts,
-                              seed=args.seed)
+    result = _fit_mod.fit_mle(sample, args.model, starts=args.starts)
     report = _gof_mod.run_gof(sample.likelihood_values, result.handle(),
                               args.model, tests=args.tests.split(","),
                               method=args.pvalue, bins=args.bins,
@@ -206,8 +204,7 @@ def _cmd_report(args) -> int:
     sample = _fit_mod.normalize(series.rainfall_mm, policy=_policy(args.policy))
     out = {"describe": stats.as_dict(), "models": {}}
     for model in ("beta", "kw", "wk"):
-        result = _fit_mod.fit_mle(sample, model, starts=args.starts,
-                                  seed=args.seed)
+        result = _fit_mod.fit_mle(sample, model, starts=args.starts)
         gof = _gof_mod.run_gof(sample.likelihood_values, result.handle(), model,
                                bins=args.bins, family=model,
                                params=result.params, seed=args.seed)

@@ -1,24 +1,30 @@
 """Maximum-likelihood fitting of bounded-support models to normalized data.
 
 Supports the two-parameter beta and Kumaraswamy families plus the
-three-parameter weighted Kumaraswamy family, with multi-start bounded
-quasi-Newton optimization on the closed-form scores, AIC/BIC, and a
-histogram-based RMSE metric.
+three-parameter weighted Kumaraswamy family (WK), fitted by profile
+likelihood through the Beta link: under WK(a, b, c), X^a ~ Beta(c/a, b+1);
+under Kumaraswamy(a, b), X^a ~ Beta(1, b); the beta model is the link at
+a = 1. For fixed a the beta log-likelihood depends on the data through
+a·Σ log x and Σ log(1 − xᵃ) alone and is concave in its two shapes, so
+Newton steps on the closed-form scores and Hessians solve it, and the
+Kumaraswamy b has the closed form n / |Σ log(1 − xᵃ)|. The profile over
+log a is scanned on a grid and its highest peaks are refined by Newton
+steps. Also AIC/BIC and a histogram-based RMSE metric.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import betaln, digamma, gammaln, zeta
 
 from .distributions import DistributionHandle, make_catalog
-from .numerics import OptimizeResult, WtrvError, minimize_bounded
+from .numerics import (OptimizeResult, WtrvError, _masked_solve, minimize_bounded,
+                       projected_gradient)
 
 
 class DegenerateSampleError(ValueError):
@@ -35,6 +41,8 @@ class FitError(WtrvError):
 
 BOUNDARY_POLICIES = ("exclude_boundary", "shrink")
 PARAM_BOUNDS = (1e-3, 1e3)
+# the profile over s = log a is scanned on this grid, then refined
+_SCAN = np.linspace(math.log(PARAM_BOUNDS[0]), math.log(PARAM_BOUNDS[1]), 49)
 
 MODELS = {
     "beta": ("alpha", "beta"),
@@ -136,40 +144,89 @@ def loglik_beta(sample: NormalizedSample, alpha: float, beta: float) -> float:
             + (beta - 1.0) * sample._sum_log1m_x)
 
 
-def _power_sums(sample: NormalizedSample, a: float) -> tuple[float, float]:
-    """(Σ log(1 − xᵃ), Σ xᵃ·log x / (1 − xᵃ)), with 1 − xᵃ = −expm1(a·log x)."""
+def _power_sums(sample: NormalizedSample, a):
+    """Σ log(1 − xᵃ), Σ xᵃ·log x / (1 − xᵃ) and Σ xᵃ·log²x / (1 − xᵃ)² for
+    each a, with 1 − xᵃ = −expm1(a·log x)."""
     lx = sample._log_x
-    u = a * lx
+    u = np.multiply.outer(a, lx)
     one_minus = -np.expm1(u)
-    return (float(np.sum(np.log(one_minus))),
-            float(np.sum(np.exp(u) * lx / one_minus)))
+    w = lx / one_minus
+    r = np.exp(u) * w
+    return np.log(one_minus).sum(-1), r.sum(-1), (r * w).sum(-1)
+
+
+def _beta_terms(n: int, s1, s2, p, q) -> tuple:
+    """(p − 1)·s1 + (q − 1)·s2 − n·log B(p, q), the beta log-likelihood on
+    the sufficient statistics s1 = Σ log y, s2 = Σ log(1 − y), with its
+    gradient and Hessian in (p, q). It is concave in (p, q)."""
+    shapes = np.array([p, q, p + q])
+    psi_p, psi_q, psi_pq = digamma(shapes)
+    tri_p, tri_q, tri_pq = zeta(2.0, shapes)
+    value = (p - 1.0) * s1 + (q - 1.0) * s2 - n * betaln(p, q)
+    grad = np.array([s1 - n * (psi_p - psi_pq), s2 - n * (psi_q - psi_pq)])
+    hess = -n * np.array([[tri_p - tri_pq, -tri_pq], [-tri_pq, tri_q - tri_pq]])
+    return value, grad, hess
+
+
+def _kw_terms(sample: NormalizedSample, sums: tuple, a, b) -> tuple:
+    """Gradient and Hessian of loglik_kw in (a, b), given _power_sums(a)."""
+    n, sx = len(sample._log_x), sample._sum_log_x
+    big_l, t, v = sums
+    grad = np.array([n / a + sx - (b - 1.0) * t, n / b + big_l])
+    hess = np.array([[-n / a ** 2 - (b - 1.0) * v, -t], [-t, -n / b ** 2]])
+    return grad, hess
+
+
+def _wk_terms(sample: NormalizedSample, sums: tuple, a, b, c) -> tuple:
+    """Gradient and Hessian of loglik_wk in (a, b, c), given _power_sums(a)."""
+    n, sx = len(sample._log_x), sample._sum_log_x
+    big_l, t, v = sums
+    p = c / a
+    shapes = np.array([1.0 + p + b, 1.0 + p, b])
+    psi_pb, psi_p, psi_b = digamma(shapes)
+    tri_pb, tri_p, tri_b = zeta(2.0, shapes)
+    d, d1 = psi_p - psi_pb, tri_p - tri_pb
+    ab, bc = -n * p * tri_pb / a - t, n * tri_pb / a
+    ac = n * (d + p * d1) / a ** 2
+    grad = np.array([n * p * d / a - b * t,
+                     n * (psi_pb - psi_b - 1.0 / b) + big_l,
+                     n * (1.0 / c - d / a) + sx])
+    hess = np.array([[-n * p * (p * d1 + 2.0 * d) / a ** 2 - b * v, ab, ac],
+                     [ab, n * (tri_pb - tri_b + 1.0 / b ** 2), bc],
+                     [ac, bc, -n * (1.0 / c ** 2 + d1 / a ** 2)]])
+    return grad, hess
 
 
 def score_wk(sample: NormalizedSample, a: float, b: float, c: float) -> np.ndarray:
     """Gradient of loglik_wk in (a, b, c)."""
-    n = len(sample._log_x)
-    big_l, t = _power_sums(sample, a)
-    p = 1.0 + c / a
-    psi_pb = digamma(p + b)
-    d_psi = digamma(p) - psi_pb
-    return np.array([n * c * d_psi / a ** 2 - b * t,
-                     n * (psi_pb - digamma(b) - 1.0 / b) + big_l,
-                     n * (1.0 / c - d_psi / a) + sample._sum_log_x])
+    return _wk_terms(sample, _power_sums(sample, a), a, b, c)[0]
+
+
+def hess_wk(sample: NormalizedSample, a: float, b: float, c: float) -> np.ndarray:
+    """Hessian of loglik_wk in (a, b, c)."""
+    return _wk_terms(sample, _power_sums(sample, a), a, b, c)[1]
 
 
 def score_kw(sample: NormalizedSample, a: float, b: float) -> np.ndarray:
     """Gradient of loglik_kw in (a, b)."""
-    n = len(sample._log_x)
-    big_l, t = _power_sums(sample, a)
-    return np.array([n / a + sample._sum_log_x - (b - 1.0) * t, n / b + big_l])
+    return _kw_terms(sample, _power_sums(sample, a), a, b)[0]
+
+
+def hess_kw(sample: NormalizedSample, a: float, b: float) -> np.ndarray:
+    """Hessian of loglik_kw in (a, b)."""
+    return _kw_terms(sample, _power_sums(sample, a), a, b)[1]
 
 
 def score_beta(sample: NormalizedSample, alpha: float, beta: float) -> np.ndarray:
     """Gradient of loglik_beta in (alpha, beta)."""
-    n = len(sample._likelihood_set)
-    psi_ab = digamma(alpha + beta)
-    return np.array([-n * (digamma(alpha) - psi_ab) + sample._sum_log_x,
-                     -n * (digamma(beta) - psi_ab) + sample._sum_log1m_x])
+    return _beta_terms(len(sample._log_x), sample._sum_log_x, sample._sum_log1m_x,
+                       alpha, beta)[1]
+
+
+def hess_beta(sample: NormalizedSample, alpha: float, beta: float) -> np.ndarray:
+    """Hessian of loglik_beta in (alpha, beta)."""
+    return _beta_terms(len(sample._log_x), sample._sum_log_x, sample._sum_log1m_x,
+                       alpha, beta)[2]
 
 
 _LOGLIK: dict[str, Callable] = {"beta": loglik_beta, "kw": loglik_kw, "wk": loglik_wk}
@@ -206,77 +263,197 @@ def rmse_metric(sample: NormalizedSample, fitted: DistributionHandle,
     return float(np.sqrt(np.mean((heights - model) ** 2)))
 
 
-def _moment_start(sample: NormalizedSample, model: str) -> np.ndarray:
-    x = sample.likelihood_values
-    m, v = float(np.mean(x)), max(float(np.var(x)), 1e-6)
-    common = max(m * (1.0 - m) / v - 1.0, 1e-2)
-    alpha = max(m * common, PARAM_BOUNDS[0])
-    beta = max((1.0 - m) * common, PARAM_BOUNDS[0])
-    start = [alpha, beta] if model in ("beta", "kw") else [alpha, beta, alpha]
-    return np.clip(np.asarray(start, dtype=float), *PARAM_BOUNDS)
+def _moment_shapes(y: np.ndarray) -> np.ndarray:
+    """Method-of-moments beta shapes (p, q) of each row of y, clipped to the
+    parameter box."""
+    m, v = np.mean(y, axis=-1), np.maximum(np.var(y, axis=-1), 1e-6)
+    common = np.maximum(m * (1.0 - m) / v - 1.0, 1e-2)
+    return np.clip(np.array([m * common, (1.0 - m) * common]), *PARAM_BOUNDS)
 
 
-def fit_mle(sample: NormalizedSample, model: str, starts: int = 16,
-            seed: int = 42) -> FitResult:
-    """Multi-start bounded minimization of the negative log-likelihood."""
+def _solve_beta(n: int, s1, s2, x0: np.ndarray, scale, shift: float) -> OptimizeResult:
+    """Maximise _beta_terms over the parameter box for θ = (p·scale,
+    q − shift): (alpha, beta) for the beta model, (c, b) at fixed a for WK.
+    Batched when x0 is (2, m)."""
+    jac = np.array(np.broadcast_arrays(1.0 / scale, 1.0))
+
+    def fun(theta):
+        value, grad, hess = _beta_terms(n, s1, s2, theta[0] / scale, theta[1] + shift)
+        return -value, -grad * jac, -hess * jac[:, None] * jac[None]
+
+    return minimize_bounded(fun, x0, [PARAM_BOUNDS] * 2, tol=0.0)
+
+
+def _profile_slopes(a, grad, hess, inner: np.ndarray) -> tuple:
+    """Slope and curvature in s = log a of a log-likelihood maximised over
+    its other coordinates, which take the values inner, and the derivative
+    of inner in s; coordinates at a bound of the box stay there."""
+    free = (inner > PARAM_BOUNDS[0]) & (inner < PARAM_BOUNDS[1])
+    cross = hess[1:, 0]
+    sol = _masked_solve(hess[1:, 1:], cross, free)
+    curv = hess[0, 0] - np.sum(cross * sol, axis=0)
+    return a * grad[0], a * a * curv + a * grad[0], -a * sol
+
+
+def _kw_profile(sample: NormalizedSample, s: np.ndarray, warm=None) -> tuple:
+    """loglik_kw maximised over b at a = e^s, b = n / |Σ log(1 − xᵃ)| clipped
+    to the box: values, slopes and curvatures in s, b as a (1, m) array and
+    its derivative in s."""
+    n = len(sample._log_x)
+    a = np.exp(s)
+    sums = _power_sums(sample, a)
+    with np.errstate(divide="ignore"):
+        b = np.clip(n / np.abs(sums[0]), *PARAM_BOUNDS)  # Σ log(1 − xᵃ) ≤ 0, 0 once xᵃ underflows
+    value = n * np.log(a * b) + (a - 1.0) * sample._sum_log_x + (b - 1.0) * sums[0]
+    ds, d2s, db = _profile_slopes(a, *_kw_terms(sample, sums, a, b), b[None])
+    return value, ds, d2s, b[None], db
+
+
+def _wk_profile(sample: NormalizedSample, s: np.ndarray, warm: np.ndarray) -> tuple:
+    """loglik_wk maximised over (b, c) at a = e^s through X^a ~ Beta(c/a, b+1),
+    from the (b, c) start warm: values, slopes and curvatures in s, the
+    (b, c) optimum as a (2, m) array and its derivative in s."""
+    n, sx = len(sample._log_x), sample._sum_log_x
+    a = np.exp(s)
+    sums = _power_sums(sample, a)
+    res = _solve_beta(n, a * sx, sums[0], warm[::-1], a, 1.0)
+    inner = res.argmin[::-1]
+    value = n * np.log(a) + (a - 1.0) * sx - res.objective
+    ds, d2s, d_inner = _profile_slopes(a, *_wk_terms(sample, sums, a, *inner), inner)
+    return value, ds, d2s, inner, d_inner
+
+
+def _wk_scan_start(sample: NormalizedSample, a: np.ndarray) -> np.ndarray:
+    """(b, c) from the beta moments of xᵃ at each a."""
+    p, q = _moment_shapes(np.exp(np.multiply.outer(a, sample._log_x)))
+    return np.clip(np.array([q - 1.0, p * a]), *PARAM_BOUNDS)
+
+
+def _peaks(values: np.ndarray, starts: int) -> np.ndarray:
+    """Indices of the `starts` highest local maxima of a scanned profile."""
+    v = np.where(np.isfinite(values), values, -np.inf)
+    left, right = np.append(-np.inf, v[:-1]), np.append(v[1:], -np.inf)
+    idx = np.nonzero((v > left) & (v >= right))[0]
+    return idx[np.argsort(-v[idx], kind="stable")][:starts]
+
+
+def _refine(profile: Callable, sample: NormalizedSample, s0: np.ndarray, inner0: np.ndarray,
+            slope0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Newton ascent of a profile in s = log a from the starts s0, each
+    within its [lo, hi], until the slope is below 1e-8 per observation.
+    inner0 and slope0 are the inner optimum at s0 and its derivative in s;
+    each inner solve starts from the first-order prediction off the last
+    point solved for its start. Returns (s, values, inner) over the starts
+    and the Newton steps."""
+    last = [s0, inner0, slope0]
+
+    def fun(s):
+        warm = np.clip(last[1] + last[2] * (s[0] - last[0]), *PARAM_BOUNDS)
+        value, ds, d2s, inner, slope = profile(sample, s[0], warm)
+        last[:] = s[0], inner, slope
+        return -value, -ds, -d2s
+
+    res = minimize_bounded(fun, s0[None], [(lo, hi)], tol=1e-8 * len(sample._log_x))
+    s = res.argmin[0]
+    if not np.array_equal(s, last[0]):  # the last evaluation was a rejected trial
+        fun(res.argmin)
+    return s, -res.objective, last[1], res.iterations
+
+
+_PROFILE = {"kw": _kw_profile, "wk": _wk_profile}
+
+
+def _fit_profile(sample: NormalizedSample, model: str, starts: int) -> tuple:
+    """Scan the profile of a kw or wk model on _SCAN and refine its `starts`
+    highest peaks, each between its two neighbours on the grid. WK(a, b − 1, a)
+    is Kw(a, b), so when b − 1 is in the box and no wk peak ends above the
+    kw optimum, wk is also refined from there over the whole box: the wk fit
+    never ends below a kw fit it nests. A refinement that raises ValueError fails all
+    its starts, and one that ends non-finite fails that start.
+    Returns (params, value, starts tried, starts failed, Newton steps)."""
+    profile = _PROFILE[model]
+    warm = _wk_scan_start(sample, np.exp(_SCAN)) if model == "wk" else None
+    values, _, _, inner, slope = profile(sample, _SCAN, warm)
+    peaks = _peaks(values, starts)
+    found = []  # (s, value, inner) of each refined start
+    failed, steps = 0, 0
+
+    def refine(*start):
+        nonlocal failed, steps
+        try:
+            s, value, theta, n_steps = _refine(profile, sample, *start)
+        except ValueError:  # a start outside the box, non-finite there
+            failed += len(start[0])
+            return
+        ok = np.isfinite(value)
+        failed += int(np.sum(~ok))
+        steps += n_steps
+        found.extend((s[j], value[j], theta[:, j]) for j in np.nonzero(ok)[0])
+
+    last = len(_SCAN) - 1
+    refine(_SCAN[peaks], inner[:, peaks], slope[:, peaks],
+           _SCAN[np.maximum(peaks - 1, 0)], _SCAN[np.minimum(peaks + 1, last)])
+    tried = len(peaks)
+    if model == "wk":
+        tried += 1
+        try:
+            (a, b), kw_value = _fit_profile(sample, "kw", starts)[:2]
+        except FitError:
+            failed += 1
+        else:
+            nested = PARAM_BOUNDS[0] <= b - 1.0 <= PARAM_BOUNDS[1]
+            if nested and not any(v >= kw_value for _, v, _ in found):
+                s0 = np.array([math.log(a)])
+                refine(s0, *profile(sample, s0, np.array([[b - 1.0], [a]]))[3:],
+                       _SCAN[:1], _SCAN[-1:])
+    if not found:
+        raise FitError(f"all {tried} starts failed for model {model!r} "
+                       f"(n={sample.n}, policy={sample.boundary_policy})")
+    s, value, theta = max(found, key=lambda f: f[1])
+    a = PARAM_BOUNDS[1] if s >= _SCAN[-1] else PARAM_BOUNDS[0] if s <= _SCAN[0] else math.exp(s)
+    return (a, *map(float, theta)), value, tried, failed, steps
+
+
+def fit_mle(sample: NormalizedSample, model: str, starts: int = 16) -> FitResult:
+    """Maximum-likelihood fit by profile likelihood through the Beta link.
+
+    beta is one Newton solve of a concave problem. kw and wk are profiled
+    over s = log a: the profile is scanned on a grid over the box and its
+    `starts` highest peaks (plus, for wk, the kw optimum) are refined by
+    Newton steps in s. A refinement that raises ValueError or ends
+    non-finite is a failed start. The reported log-likelihood is _LOGLIK's.
+    """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; known: {', '.join(MODELS)}")
     if starts < 1:
         raise ValueError("starts must be at least 1")
     names = MODELS[model]
     k = len(names)
-    loglik, score = _LOGLIK[model], _SCORE[model]
-    bounds = [PARAM_BOUNDS] * k
-
-    def objective(theta):
+    if model == "beta":
+        x0 = _moment_shapes(sample.likelihood_values)
         try:
-            return -loglik(sample, *[float(t) for t in theta])
-        except (ValueError, OverflowError):
-            return math.inf
-
-    def gradient(theta):
-        return -score(sample, *[float(t) for t in theta])
-
-    rng = np.random.default_rng(seed)
-    start_points = [_moment_start(sample, model), np.ones(k)]
-    # random starts stay near the unit scale where bounded densities live
-    for _ in range(max(starts - len(start_points), 0)):
-        start_points.append(np.exp(rng.uniform(math.log(0.2), math.log(50.0), size=k)))
-    start_points = start_points[:max(starts, 1)]
-
-    best: Optional[OptimizeResult] = None
-    failed = 0
-    for point in start_points:
-        try:
-            res = minimize_bounded(objective, gradient, point, bounds)
-        except ValueError:  # start outside the box or non-finite there
-            failed += 1
-            continue
-        if not math.isfinite(res.objective):
-            failed += 1
-            continue
-        if best is None or res.objective < best.objective - 1e-12:
-            best = res
-    if best is None:
-        raise FitError(f"all {len(start_points)} starts failed for model {model!r} "
-                       f"(n={sample.n}, policy={sample.boundary_policy})")
-    try:  # polish from the winning start
-        polish = minimize_bounded(objective, gradient, best.argmin, bounds)
-        if math.isfinite(polish.objective) and polish.objective <= best.objective:
-            best = polish
-    except ValueError:
-        pass
+            res = _solve_beta(len(sample._log_x), sample._sum_log_x,
+                              sample._sum_log1m_x, x0, 1.0, 0.0)
+        except ValueError as exc:
+            raise FitError(f"beta fit failed (n={sample.n}, "
+                           f"policy={sample.boundary_policy}): {exc}") from exc
+        theta, tried, failed, steps = res.argmin, 1, 0, res.iterations
+    else:
+        theta, _, tried, failed, steps = _fit_profile(sample, model, starts)
+    theta = np.array(theta, dtype=float)
+    ll = _LOGLIK[model](sample, *theta)
+    lo, hi = np.full(k, PARAM_BOUNDS[0]), np.full(k, PARAM_BOUNDS[1])
+    norm = float(np.max(np.abs(projected_gradient(-_SCORE[model](sample, *theta),
+                                                  theta, lo, hi))))
     # convergence judged relative to the objective scale
-    tol_eff = 1e-4 * (1.0 + abs(best.objective))
-    best = dataclasses.replace(best, converged=best.gradient_norm <= tol_eff)
-
-    params = {name: float(v) for name, v in zip(names, best.argmin)}
-    ll = -best.objective
+    optimizer = OptimizeResult(argmin=theta, objective=-ll, gradient_norm=norm,
+                               iterations=steps, converged=bool(norm <= 1e-4 * (1.0 + abs(ll))))
+    params = {name: float(v) for name, v in zip(names, theta)}
     n_lik = len(sample.likelihood_values)
     fitted = make_catalog(_CATALOG_NAME[model], params)
     return FitResult(model=model, params=params, loglik=ll,
                      aic=2.0 * k - 2.0 * ll, bic=k * math.log(n_lik) - 2.0 * ll,
                      rmse=rmse_metric(sample, fitted),
-                     optimizer=best, starts_tried=len(start_points),
+                     optimizer=optimizer, starts_tried=tried,
                      starts_failed=failed,
                      boundary_policy=sample.boundary_policy)

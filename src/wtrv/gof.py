@@ -1,19 +1,22 @@
 """Goodness-of-fit tests against a fitted bounded-support model.
 
 Implements Kolmogorov-Smirnov, Anderson-Darling, Cramer-von Mises, and
-equal-probability chi-square tests. Default p-values are the asymptotic
-parameters-known ones; a parametric bootstrap is available because fitting
-the parameters on the same data invalidates the parameters-known asymptotics.
+equal-probability chi-square tests. Default p-values are parameters-known
+ones: asymptotic for KS, AD and chi-square, and the finite-n Csörgő–Faraway
+(1996) approximation for Cramer-von Mises, ported from SciPy so that the
+module needs scipy.special alone. A parametric bootstrap is available
+because fitting the parameters on the same data invalidates the
+parameters-known p-values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import chdtrc
+from scipy.special import chdtrc, gamma, gammaln, kv
 
 from .distributions import DistributionHandle, make_catalog, sample as _draw
 from .fit import _CATALOG_NAME, MODELS, FitError, fit_mle, from_unit_values
@@ -72,13 +75,63 @@ def ad_test(values, model: DistributionHandle) -> tuple[float, float]:
     return a2, _ad_pvalue(a2)
 
 
+def _sum_until_small(term: Callable) -> np.ndarray:
+    """term(0) + term(1) + ..., through the first term below 1e-7 in size."""
+    total, k = 0.0, 0
+    while True:
+        z = term(k)
+        total = total + z
+        if not np.abs(z[0]) >= 1e-7:
+            return total
+        k += 1
+
+
+def _cvm_pvalue(w2: float, n: int) -> float:
+    """Right tail of W² for a sample of n: the finite-n cdf of Csörgő and
+    Faraway (1996, eq. 1.8), V(x)(1 + 1/(12n)) + ψ₁(x)/n with ψ₁ (eq. 1.10)
+    less its V(x)/12 term, 0 up to 1/(12n) and 1 from n/3. It is SciPy's
+    _cdf_cvm, operation for operation, so the p-value equals
+    scipy.stats.cramervonmises's bit for bit."""
+    if w2 <= 1.0 / (12 * n):
+        return 1.0
+    if w2 >= n / 3.0:
+        return 0.0
+    x = np.array([w2])
+    sx, y1, y2 = 2 * np.sqrt(x), x ** (3 / 4), x ** (5 / 4)
+
+    def v_term(k):  # eq. 1.2, second line of 1.3
+        u = math.exp(gammaln(k + 0.5) - gammaln(k + 1)) / (np.pi ** 1.5 * np.sqrt(x))
+        y = 4 * k + 1
+        q = y ** 2 / (16 * x)
+        return u * math.sqrt(y) * np.exp(-q) * kv(0.25, q)
+
+    def ed2(y):
+        z = y ** 2 / 4
+        return np.exp(-z) * (y / 2) ** (3 / 2) * (kv(1 / 4, z) + kv(3 / 4, z)) / math.sqrt(np.pi)
+
+    def ed3(y):
+        z = y ** 2 / 4
+        c = np.exp(-z) / math.sqrt(np.pi)
+        return c * (y / 2) ** (5 / 2) * (2 * kv(1 / 4, z) + 3 * kv(3 / 4, z) - kv(5 / 4, z))
+
+    def psi_term(k):
+        m, g1, g3 = 2 * k + 1, float(gamma(k + 1 / 2)), float(gamma(k + 3 / 2))
+        a_k = (m * g1 * ed2((4 * k + 3) / sx) / (9 * y1)
+               + g1 * ed3((4 * k + 1) / sx) / (72 * y2)
+               + 2 * (m + 2) * g3 * ed3((4 * k + 5) / sx) / (12 * y2)
+               + 7 * m * g1 * ed2((4 * k + 1) / sx) / (144 * y1)
+               + 7 * m * g1 * ed2((4 * k + 5) / sx) / (144 * y1))
+        return -a_k / (np.pi * float(gamma(k + 1)))
+
+    cdf = _sum_until_small(v_term) * (1 + 1.0 / (12 * n)) + _sum_until_small(psi_term) / n
+    return float(max(1.0 - cdf[0], 0.0))
+
+
 def cvm_test(values, model: DistributionHandle) -> tuple[float, float]:
-    """Cramer-von Mises W-squared and asymptotic p-value."""
+    """Cramer-von Mises W-squared and its finite-n (Csörgő–Faraway) p-value."""
     n, u, i = _pit(values, model)
     w2 = float(np.sum((u - (2 * i - 1) / (2 * n)) ** 2) + 1.0 / (12 * n))
-    from scipy.stats import cramervonmises  # deferred: slow to import, used only here
-    p = float(cramervonmises(u, "uniform").pvalue)
-    return w2, p
+    return w2, _cvm_pvalue(w2, n)
 
 
 def chisq_test(values, model: DistributionHandle, bins: int = 10,
@@ -148,8 +201,7 @@ def _bootstrap_pvalues(x: np.ndarray, family: str, fitted_params: dict[str, floa
     for r in range(replicates):
         sim = _draw(fitted, n, seed=seed + 1000 * (r + 1))
         try:
-            refit = fit_mle(from_unit_values(sim), family, starts=starts,
-                            seed=seed + r).handle()
+            refit = fit_mle(from_unit_values(sim), family, starts=starts).handle()
         except (FitError, ValueError):
             for t in tests:
                 failures[t] += 1

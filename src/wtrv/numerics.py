@@ -1,10 +1,10 @@
 """Shared numeric kernels: special functions, adaptive quadrature, root
-finding, box-constrained minimization, finite differences.
+finding, box-constrained Newton minimization, finite differences.
 
 Everything here is a pure function of its inputs and safe to call from
-multiple threads. The module loads NumPy and scipy.special only;
-brent_root and minimize_bounded import scipy.optimize on their first call,
-so commands that never fit do not pay for it.
+multiple threads. The module loads NumPy and scipy.special only; brent_root
+imports scipy.optimize on its first call, and nothing in the package calls
+it.
 """
 
 from __future__ import annotations
@@ -45,11 +45,14 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """minimize_bounded's result; objective, gradient_norm and converged are
+    arrays over the problems of a batched call."""
+
     argmin: np.ndarray
-    objective: float
-    gradient_norm: float
+    objective: float | np.ndarray
+    gradient_norm: float | np.ndarray
     iterations: int
-    converged: bool
+    converged: bool | np.ndarray
 
 
 class WtrvError(RuntimeError):
@@ -331,56 +334,136 @@ def finite_diff_grad(f: Callable, x: Sequence[float], h: float | Sequence[float]
     return grad
 
 
-_PENALTY = 1e100
+_MAX_STEPS = 100
+_EDGE = 1e-10  # a coordinate this close to a face, relative to 1 + |face|, is on it
+_HALVINGS = 30
+_TRUST = 1e-9  # Newton decrement, relative to 1 + |f|, below which steps go unchecked
 
 
-def minimize_bounded(objective: Callable, gradient: Callable, x0: Sequence[float],
-                     bounds: Sequence[Interval | tuple[float, float]],
+def _masked_solve(h: np.ndarray, g: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Solve h·d = g on the free coordinates of each of m problems, with
+    d = 0 on the others: h is (k, k, m) and symmetric, g and free are (k, m).
+    One or two coordinates are solved in closed form; a singular system
+    gives a non-finite d."""
+    k = g.shape[0]
+    g = np.where(free, g, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if k == 1:
+            return g / np.where(free, h[0], 1.0)
+        if k == 2:
+            h00, h11 = np.where(free, h[[0, 1], [0, 1]], 1.0)
+            h01 = np.where(free[0] & free[1], h[0, 1], 0.0)
+            return np.array([h11 * g[0] - h01 * g[1], h00 * g[1] - h01 * g[0]]) / (h00 * h11 - h01 * h01)
+        hm = np.where(free[:, None] & free[None], h, np.eye(k)[:, :, None])
+        try:
+            return np.linalg.solve(np.moveaxis(hm, 2, 0), g.T[..., None])[..., 0].T
+        except np.linalg.LinAlgError:
+            return np.full_like(g, np.nan)
+
+
+def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
                      tol: float = 1e-6) -> OptimizeResult:
-    """Box-constrained limited-memory quasi-Newton descent on the caller's
-    gradient.
+    """Projected Newton descent in a box, on the caller's gradient and Hessian.
 
-    Non-finite objective values during the search are replaced by a large
-    penalty, which makes the line search back off. The converged flag is set
-    from the projected-gradient norm at the returned point.
+    fun(x) returns (f, g, h): the objective, its gradient and its Hessian.
+    x0 has shape (k,) for one problem, or (k, m) for m problems solved side
+    by side; fun gets x in that shape and returns f, g, h shaped (m,),
+    (k, m) and (k, k, m), and the result's fields other than iterations
+    are arrays over the m problems. A bound is an Interval or a (lo, hi)
+    pair whose ends may be arrays of shape (m,).
+
+    Coordinates at a face whose gradient points out of the box are held;
+    the Newton step on the others, or a diagonally scaled gradient step
+    where the Newton step does not descend, is shortened to end where it
+    first meets a face and halved until it meets the Armijo condition. Once
+    the Newton decrement is below _TRUST relative to f, full Newton steps
+    are taken without the check, which rounding in f can no longer decide;
+    this assumes f is convex near such a point, as the likelihoods in fit
+    are. A problem stops when its projected gradient is within tol, when
+    such a decrement falls below (1e-15·f)² or stops halving from one step
+    to the next (tol = 0 thus runs Newton to the rounding floor), when no
+    halving lowers f, or after _MAX_STEPS steps. iterations counts the steps
+    taken, and converged is set from the projected gradient at the returned
+    point. Raises ValueError when x0 is outside the box or f is not finite
+    there.
     """
     x0 = np.asarray(x0, dtype=float)
-    box = [(bd.lo, bd.hi) if isinstance(bd, Interval) else (float(bd[0]), float(bd[1]))
-           for bd in bounds]
-    if len(box) != x0.size:
+    k = x0.shape[0]
+    if len(bounds) != k:
         raise ValueError("one bound per coordinate required")
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    if np.any(x0 < lo) or np.any(x0 > hi):
+    x = x0.reshape(k, -1).copy()
+    m = x.shape[1]
+    ends = [(bd.lo, bd.hi) if isinstance(bd, Interval) else bd for bd in bounds]
+    lo, hi = (np.array([np.broadcast_to(np.asarray(e[j], dtype=float), x0.shape[1:])
+                        for e in ends]).reshape(k, m) for j in (0, 1))
+    if np.any(x < lo) or np.any(x > hi):
         raise ValueError("x0 must lie inside the bounds")
-    f0 = float(objective(x0))
-    if not math.isfinite(f0):
+
+    def evaluate(point):
+        f, g, h = fun(point.reshape(x0.shape))
+        return (np.asarray(f, dtype=float).reshape(m), np.asarray(g, dtype=float).reshape(k, m),
+                np.asarray(h, dtype=float).reshape(k, k, m))
+
+    f, g, h = evaluate(x)
+    if not np.isfinite(f).all():
         raise ValueError("objective is non-finite at x0")
+    steps = 0
+    open_, last = np.ones(m, dtype=bool), np.full(m, np.inf)
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_STEPS):
+            free = ~_held(g, x, lo, hi)
+            pg = np.where(free, g, 0.0)
+            d = -_masked_solve(h, pg, free)
+            decrement = -(pg * d).sum(0)
+            if not (decrement > 0.0).all():
+                diag = np.abs(h[range(k), range(k)])
+                d = np.where(decrement > 0.0, d, -pg / np.where(diag > 0.0, diag, 1.0))
+            # near the minimum f cannot resolve a step's gain: take Newton
+            # steps unchecked while the decrement keeps falling
+            scale = 1.0 + np.abs(f)
+            trusted = (decrement > 0.0) & (decrement <= _TRUST * scale)
+            rounding = (decrement <= (1e-15 * scale) ** 2) | (decrement >= 0.5 * last)
+            open_ &= (np.abs(pg).max(0) > tol) & ~(trusted & rounding)
+            last = np.where(decrement > 0.0, decrement, np.inf)
+            if not open_.any():
+                break
+            steps += 1
+            # the step stops where it first meets a face, and that coordinate
+            # lands on the face exactly; one already there is clipped instead
+            d = np.where(open_, d, 0.0)
+            face = np.where(d > 0.0, hi, lo)
+            away = np.abs(face - x) > _EDGE * (1.0 + np.abs(face))
+            room = np.where((d != 0.0) & away, (face - x) / d, np.inf)
+            t = np.minimum(room.min(0), 1.0)
+            moved = ~open_
+            for _ in range(_HALVINGS):
+                xt = np.where(room <= t, face, np.minimum(np.maximum(x + t * d, lo), hi))
+                ft, gt, ht = evaluate(xt)
+                ok = ~moved & np.isfinite(ft) & (trusted | (ft <= f + 1e-4 * (g * (xt - x)).sum(0)))
+                x, f = np.where(ok, xt, x), np.where(ok, ft, f)
+                g, h = np.where(ok, gt, g), np.where(ok, ht, h)
+                moved |= ok
+                if moved.all():
+                    break
+                t = np.where(moved, t, 0.5 * t)
+            open_ &= moved
+    norm = np.abs(projected_gradient(g, x, lo, hi)).max(0)
+    one = x0.ndim == 1
+    return OptimizeResult(argmin=x.reshape(x0.shape), objective=float(f[0]) if one else f,
+                          gradient_norm=float(norm[0]) if one else norm,
+                          iterations=steps, converged=bool(norm[0] <= tol) if one else norm <= tol)
 
-    def safe(x: np.ndarray) -> float:
-        v = float(objective(np.asarray(x, dtype=float)))
-        return v if math.isfinite(v) else _PENALTY
 
-    from scipy.optimize import minimize  # deferred: only fitting optimizes
-    res = minimize(safe, x0, jac=gradient, method="L-BFGS-B", bounds=box,
-                        options={"maxiter": 500, "maxcor": 10,
-                                 "ftol": 1e-13, "gtol": min(tol, 1e-7)})
-    x = np.clip(res.x, lo, hi)
-    pg = projected_gradient(gradient(x), x, lo, hi)
-    norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-    return OptimizeResult(argmin=x, objective=float(safe(x)), gradient_norm=norm,
-                          iterations=int(res.nit), converged=norm <= tol)
+def _held(g: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Coordinates at a face of the box whose gradient points out of it."""
+    return (((x <= lo + _EDGE * (1.0 + np.abs(lo))) & (g > 0))
+            | ((x >= hi - _EDGE * (1.0 + np.abs(hi))) & (g < 0)))
 
 
 def projected_gradient(g: np.ndarray, x: np.ndarray, lo: np.ndarray,
-                       hi: np.ndarray, edge_tol: float = 1e-10) -> np.ndarray:
+                       hi: np.ndarray) -> np.ndarray:
     """Zero out gradient components that point outside the box at its faces."""
-    pg = np.array(g, dtype=float)
-    at_lo = x <= lo + edge_tol * (1.0 + np.abs(lo))
-    at_hi = x >= hi - edge_tol * (1.0 + np.abs(hi))
-    pg[at_lo & (pg > 0)] = 0.0
-    pg[at_hi & (pg < 0)] = 0.0
-    return pg
+    return np.where(_held(g, x, lo, hi), 0.0, g)
 
 
 def kolmogorov_sf(lam: float) -> float:

@@ -74,13 +74,17 @@ def _ratio_nondecreasing(xs, num, den, slack: float, noise=None):
     return True, None
 
 
+def _check_grid_size(grid_size: int) -> None:
+    if grid_size < 64:
+        raise ValueError("grid_size must be at least 64")
+
+
 def check_order(x: DistributionHandle, y: DistributionHandle, order: str,
                 grid_size: int = 128, slack: float = 1e-9) -> OrderVerdict:
     """One-sided grid verdict for x <=_order y."""
     if order not in ORDER_NAMES:
         raise ValueError(f"unknown order {order!r}; known: {', '.join(ORDER_NAMES)}")
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
+    _check_grid_size(grid_size)
     grid = _merged_grid(x, y, grid_size)
     desc = f"merged quantile grid, {len(grid)} points"
     bounds_ok = (x.support.lo <= y.support.lo) and (x.support.hi <= y.support.hi)
@@ -317,6 +321,7 @@ def verify_theorem(x: DistributionHandle, y: DistributionHandle,
     variables, grid-test the hypotheses, test the conclusion."""
     if which not in THEOREM_IDS:
         raise ValueError(f"unknown result id {which!r}; known: {', '.join(THEOREM_IDS)}")
+    _check_grid_size(grid_size)
     [(keys, order, conclusion)], _ = _RESULTS[which]
     grid = _merged_grid(x, y, grid_size)
     xw, dx = _try_construct(x, w1)
@@ -345,9 +350,10 @@ def check_theorem_conditions(dist: DistributionHandle, weight: WeightFunction,
     they pass, verify its conclusion on the constructed variable."""
     if which not in _AGING_IDS:
         raise ValueError(f"unknown result id {which!r}; known: {', '.join(_AGING_IDS)}")
+    _check_grid_size(grid_size)
     branches, fallback = _RESULTS[which]
     operands = {"X": dist}
-    resolve = _resolver(operands, _aging_facts(dist, weight, grid_size), max(grid_size, 64))
+    resolve = _resolver(operands, _aging_facts(dist, weight, grid_size), grid_size)
     for keys, label, conclusion in branches:
         hyp = {k: bool(resolve(k)) for k in keys}
         if all(hyp.values()):

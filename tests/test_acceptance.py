@@ -246,7 +246,7 @@ def test_criterion_8_synthetic_self_consistency():
     estimates, ks_ok = {"a": [], "b": [], "c": []}, 0
     for seed in range(1000, 1020):
         values = sample(model, 5000, seed=seed)
-        fit = fit_mle(from_unit_values(values), "wk", starts=8, seed=seed)
+        fit = fit_mle(from_unit_values(values), "wk", starts=8)
         for key in truth:
             estimates[key].append(fit.params[key])
         _, p = ks_test(values, model)
@@ -275,13 +275,13 @@ def test_criterion_9_optimizer_validity():
         values = sample(make_catalog(gen[0], gen[1]), 1500,
                         seed=int(rng.integers(10_000)))
         s = from_unit_values(values)
-        fit = fit_mle(s, model, starts=6, seed=0)
+        fit = fit_mle(s, model, starts=6)
         theta = np.array([fit.params[k] for k in fit.params])
         grad = finite_diff_grad(lambda v: -logliks[model](s, *v), theta, 1e-6)
         gn = float(np.max(np.abs(grad)))
         bound = 1e-4 * (1.0 + abs(fit.loglik))
         converged_ok = (not fit.optimizer.converged) or gn <= bound
-        refit = fit_mle(s, model, starts=6, seed=0)
+        refit = fit_mle(s, model, starts=6)
         idem = max(abs(refit.params[k] - fit.params[k]) for k in fit.params)
         ok &= fit.optimizer.converged and converged_ok and idem <= 1e-8
         notes.append(f"{model}: grad {gn:.2e} <= {bound:.2e}, refit drift {idem:.1e}")

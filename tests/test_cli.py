@@ -229,10 +229,10 @@ class TestParserCache:
 
 
 class TestImportFootprint:
-    def test_commands_load_no_deferred_scipy(self):
-        # scipy.stats, scipy.optimize and scipy.interpolate load only inside
-        # the functions that use them (fit and gof); importing the package
-        # and running simulate or construct must not pull them in
+    def test_commands_load_no_deferred_scipy(self, csv_path):
+        # no command loads scipy.stats, scipy.optimize or scipy.interpolate:
+        # importing the package and running simulate, construct, report, fit
+        # and asymptotic gof in one process must not pull them in
         script = textwrap.dedent("""
             import json, os, sys
             import wtrv, wtrv.cli
@@ -240,7 +240,10 @@ class TestImportFootprint:
             seen = {"import": [m for m in heavy if m in sys.modules]}
             for argv in (["simulate", "--dist", "weighted_kumaraswamy(a=2,b=3,c=1.5)", "--n", "50"],
                          ["construct", "--dist", "gamma(k=2,lambda=1)", "--weight", "power(c=1.5)",
-                          "--format", "json"]):
+                          "--format", "json"],
+                         ["report", sys.argv[1], "--starts", "4"],
+                         ["fit", sys.argv[1], "--model", "wk", "--starts", "4"],
+                         ["gof", sys.argv[1], "--model", "kw", "--pvalue", "asymptotic"]):
                 assert wtrv.cli.main(argv + ["--out", os.devnull]) == 0
                 seen[argv[0]] = [m for m in heavy if m in sys.modules]
             print(json.dumps(seen))
@@ -248,7 +251,8 @@ class TestImportFootprint:
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", script, csv_path], env=env,
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"import": [], "simulate": [], "construct": []}
+        assert json.loads(proc.stdout) == dict.fromkeys(
+            ("import", "simulate", "construct", "report", "fit", "gof"), [])

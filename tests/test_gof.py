@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import cramervonmises
 
 from wtrv import (ad_test, bootstrap_pvalue, chisq_test, cvm_test, fit_mle,
                   from_unit_values, ks_test, kolmogorov_sf, make_catalog,
                   run_gof, sample)
+from wtrv.gof import _cvm_pvalue
 
 UNIFORM = make_catalog("uniform", {})
 
@@ -40,6 +42,26 @@ class TestCvm:
     def test_pvalue_range(self):
         w2, p = cvm_test(midpoint_grid(25), UNIFORM)
         assert 0.9 < p <= 1.0
+
+    def test_matches_scipy_exactly(self):
+        # the ported Csörgő–Faraway series against scipy.stats.cramervonmises
+        # on the same probability-integral transform
+        rng = np.random.default_rng(2026)
+        for _ in range(1000):
+            n = int(rng.integers(2, 301))
+            u = np.sort(rng.random(n) ** rng.uniform(0.2, 5.0))
+            ref = cramervonmises(np.clip(u, 1e-12, 1.0 - 1e-12), "uniform")
+            assert cvm_test(u, UNIFORM) == (ref.statistic, ref.pvalue), n
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 57, 300])
+    def test_support_edges_match_scipy(self, n):
+        # W² = 1/(12n) for the midpoint grid and n/3 for a cdf that is 0 on
+        # the whole sample: the p-value is 1 and 0 there
+        low = cramervonmises(midpoint_grid(n), "uniform")
+        high = cramervonmises(np.linspace(0.1, 0.9, n), np.zeros_like)
+        assert low.statistic <= 1.0 / (12 * n) and high.statistic >= n / 3.0
+        assert _cvm_pvalue(float(low.statistic), n) == low.pvalue == 1.0
+        assert _cvm_pvalue(float(high.statistic), n) == high.pvalue == 0.0
 
 
 class TestAd:
@@ -142,7 +164,7 @@ class TestBootstrap:
         d = make_catalog("kumaraswamy", {"a": 2.0, "b": 5.0})
         values = np.asarray(sample(d, 150, seed=3))
         s = from_unit_values(values)
-        fitted = fit_mle(s, "kw", starts=4, seed=0)
+        fitted = fit_mle(s, "kw", starts=4)
         p1 = bootstrap_pvalue(values, "kw", fitted.params, "ks",
                               replicates=99, seed=21)
         p2 = bootstrap_pvalue(values, "kw", fitted.params, "ks",
@@ -154,7 +176,7 @@ class TestBootstrap:
     def test_run_gof_matches_per_test_bootstrap(self):
         d = make_catalog("kumaraswamy", {"a": 2.0, "b": 3.0})
         values = np.sort(np.asarray(sample(d, 40, seed=6)))
-        fitted = fit_mle(from_unit_values(values), "kw", starts=4, seed=0)
+        fitted = fit_mle(from_unit_values(values), "kw", starts=4)
         tests = ("ad", "chisq")
         rep = run_gof(values, fitted.handle(), "kw", tests=tests,
                       method="bootstrap", family="kw", params=fitted.params,

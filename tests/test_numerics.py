@@ -153,34 +153,78 @@ class TestScalarOrArray:
         assert np.array_equal(f([1.0, 2.0]), np.array([2.0, 4.0]))
 
 
+def quadratic(hess, target):
+    """(f, g, h) of ½ (v − target)ᵀ hess (v − target)."""
+    hess, target = np.asarray(hess, dtype=float), np.asarray(target, dtype=float)
+
+    def fun(v):
+        r = v - target
+        g = hess @ r
+        return 0.5 * float(r @ g), g, hess
+
+    return fun
+
+
 class TestMinimizeBounded:
     def test_1d_quadratic(self):
-        res = minimize_bounded(lambda v: (v[0] - 3.0) ** 2,
-                               lambda v: [2.0 * (v[0] - 3.0)], [1.0],
-                               [Interval(0.0, 10.0)], 1e-8)
+        res = minimize_bounded(quadratic([[2.0]], [3.0]), [1.0], [Interval(0.0, 10.0)], 1e-8)
         assert res.argmin[0] == pytest.approx(3.0, abs=1e-6)
         assert res.converged
 
     def test_2d_bowl(self):
-        res = minimize_bounded(lambda v: v[0] ** 2 + v[1] ** 2, lambda v: 2.0 * v,
-                               [0.5, 0.5], [Interval(-1.0, 1.0)] * 2, 1e-8)
+        res = minimize_bounded(quadratic(2.0 * np.eye(2), [0.0, 0.0]), [0.5, 0.5],
+                               [Interval(-1.0, 1.0)] * 2, 1e-8)
         assert abs(res.argmin[0]) <= 1e-6 and abs(res.argmin[1]) <= 1e-6
 
     def test_convex_quadratic_generic(self):
         target = np.array([0.3, -0.2])
-        res = minimize_bounded(
-            lambda v: 2 * (v[0] - target[0]) ** 2 + 5 * (v[1] - target[1]) ** 2
-            + (v[0] - target[0]) * (v[1] - target[1]),
-            lambda v: np.array([[4.0, 1.0], [1.0, 10.0]]) @ (v - target),
-            [0.0, 0.0], [Interval(-1.0, 1.0)] * 2, 1e-9)
+        res = minimize_bounded(quadratic([[4.0, 1.0], [1.0, 10.0]], target), [0.0, 0.0],
+                               [Interval(-1.0, 1.0)] * 2, 1e-9)
         assert np.allclose(res.argmin, target, atol=1e-6)
 
     def test_argmin_in_bounds(self):
-        res = minimize_bounded(lambda v: (v[0] + 5.0) ** 2,
-                               lambda v: [2.0 * (v[0] + 5.0)], [1.0],
-                               [Interval(0.0, 10.0)], 1e-8)
+        res = minimize_bounded(quadratic([[2.0]], [-5.0]), [1.0], [Interval(0.0, 10.0)], 1e-8)
         assert 0.0 <= res.argmin[0] <= 10.0
         assert res.argmin[0] == pytest.approx(0.0, abs=1e-6)
+
+    def test_batched_problems_match_one_at_a_time(self):
+        # three 1-D problems with their own bounds, solved side by side
+        targets, his = np.array([3.0, 5.0, -1.0]), np.array([10.0, 4.5, 10.0])
+
+        def fun(v):
+            r = v[0] - targets
+            return r ** 2, 2.0 * r[None], np.full((1, 1, 3), 2.0)
+
+        res = minimize_bounded(fun, [[1.0, 4.0, 9.0]], [(0.0, his)], 1e-8)
+        assert np.allclose(res.argmin[0], [3.0, 4.5, 0.0], atol=1e-12)
+        assert res.converged.all()
+        for j in range(3):
+            one = minimize_bounded(quadratic([[2.0]], [targets[j]]), [[1.0, 4.0, 9.0][j]],
+                                   [Interval(0.0, his[j])], 1e-8)
+            assert one.argmin[0] == pytest.approx(res.argmin[0, j], abs=1e-12)
+
+    def test_step_stops_at_a_face_then_holds_it(self):
+        # the unconstrained minimum (2, 2) lies past the face x = 1: the first
+        # step ends on it, the second holds x there and finds the constrained
+        # minimum (1, 2 - 0.5 * (1 - 2)) = (1, 2.5)
+        res = minimize_bounded(quadratic([[2.0, 1.0], [1.0, 2.0]], [2.0, 2.0]), [0.0, 0.0],
+                               [Interval(-5.0, 1.0), Interval(-5.0, 5.0)], 1e-10)
+        assert np.allclose(res.argmin, [1.0, 2.5], atol=1e-12)
+        assert res.iterations <= 2 and res.converged
+
+    def test_three_coordinates(self):
+        target = np.array([0.5, -0.25, 2.0])
+        hess = [[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]]
+        res = minimize_bounded(quadratic(hess, target), [0.0, 0.0, 0.0],
+                               [Interval(-1.0, 1.0)] * 3, 1e-10)
+        # z stops at its face; x and y then minimize with z = 1
+        h = np.asarray(hess)
+        xy = np.linalg.solve(h[:2, :2], h[:2, :2] @ target[:2] - h[:2, 2] * (1.0 - target[2]))
+        assert np.allclose(res.argmin, [*xy, 1.0], atol=1e-10) and res.converged
+
+    def test_rejects_start_outside_box(self):
+        with pytest.raises(ValueError, match="inside the bounds"):
+            minimize_bounded(quadratic([[2.0]], [0.0]), [2.0], [Interval(0.0, 1.0)])
 
 
 class TestFiniteDiffGrad:
@@ -195,7 +239,9 @@ class TestFiniteDiffGrad:
     def test_converged_gradient_scaled_norm(self):
         f = lambda v: (v[0] - 2.0) ** 4 + (v[1] + 1.0) ** 2 + 10.0
         df = lambda v: np.array([4.0 * (v[0] - 2.0) ** 3, 2.0 * (v[1] + 1.0)])
-        res = minimize_bounded(f, df, [0.0, 0.0], [Interval(-5.0, 5.0)] * 2, 1e-7)
+        d2f = lambda v: np.diag([12.0 * (v[0] - 2.0) ** 2, 2.0])
+        res = minimize_bounded(lambda v: (f(v), df(v), d2f(v)), [0.0, 0.0],
+                               [Interval(-5.0, 5.0)] * 2, 1e-7)
         g = finite_diff_grad(f, res.argmin, 1e-6)
         assert float(np.max(np.abs(g))) <= 1e-4 * (1.0 + abs(res.objective))
 

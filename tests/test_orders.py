@@ -82,6 +82,20 @@ class TestVerifyTheorem:
                            make_weight("linear", {}),
                            make_weight("linear", {}), "thm42")
 
+    @pytest.mark.parametrize("which, k2", [("thm8", 1.5), ("thm7", 2.0)])
+    def test_small_grid_rejected_before_construction(self, monkeypatch, which, k2):
+        # thm7 with two different weights used to return its "requires a
+        # common weight" report instead of raising
+        def no_construct(*args):
+            raise AssertionError("constructed before the grid check")
+
+        monkeypatch.setattr(orders, "construct", no_construct)
+        with pytest.raises(ValueError, match="grid_size must be at least 64"):
+            verify_theorem(make_catalog("exponential", {"lambda": 2.0}),
+                           make_catalog("exponential", {"lambda": 1.0}),
+                           make_weight("power", {"c": 1.5}),
+                           make_weight("power", {"c": k2}), which, grid_size=32)
+
     def test_vanishing_initial_slope_blocks_hypotheses(self):
         # w1 = x^2 has w'(0) = 0, so the reversed-rate comparison with a
         # linear second weight is outside the hypothesis class

@@ -109,6 +109,12 @@ class TestClassification:
 
 
 class TestTheoremConditions:
+    def test_small_grid_rejected(self):
+        # no longer raised silently to 64 for the aging and order checks
+        with pytest.raises(ValueError, match="grid_size must be at least 64"):
+            check_theorem_conditions(make_catalog("exponential", {"lambda": 1.0}),
+                                     make_weight("power", {"c": 2.0}), "thm1", grid_size=32)
+
     def test_ilr_preservation_truncated_power(self):
         # bounded base with increasing hazard plus log-concave weight slope
         rep = check_theorem_conditions(
