@@ -53,8 +53,27 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) for a value of _jsonable's
+    output (dict keys are strings) at indentation pad. json's C encoder runs
+    only without indent, so dicts and lists are laid out here, and a list
+    with no dict or list in it is encoded by the C encoder with the line
+    break and indentation as its item separator."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = (json.dumps(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if any(isinstance(v, (dict, list, tuple)) for v in obj):
+            body = ("," + inner).join(_dumps(v, inner) for v in obj)
+        else:
+            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+        return "[" + inner + body + pad + "]"
+    return json.dumps(obj)
+
+
 def _emit_json(obj, out: Optional[str]) -> None:
-    _emit(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n", out)
+    _emit(_dumps(_jsonable(obj)) + "\n", out)
 
 
 def _emit_csv(header, rows, out: Optional[str]) -> None:

@@ -1,15 +1,17 @@
 """Maximum-likelihood fitting of bounded-support models to normalized data.
 
 Supports the two-parameter beta and Kumaraswamy families plus the
-three-parameter weighted Kumaraswamy family (WK), fitted by profile
-likelihood through the Beta link: under WK(a, b, c), X^a ~ Beta(c/a, b+1);
-under Kumaraswamy(a, b), X^a ~ Beta(1, b); the beta model is the link at
-a = 1. For fixed a the beta log-likelihood depends on the data through
-a·Σ log x and Σ log(1 − xᵃ) alone and is concave in its two shapes, so
-Newton steps on the closed-form scores and Hessians solve it, and the
-Kumaraswamy b has the closed form n / |Σ log(1 − xᵃ)|. The profile over
-log a is scanned on a grid and its highest peaks are refined by Newton
-steps. Also AIC/BIC and a histogram-based RMSE metric.
+three-parameter weighted Kumaraswamy family (WK). Through the Beta link
+(under WK(a, b, c), X^a ~ Beta(c/a, b+1); under Kumaraswamy(a, b),
+X^a ~ Beta(1, b); the beta model is the link at a = 1) the log-likelihood
+at fixed a depends on the data through a·Σ log x and Σ log(1 − xᵃ) alone
+and is concave in the two beta shapes, so Newton steps on the closed-form
+scores and Hessians solve it, and the Kumaraswamy b has the closed form
+n / |Σ log(1 − xᵃ)|. This profile over log a is scanned on a grid, and its
+highest peaks are refined by one batched projected-Newton solve in
+(log a, b[, c]) jointly. The WK fit also starts from the Kumaraswamy
+optimum it nests, which is fitted once per sample and reused. Also AIC/BIC
+and a histogram-based RMSE metric.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import numpy as np
 from scipy.special import betaln, digamma, gammaln, zeta
 
 from .distributions import DistributionHandle, make_catalog
-from .numerics import (OptimizeResult, WtrvError, _masked_solve, minimize_bounded,
-                       projected_gradient)
+from .numerics import OptimizeResult, WtrvError, minimize_bounded, projected_gradient
 
 
 class DegenerateSampleError(ValueError):
@@ -92,6 +93,11 @@ class NormalizedSample:
     @functools.cached_property
     def _sum_log1m_x(self) -> float:
         return float(np.sum(np.log1p(-self._likelihood_set)))
+
+    @functools.cached_property
+    def _kw_fits(self) -> dict:
+        """fit._kw_fit's results by `starts`."""
+        return {}
 
 
 def normalize(z, policy: str = "exclude_boundary") -> NormalizedSample:
@@ -263,70 +269,74 @@ def rmse_metric(sample: NormalizedSample, fitted: DistributionHandle,
     return float(np.sqrt(np.mean((heights - model) ** 2)))
 
 
-def _moment_shapes(y: np.ndarray) -> np.ndarray:
-    """Method-of-moments beta shapes (p, q) of each row of y, clipped to the
-    parameter box."""
-    m, v = np.mean(y, axis=-1), np.maximum(np.var(y, axis=-1), 1e-6)
-    common = np.maximum(m * (1.0 - m) / v - 1.0, 1e-2)
-    return np.clip(np.array([m * common, (1.0 - m) * common]), *PARAM_BOUNDS)
+def _beta_start(n: int, s1, s2, scale, shift: float) -> np.ndarray:
+    """Start of _solve_beta: of five closed-form approximations to the beta
+    shapes (p, q) from the mean logs m1 = s1/n of y and m2 = s2/n of 1 − y,
+    the one with the highest likelihood, as θ = (p·scale, q − shift) clipped
+    to the box. With G = e^m and ψ(x) ≈ log(x − 1/2) they are
+    - interior: p, q = 1/2 + G1, G2 over 2·(1 − G1 − G2);
+    - q on its upper face Q: p = 1/2 + Q·G1/(1 − G1), or, for p ≪ Q, p from
+      ψ(p) = m1 + ψ(Q) by Minka's inverse-digamma start;
+    - p on its upper face P: q = 1/2 + P·G2/(1 − G2);
+    - large q, where q·y is Gamma(p): log p − ψ(p) = log(−m2) − m1 by
+      Minka's closed form, and q = p/(−m2).
+    Newton reaches a face only by doubling its distance each step, so the
+    face candidates matter where the optimum lies there: at large a in the
+    WK scan, where xᵃ underflows, and for a single observation."""
+    m1, m2 = np.divide(s1, n), np.divide(s2, n)
+    g1, g2 = np.exp(m1), np.exp(m2)
+    p_face, q_face = PARAM_BOUNDS[1] / scale, PARAM_BOUNDS[1] + shift
+    psi = m1 + digamma(q_face)
+    with np.errstate(all="ignore"):
+        gap = -np.expm1(m2) - g1  # 1 − G1 − G2 ≥ 0 by AM–GM
+        r = np.log(-m2) - m1
+        p_gamma = (3.0 - r + np.sqrt((r - 3.0) ** 2 + 24.0 * r)) / (12.0 * r)
+        pq = np.array(np.broadcast_arrays(  # the five (p, q) above, in order
+            0.5 + g1 / (2.0 * gap), 0.5 + q_face * g1 / -np.expm1(m1),
+            np.where(psi >= -2.22, np.exp(psi) + 0.5, -1.0 / (psi + np.euler_gamma)),
+            p_face, p_gamma,
+            0.5 + g2 / (2.0 * gap), q_face, q_face,
+            0.5 + p_face * g2 / -np.expm1(m2), p_gamma / -m2))
+        p, q = pq.reshape(2, 5, *pq.shape[1:])
+        theta = np.clip(np.array([p * scale, q - shift]), *PARAM_BOUNDS)
+        p, q = theta[0] / scale, theta[1] + shift
+        value = (p - 1.0) * s1 + (q - 1.0) * s2 - n * betaln(p, q)
+    best = np.argmax(np.where(np.isnan(value), -np.inf, value), axis=0)
+    return np.take_along_axis(theta, best[None, None], axis=1)[:, 0]
 
 
-def _solve_beta(n: int, s1, s2, x0: np.ndarray, scale, shift: float) -> OptimizeResult:
+def _solve_beta(n: int, s1, s2, scale, shift: float) -> OptimizeResult:
     """Maximise _beta_terms over the parameter box for θ = (p·scale,
     q − shift): (alpha, beta) for the beta model, (c, b) at fixed a for WK.
-    Batched when x0 is (2, m)."""
+    Batched when s1, s2 and scale are arrays over m problems."""
     jac = np.array(np.broadcast_arrays(1.0 / scale, 1.0))
 
     def fun(theta):
         value, grad, hess = _beta_terms(n, s1, s2, theta[0] / scale, theta[1] + shift)
         return -value, -grad * jac, -hess * jac[:, None] * jac[None]
 
-    return minimize_bounded(fun, x0, [PARAM_BOUNDS] * 2, tol=0.0)
+    return minimize_bounded(fun, _beta_start(n, s1, s2, scale, shift),
+                            [PARAM_BOUNDS] * 2, tol=0.0)
 
 
-def _profile_slopes(a, grad, hess, inner: np.ndarray) -> tuple:
-    """Slope and curvature in s = log a of a log-likelihood maximised over
-    its other coordinates, which take the values inner, and the derivative
-    of inner in s; coordinates at a bound of the box stay there."""
-    free = (inner > PARAM_BOUNDS[0]) & (inner < PARAM_BOUNDS[1])
-    cross = hess[1:, 0]
-    sol = _masked_solve(hess[1:, 1:], cross, free)
-    curv = hess[0, 0] - np.sum(cross * sol, axis=0)
-    return a * grad[0], a * a * curv + a * grad[0], -a * sol
-
-
-def _kw_profile(sample: NormalizedSample, s: np.ndarray, warm=None) -> tuple:
+def _kw_profile(sample: NormalizedSample, s: np.ndarray) -> tuple:
     """loglik_kw maximised over b at a = e^s, b = n / |Σ log(1 − xᵃ)| clipped
-    to the box: values, slopes and curvatures in s, b as a (1, m) array and
-    its derivative in s."""
+    to the box: values and b as a (1, m) array."""
     n = len(sample._log_x)
     a = np.exp(s)
-    sums = _power_sums(sample, a)
+    big_l = _power_sums(sample, a)[0]
     with np.errstate(divide="ignore"):
-        b = np.clip(n / np.abs(sums[0]), *PARAM_BOUNDS)  # Σ log(1 − xᵃ) ≤ 0, 0 once xᵃ underflows
-    value = n * np.log(a * b) + (a - 1.0) * sample._sum_log_x + (b - 1.0) * sums[0]
-    ds, d2s, db = _profile_slopes(a, *_kw_terms(sample, sums, a, b), b[None])
-    return value, ds, d2s, b[None], db
+        b = np.clip(n / np.abs(big_l), *PARAM_BOUNDS)  # Σ log(1 − xᵃ) ≤ 0, 0 once xᵃ underflows
+    return n * np.log(a * b) + (a - 1.0) * sample._sum_log_x + (b - 1.0) * big_l, b[None]
 
 
-def _wk_profile(sample: NormalizedSample, s: np.ndarray, warm: np.ndarray) -> tuple:
-    """loglik_wk maximised over (b, c) at a = e^s through X^a ~ Beta(c/a, b+1),
-    from the (b, c) start warm: values, slopes and curvatures in s, the
-    (b, c) optimum as a (2, m) array and its derivative in s."""
+def _wk_profile(sample: NormalizedSample, s: np.ndarray) -> tuple:
+    """loglik_wk maximised over (b, c) at a = e^s through X^a ~ Beta(c/a, b+1):
+    values and the (b, c) optimum as a (2, m) array."""
     n, sx = len(sample._log_x), sample._sum_log_x
     a = np.exp(s)
-    sums = _power_sums(sample, a)
-    res = _solve_beta(n, a * sx, sums[0], warm[::-1], a, 1.0)
-    inner = res.argmin[::-1]
-    value = n * np.log(a) + (a - 1.0) * sx - res.objective
-    ds, d2s, d_inner = _profile_slopes(a, *_wk_terms(sample, sums, a, *inner), inner)
-    return value, ds, d2s, inner, d_inner
-
-
-def _wk_scan_start(sample: NormalizedSample, a: np.ndarray) -> np.ndarray:
-    """(b, c) from the beta moments of xᵃ at each a."""
-    p, q = _moment_shapes(np.exp(np.multiply.outer(a, sample._log_x)))
-    return np.clip(np.array([q - 1.0, p * a]), *PARAM_BOUNDS)
+    res = _solve_beta(n, a * sx, _power_sums(sample, a)[0], a, 1.0)
+    return n * np.log(a) + (a - 1.0) * sx - res.objective, res.argmin[::-1]
 
 
 def _peaks(values: np.ndarray, starts: int) -> np.ndarray:
@@ -337,91 +347,108 @@ def _peaks(values: np.ndarray, starts: int) -> np.ndarray:
     return idx[np.argsort(-v[idx], kind="stable")][:starts]
 
 
-def _refine(profile: Callable, sample: NormalizedSample, s0: np.ndarray, inner0: np.ndarray,
-            slope0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """Newton ascent of a profile in s = log a from the starts s0, each
-    within its [lo, hi], until the slope is below 1e-8 per observation.
-    inner0 and slope0 are the inner optimum at s0 and its derivative in s;
-    each inner solve starts from the first-order prediction off the last
-    point solved for its start. Returns (s, values, inner) over the starts
-    and the Newton steps."""
-    last = [s0, inner0, slope0]
-
-    def fun(s):
-        warm = np.clip(last[1] + last[2] * (s[0] - last[0]), *PARAM_BOUNDS)
-        value, ds, d2s, inner, slope = profile(sample, s[0], warm)
-        last[:] = s[0], inner, slope
-        return -value, -ds, -d2s
-
-    res = minimize_bounded(fun, s0[None], [(lo, hi)], tol=1e-8 * len(sample._log_x))
-    s = res.argmin[0]
-    if not np.array_equal(s, last[0]):  # the last evaluation was a rejected trial
-        fun(res.argmin)
-    return s, -res.objective, last[1], res.iterations
+def _joint(sample: NormalizedSample, model: str, theta: np.ndarray) -> tuple:
+    """−loglik of kw at (e^s, b) or of wk at (e^s, b, c), for θ = (s, b[, c])
+    of shape (k, m), with its gradient and Hessian in θ: by the chain rule
+    through a = e^s, g_s = a·g_a, H_ss = a²·H_aa + a·g_a and H_s· = a·H_a·."""
+    n, sx = len(sample._log_x), sample._sum_log_x
+    a, b = np.exp(theta[0]), theta[1]
+    sums = _power_sums(sample, a)
+    if model == "kw":
+        value = n * np.log(a * b) + (a - 1.0) * sx + (b - 1.0) * sums[0]
+        grad, hess = _kw_terms(sample, sums, a, b)
+    else:
+        c = theta[2]
+        value = n * (np.log(c / b) - betaln(1.0 + c / a, b)) + (c - 1.0) * sx + b * sums[0]
+        grad, hess = _wk_terms(sample, sums, a, b, c)
+    grad[0] *= a
+    hess[0] *= a
+    hess[:, 0] *= a
+    hess[0, 0] += grad[0]
+    return -value, -grad, -hess
 
 
-_PROFILE = {"kw": _kw_profile, "wk": _wk_profile}
+def _refine(sample: NormalizedSample, model: str, theta0: np.ndarray,
+            lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Projected Newton ascent of the kw or wk log-likelihood in θ = (s, b[, c])
+    from the starts θ0 of shape (k, m), each s within its [lo, hi] and the
+    other coordinates in the box, until the gradient is below 1e-8 per
+    observation. Returns θ and the values over the starts, and the steps."""
+    bounds = [(lo, hi)] + [PARAM_BOUNDS] * (len(theta0) - 1)
+    res = minimize_bounded(functools.partial(_joint, sample, model), theta0, bounds,
+                           tol=1e-8 * len(sample._log_x))
+    return res.argmin, -res.objective, res.iterations
+
+
+def _kw_fit(sample: NormalizedSample, starts: int) -> tuple:
+    """_fit_profile(sample, "kw", starts), once per sample and `starts`: the kw
+    fit of a report also serves the nested start of its wk fit."""
+    fits = sample._kw_fits
+    if starts not in fits:
+        fits[starts] = _fit_profile(sample, "kw", starts)
+    return fits[starts]
 
 
 def _fit_profile(sample: NormalizedSample, model: str, starts: int) -> tuple:
     """Scan the profile of a kw or wk model on _SCAN and refine its `starts`
-    highest peaks, each between its two neighbours on the grid. WK(a, b − 1, a)
-    is Kw(a, b), so when b − 1 is in the box and no wk peak ends above the
-    kw optimum, wk is also refined from there over the whole box: the wk fit
-    never ends below a kw fit it nests. A refinement that raises ValueError fails all
-    its starts, and one that ends non-finite fails that start.
+    highest peaks jointly in (log a, b[, c]), each log a between its two
+    neighbours on the grid. WK(a, b − 1, a) is Kw(a, b), so when b − 1 is in
+    the box and no wk peak ends above the kw optimum, wk is also refined from
+    there over the whole box: the wk fit never ends below a kw fit it nests.
+    A refinement that raises ValueError fails all its starts, and one that
+    ends non-finite fails that start.
     Returns (params, value, starts tried, starts failed, Newton steps)."""
-    profile = _PROFILE[model]
-    warm = _wk_scan_start(sample, np.exp(_SCAN)) if model == "wk" else None
-    values, _, _, inner, slope = profile(sample, _SCAN, warm)
+    values, inner = (_kw_profile if model == "kw" else _wk_profile)(sample, _SCAN)
     peaks = _peaks(values, starts)
-    found = []  # (s, value, inner) of each refined start
+    found = []  # (value, θ) of each refined start
     failed, steps = 0, 0
 
-    def refine(*start):
+    def refine(theta0, lo, hi):
         nonlocal failed, steps
         try:
-            s, value, theta, n_steps = _refine(profile, sample, *start)
+            theta, value, n_steps = _refine(sample, model, theta0, lo, hi)
         except ValueError:  # a start outside the box, non-finite there
-            failed += len(start[0])
+            failed += theta0.shape[1]
             return
         ok = np.isfinite(value)
         failed += int(np.sum(~ok))
         steps += n_steps
-        found.extend((s[j], value[j], theta[:, j]) for j in np.nonzero(ok)[0])
+        found.extend((value[j], theta[:, j]) for j in np.nonzero(ok)[0])
 
     last = len(_SCAN) - 1
-    refine(_SCAN[peaks], inner[:, peaks], slope[:, peaks],
+    refine(np.vstack([_SCAN[peaks], inner[:, peaks]]),
            _SCAN[np.maximum(peaks - 1, 0)], _SCAN[np.minimum(peaks + 1, last)])
     tried = len(peaks)
     if model == "wk":
         tried += 1
         try:
-            (a, b), kw_value = _fit_profile(sample, "kw", starts)[:2]
+            (a, b), kw_value = _kw_fit(sample, starts)[:2]
         except FitError:
             failed += 1
         else:
             nested = PARAM_BOUNDS[0] <= b - 1.0 <= PARAM_BOUNDS[1]
-            if nested and not any(v >= kw_value for _, v, _ in found):
-                s0 = np.array([math.log(a)])
-                refine(s0, *profile(sample, s0, np.array([[b - 1.0], [a]]))[3:],
-                       _SCAN[:1], _SCAN[-1:])
+            if nested and not any(v >= kw_value for v, _ in found):
+                refine(np.array([[math.log(a)], [b - 1.0], [a]]), _SCAN[:1], _SCAN[-1:])
     if not found:
         raise FitError(f"all {tried} starts failed for model {model!r} "
                        f"(n={sample.n}, policy={sample.boundary_policy})")
-    s, value, theta = max(found, key=lambda f: f[1])
+    value, theta = max(found, key=lambda f: f[0])
+    s = theta[0]
     a = PARAM_BOUNDS[1] if s >= _SCAN[-1] else PARAM_BOUNDS[0] if s <= _SCAN[0] else math.exp(s)
-    return (a, *map(float, theta)), value, tried, failed, steps
+    return (a, *map(float, theta[1:])), value, tried, failed, steps
 
 
 def fit_mle(sample: NormalizedSample, model: str, starts: int = 16) -> FitResult:
     """Maximum-likelihood fit by profile likelihood through the Beta link.
 
-    beta is one Newton solve of a concave problem. kw and wk are profiled
-    over s = log a: the profile is scanned on a grid over the box and its
-    `starts` highest peaks (plus, for wk, the kw optimum) are refined by
-    Newton steps in s. A refinement that raises ValueError or ends
-    non-finite is a failed start. The reported log-likelihood is _LOGLIK's.
+    beta is one Newton solve of a concave problem. For kw and wk the profile
+    over s = log a is scanned on a grid over the box, and its `starts`
+    highest peaks are refined by projected Newton steps in (s, b[, c])
+    jointly. wk is also refined from the kw optimum it nests, and the kw fit
+    behind that start is made once per sample and `starts`: a kw fit of the
+    same sample, before or after, reuses it. A refinement that raises
+    ValueError or ends non-finite is a failed start. The reported
+    log-likelihood is _LOGLIK's.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; known: {', '.join(MODELS)}")
@@ -430,14 +457,15 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16) -> FitResult
     names = MODELS[model]
     k = len(names)
     if model == "beta":
-        x0 = _moment_shapes(sample.likelihood_values)
         try:
             res = _solve_beta(len(sample._log_x), sample._sum_log_x,
-                              sample._sum_log1m_x, x0, 1.0, 0.0)
+                              sample._sum_log1m_x, 1.0, 0.0)
         except ValueError as exc:
             raise FitError(f"beta fit failed (n={sample.n}, "
                            f"policy={sample.boundary_policy}): {exc}") from exc
         theta, tried, failed, steps = res.argmin, 1, 0, res.iterations
+    elif model == "kw":
+        theta, _, tried, failed, steps = _kw_fit(sample, starts)
     else:
         theta, _, tried, failed, steps = _fit_profile(sample, model, starts)
     theta = np.array(theta, dtype=float)

@@ -88,6 +88,41 @@ class TestJsonEncoding:
         if not np.isfinite(arr.astype(float)).all():
             assert json.loads(dumps(cli._jsonable(arr)))[1] is None
 
+    # _emit_json lays out dicts and lists itself so that json's C encoder
+    # runs; its bytes must stay those of json.dumps(sort_keys=True, indent=2)
+    @pytest.mark.parametrize("obj", [
+        {"nan": np.array([np.nan, 1.0]), "inf": [np.inf, -np.inf, float("nan")],
+         "empty": [], "nested": [[], [[1, 2.5]], {"k": [], "j": {}}, [None, True, "x"]],
+         "text": "Ωmega ☃ \"quoted\"\n", "ü": {}, "ints": np.arange(3)},
+        [], {}, [[]], [{}], [[], []], 3.0, -np.inf, "é", None,
+    ])
+    def test_emit_json_matches_indent_2(self, obj, tmp_path):
+        path = tmp_path / "out.json"
+        cli._emit_json(obj, str(path))
+        assert path.read_text() == dumps(cli._jsonable(obj))
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "--dist", "weibull(alpha=1.7,beta=2.2)", "--weight", "power(c=1.5)",
+         "--grid", "50", "--format", "json"),
+        ("check-aging", "--dist", "gamma(k=2.5,lambda=1.5)", "--format", "json"),
+        ("check-order", "--x", "exponential(lambda=2)", "--y", "exponential(lambda=1)",
+         "--order", "lr"),
+        ("verify-theorem", "thm9-example7"),
+        ("table1-audit", "--format", "json"),
+        ("describe", "CSV"),
+        ("fit", "--model", "wk", "--starts", "4", "CSV"),
+        ("gof", "--model", "kw", "--starts", "4", "CSV"),
+        ("report", "--starts", "4", "CSV"),
+    ], ids=lambda argv: argv[0])
+    def test_command_output_matches_indent_2(self, capsys, monkeypatch, csv_path, argv):
+        emitted = []
+        real = cli._emit_json
+        monkeypatch.setattr(cli, "_emit_json",
+                            lambda obj, out: (emitted.append(obj), real(obj, out)))
+        code, out, _ = run_cli(capsys, *(csv_path if a == "CSV" else a for a in argv))
+        assert code == 0 and len(emitted) == 1
+        assert out == dumps(cli._jsonable(emitted[0]))
+
 
 class TestJsonCommands:
     def test_check_aging(self, capsys):

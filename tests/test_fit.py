@@ -130,6 +130,31 @@ def rainfall_series(rng, law):
     return normalize([float(f"{v:.3f}") for v in low + span * x])
 
 
+def report_series():
+    """40 fresh samples, alternately from Kw and WK laws."""
+    return [rainfall_series(np.random.default_rng([2026, i]), ("kw", "wk")[i % 2])
+            for i in range(40)]
+
+
+@pytest.mark.parametrize("model, k", [("kw", 2), ("wk", 3)])
+def test_joint_derivatives_in_log_a(model, k):
+    # the refinement's gradient and Hessian in (s = log a, b[, c]) come from
+    # those in (a, b[, c]) by the chain rule
+    s = unit_sample(n=80)
+    rng = np.random.default_rng(5)
+    for theta in np.column_stack([rng.uniform(-2.0, 3.0, 20),
+                                  np.exp(rng.uniform(-2.0, 3.0, (20, k - 1)))]):
+        value, grad, hess = fit_mod._joint(s, model, theta)
+        loglik = loglik_kw if model == "kw" else loglik_wk
+        assert value == pytest.approx(-loglik(s, math.exp(theta[0]), *theta[1:]), rel=1e-12)
+        step = 1e-6 * (1.0 + np.abs(theta))
+        fd = finite_diff_grad(lambda v: fit_mod._joint(s, model, v)[0], theta, step)
+        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6)
+        fd = np.array([finite_diff_grad(lambda v: fit_mod._joint(s, model, v)[1][i], theta,
+                                        10.0 * step) for i in range(k)])
+        np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-5)
+
+
 class TestFitMle:
     def test_recovers_kumaraswamy(self):
         s = unit_sample(a=2.0, b=5.0, n=2000, seed=9)
@@ -149,14 +174,64 @@ class TestFitMle:
         # WK(a, b - 1, a) is Kw(a, b), so the WK maximum cannot be lower
         # whenever the fitted Kw law lies inside the WK parameter box
         inside = 0
-        for i in range(40):
-            s = rainfall_series(np.random.default_rng([2026, i]), ("kw", "wk")[i % 2])
+        for i, s in enumerate(report_series()):
             kw = fit_mle(s, "kw", starts=4)
             wk = fit_mle(s, "wk", starts=4)
+            assert kw.optimizer.converged and wk.optimizer.converged, i
             if 1.001 <= kw.params["b"] <= 1001.0:
                 inside += 1
                 assert wk.loglik >= kw.loglik - 1e-9 * (1.0 + abs(kw.loglik)), i
         assert inside >= 30
+
+    def test_wk_reuses_the_kw_fit(self, monkeypatch):
+        # report fits kw before wk on one sample; the wk fit's nested start
+        # then takes that kw optimum instead of scanning and refining kw again
+        real_profile, real_refine, calls = fit_mod._kw_profile, fit_mod._refine, []
+
+        def kw_profile(sample, s):
+            calls.append("kw scan")
+            return real_profile(sample, s)
+
+        def refine(sample, model, *args):
+            calls.append(f"{model} refine")
+            return real_refine(sample, model, *args)
+
+        monkeypatch.setattr(fit_mod, "_kw_profile", kw_profile)
+        monkeypatch.setattr(fit_mod, "_refine", refine)
+        for i, (s, twin) in enumerate(zip(report_series(), report_series())):
+            calls.clear()
+            alone = fit_mle(s, "wk", starts=4)
+            assert calls.count("kw scan") == 1 and calls.count("kw refine") == 1, i
+            fit_mle(twin, "kw", starts=4)
+            calls.clear()
+            after = fit_mle(twin, "wk", starts=4)
+            assert "kw scan" not in calls and "kw refine" not in calls, i
+            assert after.params == alone.params and after.loglik == alone.loglik, i
+            assert (after.starts_tried, after.starts_failed, after.optimizer.iterations) == \
+                (alone.starts_tried, alone.starts_failed, alone.optimizer.iterations), i
+
+    def test_scan_steps_on_report_series(self, monkeypatch):
+        # the closed-form starts of the scan's beta solves keep the batched
+        # 49-point wk scan to a few Newton steps, also where the optimum lies
+        # on a face of the box: at large a, where xᵃ underflows, b is on 1e3
+        real, steps = fit_mod.minimize_bounded, []
+
+        def record(fun, x0, bounds, tol=1e-6):
+            res = real(fun, x0, bounds, tol)
+            steps.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(fit_mod, "minimize_bounded", record)
+        for s in report_series():
+            fit_mod._wk_profile(s, fit_mod._SCAN)
+        assert len(steps) == 40
+        assert np.mean(steps) <= 7.0 and max(steps) <= 9
+        # one observation after exclude_boundary: every optimum is on a face
+        steps.clear()
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            fit_mod._wk_profile(normalize(rng.gamma(2.0, 100.0, 3)), fit_mod._SCAN)
+        assert max(steps) <= 6
 
     def test_failed_start_counted(self, monkeypatch):
         # a refinement that raises fails all the starts it carried; wk then
@@ -164,7 +239,9 @@ class TestFitMle:
         real, calls = fit_mod.minimize_bounded, []
 
         def fail_first_refinement(fun, x0, bounds, tol=1e-6):
-            if len(x0) == 1 and not calls:  # one coordinate, log a: a profile refinement
+            # (log a, b, c): the joint wk refinement of the scan's peaks; the
+            # scan's inner solves have two coordinates
+            if len(x0) == 3 and not calls:
                 calls.append(x0)
                 raise ValueError("forced failure")
             return real(fun, x0, bounds, tol)
