@@ -7,7 +7,10 @@ Hermite interpolant (written out in _hermite), both in the quadrature's
 coordinate: x on a finite support, t = x / (1 + x) on an infinite one. The
 quantile inverts that interpolant for all points at once by safeguarded
 Newton-bisection, with each point bracketed by its table cell and the
-interpolant's own slope.
+interpolant's own slope. The constructed variable and the minimum of
+independent variables pass only what they compute inside the support to
+distributions._handle, which adds the edge values and the scalar/array
+handling shared by every handle.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from scipy import special as _sc
 
 from .distributions import DistributionHandle, _handle, make_catalog
 from .numerics import (ConvergenceError, Interval, _gk15_cells, _split_cells, invert_monotone,
-                       scalar_or_array, unit_integrand)
+                       unit_integrand)
 from .numerics import brent_root, integrate_adaptive  # noqa: F401 (re-exported)
 from .weights import (IntegrabilityError, WeightFunction, make_weight,
                       tail_integrand, validate_weight, weight_normalizer_integral)
@@ -139,38 +142,19 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
         nodes, fvals, slopes, gap = _build_table(unit_integrand(g, 0.0), 1.0, z)
         to_t, to_x = (lambda x: x / (1.0 + x)), (lambda t: t / (1.0 - t))
     interp, density = _hermite(nodes, fvals, slopes)
+    cdf = lambda x: np.clip(interp(to_t(x)), 0.0, 1.0)
 
-    @scalar_or_array
-    def pdf(x):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.where((x <= 0.0) | (x >= hi), 0.0,
-                            np.asarray(g(np.clip(x, 0.0, None)), dtype=float) / z)
-
-    @scalar_or_array
-    def cdf(x):
-        with np.errstate(invalid="ignore"):
-            inner = np.clip(interp(to_t(np.clip(x, 0.0, hi))), 0.0, 1.0)
-        return np.where(x <= 0.0, 0.0, np.where(x >= hi, 1.0, inner))
-
-    @scalar_or_array
-    def sf(x):
-        return 1.0 - cdf(x)
-
-    @scalar_or_array
     def quantile(u):
-        out = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, hi, np.nan))
-        inside = (u > 0.0) & (u < 1.0)
-        ui = u[inside]
-        i = np.searchsorted(fvals, ui, side="right")
-        out[inside] = to_x(invert_monotone(interp, density, ui, nodes[i - 1], nodes[i]))
-        return out
+        i = np.searchsorted(fvals, u, side="right")
+        return to_x(invert_monotone(interp, density, u, nodes[i - 1], nodes[i]))
 
     with np.errstate(divide="ignore"):
         x_nodes = to_x(nodes)
-    return WtrvDistribution(
-        name="wtrv", params={**{f"base_{k}": v for k, v in dist.params.items()},
-                             **{f"w_{k}": v for k, v in weight.params.items()}},
-        support=support, pdf=pdf, cdf=cdf, sf=sf, quantile=quantile,
+    return _handle(
+        "wtrv", {**{f"base_{k}": v for k, v in dist.params.items()},
+                 **{f"w_{k}": v for k, v in weight.params.items()}},
+        support, pdf=lambda x: np.asarray(g(x), dtype=float) / z, cdf=cdf,
+        sf=lambda x: 1.0 - cdf(x), quantile=quantile, cls=WtrvDistribution,
         base=dist, weight=weight, normalizer=z, cdf_nodes=x_nodes, cdf_values=fvals,
         table_gap=gap)
 
@@ -194,15 +178,12 @@ def minimum_of(handles: Sequence[DistributionHandle]) -> DistributionHandle:
         if h.support != sup:
             raise ValueError("minimum requires identical supports")
 
-    @scalar_or_array
     def sf(x):
         return np.prod([np.asarray(h.sf(x), dtype=float) for h in handles], axis=0)
 
-    @scalar_or_array
     def cdf(x):
         return 1.0 - sf(x)
 
-    @scalar_or_array
     def pdf(x):
         sfs = [np.asarray(h.sf(x), dtype=float) for h in handles]
         pdfs = [np.asarray(h.pdf(x), dtype=float) for h in handles]
@@ -213,27 +194,21 @@ def minimum_of(handles: Sequence[DistributionHandle]) -> DistributionHandle:
                 out = out + np.where(s > 0, p * total / np.maximum(s, 1e-300), 0.0)
         return out
 
-    @scalar_or_array
     def quantile(u):
-        out = np.where(u <= 0.0, sup.lo, np.where(u >= 1.0, sup.hi, np.nan))
-        inside = (u > 0.0) & (u < 1.0)
-        ui = u[inside]
-        lo = np.full_like(ui, sup.lo)
-        hi = np.full_like(ui, sup.hi if sup.is_finite else max(1.0, sup.lo + 1.0))
+        lo = np.full_like(u, sup.lo)
+        hi = np.full_like(u, sup.hi if sup.is_finite else max(1.0, sup.lo + 1.0))
         # bracket doubling, all points at once
-        short = cdf(hi) < ui
+        short = cdf(hi) < u
         while short.any():
             if not np.isfinite(hi[short]).all():
                 raise ConvergenceError("no finite upper bracket for a quantile")
             lo = np.where(short, hi, lo)
             hi = np.where(short, 2.0 * hi, hi)
-            short = cdf(hi) < ui
-        out[inside] = invert_monotone(cdf, pdf, ui, lo, hi)
-        return out
+            short = cdf(hi) < u
+        return invert_monotone(cdf, pdf, u, lo, hi)
 
     name = "min[" + ",".join(h.describe() for h in handles) + "]"
-    return DistributionHandle(name=name, params={}, support=sup,
-                              pdf=pdf, cdf=cdf, sf=sf, quantile=quantile)
+    return _handle(name, {}, sup, pdf=pdf, cdf=cdf, sf=sf, quantile=quantile)
 
 
 def wtrv_of_minimum(dists: Sequence[DistributionHandle],

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -51,12 +51,28 @@ def _masked(support: Interval, inside: Callable, below: float, above: float) -> 
     return fn
 
 
-def _handle(name, params, support, pdf, cdf, sf, quantile):
-    return DistributionHandle(
+def _inverse(support: Interval, inside: Callable) -> Callable:
+    @scalar_or_array
+    def fn(u):
+        out = np.where(u <= 0.0, support.lo, np.where(u >= 1.0, support.hi, np.nan))
+        inner = (u > 0.0) & (u < 1.0)
+        out[inner] = inside(u[inner])
+        return out
+
+    return fn
+
+
+def _handle(name, params, support, pdf, cdf, sf, quantile, cls=DistributionHandle, **fields):
+    """Build a distribution handle; every handle is made here. The
+    vectorized functions given need only be right inside the support: pdf,
+    cdf and sf take their edge values at and beyond it, the quantile gives
+    the support's ends at u <= 0 and u >= 1 and runs only on u in (0, 1),
+    and a scalar in gives a float out. A subclass cls receives its extra
+    fields."""
+    return cls(
         name=name, params=dict(params), support=support,
         pdf=_masked(support, pdf, 0.0, 0.0), cdf=_masked(support, cdf, 0.0, 1.0),
-        sf=_masked(support, sf, 1.0, 0.0),
-        quantile=scalar_or_array(lambda u: quantile(np.clip(u, 0.0, 1.0))))
+        sf=_masked(support, sf, 1.0, 0.0), quantile=_inverse(support, quantile), **fields)
 
 
 def _require_positive(params: dict[str, float], *names: str) -> None:
@@ -219,9 +235,7 @@ def kumaraswamy_moment(a: float, b: float, n: int) -> float:
 
 
 def _chi_square(k: float) -> DistributionHandle:
-    h = _gamma(k / 2.0, 0.5)
-    return DistributionHandle(name="chi_square", params={"k": k}, support=h.support,
-                              pdf=h.pdf, cdf=h.cdf, sf=h.sf, quantile=h.quantile)
+    return replace(_gamma(k / 2.0, 0.5), name="chi_square", params={"k": k})
 
 
 def _truncated_power(beta: float) -> DistributionHandle:

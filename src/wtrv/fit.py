@@ -161,6 +161,11 @@ def _power_sums(sample: NormalizedSample, a):
     return np.log(one_minus).sum(-1), r.sum(-1), (r * w).sum(-1)
 
 
+def _log1m_sum(sample: NormalizedSample, a):
+    """Σ log(1 − xᵃ) alone for each a, the first of _power_sums."""
+    return np.log(-np.expm1(np.multiply.outer(a, sample._log_x))).sum(-1)
+
+
 def _beta_terms(n: int, s1, s2, p, q) -> tuple:
     """(p − 1)·s1 + (q − 1)·s2 − n·log B(p, q), the beta log-likelihood on
     the sufficient statistics s1 = Σ log y, s2 = Σ log(1 − y), with its
@@ -324,7 +329,7 @@ def _kw_profile(sample: NormalizedSample, s: np.ndarray) -> tuple:
     to the box: values and b as a (1, m) array."""
     n = len(sample._log_x)
     a = np.exp(s)
-    big_l = _power_sums(sample, a)[0]
+    big_l = _log1m_sum(sample, a)
     with np.errstate(divide="ignore"):
         b = np.clip(n / np.abs(big_l), *PARAM_BOUNDS)  # Σ log(1 − xᵃ) ≤ 0, 0 once xᵃ underflows
     return n * np.log(a * b) + (a - 1.0) * sample._sum_log_x + (b - 1.0) * big_l, b[None]
@@ -335,7 +340,7 @@ def _wk_profile(sample: NormalizedSample, s: np.ndarray) -> tuple:
     values and the (b, c) optimum as a (2, m) array."""
     n, sx = len(sample._log_x), sample._sum_log_x
     a = np.exp(s)
-    res = _solve_beta(n, a * sx, _power_sums(sample, a)[0], a, 1.0)
+    res = _solve_beta(n, a * sx, _log1m_sum(sample, a), a, 1.0)
     return n * np.log(a) + (a - 1.0) * sx - res.objective, res.argmin[::-1]
 
 

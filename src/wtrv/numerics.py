@@ -273,15 +273,18 @@ _NEWTON_ROUNDS = 200
 
 
 def invert_monotone(f: Callable, fprime: Callable, target, lo, hi) -> np.ndarray:
-    """Solve f(x) = target point by point for a nondecreasing vectorized f.
+    """Solve f(x) = target point by point for a nondecreasing vectorized f
+    on the unit scale, such as a cdf.
 
     Each point has its own bracket [lo, hi] and gets lo (hi) when its target
     is at or below f(lo) (at or above f(hi)). Safeguarded Newton steps on
     fprime run on all points at once and fall back to bisection when a step
-    leaves the bracket or does not halve the step before last; a point stops
-    once its step or bracket is within 1e-14 * (1 + |x|). Raises
-    ConvergenceError when f is not finite or a point is still open after
-    _NEWTON_ROUNDS rounds.
+    leaves the bracket or does not halve the step before last. A point stops
+    at an x with |f(x) - target| <= 1e-15, or once its step or bracket is
+    within 1e-14 * |x|: relative, so a root near 0 keeps its digits where f
+    is steep, while the residual stop ends targets too small for the
+    relative one. Raises ConvergenceError when f is not finite or a point
+    is still open after _NEWTON_ROUNDS rounds.
     """
     shape = np.shape(target)
     t = np.asarray(target, dtype=float).ravel()
@@ -308,9 +311,10 @@ def invert_monotone(f: Callable, fprime: Callable, target, lo, hi) -> np.ndarray
             ok = (newton >= lo) & (newton <= hi) & (np.abs(2.0 * step) <= np.abs(dx_old))
         nxt = np.where(ok, newton, 0.5 * (lo + hi))
         dx, dx_old = nxt - xa, dx
-        tol = 1e-14 * (1.0 + np.abs(nxt))
-        done = (fx == 0.0) | (np.abs(dx) <= tol) | (hi - lo <= tol)
-        x[act[done]] = np.where(fx == 0.0, xa, nxt)[done]
+        tol = 1e-14 * np.abs(nxt)
+        close = np.abs(fx) <= 1e-15
+        done = close | (np.abs(dx) <= tol) | (hi - lo <= tol)
+        x[act[done]] = np.where(close, xa, nxt)[done]
         act, xa, lo, hi, t, dx, dx_old = (v[~done] for v in (act, nxt, lo, hi, t, dx, dx_old))
     if act.size:
         raise ConvergenceError(f"{act.size} of {x.size} points unconverged after "
@@ -343,13 +347,11 @@ _TRUST = 1e-9  # Newton decrement, relative to 1 + |f|, below which steps go unc
 def _masked_solve(h: np.ndarray, g: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Solve h·d = g on the free coordinates of each of m problems, with
     d = 0 on the others: h is (k, k, m) and symmetric, g and free are (k, m).
-    One or two coordinates are solved in closed form; a singular system
+    Two coordinates are solved in closed form; a singular system
     gives a non-finite d."""
     k = g.shape[0]
     g = np.where(free, g, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if k == 1:
-            return g / np.where(free, h[0], 1.0)
         if k == 2:
             h00, h11 = np.where(free, h[[0, 1], [0, 1]], 1.0)
             h01 = np.where(free[0] & free[1], h[0, 1], 0.0)

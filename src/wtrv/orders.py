@@ -19,7 +19,7 @@ import numpy as np
 from . import reliability
 from .construct import _TABLE_TOL, WtrvDistribution, construct, minimum_of, wtrv_of_minimum
 from .distributions import DistributionHandle, make_catalog, parse_dist_spec
-from .reliability import AGING_CLASSES, _interior_grid, _monotone, _mrl_grid
+from .reliability import AGING_CLASSES, TailError, _interior_grid, _monotone, mrl
 from .weights import IntegrabilityError, WeightFunction, make_weight, parse_weight_spec
 
 ORDER_NAMES = ("lr", "fr", "rfr", "st")
@@ -253,8 +253,10 @@ def _aging_facts(dist: DistributionHandle, weight: WeightFunction, grid_size: in
     w = np.asarray(weight.w(grid), dtype=float)
 
     def mrl_shape():
-        m = _mrl_grid(dist, grid)
-        return log_concavity_on_grid(grid, m) if np.isfinite(m).sum() >= 3 else (False, False)
+        try:
+            return log_concavity_on_grid(grid, mrl(dist, grid))
+        except (TailError, IntegrabilityError):
+            return False, False
 
     return {"ratio_increasing": lambda: _monotone(grid, ratio)[0],
             "ratio_log_concave": lambda: log_concavity_on_grid(grid, ratio)[0],

@@ -47,20 +47,32 @@ def reversed_hazard(dist: DistributionHandle, x):
     return _pdf_ratio(x, dist, dist.cdf, "cdf")
 
 
-def mrl(dist: DistributionHandle, x: float) -> float:
-    """Mean residual life: integral of sf over (x, hi) divided by sf(x)."""
-    s = float(dist.sf(x))
-    if s <= 0.0:
-        raise TailError(f"survival function vanishes at {x} for {dist.describe()}")
+@scalar_or_array
+def _residual_life(x, dist: DistributionHandle):
+    grid = x.ravel()
+    s = np.asarray(dist.sf(grid), dtype=float)
+    if np.any(s <= 0.0):
+        raise TailError(f"survival function vanishes at {grid[np.argmax(s <= 0.0)]} "
+                        f"for {dist.describe()}")
+    sf = lambda t: np.asarray(dist.sf(t), dtype=float)
+    seg = _gk15_cells(sf, grid[:-1], grid[1:])[0]
     try:
-        res = integrate_adaptive(lambda t: np.asarray(dist.sf(t), dtype=float),
-                                 Interval(float(x), dist.support.hi),
-                                 abs_tol=1e-11, rel_tol=1e-9)
+        tail = integrate_adaptive(sf, Interval(float(grid[-1]), dist.support.hi),
+                                  abs_tol=1e-11, rel_tol=1e-8).value
     except AccuracyError as exc:
         raise IntegrabilityError(
-            f"residual-life integral of {dist.describe()} at {x} did not converge "
-            f"(best estimate {exc.estimate:.4g})") from exc
-    return res.value / s
+            f"residual-life integral of {dist.describe()} past {grid[-1]} did not "
+            f"converge (best estimate {exc.estimate:.4g})") from exc
+    cum = tail + np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+    return (cum / s).reshape(x.shape)
+
+
+def mrl(dist: DistributionHandle, x):
+    """Mean residual life: integral of sf over (x, hi) divided by sf(x), at
+    one point or on an increasing grid: GK15 between neighbouring points and
+    one adaptive quadrature past the last. TailError names the first point
+    where sf vanishes; a divergent tail integral raises IntegrabilityError."""
+    return _residual_life(x, dist)
 
 
 @scalar_or_array
@@ -128,22 +140,6 @@ class AgingReport:
                 raise ValueError(f"inconsistent aging flags: {a} without {b}")
 
 
-def _mrl_grid(dist: DistributionHandle, grid: np.ndarray) -> np.ndarray:
-    """Mean residual life on an increasing grid via one batched quadrature."""
-    sf = lambda t: np.asarray(dist.sf(t), dtype=float)
-    seg = _gk15_cells(sf, grid[:-1], grid[1:])[0]
-    hi = dist.support.hi
-    try:
-        tail = integrate_adaptive(sf, Interval(float(grid[-1]), hi),
-                                  abs_tol=1e-11, rel_tol=1e-8).value
-    except AccuracyError:
-        return np.full_like(grid, np.nan)
-    cum = tail + np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-    s = np.asarray(dist.sf(grid), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(s > 0, cum / np.maximum(s, 1e-300), np.nan)
-
-
 def classify_aging(dist: DistributionHandle, grid_size: int = 128) -> AgingReport:
     """Grid classification of the six aging classes, with the implication
     chain (ILR implies IFR implies DMRL; DLR implies DFR implies IMRL)
@@ -173,10 +169,9 @@ def classify_aging(dist: DistributionHandle, grid_size: int = 128) -> AgingRepor
     except TailError as exc:
         failures["hazard"] = str(exc)
 
-    m = _mrl_grid(dist, grid)
-    if np.isfinite(m).sum() >= 3:
-        record(grid, m, "IMRL", "DMRL")
-    else:
+    try:
+        record(grid, mrl(dist, grid), "IMRL", "DMRL")
+    except (TailError, IntegrabilityError):
         failures["mrl"] = "residual-life integral unavailable on the grid"
 
     # implication closure

@@ -111,6 +111,20 @@ class TestConstructedQuantile:
         u = np.linspace(0.001, 0.999, 10 ** 4)
         assert np.max(np.abs(np.asarray(xw.cdf(xw.quantile(u))) - u)) <= 1e-14
 
+    # power(c=0.3) makes the density singular at 0, so the cdf is steep there
+    STEEP = [("burr12", {"c": 0.7, "k": 3.0}), ("pareto_lomax", {"alpha": 8.0}),
+             ("truncated_power", {"beta": 3.5}), ("gamma", {"k": 0.4, "lambda": 1.0})]
+
+    @pytest.mark.parametrize("base", STEEP, ids=lambda b: b[0])
+    def test_steep_at_zero(self, base):
+        xw = construct(make_catalog(*base), make_weight("power", {"c": 0.3}))
+        u = np.linspace(0.001, 0.999, 10 ** 4)
+        assert np.max(np.abs(np.asarray(xw.cdf(xw.quantile(u))) - u)) <= 1e-14
+        tiny = np.geomspace(1e-300, 1e-3, 300)
+        q = xw.quantile(tiny)
+        assert np.all(np.diff(q) >= 0.0)
+        assert np.max(np.abs(np.asarray(xw.cdf(q)) - tiny)) <= 1e-14
+
     def test_scalar_and_edges(self):
         xw = construct(make_catalog("exponential", {"lambda": 1.0}),
                        make_weight("linear", {}))

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from wtrv import (kumaraswamy_moment, make_catalog, parse_dist_spec, sample,
-                  wk_moment)
+from wtrv import (construct, kumaraswamy_moment, make_catalog, make_weight, minimum_of,
+                  parse_dist_spec, sample, wk_moment)
 from wtrv.distributions import CatalogError
 from wtrv.numerics import Interval, integrate_adaptive
 
-from conftest import interior_grid
+from conftest import CATALOG_INSTANCES, interior_grid
 
 
 class TestHandleInvariants:
@@ -45,6 +45,38 @@ class TestHandleInvariants:
         xs = interior_grid(catalog_dist, n=128)
         cs = np.asarray(catalog_dist.cdf(xs))
         assert np.all(np.diff(cs) >= -1e-14)
+
+
+EDGE_HANDLES = {
+    **{name: (lambda n=name, p=params: make_catalog(n, dict(p)))
+       for name, params in CATALOG_INSTANCES},
+    "wtrv_finite": lambda: construct(make_catalog("truncated_power", {"beta": 3.5}),
+                                     make_weight("power", {"c": 2.25})),
+    "wtrv_infinite": lambda: construct(make_catalog("gamma", {"k": 2.0, "lambda": 1.0}),
+                                       make_weight("power", {"c": 1.5})),
+    "minimum": lambda: minimum_of([make_catalog("exponential", {"lambda": 1.0}),
+                                   make_catalog("gamma", {"k": 2.0, "lambda": 1.0})]),
+}
+
+
+class TestEdgePolicy:
+    """Catalog and built handles share one policy at their support's ends."""
+
+    @pytest.mark.parametrize("name", EDGE_HANDLES)
+    def test_edges_and_shapes(self, name):
+        h = EDGE_HANDLES[name]()
+        lo, hi = h.support.lo, h.support.hi
+        xs = np.array([lo - 1.0, lo, hi, hi + 1.0])
+        assert h.pdf(xs).tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert h.cdf(xs).tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert h.sf(xs).tolist() == [1.0, 1.0, 0.0, 0.0]
+        q = h.quantile(np.array([-0.5, 0.0, 1.0, 1.5, np.nan]))
+        assert q[:4].tolist() == [lo, lo, hi, hi] and math.isnan(q[4])
+        mid = h.quantile(0.5)
+        for fn, v in ((h.pdf, mid), (h.cdf, mid), (h.sf, mid), (h.quantile, 0.5)):
+            assert type(fn(v)) is float
+            out = fn(np.full((2, 3), v))
+            assert out.shape == (2, 3) and np.allclose(out, fn(v), rtol=1e-14, atol=0.0)
 
 
 class TestSpecificFamilies:

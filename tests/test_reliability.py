@@ -5,6 +5,7 @@ from wtrv import (check_theorem_conditions, classify_aging, construct,
                   equilibrium, glaser, hazard, make_catalog, make_weight, mrl,
                   parse_dist_spec, parse_weight_spec, reversed_hazard)
 from wtrv.reliability import TailError
+from wtrv.weights import IntegrabilityError
 
 from conftest import interior_grid
 
@@ -44,6 +45,37 @@ class TestPointwiseFunctions:
         d = make_catalog("exponential", {"lambda": lam})
         for x in (0.1, 1.0, 3.0):
             assert mrl(d, x) == pytest.approx(1.0 / lam, rel=1e-8)
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_catalog("exponential", {"lambda": 1.3}),
+        lambda: make_catalog("gamma", {"k": 2.5, "lambda": 1.5}),
+        lambda: make_catalog("beta", {"alpha": 2.25, "beta": 3.5}),
+        lambda: construct(make_catalog("weibull", {"alpha": 1.7, "beta": 2.2}),
+                          make_weight("power", {"c": 2.0})),
+    ], ids=["exponential", "gamma", "beta", "wtrv"])
+    def test_mrl_grid_matches_points(self, build):
+        d = build()
+        xs = interior_grid(d, n=24, u_lo=0.05, u_hi=0.95)
+        m = mrl(d, xs)
+        assert isinstance(m, np.ndarray) and m.shape == xs.shape
+        points = [mrl(d, float(x)) for x in xs]
+        assert all(type(v) is float for v in points)
+        assert np.allclose(m, points, rtol=1e-8, atol=0.0)
+
+    def test_mrl_raises_where_sf_vanishes(self):
+        d = make_catalog("uniform", {})
+        with pytest.raises(TailError, match="vanishes at 1.0 "):
+            mrl(d, np.array([0.5, 1.0]))
+        with pytest.raises(TailError):
+            mrl(d, 1.5)
+
+    def test_mrl_divergent_tail(self):
+        # E[X] is infinite for alpha <= 1, so no residual life is finite
+        d = make_catalog("pareto_lomax", {"alpha": 0.8})
+        with pytest.raises(IntegrabilityError):
+            mrl(d, 1.0)
+        rep = classify_aging(d)
+        assert rep.failures["mrl"] == "residual-life integral unavailable on the grid"
 
     def test_glaser_beta(self):
         a, b = 2.25, 3.5
