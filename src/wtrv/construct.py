@@ -2,9 +2,10 @@
 
 Given a base distribution X with lower bound 0 and an admissible weight w,
 the constructed variable has density w'(x) * sf_X(x) / E[w(X)]. Its cdf is
-tabulated by cumulative GK15 quadrature and read through a piecewise-cubic
-Hermite interpolant (written out in _hermite), both in the quadrature's
-coordinate: x on a finite support, t = x / (1 + x) on an infinite one. The
+tabulated by the same GK15 pass that computes E[w(X)] (numerics.tabulate_cdf,
+run once by validate_weight) and read through a piecewise-cubic Hermite
+interpolant (written out in _hermite), both in the table's coordinate:
+x on a finite support, t = x / (1 + x) on an infinite one (CdfTable.to_t). The
 quantile inverts that interpolant for all points at once by safeguarded
 Newton-bisection, with each point bracketed by its table cell and the
 interpolant's own slope. The constructed variable and the minimum of
@@ -23,8 +24,7 @@ import numpy as np
 from scipy import special as _sc
 
 from .distributions import DistributionHandle, _handle, make_catalog
-from .numerics import (ConvergenceError, Interval, _gk15_cells, _split_cells, invert_monotone,
-                       unit_integrand)
+from .numerics import ConvergenceError, Interval, invert_monotone
 from .numerics import brent_root, integrate_adaptive  # noqa: F401 (re-exported)
 from .weights import (IntegrabilityError, WeightFunction, make_weight,
                       tail_integrand, validate_weight, weight_normalizer_integral)
@@ -47,52 +47,6 @@ class WtrvDistribution(DistributionHandle):
 
     def describe(self) -> str:
         return f"wtrv[{self.base.describe()}; {self.weight.describe()}]"
-
-
-# A table cell is split while its Hermite cdf misses its partial masses at
-# 1/4, 1/2 and 3/4 of its width by more than this fraction of the total.
-_TABLE_TOL = 1e-10
-# Hermite basis at those fractions s: weights of the cell mass (3s^2 - 2s^3),
-# and of the width times the left (s^3 - 2s^2 + s) and right (s^3 - s^2) slope
-_S = np.array([0.25, 0.5, 0.75])
-_H_MASS, _H_LEFT, _H_RIGHT = 3 * _S**2 - 2 * _S**3, _S**3 - 2 * _S**2 + _S, _S**3 - _S**2
-
-
-def _build_table(g: Callable, hi: float, total: float) -> tuple:
-    """Cumulative table of the density g on [0, hi], whose integral is total.
-
-    Each cell whose cubic Hermite cdf misses its GK15 partial masses by more
-    than _TABLE_TOL * total is cut into k equal parts, k from the h^4 error
-    of the Hermite (the cell at 0 gets graded cuts), until every cell passes
-    or is too narrow for the floats to split. Returns the nodes, the cdf
-    values scaled to end at exactly 1, the cdf slopes and the largest gap
-    left as a fraction of total.
-    """
-    tol = _TABLE_TOL * total
-    a, b = np.linspace(0.0, hi, 9)[:-1], np.linspace(0.0, hi, 9)[1:]
-    done = []
-    while a.size:
-        mass, _, parts, _ = _gk15_cells(g, a, b)
-        ends, where = np.unique(np.concatenate([a, b]), return_inverse=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.asarray(g(ends), dtype=float)[where]
-        ga, gb = np.split(np.where(np.isfinite(slope) & (slope >= 0.0), slope, 0.0), 2)
-        h = b - a
-        with np.errstate(invalid="ignore", over="ignore"):
-            miss = (mass[:, None] * _H_MASS
-                    + h[:, None] * (ga[:, None] * _H_LEFT + gb[:, None] * _H_RIGHT) - parts)
-        gap = np.nan_to_num(np.abs(miss).max(axis=1), nan=np.inf)
-        split = (gap > tol) & (h > np.maximum(1e-13 * np.abs(b), 1e-300))
-        done.append((a[~split], mass[~split], ga[~split], gb[~split], gap[~split]))
-        pieces = np.clip(np.ceil(1.2 * (gap[split] / tol) ** 0.25), 2, 32).astype(int)
-        a, b = _split_cells(a[split], b[split], pieces, 0.0)
-    a, mass, ga, gb, gap = (np.concatenate(v) for v in zip(*done))
-    order = np.argsort(a)
-    # nondecreasing, and ending at exactly 1, since the masses are >= 0
-    cum = np.concatenate([[0.0], np.cumsum(np.maximum(mass[order], 0.0))])
-    nodes = np.append(a[order], hi)
-    slopes = np.append(ga[order], gb[order][-1]) / cum[-1]
-    return nodes, cum / cum[-1], slopes, float(gap.max()) / total
 
 
 def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> tuple[Callable, Callable]:
@@ -130,18 +84,14 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
         raise IntegrabilityError(
             f"weight {weight.describe()} is not admissible for {dist.describe()}: "
             f"{report.detail or 'validity flags failed'}")
-    z = report.normalizer
+    table = report.table
+    z = table.total
     hi = min(dist.support.hi, weight.domain_hint.hi)
     support = Interval(0.0, hi)
 
     g = tail_integrand(weight, dist)
-    if math.isfinite(hi):
-        nodes, fvals, slopes, gap = _build_table(g, hi, z)
-        to_t = to_x = lambda v: v
-    else:
-        nodes, fvals, slopes, gap = _build_table(unit_integrand(g, 0.0), 1.0, z)
-        to_t, to_x = (lambda x: x / (1.0 + x)), (lambda t: t / (1.0 - t))
-    interp, density = _hermite(nodes, fvals, slopes)
+    nodes, fvals, to_t, to_x = table.nodes, table.values, table.to_t, table.to_x
+    interp, density = _hermite(nodes, fvals, table.slopes)
     cdf = lambda x: np.clip(interp(to_t(x)), 0.0, 1.0)
 
     def quantile(u):
@@ -156,7 +106,7 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
         support, pdf=lambda x: np.asarray(g(x), dtype=float) / z, cdf=cdf,
         sf=lambda x: 1.0 - cdf(x), quantile=quantile, cls=WtrvDistribution,
         base=dist, weight=weight, normalizer=z, cdf_nodes=x_nodes, cdf_values=fvals,
-        table_gap=gap)
+        table_gap=table.gap)
 
 
 def equilibrium(dist: DistributionHandle) -> WtrvDistribution:

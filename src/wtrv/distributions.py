@@ -160,7 +160,7 @@ def _burr12(c: float, k: float) -> DistributionHandle:
         pdf=lambda x: c * k * x ** (c - 1) * (1 + x ** c) ** (-(k + 1)),
         cdf=lambda x: 1.0 - (1 + x ** c) ** (-k),
         sf=lambda x: (1 + x ** c) ** (-k),
-        quantile=lambda u: ((1.0 - u) ** (-1.0 / k) - 1.0) ** (1.0 / c),
+        quantile=lambda u: np.expm1(-np.log1p(-u) / k) ** (1.0 / c),
     )
 
 
@@ -171,7 +171,7 @@ def _pareto_lomax(alpha: float) -> DistributionHandle:
         pdf=lambda x: alpha * (1 + x) ** (-(alpha + 1)),
         cdf=lambda x: 1.0 - (1 + x) ** (-alpha),
         sf=lambda x: (1 + x) ** (-alpha),
-        quantile=lambda u: (1.0 - u) ** (-1.0 / alpha) - 1.0,
+        quantile=lambda u: np.expm1(-np.log1p(-u) / alpha),
     )
 
 
@@ -205,7 +205,7 @@ def _kumaraswamy(a: float, b: float) -> DistributionHandle:
         pdf=lambda x: a * b * x ** (a - 1) * (1 - x ** a) ** (b - 1),
         cdf=lambda x: 1.0 - (1 - x ** a) ** b,
         sf=lambda x: (1 - x ** a) ** b,
-        quantile=lambda u: (1.0 - (1.0 - u) ** (1.0 / b)) ** (1.0 / a),
+        quantile=lambda u: (-np.expm1(np.log1p(-u) / b)) ** (1.0 / a),
     )
 
 
@@ -248,7 +248,7 @@ def _truncated_power(beta: float) -> DistributionHandle:
         pdf=lambda x: (beta - 1) * (1 - x) ** (beta - 2),
         cdf=lambda x: 1.0 - (1 - x) ** (beta - 1),
         sf=lambda x: (1 - x) ** (beta - 1),
-        quantile=lambda u: 1.0 - (1.0 - u) ** (1.0 / (beta - 1)),
+        quantile=lambda u: -np.expm1(np.log1p(-u) / (beta - 1)),
     )
 
 

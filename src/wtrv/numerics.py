@@ -1,5 +1,6 @@
-"""Shared numeric kernels: special functions, adaptive quadrature, root
-finding, box-constrained Newton minimization, finite differences.
+"""Shared numeric kernels: special functions, adaptive quadrature and cdf
+tabulation, root finding, box-constrained Newton minimization, finite
+differences.
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads. The module loads NumPy and scipy.special only; brent_root
@@ -153,15 +154,17 @@ def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _gk15_cells(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple:
+def _gk15_cells(f: Callable, a: np.ndarray, b: np.ndarray, at: Sequence[float] = ()) -> tuple:
     """Gauss-Kronrod 15/7 estimates for a batch of cells [a_i, b_i]: the
     integrals, their error estimates, the (n, 3) partial integrals up to 1/4,
-    1/2 and 3/4 of each cell, and the number of integrand evaluations."""
+    1/2 and 3/4 of each cell, the number of integrand evaluations, and f at
+    the points at, evaluated in the same batch as the nodes."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * _XK[None, :]
-    vals = _eval_batch(f, nodes.ravel()).reshape(nodes.shape)
-    vals = np.where(np.isnan(vals), np.inf, vals)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at may be the end t = 1 of a mapped range
+        y = _eval_batch(f, np.concatenate([nodes.ravel(), at]))
+    vals = np.where(np.isnan(y[:nodes.size]), np.inf, y[:nodes.size]).reshape(nodes.shape)
     with np.errstate(invalid="ignore", over="ignore"):
         kron = half * (vals @ _WK)
         gauss = half * (vals[:, _GAUSS_IDX] @ _WG)
@@ -171,45 +174,87 @@ def _gk15_cells(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple:
     with np.errstate(invalid="ignore"):
         scale = np.where(err > 0, np.minimum(1.0, (200.0 * err / np.maximum(np.abs(kron), 1e-300)) ** 1.5), 0.0)
     err = np.where(np.isfinite(kron), err * np.maximum(scale, 1e-3) + np.abs(kron) * 1e-16, np.inf)
-    return kron, err, parts, vals.size
+    return kron, err, parts, y.size, y[nodes.size:]
 
 
 # Cuts, as fractions of its width, of a refined cell at the range's lower end.
 # A singularity x^(c-1) there leaves a GK15 error of order h^c on [lo, lo + h];
 # 24 halvings a round shrink that below 1e-15 in a few rounds, at 24 cells each.
 _GRADED_CUTS = 2.0 ** -np.arange(24, 0, -1)
+_GRADED_LEFT = np.append(0.0, _GRADED_CUTS)
 
 
 def _split_cells(a: np.ndarray, b: np.ndarray, pieces: np.ndarray, lo: float) -> tuple:
-    """Cut cell i of a partition of [lo, ...) into pieces[i] equal parts.
+    """Cut cell i of an ordered partition of [lo, ...) into pieces[i] equal
+    parts; a cell with pieces[i] = 1 is kept.
 
-    The cell that starts at lo is cut at lo + d*2^-k for k = 24..1 instead
-    (d its width). Returns the new cells' left and right ends, sorted.
+    The cell that starts at lo, when cut, is cut at lo + d*2^-k for
+    k = 24..1 instead (d its width). Each cut is a + d*s for a fraction s of
+    the cell, which rounds monotonically in s, so the parts stay ordered
+    even in cells a few floats wide. Returns the new partition's left and
+    right ends, in order, and the index of the cell each part came from.
     """
-    edge = a == lo
-    ra, rb, k = a[~edge], b[~edge], np.broadcast_to(pieces, a.shape)[~edge]
-    j = np.arange(1, k.max(initial=1))
-    inner = (((k[:, None] - j) * ra[:, None] + j * rb[:, None]) / k[:, None])[j < k[:, None]]
-    cuts = (a[edge, None] + (b - a)[edge, None] * _GRADED_CUTS).ravel()
-    # the new cells tile the old ones, so sorted left and right ends pair up
-    return (np.sort(np.concatenate([a, inner, cuts])),
-            np.sort(np.concatenate([inner, b, cuts])))
+    edge = (a == lo) & (pieces > 1)
+    k = np.where(edge, _GRADED_LEFT.size, pieces)
+    parent = np.repeat(np.arange(a.size), k)
+    last = np.cumsum(k) - 1
+    j = np.arange(parent.size) - (last - k + 1)[parent]  # index of a part in its cell
+    frac = np.where(edge[parent], _GRADED_LEFT[np.minimum(j, _GRADED_LEFT.size - 1)],
+                    j / k[parent])
+    left = a[parent] + (b - a)[parent] * frac
+    right = np.append(left[1:], b[-1])
+    right[last] = b
+    return left, right, parent
+
+
+def _to_unit(x, lo: float):
+    """t = (x - lo) / (1 + x - lo), which maps [lo, inf] onto [0, 1]."""
+    return (x - lo) / (1.0 + x - lo)
+
+
+def _from_unit(t, lo: float):
+    """x = lo + t / (1 - t), the inverse of _to_unit."""
+    return lo + t / (1.0 - t)
 
 
 def unit_integrand(f: Callable, lo: float) -> Callable:
     """The integral of f over [lo, inf) as one over [0, 1): the integrand
-    f(x(t)) x'(t) of the substitution x(t) = lo + t / (1 - t)."""
+    f(x(t)) x'(t) of the substitution x(t) = _from_unit(t, lo)."""
 
     def g(t):
         om = 1.0 - t
-        x = lo + t / om
-        return _eval_batch(f, x) / (om * om)
+        return _eval_batch(f, _from_unit(t, lo)) / (om * om)
 
     return g
 
 
+# Cells a quadrature or cdf table may hold before it gives up.
+_MAX_CELLS = 8192
+
+
+def _to_halve(a: np.ndarray, b: np.ndarray, errs: np.ndarray, tol: float, total: float,
+              evals: int, max_cells: int) -> np.ndarray:
+    """The cells, of those wide enough for the floats to halve, whose error
+    estimates dominate the sum. Raises AccuracyError, with the best estimate
+    attached, when there are max_cells cells, or when the cells too narrow to
+    halve hold more error than tol, which halving the others cannot remove."""
+    err_total = float(errs.sum())
+    mid = a + 0.5 * (b - a)
+    halvable = (a < mid) & (mid < b)
+    stuck = float(errs[~halvable].sum())
+    if a.size >= max_cells or not stuck < tol or not halvable.any():
+        why = (f"quadrature budget of {max_cells} cells exhausted" if a.size >= max_cells
+               else "quadrature error held in cells too narrow to halve")
+        raise AccuracyError(f"{why} (estimate {total:.6g}, error {err_total:.3g})",
+                            estimate=total, abs_error_estimate=err_total, evaluations=evals)
+    mask = halvable & (errs > err_total / (2 * errs.size))
+    if not mask.any():
+        mask = halvable & (errs == errs[halvable].max())
+    return mask
+
+
 def integrate_adaptive(f: Callable, rng: Interval, abs_tol: float = 1e-10,
-                       rel_tol: float = 1e-8, max_cells: int = 8192) -> QuadratureResult:
+                       rel_tol: float = 1e-8, max_cells: int = _MAX_CELLS) -> QuadratureResult:
     """Globally adaptive GK15 quadrature on (lo, hi).
 
     Each round refines the cells whose error estimates dominate: a cell is
@@ -218,8 +263,9 @@ def integrate_adaptive(f: Callable, rng: Interval, abs_tol: float = 1e-10,
     An infinite upper limit is mapped to a finite interval with the
     substitution t = (x - lo) / (1 + x - lo) before integration. Raises
     AccuracyError (with the best estimate attached) if the node budget is
-    exhausted before tolerances are met, which is also how divergent
-    integrands surface.
+    exhausted, or cells too narrow to halve hold more error than the
+    tolerance, before it is met, which is also how divergent integrands
+    surface.
     """
     if not (abs_tol > 0 and rel_tol > 0):
         raise ValueError("tolerances must be positive")
@@ -227,9 +273,9 @@ def integrate_adaptive(f: Callable, rng: Interval, abs_tol: float = 1e-10,
     if math.isinf(hi):
         f, lo, hi = unit_integrand(f, lo), 0.0, 1.0
 
-    a = np.linspace(lo, hi, 9)[:-1]
-    b = np.linspace(lo, hi, 9)[1:]
-    vals, errs, _, evals = _gk15_cells(f, a, b)
+    ends = np.linspace(lo, hi, 9)
+    a, b = ends[:-1], ends[1:]
+    vals, errs, _, evals, _ = _gk15_cells(f, a, b)
 
     while True:
         total = float(vals.sum())
@@ -237,20 +283,124 @@ def integrate_adaptive(f: Callable, rng: Interval, abs_tol: float = 1e-10,
         tol = max(abs_tol, rel_tol * abs(total))
         if err_total <= tol and math.isfinite(total):
             return QuadratureResult(total, err_total, evals)
-        if len(a) >= max_cells:
-            raise AccuracyError(
-                f"quadrature budget of {max_cells} cells exhausted "
-                f"(estimate {total:.6g}, error {err_total:.3g})",
-                estimate=total, abs_error_estimate=err_total, evaluations=evals)
-        mask = errs > err_total / (2 * len(a))
-        if not mask.any():
-            mask = errs == errs.max()
-        na, nb = _split_cells(a[mask], b[mask], 2, lo)
-        nv, ne, _, n = _gk15_cells(f, na, nb)
-        order = np.argsort(np.concatenate([a[~mask], na]))
-        a, b, vals, errs = (np.concatenate([old[~mask], new])[order] for old, new in
-                            zip((a, b, vals, errs), (na, nb, nv, ne)))
+        cut = _to_halve(a, b, errs, tol, total, evals, max_cells)
+        a, b, parent = _split_cells(a, b, np.where(cut, 2, 1), lo)
+        new = cut[parent]
+        vals, errs = vals[parent], errs[parent]
+        vals[new], errs[new], _, n, _ = _gk15_cells(f, a[new], b[new])
         evals += n
+
+
+@dataclass(frozen=True)
+class CdfTable:
+    """A density's cdf on [lo, hi] as the cubic Hermite through (nodes,
+    values) with slopes, the values ending at exactly 1. The table's
+    coordinate t is x on a finite range and _to_unit(x, lo) on an infinite
+    one (mapped); to_t and to_x convert. total is the density's integral, the
+    sum of the cells' GK15 masses; gap is the Hermite's largest miss against
+    a cell's partial masses, as a fraction of total."""
+
+    nodes: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
+    total: float
+    gap: float
+    lo: float
+    mapped: bool
+
+    def to_t(self, x):
+        """The table coordinate of the points x."""
+        return _to_unit(x, self.lo) if self.mapped else x
+
+    def to_x(self, t):
+        """The points at the table coordinates t."""
+        return _from_unit(t, self.lo) if self.mapped else t
+
+
+# A table cell is cut while its Hermite cdf misses its partial masses at 1/4,
+# 1/2 and 3/4 of its width by more than this fraction of the running total.
+_TABLE_TOL = 1e-10
+# Hermite basis at those fractions s: weights of the cell mass (3s^2 - 2s^3),
+# and of the width times the left (s^3 - 2s^2 + s) and right (s^3 - s^2) slope
+_S = np.array([0.25, 0.5, 0.75])
+_H_MASS, _H_LEFT, _H_RIGHT = 3 * _S**2 - 2 * _S**3, _S**3 - 2 * _S**2 + _S, _S**3 - _S**2
+
+
+def _slopes(y: np.ndarray) -> np.ndarray:
+    """Density values as cdf slopes: one that is not finite or is negative reads 0."""
+    return np.where(np.isfinite(y) & (y >= 0.0), y, 0.0)
+
+
+def _hermite_gap(mass, parts, h, ga, gb) -> np.ndarray:
+    """Largest miss of each cell's cubic Hermite cdf (mass, end slopes ga and
+    gb, width h) against its partial masses at 1/4, 1/2 and 3/4."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        miss = (mass[:, None] * _H_MASS
+                + h[:, None] * (ga[:, None] * _H_LEFT + gb[:, None] * _H_RIGHT) - parts)
+    gap = np.abs(miss).max(axis=1)
+    gap[np.isnan(gap)] = np.inf
+    return gap
+
+
+def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
+    """Integrate the density f over rng and tabulate its cdf in one globally
+    adaptive GK15 pass.
+
+    Each round cuts cells by two rules until neither applies:
+    - a cell whose cubic Hermite cdf misses its partial masses by more than
+      _TABLE_TOL of the running total is cut into k equal parts, k from the
+      h^4 error of the Hermite, unless it is too narrow for the floats to
+      split;
+    - while the summed GK15 error exceeds max(1e-12, 1e-10 * total), the
+      cells whose error dominates are halved, as in integrate_adaptive.
+    The cell at lo gets graded cuts, and an infinite range is mapped, as in
+    integrate_adaptive; the table is in the mapped coordinate. f is evaluated once at each new cut, for the slopes,
+    in the batch of the new cells' Kronrod nodes.
+    Raises AccuracyError, with the best estimate attached, when a round
+    starts with _MAX_CELLS cells and a rule still applies, or cells too
+    narrow to halve hold more GK15 error than its bound, which is also how a divergent
+    integral surfaces.
+    """
+    lo, hi = rng.lo, rng.hi
+    mapped = math.isinf(hi)
+    if mapped:
+        f, lo, hi = unit_integrand(f, lo), 0.0, 1.0
+    ends = np.linspace(lo, hi, 9)
+    a, b = ends[:-1], ends[1:]
+    mass, err, parts, evals, y = _gk15_cells(f, a, b, ends)
+    slope = _slopes(y)  # f at the cell ends: cell i spans slope[i], slope[i + 1]
+    gap = _hermite_gap(mass, parts, b - a, slope[:-1], slope[1:])
+    while True:
+        total, err_total = float(mass.sum()), float(err.sum())
+        tol = _TABLE_TOL * abs(total)
+        cut = (gap > tol) & (b - a > np.maximum(1e-13 * np.abs(b), 1e-300))
+        pieces = np.ones(a.size, dtype=int)
+        with np.errstate(divide="ignore"):
+            pieces[cut] = np.clip(np.ceil(1.2 * (gap[cut] / tol) ** 0.25), 2, 32)
+        err_tol = max(1e-12, 1e-10 * abs(total))
+        if not (err_total <= err_tol and math.isfinite(total)):
+            big = _to_halve(a, b, err, err_tol, total, evals, _MAX_CELLS)
+            pieces[big] = np.maximum(pieces[big], 2)
+        if pieces.max() == 1:
+            break
+        if a.size >= _MAX_CELLS:
+            raise AccuracyError(f"cdf table budget of {_MAX_CELLS} cells exhausted "
+                                f"(estimate {total:.6g}, error {err_total:.3g})", estimate=total,
+                                abs_error_estimate=err_total, evaluations=evals)
+        a, b, parent = _split_cells(a, b, pieces, lo)
+        new = pieces[parent] > 1
+        inner = np.append(False, parent[1:] == parent[:-1])  # a new cut at a
+        slope = np.append(slope[:-1][parent], slope[-1])
+        mass, err, gap = mass[parent], err[parent], gap[parent]
+        mass[new], err[new], parts, n, y = _gk15_cells(f, a[new], b[new], a[inner])
+        slope[:-1][inner] = _slopes(y)
+        gap[new] = _hermite_gap(mass[new], parts, (b - a)[new], slope[:-1][new], slope[1:][new])
+        evals += n
+    # nondecreasing, and ending at exactly 1, since the masses are >= 0
+    cum = np.concatenate([[0.0], np.cumsum(np.maximum(mass, 0.0))])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a total of 0, for the caller to reject
+        return CdfTable(nodes=np.append(a, hi), values=cum / cum[-1], slopes=slope / cum[-1],
+                        total=total, gap=float(gap.max() / total), lo=rng.lo, mapped=mapped)
 
 
 def brent_root(f: Callable[[float], float], lo: float, hi: float,

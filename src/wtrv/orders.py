@@ -17,8 +17,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import reliability
-from .construct import _TABLE_TOL, WtrvDistribution, construct, minimum_of, wtrv_of_minimum
+from .construct import WtrvDistribution, construct, minimum_of, wtrv_of_minimum
 from .distributions import DistributionHandle, make_catalog, parse_dist_spec
+from .numerics import _TABLE_TOL
 from .reliability import AGING_CLASSES, TailError, _interior_grid, _monotone, mrl
 from .weights import IntegrabilityError, WeightFunction, make_weight, parse_weight_spec
 

@@ -4,19 +4,22 @@ A weight is an increasing differentiable function on [0, u) with w(0) = 0
 whose derivative is absolutely integrable against the base distribution.
 Integrability is verified as finiteness of the single integral of
 w'(x) * sf(x), which is the same criterion as the defining double integral
-for nonnegative derivatives and doubles as the construction normalizer.
+for nonnegative derivatives and doubles as the construction normalizer. One
+adaptive pass, numerics.tabulate_cdf, computes that integral and the cdf
+table of the constructed variable together.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .distributions import DistributionHandle, parse_kv_spec
-from .numerics import AccuracyError, Interval, WtrvError, integrate_adaptive
+from .numerics import AccuracyError, CdfTable, Interval, WtrvError, tabulate_cdf
+from .numerics import integrate_adaptive  # noqa: F401 (re-exported)
 
 
 class IntegrabilityError(WtrvError):
@@ -43,6 +46,8 @@ class WeightValidityReport:
     integrability_ok: bool
     normalizer: float | None
     detail: str
+    # the cdf table of w'(x) * sf(x) whose total is the normalizer
+    table: CdfTable | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -145,29 +150,33 @@ def tail_integrand(weight: WeightFunction, dist: DistributionHandle) -> Callable
     return integrand
 
 
-def weight_normalizer_integral(weight: WeightFunction, dist: DistributionHandle,
-                               abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> float:
-    """E[w(X)] computed as the integral of w'(x) * sf(x) over the support."""
-    hi = min(dist.support.hi, weight.domain_hint.hi)
-    rng = Interval(dist.support.lo, hi)
-    integrand = tail_integrand(weight, dist)
-
+def _tail_table(weight: WeightFunction, dist: DistributionHandle) -> CdfTable:
+    """The cdf table of w'(x) * sf(x) over the support; its total is E[w(X)].
+    A pass that does not converge, or a total that is not a positive finite
+    number, raises IntegrabilityError."""
+    rng = Interval(dist.support.lo, min(dist.support.hi, weight.domain_hint.hi))
     try:
-        res = integrate_adaptive(integrand, rng, abs_tol=abs_tol, rel_tol=rel_tol)
+        table = tabulate_cdf(tail_integrand(weight, dist), rng)
     except AccuracyError as exc:
         raise IntegrabilityError(
             f"integral of w'*sf for {weight.describe()} against {dist.describe()} "
             f"did not converge (best estimate {exc.estimate:.4g})") from exc
-    if not math.isfinite(res.value) or res.value <= 0:
+    if not math.isfinite(table.total) or table.total <= 0:
         raise IntegrabilityError(
             f"normalizer for {weight.describe()} against {dist.describe()} "
-            f"is not a positive finite number: {res.value}")
-    return res.value
+            f"is not a positive finite number: {table.total}")
+    return table
+
+
+def weight_normalizer_integral(weight: WeightFunction, dist: DistributionHandle) -> float:
+    """E[w(X)] computed as the integral of w'(x) * sf(x) over the support."""
+    return _tail_table(weight, dist).total
 
 
 def validate_weight(weight: WeightFunction, dist: DistributionHandle,
                     grid_size: int = 256) -> WeightValidityReport:
-    """Check w(0)=0, grid monotonicity, and integrability of w' against X."""
+    """Check w(0)=0, grid monotonicity, and integrability of w' against X.
+    The report carries the cdf table of an integrable pair, for construct."""
     if dist.support.lo != 0.0:
         raise ValueError("weight validation requires a base distribution with lower bound 0")
     hi = min(dist.support.hi, weight.domain_hint.hi)
@@ -180,18 +189,18 @@ def validate_weight(weight: WeightFunction, dist: DistributionHandle,
         grid = np.linspace(0.0, hi, grid_size + 2)[1:-1]
     vals = _arr(weight.w(grid))
     scale = float(np.nanmax(np.abs(vals[np.isfinite(vals)]))) if np.isfinite(vals).any() else 1.0
-    diffs = np.diff(vals)
+    with np.errstate(invalid="ignore"):  # inf - inf where w overflows on the grid
+        diffs = np.diff(vals)
     nondecreasing = bool(np.all(diffs[np.isfinite(diffs)] >= -1e-12 * max(scale, 1.0)))
 
     detail = ""
-    normalizer: float | None = None
+    table: CdfTable | None = None
     try:
-        normalizer = weight_normalizer_integral(weight, dist)
-        integrable = True
+        table = _tail_table(weight, dist)
     except IntegrabilityError as exc:
-        integrable = False
         detail = str(exc)
     return WeightValidityReport(starts_at_zero=starts_at_zero,
                                 nondecreasing_on_grid=nondecreasing,
-                                integrability_ok=integrable,
-                                normalizer=normalizer, detail=detail)
+                                integrability_ok=table is not None,
+                                normalizer=None if table is None else table.total,
+                                detail=detail, table=table)

@@ -9,8 +9,8 @@ from wtrv import (check_order, classify_aging, construct, equilibrium, expected_
                   make_catalog, make_weight, minimum_of, parse_dist_spec,
                   parse_weight_spec, sample,
                   table1_oracle_suite, weighted_kumaraswamy, wtrv_of_minimum)
-from wtrv.construct import _build_table, _hermite, _table1_rows
-from wtrv.numerics import integrate_adaptive, unit_integrand
+from wtrv.construct import _hermite, _table1_rows
+from wtrv.numerics import Interval, integrate_adaptive, tabulate_cdf
 from wtrv.weights import IntegrabilityError, tail_integrand, validate_weight
 
 from conftest import interior_grid
@@ -134,19 +134,23 @@ class TestConstructedQuantile:
         assert float(xw.cdf(xw.cdf_nodes[-1] * 2.0)) == 1.0
 
     def test_normalizer_integrated_once(self, monkeypatch):
+        # the table's pass is also the normalizer's: no second quadrature
+        import wtrv.numerics as numerics
         import wtrv.weights as weights
-        calls = []
-        original = weights.weight_normalizer_integral
+        tables, quads = [], []
+        for name, log in (("tabulate_cdf", tables), ("integrate_adaptive", quads)):
+            original = getattr(numerics, name)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counted(*args, _original=original, _log=log, **kwargs):
+                _log.append(args)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(weights, "weight_normalizer_integral", counted)
+            for module in (numerics, weights):
+                monkeypatch.setattr(module, name, counted)
         xw = construct(make_catalog("gamma", {"k": 2.0, "lambda": 1.0}),
                        make_weight("power", {"c": 2.0}))
-        assert len(calls) == 1
-        assert xw.normalizer == pytest.approx(6.0, rel=1e-10)  # E[X^2] = k(k+1)
+        assert len(tables) == 1 and quads == []
+        assert xw.normalizer == pytest.approx(6.0, rel=1e-12)  # E[X^2] = k(k+1)
 
     def test_infinite_support_tail_has_no_residual_mass(self):
         # the constructed sf vanishes past the table, so the mean residual
@@ -179,6 +183,60 @@ class TestTableGap:
                        make_weight("neg_log_sq", {}))
         assert xw.table_gap > 1e-10
 
+    def test_upper_end_singularity_cdf_error(self):
+        # the cell next to x = 1 is one float wide and its GK15 mass reads 0,
+        # so the total misses about 2 * sqrt(1.1e-16) of the density's
+        # (1 - x)^(-1/2) end, and the cdf, scaled by that total, is high by
+        # up to that fraction; this pins the error at its present size
+        mpmath = pytest.importorskip("mpmath")
+        xw = construct(make_catalog("kumaraswamy", {"a": 1.0, "b": 0.5}),
+                       make_weight("neg_log_sq", {}))
+        g = lambda x: 2 * x / ((1 + x) * mpmath.sqrt(1 - x))  # w'(x) * sf(x)
+        with mpmath.workdps(30):
+            z = mpmath.quad(g, [0, 1])
+            assert xw.normalizer == pytest.approx(float(z), rel=2e-8)
+            for x in (0.1, 0.5, 0.9, 0.99, 0.999999, 1 - 1e-12):
+                ref = float(mpmath.quad(g, [0, x]) / z)
+                assert float(xw.cdf(x)) == pytest.approx(ref, rel=0.0, abs=2e-8), x
+
+
+def _admissibility_pairs():
+    bases = ["exponential(lambda=1)", "exponential(lambda=2.18)", "gamma(k=2,lambda=1.5)",
+             "weibull(alpha=0.6,beta=1.2)", "pareto_lomax(alpha=1)", "pareto_lomax(alpha=1.5)",
+             "pareto_lomax(alpha=6)", "burr12(c=2.5,k=1.8)", "kumaraswamy(a=1,b=0.5)",
+             "beta(alpha=0.5,beta=0.5)", "truncated_power(beta=3.5)"]
+    weights = ["linear()", "power(c=2.5)", "power(c=0.41)", "expm1()", "exp_shift_sq()"]
+    pairs = [(base, weight) for base in bases for weight in weights]
+    return pairs + [("kumaraswamy(a=1,b=0.5)", "neg_log_sq()"), ("uniform", "neg_x_log1m()"),
+                    ("gamma(k=0.4,lambda=1)", "neg_log_sq()")]
+
+
+class TestAdmissibility:
+    # one rule decides admissibility: construct builds exactly the pairs
+    # validate_weight accepts, and its normalizer is expected_weight's value,
+    # computed by the same pass
+    REJECTED = {("pareto_lomax(alpha=1)", "linear()"), ("pareto_lomax(alpha=1.5)", "power(c=2.5)"),
+                ("exponential(lambda=1)", "expm1()"), ("gamma(k=2,lambda=1.5)", "exp_shift_sq()"),
+                ("gamma(k=0.4,lambda=1)", "neg_log_sq()")}
+    ACCEPTED = {("exponential(lambda=2.18)", "expm1()"), ("pareto_lomax(alpha=6)", "power(c=2.5)"),
+                ("pareto_lomax(alpha=1.5)", "power(c=0.41)"), ("gamma(k=2,lambda=1.5)", "expm1()"),
+                ("kumaraswamy(a=1,b=0.5)", "neg_log_sq()")}
+
+    @pytest.mark.parametrize("base, weight", _admissibility_pairs())
+    def test_construct_iff_valid(self, base, weight):
+        dist, w = parse_dist_spec(base), parse_weight_spec(weight)
+        report = validate_weight(w, dist)
+        assert (base, weight) not in self.REJECTED or not report.ok
+        assert (base, weight) not in self.ACCEPTED or report.ok
+        if not report.ok:
+            with pytest.raises(IntegrabilityError):
+                construct(dist, w)
+            return
+        xw = construct(dist, w)
+        assert xw.normalizer == expected_weight(dist, w) == report.normalizer
+        if (base, weight) == ("kumaraswamy(a=1,b=0.5)", "neg_log_sq()"):
+            assert xw.table_gap > 1e-10
+
 
 class TestHermite:
     # the written-out interpolant against SciPy's spline on the real tables
@@ -194,13 +252,9 @@ class TestHermite:
         from scipy.interpolate import CubicHermiteSpline
 
         dist, w = parse_dist_spec(base), parse_weight_spec(weight)
-        z = validate_weight(w, dist).normalizer
         hi = min(dist.support.hi, w.domain_hint.hi)
-        g = tail_integrand(w, dist)
-        if math.isfinite(hi):
-            nodes, values, slopes, _ = _build_table(g, hi, z)
-        else:
-            nodes, values, slopes, _ = _build_table(unit_integrand(g, 0.0), 1.0, z)
+        table = tabulate_cdf(tail_integrand(w, dist), Interval(0.0, hi))
+        nodes, values, slopes = table.nodes, table.values, table.slopes
         ref = CubicHermiteSpline(nodes, values, slopes)
         value, slope = _hermite(nodes, values, slopes)
         pts = np.concatenate([nodes, np.random.default_rng(3).uniform(nodes[0], nodes[-1], 20000)])

@@ -134,6 +134,29 @@ class TestSpecificFamilies:
             math.exp(-((1.3 / 2.2) ** 1.7)), rel=1e-12)
 
 
+class TestQuantileNearZero:
+    # the closed-form quantiles keep their relative accuracy as u -> 0,
+    # against 40-digit mpmath
+    FAMILIES = [
+        ("kumaraswamy", {"a": 2.0, "b": 3.0},
+         lambda u, p: (1 - (1 - u) ** (1 / p["b"])) ** (1 / p["a"])),
+        ("pareto_lomax", {"alpha": 2.5}, lambda u, p: (1 - u) ** (-1 / p["alpha"]) - 1),
+        ("burr12", {"c": 2.5, "k": 1.8},
+         lambda u, p: ((1 - u) ** (-1 / p["k"]) - 1) ** (1 / p["c"])),
+        ("truncated_power", {"beta": 3.5}, lambda u, p: 1 - (1 - u) ** (1 / (p["beta"] - 1))),
+    ]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
+    def test_relative_accuracy_against_mpmath(self, family):
+        mpmath = pytest.importorskip("mpmath")
+        name, params, exact = family
+        d = make_catalog(name, params)
+        with mpmath.workdps(40):
+            for u in (1e-6, 1e-9, 1e-12, 1e-15):
+                ref = float(exact(mpmath.mpf(u), {k: mpmath.mpf(v) for k, v in params.items()}))
+                assert float(d.quantile(u)) == pytest.approx(ref, rel=1e-13, abs=0.0), u
+
+
 class TestErrors:
     def test_unknown_name(self):
         with pytest.raises(CatalogError):

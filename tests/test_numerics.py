@@ -9,7 +9,7 @@ from wtrv import (AccuracyError, BracketError, ConvergenceError, Interval,
                   brent_root, finite_diff_grad, incomplete_beta_upper,
                   integrate_adaptive, invert_monotone, kolmogorov_sf,
                   make_catalog, minimize_bounded)
-from wtrv.numerics import scalar_or_array
+from wtrv.numerics import _to_halve, scalar_or_array
 
 
 def simpson(f, a, b, n=2000):
@@ -79,6 +79,30 @@ class TestIntegrateAdaptive:
     def test_wrong_shape_names_both_shapes(self):
         with pytest.raises(TypeError, match=r"shape \(\) for input shape \(120,\)"):
             integrate_adaptive(lambda x: 1.0, Interval(0.0, 1.0))
+
+
+class TestToHalve:
+    # the third cell is one float wide: it cannot be halved, and it stops the
+    # refinement only when its error alone is above the tolerance
+    A = np.array([0.0, 0.5, 1.0])
+    B = np.array([0.5, 1.0, np.nextafter(1.0, 2.0)])
+
+    def test_narrow_cell_below_tolerance(self):
+        # it holds most of the error, so the halvable cell with the largest
+        # error is halved in its place
+        errs = np.array([1e-12, 2e-12, 8e-11])
+        mask = _to_halve(self.A, self.B, errs, 1e-10, 1.0, 45, 8192)
+        assert mask.tolist() == [False, True, False]
+
+    def test_narrow_cell_above_tolerance(self):
+        errs = np.array([1e-12, 2e-12, 2e-10])
+        with pytest.raises(AccuracyError, match="too narrow to halve") as err:
+            _to_halve(self.A, self.B, errs, 1e-10, 1.0, 45, 8192)
+        assert err.value.estimate == 1.0
+
+    def test_budget(self):
+        with pytest.raises(AccuracyError, match="budget of 3 cells"):
+            _to_halve(self.A, self.B, np.array([1e-9, 1e-9, 0.0]), 1e-10, 1.0, 45, 3)
 
 
 class TestBrentRoot:
