@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _sc
 
 from .distributions import DistributionHandle, _handle, make_catalog
-from .numerics import ConvergenceError, Interval, invert_monotone
+from .numerics import ConvergenceError, Interval, _sc, invert_monotone
 from .numerics import brent_root, integrate_adaptive  # noqa: F401 (re-exported)
 from .weights import (IntegrabilityError, WeightFunction, make_weight,
                       tail_integrand, validate_weight, weight_normalizer_integral)

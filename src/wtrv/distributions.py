@@ -14,9 +14,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import special as _sc
 
-from .numerics import Interval, scalar_or_array
+from .numerics import Interval, _sc, scalar_or_array
 from .numerics import brent_root, incomplete_beta_upper  # noqa: F401 (re-exported)
 
 
@@ -77,8 +76,9 @@ def _handle(name, params, support, pdf, cdf, sf, quantile, cls=DistributionHandl
 
 def _require_positive(params: dict[str, float], *names: str) -> None:
     for n in names:
-        if not params.get(n, 0.0) > 0:
-            raise CatalogError(f"parameter {n!r} must be positive, got {params.get(n)}")
+        if not 0 < params.get(n, 0.0) < math.inf:
+            raise CatalogError(f"parameter {n!r} must be finite and positive, "
+                               f"got {params.get(n)}")
 
 
 def _exponential(lam: float) -> DistributionHandle:
@@ -240,8 +240,9 @@ def _chi_square(k: float) -> DistributionHandle:
 
 def _truncated_power(beta: float) -> DistributionHandle:
     # SF (1-x)^(beta-1) on (0, 1), requires beta > 1
-    if not beta > 1:
-        raise CatalogError(f"truncated_power requires beta > 1, got {beta}")
+    if not 1 < beta < math.inf:
+        raise CatalogError(f"parameter 'beta' of truncated_power must be finite and > 1, "
+                           f"got {beta}")
     sup = Interval(0.0, 1.0)
     return _handle(
         "truncated_power", {"beta": beta}, sup,

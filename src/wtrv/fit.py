@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln, zeta
 
 from .distributions import DistributionHandle, make_catalog
-from .numerics import OptimizeResult, WtrvError, minimize_bounded, projected_gradient
+from .numerics import OptimizeResult, WtrvError, _sc, minimize_bounded, projected_gradient
 
 
 class DegenerateSampleError(ValueError):
@@ -131,8 +130,8 @@ def from_unit_values(x, policy: str = "exclude_boundary") -> NormalizedSample:
 def loglik_wk(sample: NormalizedSample, a: float, b: float, c: float) -> float:
     """Log-likelihood of the weighted Kumaraswamy family."""
     x = sample._likelihood_set
-    const = math.log(c) - math.log(b) - float(gammaln(1.0 + c / a) + gammaln(b)
-                                              - gammaln(1.0 + c / a + b))
+    const = math.log(c) - math.log(b) - float(_sc.gammaln(1.0 + c / a) + _sc.gammaln(b)
+                                              - _sc.gammaln(1.0 + c / a + b))
     return (len(x) * const + (c - 1.0) * sample._sum_log_x
             + b * float(np.sum(np.log1p(-x ** a))))
 
@@ -145,7 +144,7 @@ def loglik_kw(sample: NormalizedSample, a: float, b: float) -> float:
 
 def loglik_beta(sample: NormalizedSample, alpha: float, beta: float) -> float:
     n = len(sample._likelihood_set)
-    lbeta = float(gammaln(alpha) + gammaln(beta) - gammaln(alpha + beta))
+    lbeta = float(_sc.gammaln(alpha) + _sc.gammaln(beta) - _sc.gammaln(alpha + beta))
     return (-n * lbeta + (alpha - 1.0) * sample._sum_log_x
             + (beta - 1.0) * sample._sum_log1m_x)
 
@@ -171,9 +170,9 @@ def _beta_terms(n: int, s1, s2, p, q) -> tuple:
     the sufficient statistics s1 = Σ log y, s2 = Σ log(1 − y), with its
     gradient and Hessian in (p, q). It is concave in (p, q)."""
     shapes = np.array([p, q, p + q])
-    psi_p, psi_q, psi_pq = digamma(shapes)
-    tri_p, tri_q, tri_pq = zeta(2.0, shapes)
-    value = (p - 1.0) * s1 + (q - 1.0) * s2 - n * betaln(p, q)
+    psi_p, psi_q, psi_pq = _sc.digamma(shapes)
+    tri_p, tri_q, tri_pq = _sc.zeta(2.0, shapes)
+    value = (p - 1.0) * s1 + (q - 1.0) * s2 - n * _sc.betaln(p, q)
     grad = np.array([s1 - n * (psi_p - psi_pq), s2 - n * (psi_q - psi_pq)])
     hess = -n * np.array([[tri_p - tri_pq, -tri_pq], [-tri_pq, tri_q - tri_pq]])
     return value, grad, hess
@@ -194,8 +193,8 @@ def _wk_terms(sample: NormalizedSample, sums: tuple, a, b, c) -> tuple:
     big_l, t, v = sums
     p = c / a
     shapes = np.array([1.0 + p + b, 1.0 + p, b])
-    psi_pb, psi_p, psi_b = digamma(shapes)
-    tri_pb, tri_p, tri_b = zeta(2.0, shapes)
+    psi_pb, psi_p, psi_b = _sc.digamma(shapes)
+    tri_pb, tri_p, tri_b = _sc.zeta(2.0, shapes)
     d, d1 = psi_p - psi_pb, tri_p - tri_pb
     ab, bc = -n * p * tri_pb / a - t, n * tri_pb / a
     ac = n * (d + p * d1) / a ** 2
@@ -291,7 +290,7 @@ def _beta_start(n: int, s1, s2, scale, shift: float) -> np.ndarray:
     m1, m2 = np.divide(s1, n), np.divide(s2, n)
     g1, g2 = np.exp(m1), np.exp(m2)
     p_face, q_face = PARAM_BOUNDS[1] / scale, PARAM_BOUNDS[1] + shift
-    psi = m1 + digamma(q_face)
+    psi = m1 + _sc.digamma(q_face)
     with np.errstate(all="ignore"):
         gap = -np.expm1(m2) - g1  # 1 − G1 − G2 ≥ 0 by AM–GM
         r = np.log(-m2) - m1
@@ -305,7 +304,7 @@ def _beta_start(n: int, s1, s2, scale, shift: float) -> np.ndarray:
         p, q = pq.reshape(2, 5, *pq.shape[1:])
         theta = np.clip(np.array([p * scale, q - shift]), *PARAM_BOUNDS)
         p, q = theta[0] / scale, theta[1] + shift
-        value = (p - 1.0) * s1 + (q - 1.0) * s2 - n * betaln(p, q)
+        value = (p - 1.0) * s1 + (q - 1.0) * s2 - n * _sc.betaln(p, q)
     best = np.argmax(np.where(np.isnan(value), -np.inf, value), axis=0)
     return np.take_along_axis(theta, best[None, None], axis=1)[:, 0]
 
@@ -364,7 +363,7 @@ def _joint(sample: NormalizedSample, model: str, theta: np.ndarray) -> tuple:
         grad, hess = _kw_terms(sample, sums, a, b)
     else:
         c = theta[2]
-        value = n * (np.log(c / b) - betaln(1.0 + c / a, b)) + (c - 1.0) * sx + b * sums[0]
+        value = n * (np.log(c / b) - _sc.betaln(1.0 + c / a, b)) + (c - 1.0) * sx + b * sums[0]
         grad, hess = _wk_terms(sample, sums, a, b, c)
     grad[0] *= a
     hess[0] *= a

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import chdtrc, gamma, gammaln, kv
 
 from .distributions import DistributionHandle, make_catalog, sample as _draw
 from .fit import _CATALOG_NAME, MODELS, FitError, fit_mle, from_unit_values
-from .numerics import WtrvError, kolmogorov_sf
+from .numerics import WtrvError, _sc, kolmogorov_sf
 
 
 class BinningError(ValueError):
@@ -100,28 +99,30 @@ def _cvm_pvalue(w2: float, n: int) -> float:
     sx, y1, y2 = 2 * np.sqrt(x), x ** (3 / 4), x ** (5 / 4)
 
     def v_term(k):  # eq. 1.2, second line of 1.3
-        u = math.exp(gammaln(k + 0.5) - gammaln(k + 1)) / (np.pi ** 1.5 * np.sqrt(x))
+        u = math.exp(_sc.gammaln(k + 0.5) - _sc.gammaln(k + 1)) / (np.pi ** 1.5 * np.sqrt(x))
         y = 4 * k + 1
         q = y ** 2 / (16 * x)
-        return u * math.sqrt(y) * np.exp(-q) * kv(0.25, q)
+        return u * math.sqrt(y) * np.exp(-q) * _sc.kv(0.25, q)
 
     def ed2(y):
         z = y ** 2 / 4
-        return np.exp(-z) * (y / 2) ** (3 / 2) * (kv(1 / 4, z) + kv(3 / 4, z)) / math.sqrt(np.pi)
+        return (np.exp(-z) * (y / 2) ** (3 / 2) * (_sc.kv(1 / 4, z) + _sc.kv(3 / 4, z))
+                / math.sqrt(np.pi))
 
     def ed3(y):
         z = y ** 2 / 4
         c = np.exp(-z) / math.sqrt(np.pi)
-        return c * (y / 2) ** (5 / 2) * (2 * kv(1 / 4, z) + 3 * kv(3 / 4, z) - kv(5 / 4, z))
+        return c * (y / 2) ** (5 / 2) * (2 * _sc.kv(1 / 4, z) + 3 * _sc.kv(3 / 4, z)
+                                         - _sc.kv(5 / 4, z))
 
     def psi_term(k):
-        m, g1, g3 = 2 * k + 1, float(gamma(k + 1 / 2)), float(gamma(k + 3 / 2))
+        m, g1, g3 = 2 * k + 1, float(_sc.gamma(k + 1 / 2)), float(_sc.gamma(k + 3 / 2))
         a_k = (m * g1 * ed2((4 * k + 3) / sx) / (9 * y1)
                + g1 * ed3((4 * k + 1) / sx) / (72 * y2)
                + 2 * (m + 2) * g3 * ed3((4 * k + 5) / sx) / (12 * y2)
                + 7 * m * g1 * ed2((4 * k + 1) / sx) / (144 * y1)
                + 7 * m * g1 * ed2((4 * k + 5) / sx) / (144 * y1))
-        return -a_k / (np.pi * float(gamma(k + 1)))
+        return -a_k / (np.pi * float(_sc.gamma(k + 1)))
 
     cdf = _sum_until_small(v_term) * (1 + 1.0 / (12 * n)) + _sum_until_small(psi_term) / n
     return float(max(1.0 - cdf[0], 0.0))
@@ -163,7 +164,7 @@ def chisq_test(values, model: DistributionHandle, bins: int = 10,
     else:
         df = bins - 1 - n_params
     df = max(df, 1)
-    return stat, float(chdtrc(df, stat))
+    return stat, float(_sc.chdtrc(df, stat))
 
 
 # (statistic, asymptotic p-value) of each test for (values, model, bins,

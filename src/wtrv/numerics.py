@@ -3,9 +3,11 @@ tabulation, root finding, box-constrained Newton minimization, finite
 differences.
 
 Everything here is a pure function of its inputs and safe to call from
-multiple threads. The module loads NumPy and scipy.special only; brent_root
-imports scipy.optimize on its first call, and nothing in the package calls
-it.
+multiple threads. The module loads NumPy only. scipy.special is read
+through one handle, `_sc`, which imports it at the first special-function
+call, so commands that call none (the elementary bases with power weights)
+never load it; brent_root imports scipy.optimize on its first call, and
+nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,24 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _sc
+
+
+class _Special:
+    """scipy.special, imported at the first attribute read.
+
+    The import runs under the interpreter's import lock, so a first use from
+    two threads waits for one import. Each attribute is cached on the handle
+    after its first read, so later reads cost what a module attribute does.
+    """
+
+    def __getattr__(self, name: str):
+        from scipy import special
+        value = getattr(special, name)
+        setattr(self, name, value)
+        return value
+
+
+_sc = _Special()
 
 
 @dataclass(frozen=True)

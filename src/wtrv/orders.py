@@ -304,7 +304,7 @@ def _order_facts(x: DistributionHandle, y: DistributionHandle, w1: WeightFunctio
             "w1p_nonzero": lambda: slope_nonzero(w1),
             "w2p_nonzero": lambda: slope_nonzero(w2),
             "w1p_nonzero_at_origin": slope_nonzero_at_origin,
-            "common_weight": lambda: w1.describe() == w2.describe(),
+            "common_weight": lambda: (w1.name, w1.params) == (w2.name, w2.params),
             "same_support": lambda: x.support == y.support,
             "w1p_over_rX_decreasing": lambda: over_hazard(x, w1)[1],
             "w2p_over_rY_increasing": lambda: over_hazard(y, w2)[0]}

@@ -73,8 +73,9 @@ def _mk(name, params, w, w_prime, hi=math.inf):
 
 def _positive(params, *names):
     for n in names:
-        if not params.get(n, 0.0) > 0:
-            raise ValueError(f"weight parameter {n!r} must be positive, got {params.get(n)}")
+        if not 0 < params.get(n, 0.0) < math.inf:
+            raise ValueError(f"weight parameter {n!r} must be finite and positive, "
+                             f"got {params.get(n)}")
 
 
 _WEIGHTS: dict[str, tuple[tuple[str, ...], Callable]] = {

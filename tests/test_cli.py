@@ -212,6 +212,16 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dist", "weighted_kumaraswamy(a=inf,b=2,c=1)", "--n", "3"],
+        ["construct", "--dist", "exponential(lambda=1)", "--weight", "power(c=nan)"],
+    ], ids=["inf-parameter", "nan-weight"])
+    def test_nonfinite_parameter_exit_one(self, capsys, argv):
+        # simulate used to print three 1s and exit 0
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "must be finite and positive" in err
+
     def test_missing_csv_exit_one(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "describe", str(tmp_path / "missing.csv"))
         assert code == 1 and out == ""
@@ -263,12 +273,81 @@ class TestParserCache:
         assert in_turn[1]
 
 
+def _run_fresh(script, *args):
+    """Run script in a fresh interpreter with this checkout's wtrv first on
+    the path; return its standard output."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestImportFootprint:
+    def test_special_functions_load_at_first_call(self):
+        # scipy.special is deferred, not absent: the elementary bases with
+        # power weights never call a special function, and the weighted
+        # Kumaraswamy quantile (betaincinv) loads it
+        script = """
+            import json, os, sys
+            import wtrv, wtrv.cli
+            seen = {"import": "scipy.special._ufuncs" in sys.modules}
+            for argv in (["verify-theorem", "thm8", "--x", "exponential(lambda=2)",
+                          "--y", "exponential(lambda=1)", "--w1", "power(c=1.5)",
+                          "--w2", "power(c=1.5)"],
+                         ["check-aging", "--dist", "weibull(alpha=1.7,beta=2.2)",
+                          "--weight", "scaled_power(alpha=1.5,beta=2)", "--format", "json"],
+                         ["construct", "--dist", "exponential(lambda=1)", "--weight", "power(c=2)"],
+                         ["simulate", "--dist", "weighted_kumaraswamy(a=2,b=3,c=1.5)", "--n", "5"]):
+                assert wtrv.cli.main(argv + ["--out", os.devnull]) == 0
+                seen[argv[0]] = "scipy.special._ufuncs" in sys.modules
+            print(json.dumps(seen))
+        """
+        assert json.loads(_run_fresh(script)) == {
+            "import": False, "verify-theorem": False, "check-aging": False,
+            "construct": False, "simulate": True}
+
+    def test_first_special_call_from_two_threads(self):
+        # two threads make the process's first special-function calls at
+        # once; each must get what a sequential run computes
+        script = """
+            import json, sys, threading
+            import numpy as np
+            from wtrv import fit_mle, from_unit_values, make_catalog
+            assert "scipy.special._ufuncs" not in sys.modules
+            xs = np.linspace(0.1, 9.0, 7)
+            sample = from_unit_values(np.random.default_rng(5).beta(2.0, 3.0, 40))
+            jobs = {"cdf": lambda: make_catalog("gamma", {"k": 2.5, "lambda": 1.5}).cdf(xs).tolist(),
+                    "fit": lambda: sorted(fit_mle(sample, "wk", starts=4).params.items())}
+            out = {}
+            if sys.argv[1] == "threads":
+                barrier = threading.Barrier(len(jobs))
+
+                def run(key):
+                    barrier.wait(timeout=60)
+                    out[key] = jobs[key]()
+
+                threads = [threading.Thread(target=run, args=(k,)) for k in jobs]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+            else:
+                out = {k: job() for k, job in jobs.items()}
+            print(json.dumps(out))
+        """
+        threaded = json.loads(_run_fresh(script, "threads"))
+        assert set(threaded) == {"cdf", "fit"}
+        assert threaded == json.loads(_run_fresh(script, "sequential"))
+
     def test_commands_load_no_deferred_scipy(self, csv_path):
         # no command loads scipy.stats, scipy.optimize or scipy.interpolate:
         # importing the package and running simulate, construct, report, fit
         # and asymptotic gof in one process must not pull them in
-        script = textwrap.dedent("""
+        script = """
             import json, os, sys
             import wtrv, wtrv.cli
             heavy = ("scipy.stats", "scipy.optimize", "scipy.interpolate")
@@ -282,12 +361,6 @@ class TestImportFootprint:
                 assert wtrv.cli.main(argv + ["--out", os.devnull]) == 0
                 seen[argv[0]] = [m for m in heavy if m in sys.modules]
             print(json.dumps(seen))
-        """)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-        proc = subprocess.run([sys.executable, "-c", script, csv_path], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == dict.fromkeys(
+        """
+        assert json.loads(_run_fresh(script, csv_path)) == dict.fromkeys(
             ("import", "simulate", "construct", "report", "fit", "gof"), [])

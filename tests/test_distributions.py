@@ -166,6 +166,14 @@ class TestErrors:
         with pytest.raises(Exception):
             make_catalog("exponential", {"lambda": -1.0})
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("name, key", [(n, k) for n, ps in CATALOG_INSTANCES for k in ps])
+    def test_nonfinite_parameter(self, name, key, bad):
+        # inf passed a bare "> 0" test; gamma(k=inf) then gave NaN quantiles
+        params = dict(CATALOG_INSTANCES)[name]
+        with pytest.raises(CatalogError, match=f"{key!r}"):
+            make_catalog(name, {**params, key: bad})
+
     def test_spec_parsing(self):
         d = parse_dist_spec("exponential(lambda=2)")
         assert float(d.sf(1.0)) == pytest.approx(math.exp(-2.0), rel=1e-12)

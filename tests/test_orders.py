@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from wtrv import (check_order, check_theorem_conditions, construct, make_catalog
                   make_weight, named_fixture, parse_dist_spec, parse_weight_spec,
                   randomized_theorem_audit, ratio_curve, verify_theorem)
 from wtrv import orders
+from wtrv.cli import main
 from wtrv.orders import FIXTURES, THEOREM_IDS
 
 
@@ -119,6 +122,18 @@ class TestVerifyTheorem:
         rep = verify_theorem(x, x, make_weight("power", {"c": 0.7}),
                              make_weight("power", {"c": 0.8}), "thm7")
         assert not rep.hypotheses_pass
+
+    @pytest.mark.parametrize("c2, common", [("0.5", True), ("0.5000001", False)])
+    def test_common_weight_compares_exact_parameters(self, capsys, c2, common):
+        # the weights' descriptions print parameters to 6 significant digits,
+        # so power(c=0.5000001) used to count as the weight power(c=0.5)
+        code = main(["verify-theorem", "thm7", "--x", "exponential(lambda=1)",
+                     "--y", "exponential(lambda=2)", "--w1", "power(c=0.5)",
+                     "--w2", f"power(c={c2})"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["hypotheses"]["common_weight"] is common
+        assert out["hypotheses_pass"] is common
 
     def test_ratio_curve_shape(self):
         x, y, w1, w2, which = named_fixture("thm9-example7")

@@ -78,6 +78,14 @@ class TestExamples:
         w = parse_weight_spec("power(c=2)")
         assert float(w.w(2.0)) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("name, key", sorted({(n, k) for n, ps in WEIGHT_INSTANCES
+                                                  for k in ps}))
+    def test_nonfinite_parameter(self, name, key, bad):
+        params = dict(WEIGHT_INSTANCES)[name]
+        with pytest.raises(ValueError, match=f"{key!r}"):
+            make_weight(name, {**params, key: bad})
+
 
 class TestValidation:
     def test_linear_exponential_all_pass(self):
