@@ -3,15 +3,15 @@
 Given a base distribution X with lower bound 0 and an admissible weight w,
 the constructed variable has density w'(x) * sf_X(x) / E[w(X)]. Its cdf is
 tabulated by the same GK15 pass that computes E[w(X)] (numerics.tabulate_cdf,
-run once by validate_weight) and read through a piecewise-cubic Hermite
-interpolant (written out in _hermite), both in the table's coordinate:
-x on a finite support, t = x / (1 + x) on an infinite one (CdfTable.to_t). The
-quantile inverts that interpolant for all points at once by safeguarded
-Newton-bisection, with each point bracketed by its table cell and the
-interpolant's own slope. The constructed variable and the minimum of
-independent variables pass only what they compute inside the support to
-distributions._handle, which adds the edge values and the scalar/array
-handling shared by every handle.
+run once by validate_weight), with each cell's left end and Kronrod nodes as
+knots, and read through a piecewise-cubic Hermite interpolant (written out in
+_hermite), both in the table's coordinate: x on a finite support,
+t = x / (1 + x) on an infinite one (CdfTable.to_t). The quantile inverts that
+interpolant for all points at once by safeguarded Newton-bisection, with each
+point bracketed by its pair of knots and the interpolant's own slope. The
+constructed variable and the minimum of independent variables pass only what
+they compute inside the support to distributions._handle, which adds the
+edge values and the scalar/array handling shared by every handle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import DistributionHandle, _handle, make_catalog
-from .numerics import ConvergenceError, Interval, _sc, invert_monotone
+from .numerics import ConvergenceError, Interval, WtrvError, _sc, invert_monotone
 from .numerics import brent_root, integrate_adaptive  # noqa: F401 (re-exported)
 from .weights import (IntegrabilityError, WeightFunction, make_weight,
                       tail_integrand, validate_weight, weight_normalizer_integral)
@@ -41,7 +41,8 @@ class WtrvDistribution(DistributionHandle):
     normalizer: float = float("nan")
     cdf_nodes: np.ndarray = field(default=None, repr=False)
     cdf_values: np.ndarray = field(default=None, repr=False)
-    # largest miss of the cdf interpolant against a cell's partial masses
+    # largest miss of the cdf interpolant against the table's partial masses
+    # (CdfTable.gap)
     table_gap: float = 0.0
 
     def describe(self) -> str:
@@ -90,7 +91,12 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
 
     g = tail_integrand(weight, dist)
     nodes, fvals, to_t, to_x = table.nodes, table.values, table.to_t, table.to_x
-    interp, density = _hermite(nodes, fvals, table.slopes)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            interp, density = _hermite(nodes, fvals, table.slopes)
+    except FloatingPointError as exc:  # knots a few floats apart near 0
+        raise WtrvError(f"cdf table of {weight.describe()} against {dist.describe()} "
+                        f"cannot be interpolated in floats: {exc}") from exc
     cdf = lambda x: np.clip(interp(to_t(x)), 0.0, 1.0)
 
     def quantile(u):

@@ -150,16 +150,32 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
-def _partial_weights(ends: Sequence[float]) -> np.ndarray:
-    """(15, len(ends)) weights that integrate the degree-14 interpolant
-    through the Kronrod nodes over [-1, s], for each s in ends."""
+def _interpolant_weights(ends: Sequence[float], points: Sequence[float]) -> np.ndarray:
+    """(15, len(ends) + len(points)) weights on the values at the Kronrod
+    nodes of the degree-14 interpolant through them: its integral over
+    [-1, s] for each s in ends, then its value at each s in points."""
     leg = np.polynomial.legendre
-    moments = leg.legval(np.asarray(ends), leg.legint(np.eye(15), lbnd=-1))
-    return np.linalg.solve(leg.legvander(_XK, 14).T, moments)
+    rhs = np.hstack([leg.legval(np.asarray(ends), leg.legint(np.eye(15), lbnd=-1)),
+                     leg.legvander(np.asarray(points, dtype=float), 14).T])
+    return np.linalg.solve(leg.legvander(_XK, 14).T, rhs)
 
 
-# a cell's partial masses up to 1/4, 1/2 and 3/4 of its width
-_WPART = _partial_weights([-0.5, 0.0, 0.5])
+# A cdf table cell's 17 knots on [-1, 1]: its ends and the Kronrod nodes.
+_KNOTS = np.concatenate([[-1.0], _XK, [1.0]])
+_DK = np.diff(_KNOTS)
+# Interpolant weights: partial masses up to the 15 nodes, to the midpoints of
+# the 16 pieces between knots and to 1/4, 1/2 and 3/4 of the cell, then the
+# values at the cell's ends; one solve, at import.
+_WNODE, _WMID, _WPART, _WEND = np.split(
+    _interpolant_weights(np.concatenate([_XK, 0.5 * (_KNOTS[:-1] + _KNOTS[1:]), [-0.5, 0.0, 0.5]]),
+                         [-1.0, 1.0]), [15, 31, 34], axis=1)
+# The cubic Hermite through a cell's knots (values: the partial masses;
+# slopes: f) misses the interpolant's partial mass at the midpoint of piece k
+# by (P_k + P_k+1) / 2 + h_k (f_k - f_k+1) / 8 - M_k. _WMISS gives it, times
+# the cell's half width, from f at the nodes; the end slopes of pieces 0 and
+# 15, which are not node values, are added by the caller.
+_WMISS = (0.5 * (np.hstack([np.zeros((15, 1)), _WNODE]) + np.hstack([_WNODE, _WK[:, None]]))
+          - _WMID + (np.eye(15, 16, 1) - np.eye(15, 16)) * _DK / 8.0)
 
 
 def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -173,27 +189,24 @@ def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _gk15_cells(f: Callable, a: np.ndarray, b: np.ndarray, at: Sequence[float] = ()) -> tuple:
+def _gk15_cells(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple:
     """Gauss-Kronrod 15/7 estimates for a batch of cells [a_i, b_i]: the
-    integrals, their error estimates, the (n, 3) partial integrals up to 1/4,
-    1/2 and 3/4 of each cell, the number of integrand evaluations, and f at
-    the points at, evaluated in the same batch as the nodes."""
+    integrals, their error estimates, and the (n, 15) values of f at each
+    cell's Kronrod nodes (NaN read as inf), 15 n evaluations."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * _XK[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):  # at may be the end t = 1 of a mapped range
-        y = _eval_batch(f, np.concatenate([nodes.ravel(), at]))
-    vals = np.where(np.isnan(y[:nodes.size]), np.inf, y[:nodes.size]).reshape(nodes.shape)
+    y = _eval_batch(f, nodes.ravel())
+    vals = np.where(np.isnan(y), np.inf, y).reshape(nodes.shape)
     with np.errstate(invalid="ignore", over="ignore"):
         kron = half * (vals @ _WK)
         gauss = half * (vals[:, _GAUSS_IDX] @ _WG)
         err = np.abs(kron - gauss)
-        parts = half[:, None] * (vals @ _WPART)
     # QUADPACK-style sharpening of the raw difference estimate.
     with np.errstate(invalid="ignore"):
         scale = np.where(err > 0, np.minimum(1.0, (200.0 * err / np.maximum(np.abs(kron), 1e-300)) ** 1.5), 0.0)
     err = np.where(np.isfinite(kron), err * np.maximum(scale, 1e-3) + np.abs(kron) * 1e-16, np.inf)
-    return kron, err, parts, y.size, y[nodes.size:]
+    return kron, err, vals
 
 
 # Cuts, as fractions of its width, of a refined cell at the range's lower end.
@@ -294,7 +307,8 @@ def integrate_adaptive(f: Callable, rng: Interval, abs_tol: float = 1e-10,
 
     ends = np.linspace(lo, hi, 9)
     a, b = ends[:-1], ends[1:]
-    vals, errs, _, evals, _ = _gk15_cells(f, a, b)
+    vals, errs, fx = _gk15_cells(f, a, b)
+    evals = fx.size
 
     while True:
         total = float(vals.sum())
@@ -306,18 +320,23 @@ def integrate_adaptive(f: Callable, rng: Interval, abs_tol: float = 1e-10,
         a, b, parent = _split_cells(a, b, np.where(cut, 2, 1), lo)
         new = cut[parent]
         vals, errs = vals[parent], errs[parent]
-        vals[new], errs[new], _, n, _ = _gk15_cells(f, a[new], b[new])
-        evals += n
+        vals[new], errs[new], fx = _gk15_cells(f, a[new], b[new])
+        evals += fx.size
 
 
 @dataclass(frozen=True)
 class CdfTable:
     """A density's cdf on [lo, hi] as the cubic Hermite through (nodes,
-    values) with slopes, the values ending at exactly 1. The table's
-    coordinate t is x on a finite range and _to_unit(x, lo) on an infinite
-    one (mapped); to_t and to_x convert. total is the density's integral, the
-    sum of the cells' GK15 masses; gap is the Hermite's largest miss against
-    a cell's partial masses, as a fraction of total."""
+    values) with slopes: nodes strictly increasing, values nondecreasing from
+    0 to exactly 1, slopes finite and >= 0. The knots are each GK15 cell's
+    left end and its 15 Kronrod nodes, and hi. The table's coordinate t is x
+    on a finite range and _to_unit(x, lo) on an infinite one (mapped); to_t
+    and to_x convert. total is the density's integral, the sum of the cells'
+    GK15 masses; gap is the Hermite's largest miss against the interpolant's
+    partial masses, as a fraction of total (for a cell too narrow to cut, the
+    miss of the Hermite through its ends at 1/4, 1/2 and 3/4). evaluations
+    counts f's values, 15 per cell evaluated, and rounds the refinement
+    rounds after the first batch of cells."""
 
     nodes: np.ndarray
     values: np.ndarray
@@ -326,6 +345,8 @@ class CdfTable:
     gap: float
     lo: float
     mapped: bool
+    evaluations: int
+    rounds: int
 
     def to_t(self, x):
         """The table coordinate of the points x."""
@@ -336,11 +357,12 @@ class CdfTable:
         return _from_unit(t, self.lo) if self.mapped else t
 
 
-# A table cell is cut while its Hermite cdf misses its partial masses at 1/4,
-# 1/2 and 3/4 of its width by more than this fraction of the running total.
+# A table cell is cut while its Hermite cdf misses the interpolant's partial
+# masses by more than this fraction of the running total.
 _TABLE_TOL = 1e-10
-# Hermite basis at those fractions s: weights of the cell mass (3s^2 - 2s^3),
-# and of the width times the left (s^3 - 2s^2 + s) and right (s^3 - s^2) slope
+# Hermite basis at 1/4, 1/2 and 3/4 of a cell: weights of the cell mass
+# (3s^2 - 2s^3), and of the width times the left (s^3 - 2s^2 + s) and right
+# (s^3 - s^2) slope
 _S = np.array([0.25, 0.5, 0.75])
 _H_MASS, _H_LEFT, _H_RIGHT = 3 * _S**2 - 2 * _S**3, _S**3 - 2 * _S**2 + _S, _S**3 - _S**2
 
@@ -350,35 +372,58 @@ def _slopes(y: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(y) & (y >= 0.0), y, 0.0)
 
 
-def _hermite_gap(mass, parts, h, ga, gb) -> np.ndarray:
-    """Largest miss of each cell's cubic Hermite cdf (mass, end slopes ga and
-    gb, width h) against its partial masses at 1/4, 1/2 and 3/4."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        miss = (mass[:, None] * _H_MASS
-                + h[:, None] * (ga[:, None] * _H_LEFT + gb[:, None] * _H_RIGHT) - parts)
+def _worst(miss: np.ndarray) -> np.ndarray:
+    """Each row's largest absolute miss; a NaN reads inf."""
     gap = np.abs(miss).max(axis=1)
     gap[np.isnan(gap)] = np.inf
     return gap
+
+
+def _knot_gap(miss: np.ndarray, half: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """Largest miss of each cell's Hermite through its 17 knots at its 16
+    piece midpoints: miss from f at the nodes (half * vals @ _WMISS), plus
+    the end slopes edge[i] and edge[i + 1] of its first and last piece."""
+    first = miss[:, 0] + (_DK[0] / 8.0) * half * edge[:-1]
+    last = miss[:, -1] - (_DK[-1] / 8.0) * half * edge[1:]
+    return _worst(np.column_stack([first, last, miss[:, 1:-1]]))
+
+
+def _end_gap(mass, parts, h, ga, gb) -> np.ndarray:
+    """Largest miss of each cell's cubic Hermite cdf through its ends (mass,
+    end slopes ga and gb, width h) against its partial masses at 1/4, 1/2
+    and 3/4."""
+    return _worst(mass[:, None] * _H_MASS
+                  + h[:, None] * (ga[:, None] * _H_LEFT + gb[:, None] * _H_RIGHT) - parts)
 
 
 def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
     """Integrate the density f over rng and tabulate its cdf in one globally
     adaptive GK15 pass.
 
-    Each round cuts cells by two rules until neither applies:
-    - a cell whose cubic Hermite cdf misses its partial masses by more than
-      _TABLE_TOL of the running total is cut into k equal parts, k from the
-      h^4 error of the Hermite, unless it is too narrow for the floats to
-      split;
+    Each cell's knots are its left end and its 15 Kronrod nodes. A knot's
+    value is the mass before the cell plus the cell's degree-14 interpolant
+    of f integrated up to it; its slope is f there, and at a cell end the
+    value there of the interpolant of the cell that starts at it (at hi, of
+    the last cell), so f is evaluated only at Kronrod nodes. Each round cuts
+    cells by two rules until neither applies:
+    - a cell whose Hermite misses the interpolant's partial mass at any of
+      its 16 piece midpoints by more than _TABLE_TOL of the running total is
+      cut into k = clip(ceil(1.2 (gap / tol)^(1/4)), 2, 32) equal parts, k
+      from the h^4 error of the Hermite, unless it is too narrow for the
+      floats to split;
     - while the summed GK15 error exceeds max(1e-12, 1e-10 * total), the
       cells whose error dominates are halved, as in integrate_adaptive.
     The cell at lo gets graded cuts, and an infinite range is mapped, as in
-    integrate_adaptive; the table is in the mapped coordinate. f is evaluated once at each new cut, for the slopes,
-    in the batch of the new cells' Kronrod nodes.
+    integrate_adaptive; the table is in the mapped coordinate. While f reads
+    0 at every node, the cell at lo is cut too. Knots that rounding puts on
+    one float, in cells too narrow to cut, are dropped; values are made
+    nondecreasing by a running maximum, and each slope is capped at 3 times
+    the secants next to it, which keeps every cubic monotone (Fritsch and
+    Carlson), also where rounding leaves equal values next to 1.
     Raises AccuracyError, with the best estimate attached, when a round
     starts with _MAX_CELLS cells and a rule still applies, or cells too
-    narrow to halve hold more GK15 error than its bound, which is also how a divergent
-    integral surfaces.
+    narrow to halve hold more GK15 error than its bound, which is also how
+    a divergent integral surfaces.
     """
     lo, hi = rng.lo, rng.hi
     mapped = math.isinf(hi)
@@ -386,40 +431,63 @@ def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
         f, lo, hi = unit_integrand(f, lo), 0.0, 1.0
     ends = np.linspace(lo, hi, 9)
     a, b = ends[:-1], ends[1:]
-    mass, err, parts, evals, y = _gk15_cells(f, a, b, ends)
-    slope = _slopes(y)  # f at the cell ends: cell i spans slope[i], slope[i + 1]
-    gap = _hermite_gap(mass, parts, b - a, slope[:-1], slope[1:])
-    while True:
-        total, err_total = float(mass.sum()), float(err.sum())
-        tol = _TABLE_TOL * abs(total)
-        cut = (gap > tol) & (b - a > np.maximum(1e-13 * np.abs(b), 1e-300))
-        pieces = np.ones(a.size, dtype=int)
-        with np.errstate(divide="ignore"):
+    new = np.ones(a.size, dtype=bool)
+    mass, err, vals = _gk15_cells(f, a, b)
+    miss, extra = np.empty((a.size, 16)), np.empty((a.size, 2))
+    evals, rounds = vals.size, 0
+    # a cell of f not finite reads inf or NaN, and its error inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            miss[new] = 0.5 * (b - a)[new, None] * (vals[new] @ _WMISS)
+            extra[new] = vals[new] @ _WEND
+            total, err_total = float(mass.sum()), float(err.sum())
+            # f at the cell ends: cell i spans edge[i], edge[i + 1]
+            edge = _slopes(np.append(extra[:, 0], extra[-1, 1]))
+            gap = _knot_gap(miss, 0.5 * (b - a), edge)
+            wide = b - a > np.maximum(1e-13 * np.abs(b), 1e-300)
+            tol = _TABLE_TOL * abs(total)
+            cut = (gap > tol) & wide
+            pieces = np.ones(a.size, dtype=int)
             pieces[cut] = np.clip(np.ceil(1.2 * (gap[cut] / tol) ** 0.25), 2, 32)
-        err_tol = max(1e-12, 1e-10 * abs(total))
-        if not (err_total <= err_tol and math.isfinite(total)):
-            big = _to_halve(a, b, err, err_tol, total, evals, _MAX_CELLS)
-            pieces[big] = np.maximum(pieces[big], 2)
-        if pieces.max() == 1:
-            break
-        if a.size >= _MAX_CELLS:
-            raise AccuracyError(f"cdf table budget of {_MAX_CELLS} cells exhausted "
-                                f"(estimate {total:.6g}, error {err_total:.3g})", estimate=total,
-                                abs_error_estimate=err_total, evaluations=evals)
-        a, b, parent = _split_cells(a, b, pieces, lo)
-        new = pieces[parent] > 1
-        inner = np.append(False, parent[1:] == parent[:-1])  # a new cut at a
-        slope = np.append(slope[:-1][parent], slope[-1])
-        mass, err, gap = mass[parent], err[parent], gap[parent]
-        mass[new], err[new], parts, n, y = _gk15_cells(f, a[new], b[new], a[inner])
-        slope[:-1][inner] = _slopes(y)
-        gap[new] = _hermite_gap(mass[new], parts, (b - a)[new], slope[:-1][new], slope[1:][new])
-        evals += n
-    # nondecreasing, and ending at exactly 1, since the masses are >= 0
-    cum = np.concatenate([[0.0], np.cumsum(np.maximum(mass, 0.0))])
-    with np.errstate(divide="ignore", invalid="ignore"):  # a total of 0, for the caller to reject
-        return CdfTable(nodes=np.append(a, hi), values=cum / cum[-1], slopes=slope / cum[-1],
-                        total=total, gap=float(gap.max() / total), lo=rng.lo, mapped=mapped)
+            if total == 0.0 and wide[0]:  # the mass, if any, lies closer to lo
+                pieces[0] = 2
+            err_tol = max(1e-12, 1e-10 * abs(total))
+            if not (err_total <= err_tol and math.isfinite(total)):
+                big = _to_halve(a, b, err, err_tol, total, evals, _MAX_CELLS)
+                pieces[big] = np.maximum(pieces[big], 2)
+            if pieces.max() == 1:
+                break
+            if a.size >= _MAX_CELLS:
+                raise AccuracyError(f"cdf table budget of {_MAX_CELLS} cells exhausted "
+                                    f"(estimate {total:.6g}, error {err_total:.3g})",
+                                    estimate=total, abs_error_estimate=err_total, evaluations=evals)
+            a, b, parent = _split_cells(a, b, pieces, lo)
+            new = pieces[parent] > 1
+            mass, err, vals, miss, extra = (v[parent] for v in (mass, err, vals, miss, extra))
+            mass[new], err[new], vals[new] = _gk15_cells(f, a[new], b[new])
+            evals, rounds = evals + 15 * int(new.sum()), rounds + 1
+        half = 0.5 * (b - a)
+        if not wide.all():
+            n = ~wide
+            gap[n] = _end_gap(mass[n], half[n, None] * (vals[n] @ _WPART), (b - a)[n],
+                              edge[:-1][n], edge[1:][n])
+        # the knots, in order: rounding may put a node a float outside its cell
+        x = np.clip((0.5 * (a + b))[:, None] + half[:, None] * _XK, a[:, None], b[:, None])
+        cum = np.concatenate([[0.0], np.cumsum(np.maximum(mass, 0.0))])
+        nodes = np.append(np.column_stack([a, x]).ravel(), hi)
+        values = np.append(np.column_stack([cum[:-1], cum[:-1, None] + half[:, None] * (vals @ _WNODE)])
+                           .ravel(), cum[-1])
+        slopes = np.append(np.column_stack([edge[:-1], _slopes(vals)]).ravel(), edge[-1])
+        keep = np.append(nodes[1:] > nodes[:-1], True)
+        nodes = nodes[keep]
+        # a total of 0 gives NaN values, for the caller to reject
+        values = np.maximum.accumulate(np.clip(values[keep], 0.0, cum[-1])) / cum[-1]
+        secant = np.diff(values) / np.diff(nodes)
+        slopes = np.minimum(slopes[keep] / cum[-1],
+                            3.0 * np.minimum(np.append(secant, np.inf), np.append(np.inf, secant)))
+        gap = float(gap.max() / total)
+    return CdfTable(nodes=nodes, values=values, slopes=slopes, total=total, gap=gap,
+                    lo=rng.lo, mapped=mapped, evaluations=evals, rounds=rounds)
 
 
 def brent_root(f: Callable[[float], float], lo: float, hi: float,

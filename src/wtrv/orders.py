@@ -45,8 +45,10 @@ def _merged_grid(x: DistributionHandle, y: DistributionHandle, grid_size: int) -
 
 def _cdf_accuracy(dist: DistributionHandle) -> float:
     """Absolute accuracy of the handle's cdf/sf: closed-form handles are
-    exact to rounding; a construction carries twice its table gap, which is
-    sampled at three points per cell, and at least twice the table tolerance."""
+    exact to rounding; a construction carries twice its table gap, the
+    Hermite's largest miss at the midpoints of its 16 pieces per cell (at 1/4,
+    1/2 and 3/4 of a cell too narrow to cut), and at least twice the table
+    tolerance."""
     return 2.0 * max(dist.table_gap, _TABLE_TOL) if isinstance(dist, WtrvDistribution) else 1e-12
 
 

@@ -222,6 +222,19 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert "must be finite and positive" in err
 
+    @pytest.mark.parametrize("base, weight", [("exponential(lambda=1e+300)", "linear()"),
+                                              ("gamma(k=0.13,lambda=1e+300)", "expm1()")])
+    def test_table_below_float_resolution_exit_one(self, base, weight):
+        # the mass lies within ~1e-300 of 0, where the cdf table's cubics
+        # overflow: one error line names both inputs, and no warning precedes
+        # it (a fresh process, so that stderr holds every warning)
+        proc = _fresh("import sys, wtrv.cli; sys.exit(wtrv.cli.main(sys.argv[1:]))",
+                      "construct", "--dist", base, "--weight", weight)
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert base in lines[0] and weight in lines[0]
+
     def test_missing_csv_exit_one(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "describe", str(tmp_path / "missing.csv"))
         assert code == 1 and out == ""
@@ -273,14 +286,19 @@ class TestParserCache:
         assert in_turn[1]
 
 
-def _run_fresh(script, *args):
+def _fresh(script, *args):
     """Run script in a fresh interpreter with this checkout's wtrv first on
-    the path; return its standard output."""
+    the path; return the finished process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args], env=env,
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _run_fresh(script, *args):
+    """_fresh's standard output, of a script that must exit 0."""
+    proc = _fresh(script, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -125,6 +125,19 @@ class TestConstructedQuantile:
         assert np.all(np.diff(q) >= 0.0)
         assert np.max(np.abs(np.asarray(xw.cdf(q)) - tiny)) <= 1e-14
 
+    def test_lower_end_quantile_error(self):
+        # FOUND (CHANGES.md): the table's 1e-10 tolerance is absolute, so the
+        # quantile of a density singular at 0 leaves its closed form gamma(0.3)
+        # below u ~ 1e-9, by about 3.2e-12 / u relative down to u = 1e-11
+        # (3.2e-3 at 1e-9, 0.36 at 1e-11) and faster below (1.9e3 at 1e-13);
+        # this pins those sizes
+        xw = construct(make_catalog("exponential", {"lambda": 1.0}),
+                       make_weight("power", {"c": 0.3}))
+        u = np.geomspace(1e-13, 1e-3, 21)
+        rel = np.abs(np.asarray(xw.quantile(u)) / special.gammaincinv(0.3, u) - 1.0)
+        assert np.all(rel[u >= 1e-11] <= 4e-12 / u[u >= 1e-11] + 1e-7)
+        assert rel.max() <= 2.5e3
+
     def test_scalar_and_edges(self):
         xw = construct(make_catalog("exponential", {"lambda": 1.0}),
                        make_weight("linear", {}))
@@ -236,6 +249,53 @@ class TestAdmissibility:
         assert xw.normalizer == expected_weight(dist, w) == report.normalizer
         if (base, weight) == ("kumaraswamy(a=1,b=0.5)", "neg_log_sq()"):
             assert xw.table_gap > 1e-10
+
+
+def _table_cases():
+    cases = [(f"{base}+{weight}", parse_dist_spec(base), parse_weight_spec(weight))
+             for base, weight in _admissibility_pairs()]
+    return cases + [(f"table1-row{i}", base, weight)
+                    for i, (_, base, weight, _, _) in enumerate(_table1_rows(), start=1)]
+
+
+class TestTableInvariants:
+    # _hermite divides by the knot spacings, and the quantile brackets a
+    # target by the knot values: a repeated knot (rounding puts the nodes of
+    # a cell a float wide on one float) or a decreasing value breaks them
+    @pytest.mark.parametrize("case", _table_cases(), ids=lambda c: c[0])
+    def test_knots_values_slopes_and_cdf(self, case):
+        _, dist, w = case
+        table = validate_weight(w, dist).table
+        if table is None:  # not integrable: TestAdmissibility covers it
+            return
+        nodes, values, slopes = table.nodes, table.values, table.slopes
+        assert np.all(np.diff(nodes) > 0.0)
+        assert values[0] == 0.0 and values[-1] == 1.0 and np.all(np.diff(values) >= 0.0)
+        assert np.all(np.isfinite(slopes)) and np.all(slopes >= 0.0)
+        # every piece at its knots and 1/4, 1/2 and 3/4 of its width
+        t = np.append((nodes[:-1, None] + np.diff(nodes)[:, None] * [0.0, 0.25, 0.5, 0.75]).ravel(),
+                      nodes[-1])
+        with np.errstate(divide="ignore"):  # t = 1 is x = inf on an infinite support
+            x = table.to_x(t)
+        # the cubics are monotone; the query sums y + c1 s + c2 s^2 + c3 s^3
+        # left to right, and three roundings next to 1 may undo one step
+        step = np.diff(np.asarray(construct(dist, w).cdf(x)))
+        assert np.all(step >= -4 * np.finfo(float).eps)
+
+    def test_evaluations_and_rounds(self, monkeypatch):
+        # f is evaluated at the 15 Kronrod nodes of each cell, in one batch
+        # per round, and nowhere else
+        import wtrv.numerics as numerics
+        cells, points = [], []
+        gk15 = numerics._gk15_cells
+        monkeypatch.setattr(numerics, "_gk15_cells",
+                            lambda f, a, b: (cells.append(a.size), gk15(f, a, b))[1])
+        dist, w = make_catalog("exponential", {"lambda": 1.0}), make_weight("power", {"c": 0.3})
+        f = tail_integrand(w, dist)
+        table = tabulate_cdf(lambda x: (points.append(np.size(x)), f(x))[1],
+                             Interval(0.0, math.inf))
+        assert table.evaluations == 15 * sum(cells) == sum(points)
+        assert table.rounds == len(cells) - 1 == len(points) - 1 >= 1
 
 
 class TestHermite:
