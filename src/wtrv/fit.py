@@ -1,17 +1,18 @@
 """Maximum-likelihood fitting of bounded-support models to normalized data.
 
 Supports the two-parameter beta and Kumaraswamy families plus the
-three-parameter weighted Kumaraswamy family (WK). Through the Beta link
-(under WK(a, b, c), X^a ~ Beta(c/a, b+1); under Kumaraswamy(a, b),
-X^a ~ Beta(1, b); the beta model is the link at a = 1) the log-likelihood
-at fixed a depends on the data through a·Σ log x and Σ log(1 − xᵃ) alone
-and is concave in the two beta shapes, so Newton steps on the closed-form
-scores and Hessians solve it, and the Kumaraswamy b has the closed form
-n / |Σ log(1 − xᵃ)|. This profile over log a is scanned on a grid, and its
-highest peaks are refined by one batched projected-Newton solve in
-(log a, b[, c]) jointly. The WK fit also starts from the Kumaraswamy
-optimum it nests, which is fitted once per sample and reused. Also AIC/BIC
-and a histogram-based RMSE metric.
+three-parameter weighted Kumaraswamy family (WK). One evaluator, _terms,
+gives each log-likelihood with its gradient and Hessian, 1 − xᵃ as
+−expm1(a·log x); loglik_*, score_*, the refinement and fit_mle read it.
+Through the Beta link (under WK(a, b, c), X^a ~ Beta(c/a, b+1); under
+Kumaraswamy(a, b), X^a ~ Beta(1, b); the beta model is the link at a = 1)
+the log-likelihood at fixed a depends on the data through a·Σ log x and
+Σ log(1 − xᵃ) alone and is concave in the two beta shapes, so Newton steps
+solve it, and the Kumaraswamy b is n / |Σ log(1 − xᵃ)|. This profile over
+log a is scanned on a grid, and its highest peaks are refined by one batched
+projected-Newton solve in (log a, b[, c]) jointly. The WK fit also starts
+from the Kumaraswamy optimum it nests, fitted once per sample and reused.
+Also AIC/BIC and a histogram-based RMSE metric.
 """
 
 from __future__ import annotations
@@ -99,54 +100,32 @@ class NormalizedSample:
         return {}
 
 
-def normalize(z, policy: str = "exclude_boundary") -> NormalizedSample:
-    """Exact min-max normalization of a raw sample onto [0, 1]."""
+def _sorted(z, policy: str) -> np.ndarray:
+    """z as sorted floats, after the checks normalize and from_unit_values share."""
     if policy not in BOUNDARY_POLICIES:
         raise ValueError(f"unknown boundary policy {policy!r}")
     arr = np.sort(np.asarray(z, dtype=float))
     if len(arr) < 3:
         raise DegenerateSampleError("need at least 3 observations")
+    return arr
+
+
+def normalize(z, policy: str = "exclude_boundary") -> NormalizedSample:
+    """Exact min-max normalization of a raw sample onto [0, 1]."""
+    arr = _sorted(z, policy)
     z_min, z_max = float(arr[0]), float(arr[-1])
     if not z_max > z_min:
         raise DegenerateSampleError("constant sample cannot be normalized")
-    values = (arr - z_min) / (z_max - z_min)
-    return NormalizedSample(values=values, z_min=z_min, z_max=z_max,
-                            n=len(arr), boundary_policy=policy)
+    return NormalizedSample(values=(arr - z_min) / (z_max - z_min), z_min=z_min,
+                            z_max=z_max, n=len(arr), boundary_policy=policy)
 
 
 def from_unit_values(x, policy: str = "exclude_boundary") -> NormalizedSample:
     """Wrap data already on [0, 1] without rescaling it."""
-    if policy not in BOUNDARY_POLICIES:
-        raise ValueError(f"unknown boundary policy {policy!r}")
-    arr = np.sort(np.asarray(x, dtype=float))
-    if len(arr) < 3:
-        raise DegenerateSampleError("need at least 3 observations")
+    arr = _sorted(x, policy)
     if arr[0] < 0.0 or arr[-1] > 1.0:
         raise ValueError("values must lie in [0, 1]")
-    return NormalizedSample(values=arr, z_min=0.0, z_max=1.0,
-                            n=len(arr), boundary_policy=policy)
-
-
-def loglik_wk(sample: NormalizedSample, a: float, b: float, c: float) -> float:
-    """Log-likelihood of the weighted Kumaraswamy family."""
-    x = sample._likelihood_set
-    const = math.log(c) - math.log(b) - float(_sc.gammaln(1.0 + c / a) + _sc.gammaln(b)
-                                              - _sc.gammaln(1.0 + c / a + b))
-    return (len(x) * const + (c - 1.0) * sample._sum_log_x
-            + b * float(np.sum(np.log1p(-x ** a))))
-
-
-def loglik_kw(sample: NormalizedSample, a: float, b: float) -> float:
-    x = sample._likelihood_set
-    return (len(x) * (math.log(a) + math.log(b)) + (a - 1.0) * sample._sum_log_x
-            + (b - 1.0) * float(np.sum(np.log1p(-x ** a))))
-
-
-def loglik_beta(sample: NormalizedSample, alpha: float, beta: float) -> float:
-    n = len(sample._likelihood_set)
-    lbeta = float(_sc.gammaln(alpha) + _sc.gammaln(beta) - _sc.gammaln(alpha + beta))
-    return (-n * lbeta + (alpha - 1.0) * sample._sum_log_x
-            + (beta - 1.0) * sample._sum_log1m_x)
+    return NormalizedSample(values=arr, n=len(arr), boundary_policy=policy)
 
 
 def _power_sums(sample: NormalizedSample, a):
@@ -178,19 +157,22 @@ def _beta_terms(n: int, s1, s2, p, q) -> tuple:
     return value, grad, hess
 
 
-def _kw_terms(sample: NormalizedSample, sums: tuple, a, b) -> tuple:
-    """Gradient and Hessian of loglik_kw in (a, b), given _power_sums(a)."""
+def _terms(sample: NormalizedSample, model: str, theta) -> tuple:
+    """Log-likelihood of `model` at θ in its natural parameters, (alpha, beta),
+    (a, b) or (a, b, c), with its gradient and Hessian in θ; each coordinate
+    a scalar or an array over m problems. Beta is _beta_terms on Σ log x and
+    Σ log(1 − x); kw and wk read _power_sums, so 1 − xᵃ is −expm1(a·log x)."""
     n, sx = len(sample._log_x), sample._sum_log_x
-    big_l, t, v = sums
-    grad = np.array([n / a + sx - (b - 1.0) * t, n / b + big_l])
-    hess = np.array([[-n / a ** 2 - (b - 1.0) * v, -t], [-t, -n / b ** 2]])
-    return grad, hess
-
-
-def _wk_terms(sample: NormalizedSample, sums: tuple, a, b, c) -> tuple:
-    """Gradient and Hessian of loglik_wk in (a, b, c), given _power_sums(a)."""
-    n, sx = len(sample._log_x), sample._sum_log_x
-    big_l, t, v = sums
+    if model == "beta":
+        return _beta_terms(n, sx, sample._sum_log1m_x, *theta)
+    a, b = theta[0], theta[1]
+    big_l, t, v = _power_sums(sample, a)
+    if model == "kw":
+        value = n * np.log(a * b) + (a - 1.0) * sx + (b - 1.0) * big_l
+        grad = np.array([n / a + sx - (b - 1.0) * t, n / b + big_l])
+        hess = np.array([[-n / a ** 2 - (b - 1.0) * v, -t], [-t, -n / b ** 2]])
+        return value, grad, hess
+    c = theta[2]
     p = c / a
     shapes = np.array([1.0 + p + b, 1.0 + p, b])
     psi_pb, psi_p, psi_b = _sc.digamma(shapes)
@@ -198,49 +180,45 @@ def _wk_terms(sample: NormalizedSample, sums: tuple, a, b, c) -> tuple:
     d, d1 = psi_p - psi_pb, tri_p - tri_pb
     ab, bc = -n * p * tri_pb / a - t, n * tri_pb / a
     ac = n * (d + p * d1) / a ** 2
+    value = n * (np.log(c / b) - _sc.betaln(1.0 + p, b)) + (c - 1.0) * sx + b * big_l
     grad = np.array([n * p * d / a - b * t,
                      n * (psi_pb - psi_b - 1.0 / b) + big_l,
                      n * (1.0 / c - d / a) + sx])
     hess = np.array([[-n * p * (p * d1 + 2.0 * d) / a ** 2 - b * v, ab, ac],
                      [ab, n * (tri_pb - tri_b + 1.0 / b ** 2), bc],
                      [ac, bc, -n * (1.0 / c ** 2 + d1 / a ** 2)]])
-    return grad, hess
+    return value, grad, hess
+
+
+def loglik_wk(sample: NormalizedSample, a: float, b: float, c: float) -> float:
+    """Log-likelihood of the weighted Kumaraswamy family."""
+    return float(_terms(sample, "wk", (a, b, c))[0])
+
+
+def loglik_kw(sample: NormalizedSample, a: float, b: float) -> float:
+    return float(_terms(sample, "kw", (a, b))[0])
+
+
+def loglik_beta(sample: NormalizedSample, alpha: float, beta: float) -> float:
+    return float(_terms(sample, "beta", (alpha, beta))[0])
 
 
 def score_wk(sample: NormalizedSample, a: float, b: float, c: float) -> np.ndarray:
     """Gradient of loglik_wk in (a, b, c)."""
-    return _wk_terms(sample, _power_sums(sample, a), a, b, c)[0]
-
-
-def hess_wk(sample: NormalizedSample, a: float, b: float, c: float) -> np.ndarray:
-    """Hessian of loglik_wk in (a, b, c)."""
-    return _wk_terms(sample, _power_sums(sample, a), a, b, c)[1]
+    return _terms(sample, "wk", (a, b, c))[1]
 
 
 def score_kw(sample: NormalizedSample, a: float, b: float) -> np.ndarray:
     """Gradient of loglik_kw in (a, b)."""
-    return _kw_terms(sample, _power_sums(sample, a), a, b)[0]
-
-
-def hess_kw(sample: NormalizedSample, a: float, b: float) -> np.ndarray:
-    """Hessian of loglik_kw in (a, b)."""
-    return _kw_terms(sample, _power_sums(sample, a), a, b)[1]
+    return _terms(sample, "kw", (a, b))[1]
 
 
 def score_beta(sample: NormalizedSample, alpha: float, beta: float) -> np.ndarray:
     """Gradient of loglik_beta in (alpha, beta)."""
-    return _beta_terms(len(sample._log_x), sample._sum_log_x, sample._sum_log1m_x,
-                       alpha, beta)[1]
-
-
-def hess_beta(sample: NormalizedSample, alpha: float, beta: float) -> np.ndarray:
-    """Hessian of loglik_beta in (alpha, beta)."""
-    return _beta_terms(len(sample._log_x), sample._sum_log_x, sample._sum_log1m_x,
-                       alpha, beta)[2]
+    return _terms(sample, "beta", (alpha, beta))[1]
 
 
 _LOGLIK: dict[str, Callable] = {"beta": loglik_beta, "kw": loglik_kw, "wk": loglik_wk}
-_SCORE: dict[str, Callable] = {"beta": score_beta, "kw": score_kw, "wk": score_wk}
 
 
 @dataclass(frozen=True)
@@ -352,19 +330,11 @@ def _peaks(values: np.ndarray, starts: int) -> np.ndarray:
 
 
 def _joint(sample: NormalizedSample, model: str, theta: np.ndarray) -> tuple:
-    """−loglik of kw at (e^s, b) or of wk at (e^s, b, c), for θ = (s, b[, c])
+    """−_terms of kw at (e^s, b) or of wk at (e^s, b, c), for θ = (s, b[, c])
     of shape (k, m), with its gradient and Hessian in θ: by the chain rule
     through a = e^s, g_s = a·g_a, H_ss = a²·H_aa + a·g_a and H_s· = a·H_a·."""
-    n, sx = len(sample._log_x), sample._sum_log_x
-    a, b = np.exp(theta[0]), theta[1]
-    sums = _power_sums(sample, a)
-    if model == "kw":
-        value = n * np.log(a * b) + (a - 1.0) * sx + (b - 1.0) * sums[0]
-        grad, hess = _kw_terms(sample, sums, a, b)
-    else:
-        c = theta[2]
-        value = n * (np.log(c / b) - _sc.betaln(1.0 + c / a, b)) + (c - 1.0) * sx + b * sums[0]
-        grad, hess = _wk_terms(sample, sums, a, b, c)
+    a = np.exp(theta[0])
+    value, grad, hess = _terms(sample, model, (a, *theta[1:]))
     grad[0] *= a
     hess[0] *= a
     hess[:, 0] *= a
@@ -451,8 +421,8 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16) -> FitResult
     jointly. wk is also refined from the kw optimum it nests, and the kw fit
     behind that start is made once per sample and `starts`: a kw fit of the
     same sample, before or after, reuses it. A refinement that raises
-    ValueError or ends non-finite is a failed start. The reported
-    log-likelihood is _LOGLIK's.
+    ValueError or ends non-finite is a failed start. Newton steps and the
+    convergence test read _terms; the reported log-likelihood is _LOGLIK's.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; known: {', '.join(MODELS)}")
@@ -475,7 +445,7 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16) -> FitResult
     theta = np.array(theta, dtype=float)
     ll = _LOGLIK[model](sample, *theta)
     lo, hi = np.full(k, PARAM_BOUNDS[0]), np.full(k, PARAM_BOUNDS[1])
-    norm = float(np.max(np.abs(projected_gradient(-_SCORE[model](sample, *theta),
+    norm = float(np.max(np.abs(projected_gradient(-_terms(sample, model, theta)[1],
                                                   theta, lo, hi))))
     # convergence judged relative to the objective scale
     optimizer = OptimizeResult(argmin=theta, objective=-ll, gradient_norm=norm,

@@ -9,7 +9,7 @@ import wtrv.fit as fit_mod
 from wtrv import (finite_diff_grad, fit_mle, from_unit_values, loglik_beta,
                   loglik_kw, loglik_wk, make_catalog, normalize, rmse_metric,
                   sample, score_beta, score_kw, score_wk)
-from wtrv.fit import BoundaryError, DegenerateSampleError, hess_beta, hess_kw, hess_wk
+from wtrv.fit import BoundaryError, DegenerateSampleError
 
 
 def unit_sample(a=2.0, b=5.0, n=400, seed=3, family="kumaraswamy", **extra):
@@ -73,6 +73,24 @@ class TestLogLikelihoods:
         assert np.array_equal(s._likelihood_set, s.likelihood_values)
         assert not s._likelihood_set.flags.writeable
 
+    def test_kw_next_to_one(self):
+        # 1 − xᵃ is −expm1(a·log x): log1p(−xᵃ) was 7.7e-9 relative off here,
+        # where xᵃ is 1 − 2.9e-10 at the largest value (50-digit reference)
+        s = from_unit_values([0.1, 0.4, 0.7, 1 - 1e-9])
+        assert loglik_kw(s, 0.2948, 0.0829) == pytest.approx(11.884614390241751, rel=1e-14)
+
+    def test_wk_next_to_one(self):
+        mpmath = pytest.importorskip("mpmath")
+        values = [0.1, 0.4, 0.7, 1 - 1e-9]
+        a, b, c = 0.2948, 0.0829, 0.61
+        with mpmath.workdps(30):
+            ma, mb, mc = map(mpmath.mpf, (a, b, c))
+            const = mpmath.log(mc / mb) - mpmath.log(mpmath.beta(1 + mc / ma, mb))
+            ref = sum(const + (mc - 1) * mpmath.log(x) + mb * mpmath.log1p(-mpmath.mpf(x) ** ma)
+                      for x in values)
+        assert loglik_wk(from_unit_values(values), a, b, c) == pytest.approx(float(ref),
+                                                                             rel=1e-14)
+
     def test_empty_likelihood_set(self):
         s = from_unit_values([0.0, 0.0, 1.0])
         with pytest.raises(BoundaryError, match="empty"):
@@ -80,16 +98,16 @@ class TestLogLikelihoods:
 
 
 SCORED = [
-    ("wk", loglik_wk, score_wk, hess_wk, "weighted_kumaraswamy", {"a": 2.0, "b": 3.0, "c": 1.5}),
-    ("kw", loglik_kw, score_kw, hess_kw, "kumaraswamy", {"a": 2.0, "b": 3.0}),
-    ("beta", loglik_beta, score_beta, hess_beta, "beta", {"alpha": 2.25, "beta": 3.5}),
+    ("wk", loglik_wk, score_wk, "weighted_kumaraswamy", {"a": 2.0, "b": 3.0, "c": 1.5}),
+    ("kw", loglik_kw, score_kw, "kumaraswamy", {"a": 2.0, "b": 3.0}),
+    ("beta", loglik_beta, score_beta, "beta", {"alpha": 2.25, "beta": 3.5}),
 ]
 
 
-@pytest.mark.parametrize("loglik, score, hess, family, params",
-                         [m[1:] for m in SCORED], ids=[m[0] for m in SCORED])
+@pytest.mark.parametrize("model, loglik, score, family, params", SCORED,
+                         ids=[m[0] for m in SCORED])
 class TestScores:
-    def test_matches_finite_differences(self, loglik, score, hess, family, params):
+    def test_matches_finite_differences(self, model, loglik, score, family, params):
         s = from_unit_values(sample(make_catalog(family, params), 80, seed=12))
         rng = np.random.default_rng(7)
         for theta in np.exp(rng.uniform(math.log(0.05), math.log(50.0),
@@ -97,7 +115,7 @@ class TestScores:
             fd = finite_diff_grad(lambda v: loglik(s, *v), theta, 1e-6 * theta)
             np.testing.assert_allclose(score(s, *theta), fd, rtol=1e-5)
 
-    def test_hessian_matches_finite_differences(self, loglik, score, hess, family, params):
+    def test_hessian_matches_finite_differences(self, model, loglik, score, family, params):
         s = from_unit_values(sample(make_catalog(family, params), 80, seed=12))
         rng = np.random.default_rng(7)
         for theta in np.exp(rng.uniform(math.log(0.05), math.log(50.0),
@@ -105,14 +123,14 @@ class TestScores:
             # the scores cancel large terms, so the step is 10x the one above
             fd = np.array([finite_diff_grad(lambda v: score(s, *v)[i], theta, 1e-5 * theta)
                            for i in range(len(params))])
-            np.testing.assert_allclose(hess(s, *theta), fd, rtol=1e-5)
+            np.testing.assert_allclose(fit_mod._terms(s, model, theta)[2], fd, rtol=1e-5)
 
-    def test_finite_at_box_corners(self, loglik, score, hess, family, params):
+    def test_finite_at_box_corners(self, model, loglik, score, family, params):
         s = from_unit_values([1e-9, 0.2, 0.5, 0.8, 1.0 - 1e-9])
         for theta in itertools.product((1e-3, 1.0, 1e3), repeat=len(params)):
             assert math.isfinite(loglik(s, *theta)), theta
             assert np.isfinite(score(s, *theta)).all(), theta
-            assert np.isfinite(hess(s, *theta)).all(), theta
+            assert np.isfinite(fit_mod._terms(s, model, theta)[2]).all(), theta
 
 
 def rainfall_series(rng, law):
