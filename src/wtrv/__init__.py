@@ -11,7 +11,7 @@ from .construct import (WtrvDistribution, construct, equilibrium,
                         weighted_kumaraswamy, wtrv_of_minimum)
 from .distributions import (CatalogError, DistributionHandle, kumaraswamy_moment,
                             make_catalog, parse_dist_spec, sample, wk_moment)
-from .fit import (FitResult, NormalizedSample, fit_mle, from_unit_values,
+from .fit import (FitResult, NormalizedSample, fit_mle, fit_models, from_unit_values,
                   loglik_beta, loglik_kw, loglik_wk, normalize, rmse_metric,
                   score_beta, score_kw, score_wk)
 from .gof import (GofReport, ad_test, bootstrap_pvalue, chisq_test, cvm_test,

@@ -222,8 +222,8 @@ def _cmd_report(args) -> int:
     stats = _data_mod.describe(series, convention=args.convention)
     sample = _fit_mod.normalize(series.rainfall_mm, policy=_policy(args.policy))
     out = {"describe": stats.as_dict(), "models": {}}
-    for model in ("beta", "kw", "wk"):
-        result = _fit_mod.fit_mle(sample, model, starts=args.starts)
+    fits = _fit_mod.fit_models(sample, ("beta", "kw", "wk"), starts=args.starts)
+    for model, result in fits.items():
         gof = _gof_mod.run_gof(sample.likelihood_values, result.handle(), model,
                                bins=args.bins, family=model,
                                params=result.params, seed=args.seed)

@@ -10,9 +10,10 @@ the log-likelihood at fixed a depends on the data through a·Σ log x and
 Σ log(1 − xᵃ) alone and is concave in the two beta shapes, so Newton steps
 solve it, and the Kumaraswamy b is n / |Σ log(1 − xᵃ)|. This profile over
 log a is scanned on a grid, and its highest peaks are refined by one batched
-projected-Newton solve in (log a, b[, c]) jointly. The WK fit also starts
-from the Kumaraswamy optimum it nests, fitted once per sample and reused.
-Also AIC/BIC and a histogram-based RMSE metric.
+projected-Newton solve in (log a, b[, c]) jointly. fit_models solves the
+beta model's Beta-link problem and the WK scan's in one batch. The WK fit
+also starts from the Kumaraswamy optimum it nests, fitted once per sample
+and reused. Also AIC/BIC and a histogram-based RMSE metric.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,6 +98,11 @@ class NormalizedSample:
     @functools.cached_property
     def _kw_fits(self) -> dict:
         """fit._kw_fit's results by `starts`."""
+        return {}
+
+    @functools.cached_property
+    def _histograms(self) -> dict:
+        """rmse_metric's histogram heights and bin midpoints by `bins`."""
         return {}
 
 
@@ -190,32 +196,41 @@ def _terms(sample: NormalizedSample, model: str, theta) -> tuple:
     return value, grad, hess
 
 
+def _checked_terms(sample: NormalizedSample, model: str, theta: tuple) -> tuple:
+    """_terms at θ, after raising ValueError for a parameter that is not
+    positive and finite, where the likelihood is undefined."""
+    for name, value in zip(MODELS[model], theta):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return _terms(sample, model, theta)
+
+
 def loglik_wk(sample: NormalizedSample, a: float, b: float, c: float) -> float:
     """Log-likelihood of the weighted Kumaraswamy family."""
-    return float(_terms(sample, "wk", (a, b, c))[0])
+    return float(_checked_terms(sample, "wk", (a, b, c))[0])
 
 
 def loglik_kw(sample: NormalizedSample, a: float, b: float) -> float:
-    return float(_terms(sample, "kw", (a, b))[0])
+    return float(_checked_terms(sample, "kw", (a, b))[0])
 
 
 def loglik_beta(sample: NormalizedSample, alpha: float, beta: float) -> float:
-    return float(_terms(sample, "beta", (alpha, beta))[0])
+    return float(_checked_terms(sample, "beta", (alpha, beta))[0])
 
 
 def score_wk(sample: NormalizedSample, a: float, b: float, c: float) -> np.ndarray:
     """Gradient of loglik_wk in (a, b, c)."""
-    return _terms(sample, "wk", (a, b, c))[1]
+    return _checked_terms(sample, "wk", (a, b, c))[1]
 
 
 def score_kw(sample: NormalizedSample, a: float, b: float) -> np.ndarray:
     """Gradient of loglik_kw in (a, b)."""
-    return _terms(sample, "kw", (a, b))[1]
+    return _checked_terms(sample, "kw", (a, b))[1]
 
 
 def score_beta(sample: NormalizedSample, alpha: float, beta: float) -> np.ndarray:
     """Gradient of loglik_beta in (alpha, beta)."""
-    return _terms(sample, "beta", (alpha, beta))[1]
+    return _checked_terms(sample, "beta", (alpha, beta))[1]
 
 
 _LOGLIK: dict[str, Callable] = {"beta": loglik_beta, "kw": loglik_kw, "wk": loglik_wk}
@@ -241,17 +256,20 @@ class FitResult:
 def rmse_metric(sample: NormalizedSample, fitted: DistributionHandle,
                 bins: int = 10) -> float:
     """RMS difference between equal-width histogram density heights on [0,1]
-    and the fitted pdf at the bin midpoints."""
+    and the fitted pdf at the bin midpoints. The histogram is built once per
+    sample and `bins`."""
     if bins < 2:
         raise ValueError("bins must be at least 2")
-    heights, edges = np.histogram(sample.values, bins=bins, range=(0.0, 1.0),
-                                  density=True)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    if bins not in sample._histograms:
+        heights, edges = np.histogram(sample.values, bins=bins, range=(0.0, 1.0),
+                                      density=True)
+        sample._histograms[bins] = heights, 0.5 * (edges[:-1] + edges[1:])
+    heights, mids = sample._histograms[bins]
     model = np.asarray(fitted.pdf(mids), dtype=float)
     return float(np.sqrt(np.mean((heights - model) ** 2)))
 
 
-def _beta_start(n: int, s1, s2, scale, shift: float) -> np.ndarray:
+def _beta_start(n: int, s1, s2, scale, shift) -> np.ndarray:
     """Start of _solve_beta: of five closed-form approximations to the beta
     shapes (p, q) from the mean logs m1 = s1/n of y and m2 = s2/n of 1 − y,
     the one with the highest likelihood, as θ = (p·scale, q − shift) clipped
@@ -287,10 +305,10 @@ def _beta_start(n: int, s1, s2, scale, shift: float) -> np.ndarray:
     return np.take_along_axis(theta, best[None, None], axis=1)[:, 0]
 
 
-def _solve_beta(n: int, s1, s2, scale, shift: float) -> OptimizeResult:
+def _solve_beta(n: int, s1, s2, scale, shift) -> OptimizeResult:
     """Maximise _beta_terms over the parameter box for θ = (p·scale,
     q − shift): (alpha, beta) for the beta model, (c, b) at fixed a for WK.
-    Batched when s1, s2 and scale are arrays over m problems."""
+    Batched when s1, s2, scale and shift are arrays over m problems."""
     jac = np.array(np.broadcast_arrays(1.0 / scale, 1.0))
 
     def fun(theta):
@@ -312,13 +330,44 @@ def _kw_profile(sample: NormalizedSample, s: np.ndarray) -> tuple:
     return n * np.log(a * b) + (a - 1.0) * sample._sum_log_x + (b - 1.0) * big_l, b[None]
 
 
-def _wk_profile(sample: NormalizedSample, s: np.ndarray) -> tuple:
-    """loglik_wk maximised over (b, c) at a = e^s through X^a ~ Beta(c/a, b+1):
-    values and the (b, c) optimum as a (2, m) array."""
+def _link_problems(sample: NormalizedSample, model: str) -> np.ndarray:
+    """(s1, s2, scale, shift) of each Beta-link problem of `model`, one
+    column each: the beta model's own, or WK's at each a = e^s of _SCAN,
+    X^a ~ Beta(c/a, b + 1)."""
+    sx = sample._sum_log_x
+    if model == "beta":
+        return np.array([[sx], [sample._sum_log1m_x], [1.0], [0.0]])
+    a = np.exp(_SCAN)
+    return np.array([a * sx, _log1m_sum(sample, a), a, np.ones_like(a)])
+
+
+def _solve_links(sample: NormalizedSample, models: Sequence[str]) -> dict:
+    """{model: (objective, argmin, steps)} of the Beta-link problems of the
+    beta and wk in `models`, solved by one _solve_beta batch. If the batch
+    raises ValueError, each model's problems are solved alone, and a model
+    whose own solve raises maps to that ValueError."""
+    problems = {model: _link_problems(sample, model) for model in models if model != "kw"}
+    if not problems:
+        return {}
+    try:
+        res = _solve_beta(len(sample._log_x), *np.hstack(list(problems.values())))
+    except ValueError as exc:
+        if len(problems) == 1:
+            return dict.fromkeys(problems, exc)
+        return {model: _solve_links(sample, (model,))[model] for model in problems}
+    cuts = np.cumsum([p.shape[1] for p in problems.values()])[:-1]
+    return {model: (objective, argmin, res.iterations) for model, objective, argmin
+            in zip(problems, np.split(res.objective, cuts), np.split(res.argmin, cuts, axis=1))}
+
+
+def _wk_profile(sample: NormalizedSample, link: tuple) -> tuple:
+    """loglik_wk on _SCAN maximised over (b, c) at each a = e^s, from the
+    solved Beta-link problems of _link_problems(sample, "wk"): values and the
+    (b, c) optimum as a (2, m) array."""
     n, sx = len(sample._log_x), sample._sum_log_x
-    a = np.exp(s)
-    res = _solve_beta(n, a * sx, _log1m_sum(sample, a), a, 1.0)
-    return n * np.log(a) + (a - 1.0) * sx - res.objective, res.argmin[::-1]
+    a = np.exp(_SCAN)
+    objective, argmin, _ = link
+    return n * np.log(a) + (a - 1.0) * sx - objective, argmin[::-1]
 
 
 def _peaks(values: np.ndarray, starts: int) -> np.ndarray:
@@ -363,16 +412,18 @@ def _kw_fit(sample: NormalizedSample, starts: int) -> tuple:
     return fits[starts]
 
 
-def _fit_profile(sample: NormalizedSample, model: str, starts: int) -> tuple:
+def _fit_profile(sample: NormalizedSample, model: str, starts: int,
+                 link: tuple | None = None) -> tuple:
     """Scan the profile of a kw or wk model on _SCAN and refine its `starts`
     highest peaks jointly in (log a, b[, c]), each log a between its two
     neighbours on the grid. WK(a, b − 1, a) is Kw(a, b), so when b − 1 is in
     the box and no wk peak ends above the kw optimum, wk is also refined from
     there over the whole box: the wk fit never ends below a kw fit it nests.
     A refinement that raises ValueError fails all its starts, and one that
-    ends non-finite fails that start.
+    ends non-finite fails that start. The wk scan reads `link`, its entry
+    of _solve_links.
     Returns (params, value, starts tried, starts failed, Newton steps)."""
-    values, inner = (_kw_profile if model == "kw" else _wk_profile)(sample, _SCAN)
+    values, inner = _kw_profile(sample, _SCAN) if model == "kw" else _wk_profile(sample, link)
     peaks = _peaks(values, starts)
     found = []  # (value, θ) of each refined start
     failed, steps = 0, 0
@@ -412,36 +463,53 @@ def _fit_profile(sample: NormalizedSample, model: str, starts: int) -> tuple:
     return (a, *map(float, theta[1:])), value, tried, failed, steps
 
 
-def fit_mle(sample: NormalizedSample, model: str, starts: int = 16) -> FitResult:
-    """Maximum-likelihood fit by profile likelihood through the Beta link.
+def fit_models(sample: NormalizedSample, models: Sequence[str],
+               starts: int = 16) -> dict[str, FitResult]:
+    """Maximum-likelihood fits of each of `models` to one sample, by profile
+    likelihood through the Beta link, as {model: FitResult} in that order.
 
     beta is one Newton solve of a concave problem. For kw and wk the profile
     over s = log a is scanned on a grid over the box, and its `starts`
     highest peaks are refined by projected Newton steps in (s, b[, c])
-    jointly. wk is also refined from the kw optimum it nests, and the kw fit
-    behind that start is made once per sample and `starts`: a kw fit of the
-    same sample, before or after, reuses it. A refinement that raises
-    ValueError or ends non-finite is a failed start. Newton steps and the
+    jointly. The beta problem and the 49 Beta-link problems of the wk scan
+    are solved in one batch, whose steps the beta result's iterations count.
+    wk is also refined from the kw optimum it nests, and the kw fit behind
+    that start is made once per sample and `starts`: a kw fit of the same
+    sample, before or after, reuses it. A refinement that raises ValueError
+    or ends non-finite is a failed start. A model that fails raises as it
+    would alone, the first such model in order. Newton steps and the
     convergence test read _terms; the reported log-likelihood is _LOGLIK's.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; known: {', '.join(MODELS)}")
+    for model in models:
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}; known: {', '.join(MODELS)}")
     if starts < 1:
         raise ValueError("starts must be at least 1")
+    links = _solve_links(sample, models)
+    return {model: _fit_one(sample, model, starts, links.get(model)) for model in models}
+
+
+def fit_mle(sample: NormalizedSample, model: str, starts: int = 16) -> FitResult:
+    """fit_models for one model."""
+    return fit_models(sample, (model,), starts)[model]
+
+
+def _fit_one(sample: NormalizedSample, model: str, starts: int, link) -> FitResult:
+    """fit_models' fit of one model, given its entry of _solve_links."""
+    if isinstance(link, ValueError):
+        if model == "beta":
+            raise FitError(f"beta fit failed (n={sample.n}, "
+                           f"policy={sample.boundary_policy}): {link}") from link
+        raise link
     names = MODELS[model]
     k = len(names)
     if model == "beta":
-        try:
-            res = _solve_beta(len(sample._log_x), sample._sum_log_x,
-                              sample._sum_log1m_x, 1.0, 0.0)
-        except ValueError as exc:
-            raise FitError(f"beta fit failed (n={sample.n}, "
-                           f"policy={sample.boundary_policy}): {exc}") from exc
-        theta, tried, failed, steps = res.argmin, 1, 0, res.iterations
+        _, argmin, steps = link
+        theta, tried, failed = argmin[:, 0], 1, 0
     elif model == "kw":
         theta, _, tried, failed, steps = _kw_fit(sample, starts)
     else:
-        theta, _, tried, failed, steps = _fit_profile(sample, model, starts)
+        theta, _, tried, failed, steps = _fit_profile(sample, model, starts, link)
     theta = np.array(theta, dtype=float)
     ll = _LOGLIK[model](sample, *theta)
     lo, hi = np.full(k, PARAM_BOUNDS[0]), np.full(k, PARAM_BOUNDS[1])

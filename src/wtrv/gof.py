@@ -11,6 +11,7 @@ parameters-known p-values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -35,10 +36,9 @@ DF_CONVENTIONS = ("bins-1", "calibrated")
 _BOOTSTRAP_STARTS = 4
 
 
-def _pit(values, model: DistributionHandle) -> tuple[int, np.ndarray, np.ndarray]:
-    """Sample size, probability-integral transform of the sorted sample with
+def _pit(x: np.ndarray, model: DistributionHandle) -> tuple[int, np.ndarray, np.ndarray]:
+    """Sample size, probability-integral transform of the sorted sample x with
     boundary nudge, and ranks 1..n."""
-    x = np.sort(np.asarray(values, dtype=float))
     n = len(x)
     if n < 2:
         raise ValueError("need at least 2 observations")
@@ -46,11 +46,18 @@ def _pit(values, model: DistributionHandle) -> tuple[int, np.ndarray, np.ndarray
     return n, u, np.arange(1, n + 1)
 
 
-def ks_test(values, model: DistributionHandle) -> tuple[float, float]:
-    """Two-sided KS statistic and asymptotic p-value."""
-    n, u, i = _pit(values, model)
+def _sorted(values) -> np.ndarray:
+    return np.sort(np.asarray(values, dtype=float))
+
+
+def _ks(n: int, u: np.ndarray, i: np.ndarray) -> tuple[float, float]:
     d = float(np.max(np.maximum(i / n - u, u - (i - 1) / n)))
     return d, kolmogorov_sf(math.sqrt(n) * d)
+
+
+def ks_test(values, model: DistributionHandle) -> tuple[float, float]:
+    """Two-sided KS statistic and asymptotic p-value."""
+    return _ks(*_pit(_sorted(values), model))
 
 
 def _ad_pvalue(z: float) -> float:
@@ -67,22 +74,33 @@ def _ad_pvalue(z: float) -> float:
     return float(min(max(1.0 - cdf, 0.0), 1.0))
 
 
-def ad_test(values, model: DistributionHandle) -> tuple[float, float]:
-    """Anderson-Darling A-squared and asymptotic p-value."""
-    n, u, i = _pit(values, model)
+def _ad(n: int, u: np.ndarray, i: np.ndarray) -> tuple[float, float]:
     a2 = float(-n - np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[::-1]))) / n)
     return a2, _ad_pvalue(a2)
 
 
-def _sum_until_small(term: Callable) -> np.ndarray:
-    """term(0) + term(1) + ..., through the first term below 1e-7 in size."""
+def ad_test(values, model: DistributionHandle) -> tuple[float, float]:
+    """Anderson-Darling A-squared and asymptotic p-value."""
+    return _ad(*_pit(_sorted(values), model))
+
+
+_BLOCK = 4  # series terms per array call; a well-fitting law's W² needs two
+
+
+def _sum_until_small(term: Callable) -> float:
+    """term(0) + term(1) + ..., through the first term below 1e-7 in size,
+    added in order as floats. term takes an array of k and is evaluated
+    _BLOCK values of k at a time; terms past the last one added are
+    discarded, so their overflow is not reported."""
     total, k = 0.0, 0
     while True:
-        z = term(k)
-        total = total + z
-        if not np.abs(z[0]) >= 1e-7:
-            return total
-        k += 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = term(np.arange(k, k + _BLOCK)).tolist()
+        for z in block:
+            total += z
+            if not abs(z) >= 1e-7:
+                return total
+        k += _BLOCK
 
 
 def _cvm_pvalue(w2: float, n: int) -> float:
@@ -99,40 +117,42 @@ def _cvm_pvalue(w2: float, n: int) -> float:
     sx, y1, y2 = 2 * np.sqrt(x), x ** (3 / 4), x ** (5 / 4)
 
     def v_term(k):  # eq. 1.2, second line of 1.3
-        u = math.exp(_sc.gammaln(k + 0.5) - _sc.gammaln(k + 1)) / (np.pi ** 1.5 * np.sqrt(x))
+        # math.exp, as SciPy's: np.exp rounds differently for some k
+        log_ratio = (_sc.gammaln(k + 0.5) - _sc.gammaln(k + 1)).tolist()
+        u = np.array([math.exp(v) for v in log_ratio]) / (np.pi ** 1.5 * np.sqrt(x))
         y = 4 * k + 1
         q = y ** 2 / (16 * x)
-        return u * math.sqrt(y) * np.exp(-q) * _sc.kv(0.25, q)
+        return u * np.sqrt(y) * np.exp(-q) * _sc.kv(0.25, q)
 
-    def ed2(y):
+    def psi_term(k):  # eq. 1.10 less V(x)/12, with SciPy's _psi1_mod's ed2 and ed3
+        m, g1, g3 = 2 * k + 1, _sc.gamma(k + 1 / 2), _sc.gamma(k + 3 / 2)
+        # ed2 is read at y = (4k + 1)/sx, (4k + 3)/sx and (4k + 5)/sx, ed3 at
+        # the first and last: over a block of k, at (4k₀ + 1 + 2j)/sx
+        y = np.arange(4 * k[0] + 1, 4 * k[-1] + 6, 2) / sx
         z = y ** 2 / 4
-        return (np.exp(-z) * (y / 2) ** (3 / 2) * (_sc.kv(1 / 4, z) + _sc.kv(3 / 4, z))
-                / math.sqrt(np.pi))
-
-    def ed3(y):
-        z = y ** 2 / 4
-        c = np.exp(-z) / math.sqrt(np.pi)
-        return c * (y / 2) ** (5 / 2) * (2 * _sc.kv(1 / 4, z) + 3 * _sc.kv(3 / 4, z)
-                                         - _sc.kv(5 / 4, z))
-
-    def psi_term(k):
-        m, g1, g3 = 2 * k + 1, float(_sc.gamma(k + 1 / 2)), float(_sc.gamma(k + 3 / 2))
-        a_k = (m * g1 * ed2((4 * k + 3) / sx) / (9 * y1)
-               + g1 * ed3((4 * k + 1) / sx) / (72 * y2)
-               + 2 * (m + 2) * g3 * ed3((4 * k + 5) / sx) / (12 * y2)
-               + 7 * m * g1 * ed2((4 * k + 1) / sx) / (144 * y1)
-               + 7 * m * g1 * ed2((4 * k + 5) / sx) / (144 * y1))
-        return -a_k / (np.pi * float(_sc.gamma(k + 1)))
+        e, k1, k3 = np.exp(-z), _sc.kv(1 / 4, z), _sc.kv(3 / 4, z)
+        ed2 = e * (y / 2) ** (3 / 2) * (k1 + k3) / math.sqrt(np.pi)
+        ed3 = (e[::2] / math.sqrt(np.pi) * (y[::2] / 2) ** (5 / 2)
+               * (2 * k1[::2] + 3 * k3[::2] - _sc.kv(5 / 4, z[::2])))
+        a_k = (m * g1 * ed2[1::2] / (9 * y1)
+               + g1 * ed3[:-1] / (72 * y2)
+               + 2 * (m + 2) * g3 * ed3[1:] / (12 * y2)
+               + 7 * m * g1 * ed2[:-1:2] / (144 * y1)
+               + 7 * m * g1 * ed2[2::2] / (144 * y1))
+        return -a_k / (np.pi * _sc.gamma(k + 1))
 
     cdf = _sum_until_small(v_term) * (1 + 1.0 / (12 * n)) + _sum_until_small(psi_term) / n
-    return float(max(1.0 - cdf[0], 0.0))
+    return float(max(1.0 - cdf, 0.0))
+
+
+def _cvm(n: int, u: np.ndarray, i: np.ndarray) -> tuple[float, float]:
+    w2 = float(np.sum((u - (2 * i - 1) / (2 * n)) ** 2) + 1.0 / (12 * n))
+    return w2, _cvm_pvalue(w2, n)
 
 
 def cvm_test(values, model: DistributionHandle) -> tuple[float, float]:
     """Cramer-von Mises W-squared and its finite-n (Csörgő–Faraway) p-value."""
-    n, u, i = _pit(values, model)
-    w2 = float(np.sum((u - (2 * i - 1) / (2 * n)) ** 2) + 1.0 / (12 * n))
-    return w2, _cvm_pvalue(w2, n)
+    return _cvm(*_pit(_sorted(values), model))
 
 
 def chisq_test(values, model: DistributionHandle, bins: int = 10,
@@ -143,7 +163,7 @@ def chisq_test(values, model: DistributionHandle, bins: int = 10,
     The "calibrated" convention uses df = bins - 1 - n_params, the convention
     that reproduces published p-values for this test family.
     """
-    x = np.sort(np.asarray(values, dtype=float))
+    x = _sorted(values)
     n = len(x)
     if bins < 2:
         raise ValueError("bins must be at least 2")
@@ -167,15 +187,24 @@ def chisq_test(values, model: DistributionHandle, bins: int = 10,
     return stat, float(_sc.chdtrc(df, stat))
 
 
-# (statistic, asymptotic p-value) of each test for (values, model, bins,
-# n_params, df_convention)
-_STATISTIC = {
-    "ks": lambda x, m, bins, k, df: ks_test(x, m),
-    "ad": lambda x, m, bins, k, df: ad_test(x, m),
-    "cvm": lambda x, m, bins, k, df: cvm_test(x, m),
-    "chisq": lambda x, m, bins, k, df: chisq_test(x, m, bins=bins, df_convention=df,
-                                                  n_params=k),
-}
+# (statistic, asymptotic p-value) of each test from the PIT (n, u, ranks)
+_FROM_PIT = {"ks": _ks, "ad": _ad, "cvm": _cvm}
+
+
+def _statistics(x: np.ndarray, model: DistributionHandle, bins: int, k: int,
+                df_convention: str) -> Callable:
+    """name -> (statistic, asymptotic p-value) of that test on the sorted
+    sample x. KS, AD and CvM read one PIT, made at the first of them that
+    is asked for; until one is made, each asks for it again."""
+    pit = functools.cache(lambda: _pit(x, model))
+
+    def statistic(name: str) -> tuple[float, float]:
+        if name == "chisq":
+            return chisq_test(x, model, bins=bins, df_convention=df_convention,
+                              n_params=k)
+        return _FROM_PIT[name](*pit())
+
+    return statistic
 
 
 def _bootstrap_pvalues(x: np.ndarray, family: str, fitted_params: dict[str, float],
@@ -190,12 +219,13 @@ def _bootstrap_pvalues(x: np.ndarray, family: str, fitted_params: dict[str, floa
             raise ValueError(f"unknown test {test!r}")
     if family not in MODELS:
         raise ValueError(f"unknown model family {family!r}")
-    x = np.sort(np.asarray(x, dtype=float))
+    x = _sorted(x)
     n = len(x)
     k = len(MODELS[family])
     fitted = make_catalog(_CATALOG_NAME[family], dict(fitted_params))
     # the statistic does not depend on the chi-square df convention
-    t_obs = {t: _STATISTIC[t](x, fitted, bins, k, "calibrated")[0] for t in tests}
+    observed = _statistics(x, fitted, bins, k, "calibrated")
+    t_obs = {t: observed(t)[0] for t in tests}
 
     exceed = dict.fromkeys(tests, 0)
     failures = dict.fromkeys(tests, 0)
@@ -207,10 +237,10 @@ def _bootstrap_pvalues(x: np.ndarray, family: str, fitted_params: dict[str, floa
             for t in tests:
                 failures[t] += 1
             continue
-        sim = np.sort(sim)
+        replicate = _statistics(np.sort(sim), refit, bins, k, "calibrated")
         for t in tests:
             try:
-                t_star = _STATISTIC[t](sim, refit, bins, k, "calibrated")[0]
+                t_star = replicate(t)[0]
             except ValueError:
                 failures[t] += 1
                 continue
@@ -243,19 +273,21 @@ def run_gof(values, model: DistributionHandle, model_name: str,
             bins: int = 10, df_convention: str = "calibrated",
             family: Optional[str] = None, params: Optional[dict] = None,
             replicates: int = 199, seed: int = 42) -> GofReport:
-    """Evaluate the selected tests and assemble a report."""
+    """Evaluate the selected tests and assemble a report. The sample is
+    sorted and model.cdf evaluated once per call, for KS, AD and CvM alike."""
     if method not in ("asymptotic", "bootstrap"):
         raise ValueError(f"unknown p-value method {method!r}")
     if method == "bootstrap" and (family is None or params is None):
         raise ValueError("bootstrap p-values need the fitted family and params")
     tests = tuple(tests)
-    x = np.sort(np.asarray(values, dtype=float))
+    x = _sorted(values)
     k = len(MODELS[family]) if family in MODELS else 0
+    statistic = _statistics(x, model, bins, k, df_convention)
     results: dict[str, dict] = {}
     for name in tests:
-        if name not in _STATISTIC:
+        if name not in TEST_NAMES:
             raise ValueError(f"unknown test {name!r}")
-        stat, p = _STATISTIC[name](x, model, bins, k, df_convention)
+        stat, p = statistic(name)
         results[name] = {"statistic": stat, "p_value": p, "method": "asymptotic"}
     if method == "bootstrap":
         boot = _bootstrap_pvalues(x, family, params, tests, replicates, seed, bins,

@@ -583,21 +583,20 @@ _TRUST = 1e-9  # Newton decrement, relative to 1 + |f|, below which steps go unc
 
 def _masked_solve(h: np.ndarray, g: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Solve h·d = g on the free coordinates of each of m problems, with
-    d = 0 on the others: h is (k, k, m) and symmetric, g and free are (k, m).
-    Two coordinates are solved in closed form; a singular system
-    gives a non-finite d."""
+    d = 0 on the others: h is (k, k, m) and symmetric, g and free are (k, m),
+    and g is 0 off the free coordinates. Two coordinates are solved in closed
+    form; a singular system gives a non-finite d. Run under
+    np.errstate(all="ignore")."""
     k = g.shape[0]
-    g = np.where(free, g, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if k == 2:
-            h00, h11 = np.where(free, h[[0, 1], [0, 1]], 1.0)
-            h01 = np.where(free[0] & free[1], h[0, 1], 0.0)
-            return np.array([h11 * g[0] - h01 * g[1], h00 * g[1] - h01 * g[0]]) / (h00 * h11 - h01 * h01)
-        hm = np.where(free[:, None] & free[None], h, np.eye(k)[:, :, None])
-        try:
-            return np.linalg.solve(np.moveaxis(hm, 2, 0), g.T[..., None])[..., 0].T
-        except np.linalg.LinAlgError:
-            return np.full_like(g, np.nan)
+    if k == 2:
+        h00, h11 = np.where(free[0], h[0, 0], 1.0), np.where(free[1], h[1, 1], 1.0)
+        h01 = np.where(free[0] & free[1], h[0, 1], 0.0)
+        return np.array([h11 * g[0] - h01 * g[1], h00 * g[1] - h01 * g[0]]) / (h00 * h11 - h01 * h01)
+    hm = np.where(free[:, None] & free[None], h, np.eye(k)[:, :, None])
+    try:
+        return np.linalg.solve(np.moveaxis(hm, 2, 0), g.T[..., None])[..., 0].T
+    except np.linalg.LinAlgError:
+        return np.full_like(g, np.nan)
 
 
 def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
@@ -607,8 +606,9 @@ def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
     fun(x) returns (f, g, h): the objective, its gradient and its Hessian.
     x0 has shape (k,) for one problem, or (k, m) for m problems solved side
     by side; fun gets x in that shape and returns f, g, h shaped (m,),
-    (k, m) and (k, k, m), and the result's fields other than iterations
-    are arrays over the m problems. A bound is an Interval or a (lo, hi)
+    (k, m) and (k, k, m), each problem's from its own column of x alone,
+    and the result's fields other than iterations are arrays over the m
+    problems. A bound is an Interval or a (lo, hi)
     pair whose ends may be arrays of shape (m,).
 
     Coordinates at a face whose gradient points out of the box are held;
@@ -637,6 +637,8 @@ def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
                         for e in ends]).reshape(k, m) for j in (0, 1))
     if np.any(x < lo) or np.any(x > hi):
         raise ValueError("x0 must lie inside the bounds")
+    edge_lo, edge_hi = _EDGE * (1.0 + np.abs(lo)), _EDGE * (1.0 + np.abs(hi))
+    at_lo, at_hi = lo + edge_lo, hi - edge_hi
 
     def evaluate(point):
         f, g, h = fun(point.reshape(x0.shape))
@@ -650,7 +652,7 @@ def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
     open_, last = np.ones(m, dtype=bool), np.full(m, np.inf)
     with np.errstate(all="ignore"):
         for _ in range(_MAX_STEPS):
-            free = ~_held(g, x, lo, hi)
+            free = ~_held(g, x, at_lo, at_hi)
             pg = np.where(free, g, 0.0)
             d = -_masked_solve(h, pg, free)
             decrement = -(pg * d).sum(0)
@@ -670,39 +672,47 @@ def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
             # the step stops where it first meets a face, and that coordinate
             # lands on the face exactly; one already there is clipped instead
             d = np.where(open_, d, 0.0)
-            face = np.where(d > 0.0, hi, lo)
-            away = np.abs(face - x) > _EDGE * (1.0 + np.abs(face))
+            up = d > 0.0
+            face = np.where(up, hi, lo)
+            away = np.abs(face - x) > np.where(up, edge_hi, edge_lo)
             room = np.where((d != 0.0) & away, (face - x) / d, np.inf)
             t = np.minimum(room.min(0), 1.0)
             moved = ~open_
-            for _ in range(_HALVINGS):
+            for halving in range(_HALVINGS):
                 xt = np.where(room <= t, face, np.minimum(np.maximum(x + t * d, lo), hi))
                 ft, gt, ht = evaluate(xt)
                 ok = ~moved & np.isfinite(ft) & (trusted | (ft <= f + 1e-4 * (g * (xt - x)).sum(0)))
+                moved |= ok
+                if halving == 0 and moved.all():
+                    # every open problem took its first trial point; a closed
+                    # one has xt = x and so the same f, g and h as before
+                    x, f, g, h = xt, ft, gt, ht
+                    break
                 x, f = np.where(ok, xt, x), np.where(ok, ft, f)
                 g, h = np.where(ok, gt, g), np.where(ok, ht, h)
-                moved |= ok
                 if moved.all():
                     break
                 t = np.where(moved, t, 0.5 * t)
             open_ &= moved
-    norm = np.abs(projected_gradient(g, x, lo, hi)).max(0)
+    norm = np.abs(np.where(_held(g, x, at_lo, at_hi), 0.0, g)).max(0)
     one = x0.ndim == 1
     return OptimizeResult(argmin=x.reshape(x0.shape), objective=float(f[0]) if one else f,
                           gradient_norm=float(norm[0]) if one else norm,
                           iterations=steps, converged=bool(norm[0] <= tol) if one else norm <= tol)
 
 
-def _held(g: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Coordinates at a face of the box whose gradient points out of it."""
-    return (((x <= lo + _EDGE * (1.0 + np.abs(lo))) & (g > 0))
-            | ((x >= hi - _EDGE * (1.0 + np.abs(hi))) & (g < 0)))
+def _held(g: np.ndarray, x: np.ndarray, at_lo: np.ndarray, at_hi: np.ndarray) -> np.ndarray:
+    """Coordinates at a face of the box whose gradient points out of it:
+    x at or below at_lo = lo + _EDGE·(1 + |lo|), or at or above
+    at_hi = hi − _EDGE·(1 + |hi|)."""
+    return ((x <= at_lo) & (g > 0)) | ((x >= at_hi) & (g < 0))
 
 
 def projected_gradient(g: np.ndarray, x: np.ndarray, lo: np.ndarray,
                        hi: np.ndarray) -> np.ndarray:
     """Zero out gradient components that point outside the box at its faces."""
-    return np.where(_held(g, x, lo, hi), 0.0, g)
+    at_lo, at_hi = lo + _EDGE * (1.0 + np.abs(lo)), hi - _EDGE * (1.0 + np.abs(hi))
+    return np.where(_held(g, x, at_lo, at_hi), 0.0, g)
 
 
 def kolmogorov_sf(lam: float) -> float:

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import betaincinv
 
 import wtrv.fit as fit_mod
-from wtrv import (finite_diff_grad, fit_mle, from_unit_values, loglik_beta,
+from wtrv import (finite_diff_grad, fit_mle, fit_models, from_unit_values, loglik_beta,
                   loglik_kw, loglik_wk, make_catalog, normalize, rmse_metric,
                   sample, score_beta, score_kw, score_wk)
 from wtrv.fit import BoundaryError, DegenerateSampleError
@@ -95,6 +95,24 @@ class TestLogLikelihoods:
         s = from_unit_values([0.0, 0.0, 1.0])
         with pytest.raises(BoundaryError, match="empty"):
             loglik_kw(s, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("fn, names", [
+    (loglik_beta, ("alpha", "beta")), (loglik_kw, ("a", "b")), (loglik_wk, ("a", "b", "c")),
+    (score_beta, ("alpha", "beta")), (score_kw, ("a", "b")), (score_wk, ("a", "b", "c")),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_parameters_outside_the_quadrant_rejected(fn, names):
+    # the log-likelihoods are defined for positive finite parameters only;
+    # outside, loglik_kw gave nan with a RuntimeWarning and loglik_beta a
+    # finite value
+    s = from_unit_values([0.2, 0.5, 0.7])
+    for i, name in enumerate(names):
+        for bad in (0.0, -0.5, -1.0, math.inf, math.nan):
+            theta = [2.0] * len(names)
+            theta[i] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                fn(s, *theta)
+    assert np.isfinite(fn(s, *[2.0] * len(names))).all()
 
 
 SCORED = [
@@ -230,8 +248,9 @@ class TestFitMle:
 
     def test_scan_steps_on_report_series(self, monkeypatch):
         # the closed-form starts of the scan's beta solves keep the batched
-        # 49-point wk scan to a few Newton steps, also where the optimum lies
-        # on a face of the box: at large a, where xᵃ underflows, b is on 1e3
+        # 49-point wk scan, with the beta model's problem as in a report, to a
+        # few Newton steps, also where the optimum lies on a face of the box:
+        # at large a, where xᵃ underflows, b is on 1e3
         real, steps = fit_mod.minimize_bounded, []
 
         def record(fun, x0, bounds, tol=1e-6):
@@ -241,14 +260,14 @@ class TestFitMle:
 
         monkeypatch.setattr(fit_mod, "minimize_bounded", record)
         for s in report_series():
-            fit_mod._wk_profile(s, fit_mod._SCAN)
+            fit_mod._solve_links(s, ("beta", "wk"))
         assert len(steps) == 40
         assert np.mean(steps) <= 7.0 and max(steps) <= 9
         # one observation after exclude_boundary: every optimum is on a face
         steps.clear()
         rng = np.random.default_rng(1)
         for _ in range(20):
-            fit_mod._wk_profile(normalize(rng.gamma(2.0, 100.0, 3)), fit_mod._SCAN)
+            fit_mod._solve_links(normalize(rng.gamma(2.0, 100.0, 3)), ("beta", "wk"))
         assert max(steps) <= 6
 
     def test_failed_start_counted(self, monkeypatch):
@@ -310,3 +329,93 @@ class TestFitMle:
         s = unit_sample()
         with pytest.raises(ValueError):
             fit_mle(s, "gumbel")
+
+
+def three_point_samples():
+    """20 gamma samples of 3 points: one observation after exclude_boundary,
+    where every Beta-link optimum lies on a face of the box."""
+    rng = np.random.default_rng(1)
+    return [normalize(rng.gamma(2.0, 100.0, 3)) for _ in range(20)]
+
+
+def twin(s):
+    """A fresh sample object with the same data, so no fit is reused."""
+    return fit_mod.NormalizedSample(values=s.values, z_min=s.z_min, z_max=s.z_max,
+                                    n=s.n, boundary_policy=s.boundary_policy)
+
+
+def fields(res):
+    return (res.params, res.loglik, res.aic, res.bic, res.rmse, res.starts_tried,
+            res.starts_failed, res.optimizer.converged)
+
+
+def outcome(fit, *args):
+    """fields() of a fit, or the type and message of what it raised."""
+    try:
+        return fields(fit(*args))
+    except (ValueError, fit_mod.FitError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFitModels:
+    MODELS = ("beta", "kw", "wk")
+
+    def test_matches_separate_fits(self, monkeypatch):
+        # one Beta-link batch serves the beta model and the wk scan: the same
+        # fits as three fit_mle calls on one sample, with one solve fewer
+        real, calls = fit_mod.minimize_bounded, []
+
+        def count(*args, **kwargs):
+            calls.append(len(args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fit_mod, "minimize_bounded", count)
+        for i, s in enumerate(report_series() + three_point_samples()):
+            calls.clear()
+            together = fit_models(s, self.MODELS, 4)
+            shared = len(calls)
+            calls.clear()
+            alone = twin(s)
+            separate = {model: fit_mle(alone, model, 4) for model in self.MODELS}
+            assert list(together) == list(self.MODELS), i
+            for model in self.MODELS:
+                np.testing.assert_equal(fields(together[model]), fields(separate[model]),
+                                        err_msg=f"{i} {model}")
+            assert shared == len(calls) - 1, i
+
+    @pytest.mark.parametrize("poisoned, failing", [(0.0, "beta"), (1.0, "wk")])
+    def test_failed_solve_fails_the_same_model(self, monkeypatch, poisoned, failing):
+        # a Beta-link problem non-finite at its start fails the whole batch;
+        # each model is then solved alone, so the model it belongs to fails as
+        # fit_mle fails it, and the others fit as they would
+        real = fit_mod._beta_start
+
+        def poison(n, s1, s2, scale, shift):
+            theta = real(n, s1, s2, scale, shift)
+            return np.where(np.asarray(shift) == poisoned, np.nan, theta)
+
+        s = report_series()[0]
+        clean = fit_models(twin(s), self.MODELS, 4)
+        monkeypatch.setattr(fit_mod, "_beta_start", poison)
+        expected = outcome(fit_mle, twin(s), failing, 4)
+        assert expected[0] is (fit_mod.FitError if failing == "beta" else ValueError)
+        assert "non-finite at x0" in expected[1]
+        assert outcome(fit_models, twin(s), self.MODELS, 4) == expected
+        others = tuple(m for m in self.MODELS if m != failing)
+        together = fit_models(twin(s), others, 4)
+        for model in others:
+            np.testing.assert_equal(fields(together[model]), fields(clean[model]), err_msg=model)
+
+    def test_histogram_built_once_per_sample(self, monkeypatch):
+        real, calls = np.histogram, []
+
+        def count(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fit_mod.np, "histogram", count)
+        s = report_series()[1]
+        fits = fit_models(s, self.MODELS, 4)
+        assert len(calls) == 1
+        for res in fits.values():
+            assert res.rmse == rmse_metric(twin(s), res.handle())

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import cramervonmises
+from test_fit import report_series
 
+import wtrv.gof as gof_mod
 from wtrv import (ad_test, bootstrap_pvalue, chisq_test, cvm_test, fit_mle,
-                  from_unit_values, ks_test, kolmogorov_sf, make_catalog,
-                  run_gof, sample)
+                  fit_models, from_unit_values, ks_test, kolmogorov_sf,
+                  make_catalog, run_gof, sample)
 from wtrv.gof import _cvm_pvalue
 
 UNIFORM = make_catalog("uniform", {})
@@ -52,6 +56,33 @@ class TestCvm:
             u = np.sort(rng.random(n) ** rng.uniform(0.2, 5.0))
             ref = cramervonmises(np.clip(u, 1e-12, 1.0 - 1e-12), "uniform")
             assert cvm_test(u, UNIFORM) == (ref.statistic, ref.pvalue), n
+
+    def test_matches_scipy_past_one_block(self, monkeypatch):
+        # each series is evaluated _BLOCK terms at a time: near n/3 it runs
+        # for several blocks, and just above 1/(12n) it ends in its first,
+        # at its first term for n = 400 (blocks counts both series' blocks)
+        real, blocks = gof_mod._sum_until_small, []
+
+        def record(term):  # the first k of each block evaluated
+            return real(lambda k: (blocks.append(k[0]), term(k))[1])
+
+        monkeypatch.setattr(gof_mod, "_sum_until_small", record)
+        rng = np.random.default_rng(18)
+        longest = {}
+        for n in (3, 10, 40, 100, 250, 400):
+            mid = (np.arange(1, n + 1) - 0.5) / n
+            for scale in (1e-6, 1e-4, 1e-2, 0.1, 0.3):
+                # a cdf near 0 on the whole sample: W² just below n/3; and the
+                # midpoint grid, slightly perturbed: W² just above 1/(12n)
+                high = cramervonmises(np.sort(rng.random(n)) * scale, "uniform")
+                low = cramervonmises(mid + rng.uniform(-scale, scale, n) / (4 * n), "uniform")
+                for side, ref in (("high", high), ("low", low)):
+                    w2 = float(ref.statistic)
+                    assert 1.0 / (12 * n) < w2 < n / 3.0, (n, scale)
+                    blocks.clear()
+                    assert _cvm_pvalue(w2, n) == ref.pvalue, (n, scale, w2)
+                    longest[side] = max(longest.get(side, 0), len(blocks))
+        assert longest["high"] >= 10 and longest["low"] == 2
 
     @pytest.mark.parametrize("n", [2, 3, 10, 57, 300])
     def test_support_edges_match_scipy(self, n):
@@ -157,6 +188,26 @@ class TestRunGof:
         values = sample(d, 500, seed=12)
         rep = run_gof(values, d, "kw")
         assert all(t["p_value"] > 0.01 for t in rep.tests.values())
+
+    def test_one_cdf_evaluation(self):
+        # KS, AD and CvM read one probability-integral transform per run_gof
+        # call, with the values the separate tests give
+        for i, s in enumerate(report_series()):
+            for model, res in fit_models(s, ("beta", "kw", "wk"), 4).items():
+                law, calls = res.handle(), []
+
+                def cdf(x, law=law, calls=calls):
+                    calls.append(len(x))
+                    return law.cdf(x)
+
+                values = s.likelihood_values
+                rep = run_gof(values, dataclasses.replace(law, cdf=cdf), model,
+                              family=model)
+                assert calls == [len(values)], (i, model)
+                for name, test in (("ks", ks_test), ("ad", ad_test), ("cvm", cvm_test)):
+                    stat, p = test(values, law)
+                    assert (rep.tests[name]["statistic"], rep.tests[name]["p_value"]) == \
+                        (stat, p), (i, model, name)
 
 
 class TestBootstrap:
