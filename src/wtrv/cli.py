@@ -34,12 +34,12 @@ def _jsonable(obj):
         if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
             return obj.tolist()  # no NaN or inf to turn into null
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
     if isinstance(obj, float) and (obj != obj):
         return None
     return obj
@@ -58,16 +58,18 @@ def _dumps(obj, pad: str = "\n") -> str:
     output (dict keys are strings) at indentation pad. json's C encoder runs
     only without indent, so dicts and lists are laid out here, and a list
     with no dict or list in it is encoded by the C encoder with the line
-    break and indentation as its item separator."""
+    break and indentation as its item separator. _jsonable leaves no
+    container but plain dicts and lists, so a list's nesting is read from
+    its item types."""
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
         items = (json.dumps(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        if any(isinstance(v, (dict, list, tuple)) for v in obj):
-            body = ("," + inner).join(_dumps(v, inner) for v in obj)
-        else:
+    if isinstance(obj, list) and obj:
+        if {dict, list}.isdisjoint(map(type, obj)):
             body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+        else:
+            body = ("," + inner).join(_dumps(v, inner) for v in obj)
         return "[" + inner + body + pad + "]"
     return json.dumps(obj)
 
@@ -78,7 +80,7 @@ def _emit_json(obj, out: Optional[str]) -> None:
 
 def _emit_csv(header, rows, out: Optional[str]) -> None:
     lines = [",".join(header)]
-    lines += [",".join(f"{v!r}" if isinstance(v, str) else f"{v:.12g}" for v in row)
+    lines += [",".join([f"{v!r}" if isinstance(v, str) else f"{v:.12g}" for v in row])
               for row in rows]
     _emit("\n".join(lines) + "\n", out)
 
@@ -97,8 +99,8 @@ def _cmd_construct(args) -> int:
                     "cdf": np.asarray(built.cdf(x))}, args.out)
     else:
         _emit_csv(["x", "pdf", "cdf"],
-                  list(zip(x, np.asarray(built.pdf(x)), np.asarray(built.cdf(x)))),
-                  args.out)
+                  zip(x.tolist(), np.asarray(built.pdf(x)).tolist(),
+                      np.asarray(built.cdf(x)).tolist()), args.out)
     return 0
 
 
@@ -150,7 +152,7 @@ def _cmd_verify_theorem(args) -> int:
         w1, w2 = parse_weight_spec(args.w1), parse_weight_spec(args.w2)
     if args.emit_ratio:
         xs, ratio = _orders_mod.ratio_curve(x, y, w1, w2)
-        _emit_csv(["x", "density_ratio"], list(zip(xs, ratio)), args.emit_ratio)
+        _emit_csv(["x", "density_ratio"], zip(xs.tolist(), ratio.tolist()), args.emit_ratio)
     report = _orders_mod.verify_theorem(x, y, w1, w2, which,
                                         grid_size=args.grid_size)
     _emit_json(report, args.out)
@@ -194,7 +196,7 @@ def _cmd_fit(args) -> int:
     if args.emit_density:
         grid = np.linspace(0.001, 0.999, 399)
         _emit_csv(["x", "pdf"],
-                  list(zip(grid, np.asarray(result.handle().pdf(grid)))),
+                  zip(grid.tolist(), np.asarray(result.handle().pdf(grid)).tolist()),
                   args.emit_density)
     _emit_json({"model": result.model, "params": result.params,
                 "loglik": result.loglik, "aic": result.aic, "bic": result.bic,
@@ -237,7 +239,7 @@ def _cmd_report(args) -> int:
 def _cmd_simulate(args) -> int:
     dist = parse_dist_spec(args.dist)
     draws = _draw(dist, args.n, seed=args.seed)
-    _emit_csv(["x"], [(v,) for v in draws], args.out)
+    _emit_csv(["x"], zip(draws.tolist()), args.out)
     return 0
 
 

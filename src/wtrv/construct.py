@@ -8,10 +8,13 @@ knots, and read through a piecewise-cubic Hermite interpolant (written out in
 _hermite), both in the table's coordinate: x on a finite support,
 t = x / (1 + x) on an infinite one (CdfTable.to_t). The quantile inverts that
 interpolant for all points at once by safeguarded Newton-bisection, with each
-point bracketed by its pair of knots and the interpolant's own slope. The
-constructed variable and the minimum of independent variables pass only what
-they compute inside the support to distributions._handle, which adds the
-edge values and the scalar/array handling shared by every handle.
+point bracketed by its pair of knots and the interpolant's own slope. Each
+point solves the cubic of its own piece, so no Newton round searches the
+knots, and a bracket end reads its table value, so the floats are those of
+the searching interpolant. The constructed variable and the minimum of
+independent variables pass only what they compute inside the support to
+distributions._handle, which adds the edge values and the scalar/array
+handling shared by every handle.
 """
 
 from __future__ import annotations
@@ -53,23 +56,33 @@ def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> tuple[Callable, 
     """Value and slope functions of the piecewise cubic through (x, y) with
     slopes dydx, on [x[0], x[-1]]. On [x[i], x[i+1]) (the last cell closed) it
     is SciPy's CubicHermiteSpline cubic in s = v - x[i], summed in SciPy's
-    order, so the two give the same floats."""
+    order, so the two give the same floats.
+
+    value(v) and slope(v) find each v's cell by a search over the knots.
+    value(v, k) and slope(v, k) take instead a piece k per point, for v in
+    [x[k], x[k+1]] (a quantile bracket, up to a rounding at its right end),
+    and give the same floats without the search: v >= x[k+1] reads cell
+    k + 1, as the search does, so the value at a knot is its table value."""
     h = np.diff(x)
     secant = np.diff(y) / h
     t = (dydx[:-1] + dydx[1:] - 2 * secant) / h
     c1, c2, c3 = dydx[:-1], (secant - dydx[:-1]) / h - t, t / h
     d2, d3 = c2 * 2, c3 * 3
+    last = h.size - 1
 
-    def cell(v):
-        i = np.clip(np.searchsorted(x, v, side="right") - 1, 0, h.size - 1)
+    def cell(v, k):
+        if k is None:
+            i = np.clip(np.searchsorted(x, v, side="right") - 1, 0, last)
+        else:
+            i = np.minimum(k + (v >= x[k + 1]), last)
         return i, v - x[i]
 
-    def value(v):
-        i, s = cell(v)
+    def value(v, k=None):
+        i, s = cell(v, k)
         return y[i] + c1[i] * s + c2[i] * (s * s) + c3[i] * (s * s * s)
 
-    def slope(v):
-        i, s = cell(v)
+    def slope(v, k=None):
+        i, s = cell(v, k)
         return c1[i] + d2[i] * s + d3[i] * (s * s)
 
     return value, slope
@@ -101,7 +114,10 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
 
     def quantile(u):
         i = np.searchsorted(fvals, u, side="right")
-        return to_x(invert_monotone(interp, density, u, nodes[i - 1], nodes[i]))
+        piece = (i - 1).ravel()
+        return to_x(invert_monotone(lambda v, idx: interp(v, piece[idx]),
+                                    lambda v, idx: density(v, piece[idx]),
+                                    u, nodes[i - 1], nodes[i]))
 
     with np.errstate(divide="ignore"):
         x_nodes = to_x(nodes)
@@ -160,7 +176,7 @@ def minimum_of(handles: Sequence[DistributionHandle]) -> DistributionHandle:
             lo = np.where(short, hi, lo)
             hi = np.where(short, 2.0 * hi, hi)
             short = cdf(hi) < u
-        return invert_monotone(cdf, pdf, u, lo, hi)
+        return invert_monotone(lambda x, _: cdf(x), lambda x, _: pdf(x), u, lo, hi)
 
     name = "min[" + ",".join(h.describe() for h in handles) + "]"
     return _handle(name, {}, sup, pdf=pdf, cdf=cdf, sf=sf, quantile=quantile)

@@ -210,12 +210,17 @@ def _kumaraswamy(a: float, b: float) -> DistributionHandle:
 
 
 def _weighted_kumaraswamy(a: float, b: float, c: float) -> DistributionHandle:
-    # Beta link: X^a ~ Beta(c/a, b+1)
-    norm = b * _sc.beta(1.0 + c / a, b)
+    # Beta link: X^a ~ Beta(c/a, b+1). The pdf c x^(c-1) (1-x^a)^b / (b B(1+c/a, b))
+    # in logs, whose factors under- and overflow apart at the fit's box corners
+    log_c, log_norm = math.log(c), math.log(b) + _sc.betaln(1.0 + c / a, b)
     p, q = c / a, b + 1.0
+
+    def pdf(x):
+        log_x = np.log(x)
+        return np.exp(log_c + (c - 1) * log_x + b * np.log(-np.expm1(a * log_x)) - log_norm)
+
     return _handle(
-        "weighted_kumaraswamy", {"a": a, "b": b, "c": c}, Interval(0.0, 1.0),
-        pdf=lambda x: c * x ** (c - 1) * (1 - x ** a) ** b / norm,
+        "weighted_kumaraswamy", {"a": a, "b": b, "c": c}, Interval(0.0, 1.0), pdf=pdf,
         cdf=lambda x: _sc.betainc(p, q, x ** a),
         sf=lambda x: _sc.betaincc(p, q, x ** a),
         quantile=lambda u: _sc.betaincinv(p, q, u) ** (1.0 / a),

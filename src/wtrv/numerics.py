@@ -522,12 +522,21 @@ def invert_monotone(f: Callable, fprime: Callable, target, lo, hi) -> np.ndarray
     is steep, while the residual stop ends targets too small for the
     relative one. Raises ConvergenceError when f is not finite or a point
     is still open after _NEWTON_ROUNDS rounds.
+
+    f and fprime are called as f(x, idx): idx holds the positions, in the
+    flattened target, of the points whose abscissae x holds, in order. For
+    the bracket ends that is every point; in each round after, the points
+    still open. A function that depends on the point (such as a piecewise
+    cubic whose piece each point already knows) reads its own data through
+    idx; a function of x alone ignores it.
     """
     shape = np.shape(target)
     t = np.asarray(target, dtype=float).ravel()
     lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (lo, hi))
+    every = np.arange(t.size)
     with np.errstate(invalid="ignore"):
-        f_lo, f_hi = np.asarray(f(lo), dtype=float) - t, np.asarray(f(hi), dtype=float) - t
+        f_lo = np.asarray(f(lo, every), dtype=float) - t
+        f_hi = np.asarray(f(hi, every), dtype=float) - t
     if np.isnan(f_lo).any() or np.isnan(f_hi).any():
         raise ConvergenceError("function is not finite at a bracket end")
     x = np.where(f_lo >= 0.0, lo, hi)
@@ -539,11 +548,11 @@ def invert_monotone(f: Callable, fprime: Callable, target, lo, hi) -> np.ndarray
         if act.size == 0:
             break
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            fx = np.asarray(f(xa), dtype=float) - t
+            fx = np.asarray(f(xa, act), dtype=float) - t
             if not np.isfinite(fx).all():
                 raise ConvergenceError("function is not finite inside a bracket")
             lo, hi = np.where(fx < 0.0, xa, lo), np.where(fx > 0.0, xa, hi)
-            step = fx / np.asarray(fprime(xa), dtype=float)
+            step = fx / np.asarray(fprime(xa, act), dtype=float)
             newton = xa - step
             ok = (newton >= lo) & (newton <= hi) & (np.abs(2.0 * step) <= np.abs(dx_old))
         nxt = np.where(ok, newton, 0.5 * (lo + hi))

@@ -51,7 +51,7 @@ def recursive_jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [recursive_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return recursive_jsonable(obj.item())
     if isinstance(obj, dict):
         return {str(k): recursive_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -94,12 +94,20 @@ class TestJsonEncoding:
         {"nan": np.array([np.nan, 1.0]), "inf": [np.inf, -np.inf, float("nan")],
          "empty": [], "nested": [[], [[1, 2.5]], {"k": [], "j": {}}, [None, True, "x"]],
          "text": "Ωmega ☃ \"quoted\"\n", "ü": {}, "ints": np.arange(3)},
-        [], {}, [[]], [{}], [[], []], 3.0, -np.inf, "é", None,
+        [], {}, [[]], [{}], [[], []], 3.0, -np.inf, "é", None, np.float64("nan"),
     ])
     def test_emit_json_matches_indent_2(self, obj, tmp_path):
         path = tmp_path / "out.json"
         cli._emit_json(obj, str(path))
-        assert path.read_text() == dumps(cli._jsonable(obj))
+        assert path.read_text() == dumps(cli._jsonable(obj)) == dumps(recursive_jsonable(obj))
+        if isinstance(obj, np.floating):  # a NumPy NaN is null, as a float NaN is
+            assert json.loads(path.read_text()) is None
+
+    def test_numpy_nan_scalars_are_null(self):
+        obj = {"a": np.float64("nan"), "b": [np.float32("nan"), np.float64(2.5)],
+               "c": float("nan")}
+        assert cli._jsonable(obj) == {"a": None, "b": [None, 2.5], "c": None}
+        assert "NaN" not in dumps(cli._jsonable(obj))
 
     @pytest.mark.parametrize("argv", [
         ("construct", "--dist", "weibull(alpha=1.7,beta=2.2)", "--weight", "power(c=1.5)",
@@ -122,6 +130,67 @@ class TestJsonEncoding:
         code, out, _ = run_cli(capsys, *(csv_path if a == "CSV" else a for a in argv))
         assert code == 0 and len(emitted) == 1
         assert out == dumps(cli._jsonable(emitted[0]))
+
+
+def per_cell_csv(header, rows):
+    """CSV text formatted cell by cell: a str cell as its repr, any other
+    as .12g."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{v!r}" if isinstance(v, str) else f"{v:.12g}" for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvEncoding:
+    VALUES = [0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 123456789012345.6,
+              2.0 / 3.0, float("inf"), -float("inf"), float("nan"), 1e22, 0.000123456789012345]
+
+    @pytest.mark.parametrize("cell", [float, np.float64, int, str, "mixed"])
+    def test_bytes_match_per_cell_formatting(self, cell, tmp_path):
+        path = tmp_path / "out.csv"
+        if cell == "mixed":
+            rows = [(v, np.float64(v), "a,b\"c", 7) for v in self.VALUES]
+        elif cell is int:
+            rows = [(k, -k, 10 ** 15 + k, True) for k in range(-3, 9)]
+        elif cell is str:
+            rows = [(f"{v}", "é ☃", "") for v in self.VALUES]
+        else:
+            rows = [(cell(v), cell(-v), cell(v / 3)) for v in self.VALUES]
+        header = [f"c{i}" for i in range(len(rows[0]))]
+        cli._emit_csv(header, rows, str(path))
+        assert path.read_text() == per_cell_csv(header, rows)
+        # a generator of rows, as the commands pass, gives the same bytes
+        cli._emit_csv(header, iter(rows), str(path))
+        assert path.read_text() == per_cell_csv(header, rows)
+
+    @pytest.mark.parametrize("argv, emitted", [
+        (("construct", "--dist", "gamma(k=2,lambda=1.5)", "--weight", "power(c=1.5)",
+          "--grid", "60", "--format", "csv"), "stdout"),
+        (("simulate", "--dist", "weighted_kumaraswamy(a=2,b=3,c=1.5)", "--n", "80"), "stdout"),
+        (("verify-theorem", "thm9-example7", "--emit-ratio", "FILE"), "FILE"),
+        (("fit", "--model", "wk", "--starts", "4", "--emit-density", "FILE", "CSV"), "FILE"),
+    ], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+    def test_commands_match_per_cell_formatting(self, capsys, monkeypatch, tmp_path,
+                                                csv_path, argv, emitted):
+        # every CSV a command writes holds the bytes of the NumPy cells it
+        # computed, formatted one by one
+        calls = []
+        real = cli._emit_csv
+
+        def spy(header, rows, out):
+            rows = list(rows)
+            calls.append((header, rows, out))
+            real(header, rows, out)
+
+        monkeypatch.setattr(cli, "_emit_csv", spy)
+        path = str(tmp_path / "curve.csv")
+        argv = [path if a == "FILE" else csv_path if a == "CSV" else a for a in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(calls) == 1
+        header, rows, _ = calls[0]
+        text = out if emitted == "stdout" else open(path).read()
+        assert all(type(v) is float for row in rows for v in row)
+        assert text == per_cell_csv(header, [tuple(map(np.float64, row)) for row in rows])
 
 
 class TestJsonCommands:

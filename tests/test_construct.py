@@ -10,7 +10,7 @@ from wtrv import (check_order, classify_aging, construct, equilibrium, expected_
                   parse_weight_spec, sample,
                   table1_oracle_suite, weighted_kumaraswamy, wtrv_of_minimum)
 from wtrv.construct import _hermite, _table1_rows
-from wtrv.numerics import Interval, integrate_adaptive, tabulate_cdf
+from wtrv.numerics import Interval, integrate_adaptive, invert_monotone, tabulate_cdf
 from wtrv.weights import IntegrabilityError, tail_integrand, validate_weight
 
 from conftest import interior_grid
@@ -296,6 +296,39 @@ class TestTableInvariants:
                              Interval(0.0, math.inf))
         assert table.evaluations == 15 * sum(cells) == sum(points)
         assert table.rounds == len(cells) - 1 == len(points) - 1 >= 1
+
+
+def _searching_quantile(table, u):
+    """The constructed quantile with every Newton round's value and slope
+    found by a search over all knots: each u bracketed by its pair of knots,
+    read through _hermite's searching functions."""
+    value, slope = _hermite(table.nodes, table.values, table.slopes)
+    i = np.searchsorted(table.values, u, side="right")
+    return table.to_x(invert_monotone(lambda v, _: value(v), lambda v, _: slope(v),
+                                      u, table.nodes[i - 1], table.nodes[i]))
+
+
+class TestQuantileInItsPiece:
+    # the quantile evaluates each point's cubic in the piece its bracket
+    # names; it must give the searching reference's floats: on the CLI's
+    # grids, at the knot values themselves and within 1e-12 of 0 and 1
+    EDGES = np.array([1e-300, 1e-15, 1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 1e-13,
+                      1.0 - 1e-15, 1.0 - 2.0 ** -53])
+
+    @pytest.mark.parametrize("case", _table_cases(), ids=lambda c: c[0])
+    def test_bit_identical_to_searching_quantile(self, case):
+        _, dist, w = case
+        table = validate_weight(w, dist).table
+        if table is None:  # not integrable: TestAdmissibility covers it
+            return
+        xw = construct(dist, w)
+        knots = table.values[(table.values > 0.0) & (table.values < 1.0)]
+        for u in (np.linspace(0.005, 0.995, 201), np.linspace(0.005, 0.995, 1000),
+                  knots, self.EDGES):
+            # heavy tails reach t = 1, x = inf, next to u = 1 (CHANGES FOUND)
+            with np.errstate(divide="ignore"):
+                got, ref = np.asarray(xw.quantile(u)), _searching_quantile(table, u)
+            assert np.array_equal(got, ref)
 
 
 class TestHermite:

@@ -124,6 +124,15 @@ class TestSpecificFamilies:
             assert np.max(np.abs(np.asarray(d.quantile(u))
                                  - link.ppf(u) ** (1.0 / a))) <= 1e-13
 
+    def test_wk_pdf_at_the_fit_box_corner(self):
+        # b B(1 + c/a, b) underflows to 0 here, and so does x^(c-1): the pdf
+        # is evaluated in logs and stays a density
+        d = make_catalog("weighted_kumaraswamy", {"a": 1e-3, "b": 1e3, "c": 265.3})
+        pdf = np.asarray(d.pdf(np.linspace(0.0, 1.0, 1001)))
+        assert np.all(np.isfinite(pdf)) and pdf.max() > 100.0
+        mass = integrate_adaptive(d.pdf, Interval(0.0, 1.0), 1e-12, 1e-12).value
+        assert abs(mass - 1.0) <= 1e-8
+
     def test_lomax_sf(self):
         d = make_catalog("pareto_lomax", {"alpha": 2.0})
         assert float(d.sf(1.0)) == pytest.approx(0.25, rel=1e-12)

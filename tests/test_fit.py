@@ -325,6 +325,12 @@ class TestFitMle:
         assert res.rmse == pytest.approx(
             rmse_metric(s, res.handle()), abs=1e-12)
 
+    def test_wk_rmse_finite_on_three_point_samples(self):
+        # the WK optimum of one observation lies at the box corner a = 1e-3,
+        # b = 1e3, where the pdf's closed-form factors under- and overflow
+        for s in three_point_samples():
+            assert math.isfinite(fit_mle(s, "wk", starts=4).rmse)
+
     def test_unknown_model(self):
         s = unit_sample()
         with pytest.raises(ValueError):

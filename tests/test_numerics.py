@@ -130,6 +130,11 @@ class TestBrentRoot:
             brent_root(lambda x: x * x + 1, -1.0, 1.0, 1e-10)
 
 
+def _of_x(fn):
+    """A function of x alone in invert_monotone's (x, idx) form."""
+    return lambda x, idx: fn(x)
+
+
 class TestInvertMonotone:
     CASES = [(lambda x: x ** 3 + x, lambda x: 3 * x ** 2 + 1, -2.0, 2.0),
              (np.expm1, np.exp, -1.0, 3.0),
@@ -138,7 +143,7 @@ class TestInvertMonotone:
     def test_matches_brent_root(self):
         for f, fp, lo, hi in self.CASES:
             targets = np.linspace(float(f(lo)), float(f(hi)), 41)[1:-1]
-            roots = invert_monotone(f, fp, targets, lo, hi)
+            roots = invert_monotone(_of_x(f), _of_x(fp), targets, lo, hi)
             for t, r in zip(targets, roots):
                 ref = brent_root(lambda x: float(f(x)) - t, lo, hi, 1e-15)
                 assert abs(r - ref) <= 1e-14 * (1.0 + abs(ref))
@@ -146,26 +151,65 @@ class TestInvertMonotone:
     def test_per_point_brackets_and_shape(self):
         lo = np.array([[0.0, 1.0], [2.0, 3.0]])
         target = (lo + 0.5) ** 2
-        roots = invert_monotone(np.square, lambda x: 2.0 * x, target, lo, lo + 1.0)
+        roots = invert_monotone(_of_x(np.square), _of_x(lambda x: 2.0 * x), target, lo, lo + 1.0)
         assert roots.shape == (2, 2)
         assert np.allclose(roots, lo + 0.5, rtol=0.0, atol=1e-14)
 
     def test_targets_outside_bracket_clamp(self):
-        roots = invert_monotone(np.square, lambda x: 2.0 * x,
+        roots = invert_monotone(_of_x(np.square), _of_x(lambda x: 2.0 * x),
                                 np.array([-1.0, 0.0, 4.0, 9.0]), 0.0, 2.0)
         assert list(roots) == [0.0, 0.0, 2.0, 2.0]
+
+    def test_indices_are_the_open_points(self):
+        # f and fprime receive, in order, the flat positions of the points
+        # their x holds: all points at the bracket ends, then those still
+        # open, which shrink as points converge and never include a point
+        # clamped to a bracket end. Each point's own function (x^p) is read
+        # through the indices, so a wrong index gives a wrong root.
+        powers = np.array([[1.0, 2.0, 3.0], [0.5, 4.0, 1.5]])
+        target = np.array([[0.3, -1.0, 0.7], [0.2, 2.0, 0.55]])
+        flat_p, flat_t = powers.ravel(), target.ravel()
+        calls = []
+
+        def f(x, idx):
+            calls.append(("f", x.copy(), idx.copy()))
+            return x ** flat_p[idx]
+
+        def fprime(x, idx):
+            calls.append(("fprime", x.copy(), idx.copy()))
+            return flat_p[idx] * x ** (flat_p[idx] - 1.0)
+
+        roots = invert_monotone(f, fprime, target, 0.0, 1.0)
+        (_, lo, every_lo), (_, hi, every_hi) = calls[:2]
+        assert list(every_lo) == list(every_hi) == list(range(6))
+        assert list(lo) == [0.0] * 6 and list(hi) == [1.0] * 6
+        clamped = {1, 4}  # targets below f(0) and above f(1)
+        rounds = calls[2:]
+        assert len(rounds) % 2 == 0 and rounds
+        open_before = set(range(6)) - clamped
+        for (nf, xf, idx_f), (nd, xd, idx_d) in zip(rounds[::2], rounds[1::2]):
+            assert (nf, nd) == ("f", "fprime")
+            assert list(idx_f) == list(idx_d) == sorted(idx_f)
+            assert np.array_equal(xf, xd) and xf.shape == idx_f.shape
+            assert set(idx_f) <= open_before
+            open_before = set(idx_f)
+        assert list(rounds[0][2]) == sorted(set(range(6)) - clamped)
+        assert roots[0, 1] == 0.0 and roots[1, 1] == 1.0
+        inner = [0, 2, 3, 5]
+        assert np.allclose(roots.ravel()[inner] ** flat_p[inner], flat_t[inner],
+                           rtol=0.0, atol=1e-14)
 
     def test_unconverged_points_raise(self):
         # a derivative that is off by 300 orders forces bisection on a
         # bracket too wide to close within the round budget
         with pytest.raises(ConvergenceError):
-            invert_monotone(np.log1p, lambda x: np.full_like(x, 1e-300),
+            invert_monotone(_of_x(np.log1p), _of_x(lambda x: np.full_like(x, 1e-300)),
                             np.array([1.0]), 0.0, 1e300)
 
     def test_non_finite_function_raises(self):
         with pytest.raises(ConvergenceError):
-            invert_monotone(lambda x: np.where(x > 0.5, np.nan, x),
-                            np.ones_like, np.array([0.4]), 0.0, 0.6)
+            invert_monotone(_of_x(lambda x: np.where(x > 0.5, np.nan, x)),
+                            _of_x(np.ones_like), np.array([0.4]), 0.0, 0.6)
 
 
 class TestScalarOrArray:
