@@ -86,6 +86,8 @@ def _emit_csv(header, rows, out: Optional[str]) -> None:
 
 
 def _cmd_construct(args) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     dist = parse_dist_spec(args.dist)
     weight = parse_weight_spec(args.weight)
     built = _construct(dist, weight)

@@ -1,27 +1,19 @@
 """Construction engine for weighted tail random variables.
 
 Given a base distribution X with lower bound 0 and an admissible weight w,
-the constructed variable has density w'(x) * sf_X(x) / E[w(X)]. Its cdf is
-tabulated by the same GK15 pass that computes E[w(X)] (numerics.tabulate_cdf,
-run once by validate_weight), with each cell's left end and Kronrod nodes as
-knots, and read through a piecewise-cubic Hermite interpolant (written out in
-_hermite), both in the table's coordinate: x on a finite support,
-t = x / (1 + x) on an infinite one (CdfTable.to_t). The quantile inverts that
-interpolant for all points at once by safeguarded Newton-bisection, with each
-point bracketed by its pair of knots and the interpolant's own slope. Each
-point solves the cubic of its own piece, so no Newton round searches the
-knots, and a bracket end reads its table value, so the floats are those of
-the searching interpolant. The constructed variable and the minimum of
-independent variables pass only what they compute inside the support to
-distributions._handle, which adds the edge values and the scalar/array
-handling shared by every handle.
+the constructed variable has density w'(x) * sf_X(x) / E[w(X)]. The one
+GK15 pass of validate_weight gives both E[w(X)] and the cdf table
+(numerics.CdfTable), whose cdf and quantile the variable reads. The
+constructed variable and the minimum of independent variables pass only
+what they compute inside the support to distributions._handle, which adds
+the edge values and the scalar/array handling shared by every handle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,44 +44,10 @@ class WtrvDistribution(DistributionHandle):
         return f"wtrv[{self.base.describe()}; {self.weight.describe()}]"
 
 
-def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> tuple[Callable, Callable]:
-    """Value and slope functions of the piecewise cubic through (x, y) with
-    slopes dydx, on [x[0], x[-1]]. On [x[i], x[i+1]) (the last cell closed) it
-    is SciPy's CubicHermiteSpline cubic in s = v - x[i], summed in SciPy's
-    order, so the two give the same floats.
-
-    value(v) and slope(v) find each v's cell by a search over the knots.
-    value(v, k) and slope(v, k) take instead a piece k per point, for v in
-    [x[k], x[k+1]] (a quantile bracket, up to a rounding at its right end),
-    and give the same floats without the search: v >= x[k+1] reads cell
-    k + 1, as the search does, so the value at a knot is its table value."""
-    h = np.diff(x)
-    secant = np.diff(y) / h
-    t = (dydx[:-1] + dydx[1:] - 2 * secant) / h
-    c1, c2, c3 = dydx[:-1], (secant - dydx[:-1]) / h - t, t / h
-    d2, d3 = c2 * 2, c3 * 3
-    last = h.size - 1
-
-    def cell(v, k):
-        if k is None:
-            i = np.clip(np.searchsorted(x, v, side="right") - 1, 0, last)
-        else:
-            i = np.minimum(k + (v >= x[k + 1]), last)
-        return i, v - x[i]
-
-    def value(v, k=None):
-        i, s = cell(v, k)
-        return y[i] + c1[i] * s + c2[i] * (s * s) + c3[i] * (s * s * s)
-
-    def slope(v, k=None):
-        i, s = cell(v, k)
-        return c1[i] + d2[i] * s + d3[i] * (s * s)
-
-    return value, slope
-
-
 def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribution:
-    """Build the weighted tail variable of (X, w) with tabulated cdf."""
+    """Build the weighted tail variable of (X, w): its pdf is w'·sf/E[w(X)],
+    and its cdf, sf and quantile are those of validate_weight's cdf table.
+    Raises WtrvError when the table's cubics overflow in floats."""
     if dist.support.lo != 0.0:
         raise ValueError("construction requires a base distribution with lower bound 0")
     report = validate_weight(weight, dist)
@@ -98,36 +56,21 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
             f"weight {weight.describe()} is not admissible for {dist.describe()}: "
             f"{report.detail or 'validity flags failed'}")
     table = report.table
-    z = table.total
-    hi = min(dist.support.hi, weight.domain_hint.hi)
-    support = Interval(0.0, hi)
-
-    g = tail_integrand(weight, dist)
-    nodes, fvals, to_t, to_x = table.nodes, table.values, table.to_t, table.to_x
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            interp, density = _hermite(nodes, fvals, table.slopes)
+        table.cubic  # the coefficients, computed once here
     except FloatingPointError as exc:  # knots a few floats apart near 0
         raise WtrvError(f"cdf table of {weight.describe()} against {dist.describe()} "
                         f"cannot be interpolated in floats: {exc}") from exc
-    cdf = lambda x: np.clip(interp(to_t(x)), 0.0, 1.0)
-
-    def quantile(u):
-        i = np.searchsorted(fvals, u, side="right")
-        piece = (i - 1).ravel()
-        return to_x(invert_monotone(lambda v, idx: interp(v, piece[idx]),
-                                    lambda v, idx: density(v, piece[idx]),
-                                    u, nodes[i - 1], nodes[i]))
-
-    with np.errstate(divide="ignore"):
-        x_nodes = to_x(nodes)
+    z = table.total
+    g = tail_integrand(weight, dist)
     return _handle(
         "wtrv", {**{f"base_{k}": v for k, v in dist.params.items()},
                  **{f"w_{k}": v for k, v in weight.params.items()}},
-        support, pdf=lambda x: np.asarray(g(x), dtype=float) / z, cdf=cdf,
-        sf=lambda x: 1.0 - cdf(x), quantile=quantile, cls=WtrvDistribution,
-        base=dist, weight=weight, normalizer=z, cdf_nodes=x_nodes, cdf_values=fvals,
-        table_gap=table.gap)
+        Interval(0.0, min(dist.support.hi, weight.domain_hint.hi)),
+        pdf=lambda x: np.asarray(g(x), dtype=float) / z, cdf=table.cdf,
+        sf=lambda x: 1.0 - table.cdf(x), quantile=table.quantile, cls=WtrvDistribution,
+        base=dist, weight=weight, normalizer=z, cdf_nodes=table.knots,
+        cdf_values=table.values, table_gap=table.gap)
 
 
 def equilibrium(dist: DistributionHandle) -> WtrvDistribution:

@@ -12,8 +12,8 @@ solve it, and the Kumaraswamy b is n / |Σ log(1 − xᵃ)|. This profile over
 log a is scanned on a grid, and its highest peaks are refined by one batched
 projected-Newton solve in (log a, b[, c]) jointly. fit_models solves the
 beta model's Beta-link problem and the WK scan's in one batch. The WK fit
-also starts from the Kumaraswamy optimum it nests, fitted once per sample
-and reused. Also AIC/BIC and a histogram-based RMSE metric.
+also starts from the Kumaraswamy optimum it nests, fitted once per
+fit_models call. Also AIC/BIC and a histogram-based RMSE metric.
 """
 
 from __future__ import annotations
@@ -94,11 +94,6 @@ class NormalizedSample:
     @functools.cached_property
     def _sum_log1m_x(self) -> float:
         return float(np.sum(np.log1p(-self._likelihood_set)))
-
-    @functools.cached_property
-    def _kw_fits(self) -> dict:
-        """fit._kw_fit's results by `starts`."""
-        return {}
 
     @functools.cached_property
     def _histograms(self) -> dict:
@@ -403,17 +398,8 @@ def _refine(sample: NormalizedSample, model: str, theta0: np.ndarray,
     return res.argmin, -res.objective, res.iterations
 
 
-def _kw_fit(sample: NormalizedSample, starts: int) -> tuple:
-    """_fit_profile(sample, "kw", starts), once per sample and `starts`: the kw
-    fit of a report also serves the nested start of its wk fit."""
-    fits = sample._kw_fits
-    if starts not in fits:
-        fits[starts] = _fit_profile(sample, "kw", starts)
-    return fits[starts]
-
-
 def _fit_profile(sample: NormalizedSample, model: str, starts: int,
-                 link: tuple | None = None) -> tuple:
+                 link: tuple | None = None, kw_fit: Callable | None = None) -> tuple:
     """Scan the profile of a kw or wk model on _SCAN and refine its `starts`
     highest peaks jointly in (log a, b[, c]), each log a between its two
     neighbours on the grid. WK(a, b − 1, a) is Kw(a, b), so when b − 1 is in
@@ -421,7 +407,7 @@ def _fit_profile(sample: NormalizedSample, model: str, starts: int,
     there over the whole box: the wk fit never ends below a kw fit it nests.
     A refinement that raises ValueError fails all its starts, and one that
     ends non-finite fails that start. The wk scan reads `link`, its entry
-    of _solve_links.
+    of _solve_links, and the nested start reads kw_fit(), the call's kw fit.
     Returns (params, value, starts tried, starts failed, Newton steps)."""
     values, inner = _kw_profile(sample, _SCAN) if model == "kw" else _wk_profile(sample, link)
     peaks = _peaks(values, starts)
@@ -447,7 +433,7 @@ def _fit_profile(sample: NormalizedSample, model: str, starts: int,
     if model == "wk":
         tried += 1
         try:
-            (a, b), kw_value = _kw_fit(sample, starts)[:2]
+            (a, b), kw_value = kw_fit()[:2]
         except FitError:
             failed += 1
         else:
@@ -473,9 +459,8 @@ def fit_models(sample: NormalizedSample, models: Sequence[str],
     highest peaks are refined by projected Newton steps in (s, b[, c])
     jointly. The beta problem and the 49 Beta-link problems of the wk scan
     are solved in one batch, whose steps the beta result's iterations count.
-    wk is also refined from the kw optimum it nests, and the kw fit behind
-    that start is made once per sample and `starts`: a kw fit of the same
-    sample, before or after, reuses it. A refinement that raises ValueError
+    wk is also refined from the kw optimum it nests, and a call that fits
+    both makes that kw fit once, for both. A refinement that raises ValueError
     or ends non-finite is a failed start. A model that fails raises as it
     would alone, the first such model in order. Newton steps and the
     convergence test read _terms; the reported log-likelihood is _LOGLIK's.
@@ -486,7 +471,9 @@ def fit_models(sample: NormalizedSample, models: Sequence[str],
     if starts < 1:
         raise ValueError("starts must be at least 1")
     links = _solve_links(sample, models)
-    return {model: _fit_one(sample, model, starts, links.get(model)) for model in models}
+    kw_fit = functools.cache(functools.partial(_fit_profile, sample, "kw", starts))
+    return {model: _fit_one(sample, model, starts, links.get(model), kw_fit)
+            for model in models}
 
 
 def fit_mle(sample: NormalizedSample, model: str, starts: int = 16) -> FitResult:
@@ -494,8 +481,10 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16) -> FitResult
     return fit_models(sample, (model,), starts)[model]
 
 
-def _fit_one(sample: NormalizedSample, model: str, starts: int, link) -> FitResult:
-    """fit_models' fit of one model, given its entry of _solve_links."""
+def _fit_one(sample: NormalizedSample, model: str, starts: int, link,
+             kw_fit: Callable) -> FitResult:
+    """fit_models' fit of one model, given its entry of _solve_links and
+    the call's kw fit."""
     if isinstance(link, ValueError):
         if model == "beta":
             raise FitError(f"beta fit failed (n={sample.n}, "
@@ -507,9 +496,9 @@ def _fit_one(sample: NormalizedSample, model: str, starts: int, link) -> FitResu
         _, argmin, steps = link
         theta, tried, failed = argmin[:, 0], 1, 0
     elif model == "kw":
-        theta, _, tried, failed, steps = _kw_fit(sample, starts)
+        theta, _, tried, failed, steps = kw_fit()
     else:
-        theta, _, tried, failed, steps = _fit_profile(sample, model, starts, link)
+        theta, _, tried, failed, steps = _fit_profile(sample, model, starts, link, kw_fit)
     theta = np.array(theta, dtype=float)
     ll = _LOGLIK[model](sample, *theta)
     lo, hi = np.full(k, PARAM_BOUNDS[0]), np.full(k, PARAM_BOUNDS[1])

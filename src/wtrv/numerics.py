@@ -1,6 +1,6 @@
-"""Shared numeric kernels: special functions, adaptive quadrature and cdf
-tabulation, root finding, box-constrained Newton minimization, finite
-differences.
+"""Shared numeric kernels: special functions, adaptive quadrature, the cdf
+table with its evaluation and inversion, root finding, box-constrained
+Newton minimization, finite differences.
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads. The module loads NumPy only. scipy.special is read
@@ -330,13 +330,17 @@ class CdfTable:
     values) with slopes: nodes strictly increasing, values nondecreasing from
     0 to exactly 1, slopes finite and >= 0. The knots are each GK15 cell's
     left end and its 15 Kronrod nodes, and hi. The table's coordinate t is x
-    on a finite range and _to_unit(x, lo) on an infinite one (mapped); to_t
-    and to_x convert. total is the density's integral, the sum of the cells'
-    GK15 masses; gap is the Hermite's largest miss against the interpolant's
-    partial masses, as a fraction of total (for a cell too narrow to cut, the
-    miss of the Hermite through its ends at 1/4, 1/2 and 3/4). evaluations
-    counts f's values, 15 per cell evaluated, and rounds the refinement
-    rounds after the first batch of cells."""
+    on a finite range and _to_unit(x, lo) on an infinite one (mapped), where
+    the cdf is 1 at t = 1, so no tail is cut off. total is the density's
+    integral, the sum of the cells' GK15 masses; gap is the Hermite's largest
+    miss against the interpolant's partial masses, as a fraction of total
+    (for a cell too narrow to cut, the miss of the Hermite through its ends
+    at 1/4, 1/2 and 3/4). evaluations counts f's values, 15 per cell
+    evaluated, and rounds the refinement rounds after the first batch of
+    cells.
+
+    value and slope read the cubic in t, cdf and quantile in x; knots are
+    the nodes in x."""
 
     nodes: np.ndarray
     values: np.ndarray
@@ -348,13 +352,67 @@ class CdfTable:
     evaluations: int
     rounds: int
 
-    def to_t(self, x):
-        """The table coordinate of the points x."""
-        return _to_unit(x, self.lo) if self.mapped else x
+    @functools.cached_property
+    def cubic(self) -> tuple:
+        """Each piece's coefficients (c1, c2, c3) of SciPy's CubicHermiteSpline
+        cubic in s = t - nodes[i], and (2 c2, 3 c3) of its slope, computed at
+        the first read. Raises FloatingPointError where they overflow, as for
+        knots a few floats apart near 0."""
+        x, y, dydx = self.nodes, self.values, self.slopes
+        with np.errstate(over="raise", invalid="raise"):
+            h = np.diff(x)
+            secant = np.diff(y) / h
+            t = (dydx[:-1] + dydx[1:] - 2 * secant) / h
+            c1, c2, c3 = dydx[:-1], (secant - dydx[:-1]) / h - t, t / h
+            return c1, c2, c3, c2 * 2, c3 * 3
 
-    def to_x(self, t):
-        """The points at the table coordinates t."""
+    def _piece(self, t, piece):
+        """Each t's piece i and t - nodes[i]. Without piece, i is found by a
+        search over the knots. piece gives k per point instead, for t in
+        [nodes[k], nodes[k+1]] (a quantile bracket, up to a rounding at its
+        right end), with the same result: t >= nodes[k + 1] reads piece k + 1,
+        as the search does, so the value at a knot is its table value."""
+        x, last = self.nodes, self.nodes.size - 2
+        if piece is None:
+            i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, last)
+        else:
+            i = np.minimum(piece + (t >= x[piece + 1]), last)
+        return i, t - x[i]
+
+    def value(self, t, piece=None):
+        """The cubic at table coordinates t, summed in SciPy's order, so it
+        gives CubicHermiteSpline's floats."""
+        c1, c2, c3 = self.cubic[:3]
+        i, s = self._piece(t, piece)
+        return self.values[i] + c1[i] * s + c2[i] * (s * s) + c3[i] * (s * s * s)
+
+    def slope(self, t, piece=None):
+        """The cubic's slope at table coordinates t."""
+        c1, _, _, d2, d3 = self.cubic
+        i, s = self._piece(t, piece)
+        return c1[i] + d2[i] * s + d3[i] * (s * s)
+
+    def cdf(self, x):
+        """The cubic at x, clipped to [0, 1]."""
+        return np.clip(self.value(_to_unit(x, self.lo) if self.mapped else x), 0.0, 1.0)
+
+    def quantile(self, u):
+        """The x where the cubic reaches u, for u in (0, 1), by invert_monotone
+        on all points at once. Each u is bracketed by the pair of knots whose
+        values enclose it, and each Newton round evaluates the cubic of its
+        piece, so no round searches the knots."""
+        i = np.searchsorted(self.values, u, side="right")
+        piece = (i - 1).ravel()
+        t = invert_monotone(lambda v, idx: self.value(v, piece[idx]),
+                            lambda v, idx: self.slope(v, piece[idx]),
+                            u, self.nodes[i - 1], self.nodes[i])
         return _from_unit(t, self.lo) if self.mapped else t
+
+    @property
+    def knots(self) -> np.ndarray:
+        """The nodes in x: on a mapped table the last is inf."""
+        with np.errstate(divide="ignore"):
+            return _from_unit(self.nodes, self.lo) if self.mapped else self.nodes
 
 
 # A table cell is cut while its Hermite cdf misses the interpolant's partial

@@ -304,6 +304,15 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert base in lines[0] and weight in lines[0]
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one_exit_one(self, capsys, grid):
+        # --grid 0 printed an empty table and exited 0; --grid -3 gave
+        # NumPy's message, which names no flag
+        code, out, err = run_cli(capsys, "construct", "--dist", "exponential(lambda=1)",
+                                 "--weight", "power(c=2)", "--grid", grid)
+        assert code == 1 and out == ""
+        assert err == f"error: ValueError: --grid must be at least 1, got {grid}\n"
+
     def test_missing_csv_exit_one(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "describe", str(tmp_path / "missing.csv"))
         assert code == 1 and out == ""

@@ -9,8 +9,9 @@ from wtrv import (check_order, classify_aging, construct, equilibrium, expected_
                   make_catalog, make_weight, minimum_of, parse_dist_spec,
                   parse_weight_spec, sample,
                   table1_oracle_suite, weighted_kumaraswamy, wtrv_of_minimum)
-from wtrv.construct import _hermite, _table1_rows
-from wtrv.numerics import Interval, integrate_adaptive, invert_monotone, tabulate_cdf
+from wtrv.construct import _table1_rows
+from wtrv.numerics import (Interval, _from_unit, integrate_adaptive, invert_monotone,
+                            tabulate_cdf)
 from wtrv.weights import IntegrabilityError, tail_integrand, validate_weight
 
 from conftest import interior_grid
@@ -259,7 +260,7 @@ def _table_cases():
 
 
 class TestTableInvariants:
-    # _hermite divides by the knot spacings, and the quantile brackets a
+    # the table divides by the knot spacings, and the quantile brackets a
     # target by the knot values: a repeated knot (rounding puts the nodes of
     # a cell a float wide on one float) or a decreasing value breaks them
     @pytest.mark.parametrize("case", _table_cases(), ids=lambda c: c[0])
@@ -276,7 +277,7 @@ class TestTableInvariants:
         t = np.append((nodes[:-1, None] + np.diff(nodes)[:, None] * [0.0, 0.25, 0.5, 0.75]).ravel(),
                       nodes[-1])
         with np.errstate(divide="ignore"):  # t = 1 is x = inf on an infinite support
-            x = table.to_x(t)
+            x = _from_unit(t, table.lo) if table.mapped else t
         # the cubics are monotone; the query sums y + c1 s + c2 s^2 + c3 s^3
         # left to right, and three roundings next to 1 may undo one step
         step = np.diff(np.asarray(construct(dist, w).cdf(x)))
@@ -301,11 +302,11 @@ class TestTableInvariants:
 def _searching_quantile(table, u):
     """The constructed quantile with every Newton round's value and slope
     found by a search over all knots: each u bracketed by its pair of knots,
-    read through _hermite's searching functions."""
-    value, slope = _hermite(table.nodes, table.values, table.slopes)
+    read through the table's searching value and slope."""
     i = np.searchsorted(table.values, u, side="right")
-    return table.to_x(invert_monotone(lambda v, _: value(v), lambda v, _: slope(v),
-                                      u, table.nodes[i - 1], table.nodes[i]))
+    t = invert_monotone(lambda v, _: table.value(v), lambda v, _: table.slope(v),
+                        u, table.nodes[i - 1], table.nodes[i])
+    return _from_unit(t, table.lo) if table.mapped else t
 
 
 class TestQuantileInItsPiece:
@@ -332,7 +333,7 @@ class TestQuantileInItsPiece:
 
 
 class TestHermite:
-    # the written-out interpolant against SciPy's spline on the real tables
+    # the table's written-out cubic against SciPy's spline on the real tables
     # of five constructions, at their nodes and 20 000 uniform points
     @pytest.mark.parametrize("base, weight", [
         ("gamma(k=2,lambda=1)", "power(c=1.5)"),
@@ -349,11 +350,10 @@ class TestHermite:
         table = tabulate_cdf(tail_integrand(w, dist), Interval(0.0, hi))
         nodes, values, slopes = table.nodes, table.values, table.slopes
         ref = CubicHermiteSpline(nodes, values, slopes)
-        value, slope = _hermite(nodes, values, slopes)
         pts = np.concatenate([nodes, np.random.default_rng(3).uniform(nodes[0], nodes[-1], 20000)])
-        assert np.max(np.abs(value(pts) - ref(pts))) <= 4e-16
+        assert np.max(np.abs(table.value(pts) - ref(pts))) <= 4e-16
         ref_slope = ref.derivative()(pts)
-        assert np.max(np.abs(slope(pts) - ref_slope)) <= 1e-14 * np.max(np.abs(ref_slope))
+        assert np.max(np.abs(table.slope(pts) - ref_slope)) <= 1e-14 * np.max(np.abs(ref_slope))
 
 
 def _gate_cases():
@@ -385,6 +385,35 @@ class TestCdfAccuracyGate:
         for order in ("st", "fr", "rfr", "lr"):
             assert check_order(xw, target, order).holds_on_grid, (order, "built <= closed")
             assert check_order(target, xw, order).holds_on_grid, (order, "closed <= built")
+
+
+class TestEveryWeightFamily:
+    # one admissible base for each catalog weight: the built density
+    # integrates to 1, and the normalizer is E[w(X)] = integral of w * f_X,
+    # not the tail identity the table integrates
+    @pytest.mark.parametrize("base, weight", [
+        ("gamma(k=2,lambda=1.5)", "power(c=2.5)"),
+        ("weibull(alpha=0.6,beta=1.2)", "scaled_power(alpha=0.6,beta=1.2)"),
+        ("burr12(c=2.5,k=1.8)", "log1p_power(c=2.5)"),
+        ("beta(alpha=2,beta=3)", "neg_log_sq()"),
+        ("half_normal(sigma=0.5)", "exp_shift_sq()"),
+        ("exponential(lambda=2.18)", "expm1()"),
+        ("uniform", "neg_x_log1m()"),
+        ("pareto_lomax(alpha=2.5)", "linear()"),
+    ])
+    def test_mass_and_normalizer(self, base, weight):
+        dist, w = parse_dist_spec(base), parse_weight_spec(weight)
+        xw = construct(dist, w)
+
+        def w_times_pdf(x):  # w overflows where the pdf underflows to 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                pdf = np.asarray(dist.pdf(x), dtype=float)
+                return np.where(pdf == 0.0, 0.0, np.asarray(w.w(x), dtype=float) * pdf)
+
+        mass = integrate_adaptive(xw.pdf, xw.support, 1e-12, 1e-10).value
+        mean_w = integrate_adaptive(w_times_pdf, xw.support, 1e-12, 1e-10).value
+        assert abs(mass - 1.0) <= 1e-8
+        assert xw.normalizer == pytest.approx(mean_w, rel=1e-8)
 
 
 class TestEquilibrium:

@@ -220,8 +220,9 @@ class TestFitMle:
         assert inside >= 30
 
     def test_wk_reuses_the_kw_fit(self, monkeypatch):
-        # report fits kw before wk on one sample; the wk fit's nested start
-        # then takes that kw optimum instead of scanning and refining kw again
+        # one fit_models call of kw and wk scans and refines kw once: the wk
+        # fit's nested start takes the kw fit the call makes for kw, and both
+        # results equal separate fits
         real_profile, real_refine, calls = fit_mod._kw_profile, fit_mod._refine, []
 
         def kw_profile(sample, s):
@@ -234,17 +235,14 @@ class TestFitMle:
 
         monkeypatch.setattr(fit_mod, "_kw_profile", kw_profile)
         monkeypatch.setattr(fit_mod, "_refine", refine)
-        for i, (s, twin) in enumerate(zip(report_series(), report_series())):
+        for i, s in enumerate(report_series()):
             calls.clear()
-            alone = fit_mle(s, "wk", starts=4)
+            both = fit_models(s, ("kw", "wk"), starts=4)
             assert calls.count("kw scan") == 1 and calls.count("kw refine") == 1, i
-            fit_mle(twin, "kw", starts=4)
-            calls.clear()
-            after = fit_mle(twin, "wk", starts=4)
-            assert "kw scan" not in calls and "kw refine" not in calls, i
-            assert after.params == alone.params and after.loglik == alone.loglik, i
-            assert (after.starts_tried, after.starts_failed, after.optimizer.iterations) == \
-                (alone.starts_tried, alone.starts_failed, alone.optimizer.iterations), i
+            for model in ("kw", "wk"):
+                alone = fit_mle(s, model, starts=4)
+                np.testing.assert_equal(fields(both[model]), fields(alone), err_msg=f"{i} {model}")
+                assert both[model].optimizer.iterations == alone.optimizer.iterations, (i, model)
 
     def test_scan_steps_on_report_series(self, monkeypatch):
         # the closed-form starts of the scan's beta solves keep the batched
@@ -345,7 +343,7 @@ def three_point_samples():
 
 
 def twin(s):
-    """A fresh sample object with the same data, so no fit is reused."""
+    """A fresh sample object with the same data and nothing cached."""
     return fit_mod.NormalizedSample(values=s.values, z_min=s.z_min, z_max=s.z_max,
                                     n=s.n, boundary_policy=s.boundary_policy)
 
@@ -367,8 +365,9 @@ class TestFitModels:
     MODELS = ("beta", "kw", "wk")
 
     def test_matches_separate_fits(self, monkeypatch):
-        # one Beta-link batch serves the beta model and the wk scan: the same
-        # fits as three fit_mle calls on one sample, with one solve fewer
+        # one Beta-link batch serves the beta model and the wk scan, and one
+        # kw fit serves kw and the wk nested start: the same fits as three
+        # fit_mle calls on one sample, with two solves fewer
         real, calls = fit_mod.minimize_bounded, []
 
         def count(*args, **kwargs):
@@ -387,7 +386,7 @@ class TestFitModels:
             for model in self.MODELS:
                 np.testing.assert_equal(fields(together[model]), fields(separate[model]),
                                         err_msg=f"{i} {model}")
-            assert shared == len(calls) - 1, i
+            assert shared == len(calls) - 2, i
 
     @pytest.mark.parametrize("poisoned, failing", [(0.0, "beta"), (1.0, "wk")])
     def test_failed_solve_fails_the_same_model(self, monkeypatch, poisoned, failing):
