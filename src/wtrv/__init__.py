@@ -18,8 +18,8 @@ from .gof import (GofReport, ad_test, bootstrap_pvalue, chisq_test, cvm_test,
                   ks_test, run_gof)
 from .numerics import (AccuracyError, BracketError, ConvergenceError, Interval,
                        OptimizeResult, QuadratureResult, WtrvError, brent_root,
-                       finite_diff_grad, incomplete_beta_upper, integrate_adaptive,
-                       invert_monotone, kolmogorov_sf, minimize_bounded)
+                       incomplete_beta_upper, integrate_adaptive, invert_monotone,
+                       kolmogorov_sf, minimize_bounded)
 from .orders import (AuditReport, ConditionReport, OrderVerdict, TheoremReport,
                      check_order, check_theorem_conditions, named_fixture,
                      randomized_theorem_audit, ratio_curve, verify_theorem)

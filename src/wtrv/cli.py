@@ -56,15 +56,19 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _dumps(obj, pad: str = "\n") -> str:
     """json.dumps(obj, sort_keys=True, indent=2) for a value of _jsonable's
     output (dict keys are strings) at indentation pad. json's C encoder runs
-    only without indent, so dicts and lists are laid out here, and a list
-    with no dict or list in it is encoded by the C encoder with the line
-    break and indentation as its item separator. _jsonable leaves no
-    container but plain dicts and lists, so a list's nesting is read from
-    its item types."""
+    only without indent, so nested dicts and lists are laid out here, and a
+    dict or list with no dict or list in it is encoded by the C encoder with
+    the line break and indentation as its item separator. _jsonable leaves
+    no container but plain dicts and lists, so nesting is read from the
+    item types."""
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
-        items = (json.dumps(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        if {dict, list}.isdisjoint(map(type, obj.values())):
+            body = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))[1:-1]
+        else:
+            body = ("," + inner).join(json.dumps(k) + ": " + _dumps(v, inner)
+                                      for k, v in sorted(obj.items()))
+        return "{" + inner + body + pad + "}"
     if isinstance(obj, list) and obj:
         if {dict, list}.isdisjoint(map(type, obj)):
             body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]

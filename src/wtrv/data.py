@@ -95,14 +95,9 @@ class DescriptiveStats:
 
 
 def _mode_first_seen(values: np.ndarray) -> float:
-    counts: dict[float, int] = {}
-    for v in values:
-        counts[float(v)] = counts.get(float(v), 0) + 1
-    best = max(counts.values())
-    for v in values:  # first-seen tie break
-        if counts[float(v)] == best:
-            return float(v)
-    raise AssertionError("unreachable")
+    """The most frequent value; of several, the one seen first."""
+    _, first, counts = np.unique(values, return_index=True, return_counts=True)
+    return float(values[first[counts == counts.max()].min()])
 
 
 def describe(series: Series, convention: str = "population") -> DescriptiveStats:

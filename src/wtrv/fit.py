@@ -10,10 +10,11 @@ the log-likelihood at fixed a depends on the data through a·Σ log x and
 Σ log(1 − xᵃ) alone and is concave in the two beta shapes, so Newton steps
 solve it, and the Kumaraswamy b is n / |Σ log(1 − xᵃ)|. This profile over
 log a is scanned on a grid, and its highest peaks are refined by one batched
-projected-Newton solve in (log a, b[, c]) jointly. fit_models solves the
-beta model's Beta-link problem and the WK scan's in one batch. The WK fit
-also starts from the Kumaraswamy optimum it nests, fitted once per
-fit_models call. Also AIC/BIC and a histogram-based RMSE metric.
+projected-Newton solve in (log a, b[, c]) jointly. fit_models solves every
+two-parameter problem in one batch: the beta model's Beta-link problem, the
+WK scan's and the Kumaraswamy refine. The WK fit also starts from the
+Kumaraswamy optimum it nests, fitted once per fit_models call. Also AIC/BIC
+and a histogram-based RMSE metric.
 """
 
 from __future__ import annotations
@@ -88,6 +89,12 @@ class NormalizedSample:
         return np.log(self._likelihood_set)
 
     @functools.cached_property
+    def _log1m_scan(self) -> np.ndarray:
+        """Σ log(1 − xᵃ) at each a = e^s of _SCAN, with 1 − xᵃ = −expm1(a·log x),
+        once per sample: the kw scan and the wk scan's Beta-link problems read it."""
+        return np.log(-np.expm1(np.multiply.outer(np.exp(_SCAN), self._log_x))).sum(-1)
+
+    @functools.cached_property
     def _sum_log_x(self) -> float:
         return float(np.sum(self._log_x))
 
@@ -138,11 +145,6 @@ def _power_sums(sample: NormalizedSample, a):
     w = lx / one_minus
     r = np.exp(u) * w
     return np.log(one_minus).sum(-1), r.sum(-1), (r * w).sum(-1)
-
-
-def _log1m_sum(sample: NormalizedSample, a):
-    """Σ log(1 − xᵃ) alone for each a, the first of _power_sums."""
-    return np.log(-np.expm1(np.multiply.outer(a, sample._log_x))).sum(-1)
 
 
 def _beta_terms(n: int, s1, s2, p, q) -> tuple:
@@ -265,7 +267,7 @@ def rmse_metric(sample: NormalizedSample, fitted: DistributionHandle,
 
 
 def _beta_start(n: int, s1, s2, scale, shift) -> np.ndarray:
-    """Start of _solve_beta: of five closed-form approximations to the beta
+    """Start of a Beta-link problem of _solve_pairs: of five closed-form approximations to the beta
     shapes (p, q) from the mean logs m1 = s1/n of y and m2 = s2/n of 1 − y,
     the one with the highest likelihood, as θ = (p·scale, q − shift) clipped
     to the box. With G = e^m and ψ(x) ≈ log(x − 1/2) they are
@@ -300,26 +302,12 @@ def _beta_start(n: int, s1, s2, scale, shift) -> np.ndarray:
     return np.take_along_axis(theta, best[None, None], axis=1)[:, 0]
 
 
-def _solve_beta(n: int, s1, s2, scale, shift) -> OptimizeResult:
-    """Maximise _beta_terms over the parameter box for θ = (p·scale,
-    q − shift): (alpha, beta) for the beta model, (c, b) at fixed a for WK.
-    Batched when s1, s2, scale and shift are arrays over m problems."""
-    jac = np.array(np.broadcast_arrays(1.0 / scale, 1.0))
-
-    def fun(theta):
-        value, grad, hess = _beta_terms(n, s1, s2, theta[0] / scale, theta[1] + shift)
-        return -value, -grad * jac, -hess * jac[:, None] * jac[None]
-
-    return minimize_bounded(fun, _beta_start(n, s1, s2, scale, shift),
-                            [PARAM_BOUNDS] * 2, tol=0.0)
-
-
-def _kw_profile(sample: NormalizedSample, s: np.ndarray) -> tuple:
-    """loglik_kw maximised over b at a = e^s, b = n / |Σ log(1 − xᵃ)| clipped
-    to the box: values and b as a (1, m) array."""
+def _kw_profile(sample: NormalizedSample) -> tuple:
+    """loglik_kw on _SCAN maximised over b at each a = e^s, b = n / |Σ log(1 − xᵃ)|
+    clipped to the box: values and b as a (1, m) array."""
     n = len(sample._log_x)
-    a = np.exp(s)
-    big_l = _log1m_sum(sample, a)
+    a = np.exp(_SCAN)
+    big_l = sample._log1m_scan
     with np.errstate(divide="ignore"):
         b = np.clip(n / np.abs(big_l), *PARAM_BOUNDS)  # Σ log(1 − xᵃ) ≤ 0, 0 once xᵃ underflows
     return n * np.log(a * b) + (a - 1.0) * sample._sum_log_x + (b - 1.0) * big_l, b[None]
@@ -333,26 +321,78 @@ def _link_problems(sample: NormalizedSample, model: str) -> np.ndarray:
     if model == "beta":
         return np.array([[sx], [sample._sum_log1m_x], [1.0], [0.0]])
     a = np.exp(_SCAN)
-    return np.array([a * sx, _log1m_sum(sample, a), a, np.ones_like(a)])
+    return np.array([a * sx, sample._log1m_scan, a, np.ones_like(a)])
 
 
-def _solve_links(sample: NormalizedSample, models: Sequence[str]) -> dict:
-    """{model: (objective, argmin, steps)} of the Beta-link problems of the
-    beta and wk in `models`, solved by one _solve_beta batch. If the batch
-    raises ValueError, each model's problems are solved alone, and a model
-    whose own solve raises maps to that ValueError."""
-    problems = {model: _link_problems(sample, model) for model in models if model != "kw"}
+def _boxed(theta0: np.ndarray, s_lo, s_hi) -> np.ndarray:
+    """(θ0, lo, hi) of starts θ0 of shape (k, m): the first coordinate
+    within [s_lo, s_hi], the others in the box."""
+    lo, hi = np.full_like(theta0, PARAM_BOUNDS[0]), np.full_like(theta0, PARAM_BOUNDS[1])
+    lo[0], hi[0] = s_lo, s_hi
+    return np.array([theta0, lo, hi])
+
+
+def _peak_starts(values: np.ndarray, inner: np.ndarray, starts: int) -> np.ndarray:
+    """_boxed refine starts (s, inner) at the `starts` highest local maxima
+    of a profile scanned on _SCAN, each s between its two grid neighbours."""
+    v = np.where(np.isfinite(values), values, -np.inf)
+    left, right = np.append(-np.inf, v[:-1]), np.append(v[1:], -np.inf)
+    idx = np.nonzero((v > left) & (v >= right))[0]
+    peaks = idx[np.argsort(-v[idx], kind="stable")][:starts]
+    last = len(_SCAN) - 1
+    return _boxed(np.vstack([_SCAN[peaks], inner[:, peaks]]),
+                  _SCAN[np.maximum(peaks - 1, 0)], _SCAN[np.minimum(peaks + 1, last)])
+
+
+def _solve_pairs(sample: NormalizedSample, problems: dict) -> dict:
+    """{model: (objective, argmin, steps)} of the two-parameter problems in
+    `problems`, solved by one minimize_bounded batch whose steps every entry
+    counts. They are the Beta-link problems of beta and wk, (s1, s2, scale,
+    shift) from _link_problems, maximising _beta_terms in θ = (p·scale,
+    q − shift) to the rounding floor (tol 0), and kw's refine starts, from
+    _peak_starts, maximising the kw log-likelihood in (log a, b) until the
+    gradient is below 1e-8 per observation. The link problems share one
+    _beta_terms evaluation. No column's arithmetic reads another's, so each
+    entry is its model's solve alone, steps aside. If the batch raises
+    ValueError, each model's problems are solved alone, and a model whose
+    own solve raises maps to that ValueError."""
     if not problems:
         return {}
+    n = len(sample._log_x)
+    link_models = [model for model in problems if model != "kw"]
+    order = link_models + ["kw"] * ("kw" in problems)  # the link columns first
+    edges = np.cumsum([0] + [np.shape(problems[model])[-1] for model in order])
+    n_link = edges[len(link_models)]
+    parts = []  # (objective, columns, (θ0, lo, hi)) of the link columns, then of kw's
+    if link_models:
+        s1, s2, scale, shift = np.hstack([problems[model] for model in link_models])
+        jac = np.array(np.broadcast_arrays(1.0 / scale, 1.0))
+
+        def links(theta):
+            value, grad, hess = _beta_terms(n, s1, s2, theta[0] / scale, theta[1] + shift)
+            return -value, -grad * jac, -hess * jac[:, None] * jac[None]
+
+        parts.append((links, slice(0, n_link),
+                      _boxed(_beta_start(n, s1, s2, scale, shift), *PARAM_BOUNDS)))
+    if "kw" in problems:
+        parts.append((functools.partial(_joint, sample, "kw"), slice(n_link, None), problems["kw"]))
+    theta0, lo, hi = (np.hstack(v) for v in zip(*(box for _, _, box in parts)))
+
+    def stacked(theta):
+        out = [f(theta[:, span]) for f, span, _ in parts]
+        return tuple(np.concatenate(v, axis=-1) for v in zip(*out))
+
     try:
-        res = _solve_beta(len(sample._log_x), *np.hstack(list(problems.values())))
+        res = minimize_bounded(stacked, theta0, list(zip(lo, hi)),
+                               tol=np.where(np.arange(edges[-1]) < n_link, 0.0, 1e-8 * n))
     except ValueError as exc:
         if len(problems) == 1:
             return dict.fromkeys(problems, exc)
-        return {model: _solve_links(sample, (model,))[model] for model in problems}
-    cuts = np.cumsum([p.shape[1] for p in problems.values()])[:-1]
+        return {model: _solve_pairs(sample, {model: problems[model]})[model]
+                for model in problems}
+    cuts = edges[1:-1]
     return {model: (objective, argmin, res.iterations) for model, objective, argmin
-            in zip(problems, np.split(res.objective, cuts), np.split(res.argmin, cuts, axis=1))}
+            in zip(order, np.split(res.objective, cuts), np.split(res.argmin, cuts, axis=1))}
 
 
 def _wk_profile(sample: NormalizedSample, link: tuple) -> tuple:
@@ -363,14 +403,6 @@ def _wk_profile(sample: NormalizedSample, link: tuple) -> tuple:
     a = np.exp(_SCAN)
     objective, argmin, _ = link
     return n * np.log(a) + (a - 1.0) * sx - objective, argmin[::-1]
-
-
-def _peaks(values: np.ndarray, starts: int) -> np.ndarray:
-    """Indices of the `starts` highest local maxima of a scanned profile."""
-    v = np.where(np.isfinite(values), values, -np.inf)
-    left, right = np.append(-np.inf, v[:-1]), np.append(v[1:], -np.inf)
-    idx = np.nonzero((v > left) & (v >= right))[0]
-    return idx[np.argsort(-v[idx], kind="stable")][:starts]
 
 
 def _joint(sample: NormalizedSample, model: str, theta: np.ndarray) -> tuple:
@@ -386,60 +418,54 @@ def _joint(sample: NormalizedSample, model: str, theta: np.ndarray) -> tuple:
     return -value, -grad, -hess
 
 
-def _refine(sample: NormalizedSample, model: str, theta0: np.ndarray,
-            lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """Projected Newton ascent of the kw or wk log-likelihood in θ = (s, b[, c])
-    from the starts θ0 of shape (k, m), each s within its [lo, hi] and the
-    other coordinates in the box, until the gradient is below 1e-8 per
-    observation. Returns θ and the values over the starts, and the steps."""
-    bounds = [(lo, hi)] + [PARAM_BOUNDS] * (len(theta0) - 1)
-    res = minimize_bounded(functools.partial(_joint, sample, model), theta0, bounds,
-                           tol=1e-8 * len(sample._log_x))
-    return res.argmin, -res.objective, res.iterations
+def _refine_wk(sample: NormalizedSample, box: np.ndarray):
+    """Projected Newton ascent of the wk log-likelihood in θ = (s, b, c) from
+    the _boxed starts `box`, until the gradient is below 1e-8 per
+    observation: (objective, argmin, steps), or the ValueError raised."""
+    theta0, lo, hi = box
+    try:
+        res = minimize_bounded(functools.partial(_joint, sample, "wk"), theta0,
+                               list(zip(lo, hi)), tol=1e-8 * len(sample._log_x))
+    except ValueError as exc:  # a start outside the box, non-finite there
+        return exc
+    return res.objective, res.argmin, res.iterations
 
 
-def _fit_profile(sample: NormalizedSample, model: str, starts: int,
-                 link: tuple | None = None, kw_fit: Callable | None = None) -> tuple:
-    """Scan the profile of a kw or wk model on _SCAN and refine its `starts`
-    highest peaks jointly in (log a, b[, c]), each log a between its two
-    neighbours on the grid. WK(a, b − 1, a) is Kw(a, b), so when b − 1 is in
-    the box and no wk peak ends above the kw optimum, wk is also refined from
-    there over the whole box: the wk fit never ends below a kw fit it nests.
-    A refinement that raises ValueError fails all its starts, and one that
-    ends non-finite fails that start. The wk scan reads `link`, its entry
-    of _solve_links, and the nested start reads kw_fit(), the call's kw fit.
-    Returns (params, value, starts tried, starts failed, Newton steps)."""
-    values, inner = _kw_profile(sample, _SCAN) if model == "kw" else _wk_profile(sample, link)
-    peaks = _peaks(values, starts)
+def _fit_profile(sample: NormalizedSample, model: str, tried: int, solved,
+                 kw=None) -> tuple:
+    """The best refined start of a kw or wk model, from `solved`, the
+    refine of its `tried` peak starts: (objective, argmin, steps) or the
+    ValueError it raised, which fails all of them. A start that ends
+    non-finite fails alone. WK(a, b − 1, a) is Kw(a, b), so when b − 1 is in
+    the box and no wk peak ends above the kw optimum, wk is also refined
+    from kw, the call's kw fit, over the whole box: the wk fit never ends
+    below a kw fit it nests. Returns (params, value, starts tried, starts
+    failed, Newton steps); raises FitError when every start failed."""
     found = []  # (value, θ) of each refined start
     failed, steps = 0, 0
 
-    def refine(theta0, lo, hi):
+    def take(solved, count):
         nonlocal failed, steps
-        try:
-            theta, value, n_steps = _refine(sample, model, theta0, lo, hi)
-        except ValueError:  # a start outside the box, non-finite there
-            failed += theta0.shape[1]
+        if isinstance(solved, ValueError):
+            failed += count
             return
-        ok = np.isfinite(value)
+        objective, theta, n_steps = solved
+        ok = np.isfinite(objective)
         failed += int(np.sum(~ok))
         steps += n_steps
-        found.extend((value[j], theta[:, j]) for j in np.nonzero(ok)[0])
+        found.extend((-objective[j], theta[:, j]) for j in np.nonzero(ok)[0])
 
-    last = len(_SCAN) - 1
-    refine(np.vstack([_SCAN[peaks], inner[:, peaks]]),
-           _SCAN[np.maximum(peaks - 1, 0)], _SCAN[np.minimum(peaks + 1, last)])
-    tried = len(peaks)
+    take(solved, tried)
     if model == "wk":
         tried += 1
-        try:
-            (a, b), kw_value = kw_fit()[:2]
-        except FitError:
+        if isinstance(kw, FitError):
             failed += 1
         else:
+            (a, b), kw_value = kw[:2]
             nested = PARAM_BOUNDS[0] <= b - 1.0 <= PARAM_BOUNDS[1]
             if nested and not any(v >= kw_value for v, _ in found):
-                refine(np.array([[math.log(a)], [b - 1.0], [a]]), _SCAN[:1], _SCAN[-1:])
+                box = _boxed(np.array([[math.log(a)], [b - 1.0], [a]]), _SCAN[:1], _SCAN[-1:])
+                take(_refine_wk(sample, box), 1)
     if not found:
         raise FitError(f"all {tried} starts failed for model {model!r} "
                        f"(n={sample.n}, policy={sample.boundary_policy})")
@@ -457,22 +483,32 @@ def fit_models(sample: NormalizedSample, models: Sequence[str],
     beta is one Newton solve of a concave problem. For kw and wk the profile
     over s = log a is scanned on a grid over the box, and its `starts`
     highest peaks are refined by projected Newton steps in (s, b[, c])
-    jointly. The beta problem and the 49 Beta-link problems of the wk scan
-    are solved in one batch, whose steps the beta result's iterations count.
-    wk is also refined from the kw optimum it nests, and a call that fits
-    both makes that kw fit once, for both. A refinement that raises ValueError
-    or ends non-finite is a failed start. A model that fails raises as it
-    would alone, the first such model in order. Newton steps and the
-    convergence test read _terms; the reported log-likelihood is _LOGLIK's.
+    jointly. wk is also refined from the kw optimum it nests, so a call
+    with wk fits kw too, once for both. Every two-parameter problem is
+    solved in one batch, whose steps the beta and kw results' iterations
+    count: the beta problem, the 49 Beta-link problems of the wk scan and
+    the kw refine. The wk refine is a second solve. A refinement that raises
+    ValueError or ends non-finite is a failed start. A model that fails
+    raises as it would alone, the first such model in order. Newton steps
+    and the convergence test read _terms; the reported log-likelihood is
+    _LOGLIK's.
     """
     for model in models:
         if model not in MODELS:
             raise ValueError(f"unknown model {model!r}; known: {', '.join(MODELS)}")
     if starts < 1:
         raise ValueError("starts must be at least 1")
-    links = _solve_links(sample, models)
-    kw_fit = functools.cache(functools.partial(_fit_profile, sample, "kw", starts))
-    return {model: _fit_one(sample, model, starts, links.get(model), kw_fit)
+    problems = {model: _link_problems(sample, model) for model in models if model != "kw"}
+    if "kw" in models or "wk" in models:
+        problems["kw"] = _peak_starts(*_kw_profile(sample), starts)
+    solved = _solve_pairs(sample, problems)
+    kw = None
+    if "kw" in solved:
+        try:
+            kw = _fit_profile(sample, "kw", problems["kw"].shape[-1], solved.pop("kw"))
+        except FitError as exc:
+            kw = exc
+    return {model: _fit_one(sample, model, starts, solved.get(model), kw)
             for model in models}
 
 
@@ -481,10 +517,9 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16) -> FitResult
     return fit_models(sample, (model,), starts)[model]
 
 
-def _fit_one(sample: NormalizedSample, model: str, starts: int, link,
-             kw_fit: Callable) -> FitResult:
-    """fit_models' fit of one model, given its entry of _solve_links and
-    the call's kw fit."""
+def _fit_one(sample: NormalizedSample, model: str, starts: int, link, kw) -> FitResult:
+    """fit_models' fit of one model, given its Beta-link entry of
+    _solve_pairs and the call's kw fit, or the FitError it raised."""
     if isinstance(link, ValueError):
         if model == "beta":
             raise FitError(f"beta fit failed (n={sample.n}, "
@@ -496,9 +531,13 @@ def _fit_one(sample: NormalizedSample, model: str, starts: int, link,
         _, argmin, steps = link
         theta, tried, failed = argmin[:, 0], 1, 0
     elif model == "kw":
-        theta, _, tried, failed, steps = kw_fit()
+        if isinstance(kw, FitError):
+            raise kw
+        theta, _, tried, failed, steps = kw
     else:
-        theta, _, tried, failed, steps = _fit_profile(sample, model, starts, link, kw_fit)
+        box = _peak_starts(*_wk_profile(sample, link), starts)
+        theta, _, tried, failed, steps = _fit_profile(sample, model, box.shape[-1],
+                                                      _refine_wk(sample, box), kw)
     theta = np.array(theta, dtype=float)
     ll = _LOGLIK[model](sample, *theta)
     lo, hi = np.full(k, PARAM_BOUNDS[0]), np.full(k, PARAM_BOUNDS[1])

@@ -104,14 +104,16 @@ class ConvergenceError(WtrvError):
 
 
 def scalar_or_array(fn: Callable) -> Callable:
-    """Call fn(x, *args) with x as a float array; a scalar x gives a float."""
+    """Call fn(x, *args) with x as a float array; a scalar x gives a float.
+    Handles build these per instance, so the wrapper carries only
+    __wrapped__, not functools.wraps' copied attributes."""
 
-    @functools.wraps(fn)
     def wrapped(x, *args):
         arr = np.asarray(x, dtype=float)
         out = fn(arr, *args)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
+    wrapped.__wrapped__ = fn
     return wrapped
 
 
@@ -626,22 +628,6 @@ def invert_monotone(f: Callable, fprime: Callable, target, lo, hi) -> np.ndarray
     return x.reshape(shape)
 
 
-def finite_diff_grad(f: Callable, x: Sequence[float], h: float | Sequence[float] = 1e-6) -> np.ndarray:
-    """Central-difference gradient of f at x."""
-    x = np.asarray(x, dtype=float)
-    hv = np.broadcast_to(np.asarray(h, dtype=float), x.shape)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = hv[i]
-        fp = float(f(x + step))
-        fm = float(f(x - step))
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise ValueError(f"non-finite evaluation near x={x} in coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * hv[i])
-    return grad
-
-
 _MAX_STEPS = 100
 _EDGE = 1e-10  # a coordinate this close to a face, relative to 1 + |face|, is on it
 _HALVINGS = 30
@@ -667,7 +653,7 @@ def _masked_solve(h: np.ndarray, g: np.ndarray, free: np.ndarray) -> np.ndarray:
 
 
 def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
-                     tol: float = 1e-6) -> OptimizeResult:
+                     tol: float | np.ndarray = 1e-6) -> OptimizeResult:
     """Projected Newton descent in a box, on the caller's gradient and Hessian.
 
     fun(x) returns (f, g, h): the objective, its gradient and its Hessian.
@@ -675,8 +661,8 @@ def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
     by side; fun gets x in that shape and returns f, g, h shaped (m,),
     (k, m) and (k, k, m), each problem's from its own column of x alone,
     and the result's fields other than iterations are arrays over the m
-    problems. A bound is an Interval or a (lo, hi)
-    pair whose ends may be arrays of shape (m,).
+    problems. A bound is an Interval or a (lo, hi) pair whose ends may be
+    arrays of shape (m,), and tol a scalar or an array of shape (m,).
 
     Coordinates at a face whose gradient points out of the box are held;
     the Newton step on the others, or a diagonally scaled gradient step

@@ -261,7 +261,7 @@ def test_criterion_8_synthetic_self_consistency():
 
 
 def test_criterion_9_optimizer_validity():
-    from wtrv.numerics import finite_diff_grad
+    from helpers import finite_diff_grad
     from wtrv.fit import loglik_wk, loglik_kw, loglik_beta
 
     logliks = {"wk": loglik_wk, "kw": loglik_kw, "beta": loglik_beta}

@@ -95,6 +95,10 @@ class TestJsonEncoding:
          "empty": [], "nested": [[], [[1, 2.5]], {"k": [], "j": {}}, [None, True, "x"]],
          "text": "Ωmega ☃ \"quoted\"\n", "ü": {}, "ints": np.arange(3)},
         [], {}, [[]], [{}], [[], []], 3.0, -np.inf, "é", None, np.float64("nan"),
+        {"b": 1, "a": 2.5, "c": None, "d": True, "é": "x", "f": -np.inf, "g": np.int64(3)},
+        {"nan": float("nan"), "np": np.float64("nan")},
+        {"outer": {"z": 1.0, "y": {"x": "s"}, "w": {}}, "list": [1, 2], "flat": {"k": 0}},
+        {"e": {}, "l": []},
     ])
     def test_emit_json_matches_indent_2(self, obj, tmp_path):
         path = tmp_path / "out.json"

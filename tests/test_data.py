@@ -43,7 +43,30 @@ class TestReadCsv:
             read_csv(str(path), "rainfall_mm")
 
 
+def mode_by_loop(values):
+    """The most frequent value, first seen among ties, by counting in a dict."""
+    counts = {}
+    for v in values:
+        counts[float(v)] = counts.get(float(v), 0) + 1
+    best = max(counts.values())
+    return next(float(v) for v in values if counts[float(v)] == best)
+
+
 class TestDescribe:
+    @pytest.mark.parametrize("values, mode", [
+        ([3.0, 1.0, 1.0, 3.0, 2.0], 3.0),  # 3 and 1 tie, and 3 comes first
+        ([5.0, 2.0, 7.0, 2.0, 2.0, 5.0], 2.0),  # one mode
+        ([9.0, 4.0, 6.0], 9.0),  # all distinct: the first value
+    ])
+    def test_mode_first_seen(self, values, mode):
+        assert describe(Series("t", np.array(values))).mode == mode
+
+    def test_mode_matches_counting_loop(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            v = rng.integers(1, 8, int(rng.integers(2, 30))) * 0.5
+            assert describe(Series("t", v)).mode == mode_by_loop(v)
+
     def test_population_moments(self):
         v = np.array([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
         st = describe(Series("t", v))

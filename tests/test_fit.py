@@ -6,9 +6,10 @@ import pytest
 from scipy.special import betaincinv
 
 import wtrv.fit as fit_mod
-from wtrv import (finite_diff_grad, fit_mle, fit_models, from_unit_values, loglik_beta,
-                  loglik_kw, loglik_wk, make_catalog, normalize, rmse_metric,
-                  sample, score_beta, score_kw, score_wk)
+from helpers import finite_diff_grad
+from wtrv import (fit_mle, fit_models, from_unit_values, loglik_beta, loglik_kw,
+                  loglik_wk, make_catalog, normalize, rmse_metric, sample,
+                  score_beta, score_kw, score_wk)
 from wtrv.fit import BoundaryError, DegenerateSampleError
 
 
@@ -220,29 +221,35 @@ class TestFitMle:
         assert inside >= 30
 
     def test_wk_reuses_the_kw_fit(self, monkeypatch):
-        # one fit_models call of kw and wk scans and refines kw once: the wk
-        # fit's nested start takes the kw fit the call makes for kw, and both
-        # results equal separate fits
-        real_profile, real_refine, calls = fit_mod._kw_profile, fit_mod._refine, []
+        # one fit_models call of kw and wk scans kw once and refines it in the
+        # batch of two-parameter problems, which also solves the wk scan; the
+        # wk fit's nested start takes that kw fit, and both results equal
+        # separate fits. kw's iterations count the batch's steps, as beta's do
+        real_profile, real_solve, scans, solves = fit_mod._kw_profile, fit_mod.minimize_bounded, [], []
 
-        def kw_profile(sample, s):
-            calls.append("kw scan")
-            return real_profile(sample, s)
+        def kw_profile(sample):
+            scans.append(1)
+            return real_profile(sample)
 
-        def refine(sample, model, *args):
-            calls.append(f"{model} refine")
-            return real_refine(sample, model, *args)
+        def solve(fun, x0, bounds, tol=1e-6):
+            res = real_solve(fun, x0, bounds, tol)
+            solves.append((len(x0), res.iterations))
+            return res
 
         monkeypatch.setattr(fit_mod, "_kw_profile", kw_profile)
-        monkeypatch.setattr(fit_mod, "_refine", refine)
+        monkeypatch.setattr(fit_mod, "minimize_bounded", solve)
         for i, s in enumerate(report_series()):
-            calls.clear()
+            scans.clear()
+            solves.clear()
             both = fit_models(s, ("kw", "wk"), starts=4)
-            assert calls.count("kw scan") == 1 and calls.count("kw refine") == 1, i
+            pairs = [steps for k, steps in solves if k == 2]
+            assert len(scans) == 1 and len(pairs) == 1, i
+            assert both["kw"].optimizer.iterations == pairs[0], i
+            alone = {model: fit_mle(twin(s), model, starts=4) for model in ("kw", "wk")}
             for model in ("kw", "wk"):
-                alone = fit_mle(s, model, starts=4)
-                np.testing.assert_equal(fields(both[model]), fields(alone), err_msg=f"{i} {model}")
-                assert both[model].optimizer.iterations == alone.optimizer.iterations, (i, model)
+                np.testing.assert_equal(fields(both[model]), fields(alone[model]),
+                                        err_msg=f"{i} {model}")
+            assert both["wk"].optimizer.iterations == alone["wk"].optimizer.iterations, i
 
     def test_scan_steps_on_report_series(self, monkeypatch):
         # the closed-form starts of the scan's beta solves keep the batched
@@ -257,15 +264,19 @@ class TestFitMle:
             return res
 
         monkeypatch.setattr(fit_mod, "minimize_bounded", record)
+
+        def solve_links(s):
+            fit_mod._solve_pairs(s, {m: fit_mod._link_problems(s, m) for m in ("beta", "wk")})
+
         for s in report_series():
-            fit_mod._solve_links(s, ("beta", "wk"))
+            solve_links(s)
         assert len(steps) == 40
         assert np.mean(steps) <= 7.0 and max(steps) <= 9
         # one observation after exclude_boundary: every optimum is on a face
         steps.clear()
         rng = np.random.default_rng(1)
         for _ in range(20):
-            fit_mod._solve_links(normalize(rng.gamma(2.0, 100.0, 3)), ("beta", "wk"))
+            solve_links(normalize(rng.gamma(2.0, 100.0, 3)))
         assert max(steps) <= 6
 
     def test_failed_start_counted(self, monkeypatch):
@@ -410,6 +421,46 @@ class TestFitModels:
         together = fit_models(twin(s), others, 4)
         for model in others:
             np.testing.assert_equal(fields(together[model]), fields(clean[model]), err_msg=model)
+
+    def test_failed_kw_solve_fails_only_kw(self, monkeypatch):
+        # kw refine starts non-finite there fail the shared batch; each model
+        # is then solved alone, so kw fails all its starts as fit_mle fails
+        # it, beta fits as it would, and wk counts its nested start failed
+        real = fit_mod._kw_profile
+
+        def poison(sample):
+            values, b = real(sample)
+            return values, np.full_like(b, np.nan)
+
+        s = report_series()[0]
+        clean = fit_models(twin(s), self.MODELS, 4)
+        monkeypatch.setattr(fit_mod, "_kw_profile", poison)
+        expected = outcome(fit_mle, twin(s), "kw", 4)
+        assert expected[0] is fit_mod.FitError and "starts failed for model 'kw'" in expected[1]
+        assert outcome(fit_models, twin(s), self.MODELS, 4) == expected
+        together = fit_models(twin(s), ("beta", "wk"), 4)
+        np.testing.assert_equal(fields(together["beta"]), fields(clean["beta"]))
+        np.testing.assert_equal(fields(together["wk"]), outcome(fit_mle, twin(s), "wk", 4))
+        assert together["wk"].starts_tried == clean["wk"].starts_tried
+        assert together["wk"].starts_failed == clean["wk"].starts_failed + 1
+
+    @pytest.mark.parametrize("models, dims", [
+        (("beta", "kw", "wk"), [2, 3]), (("wk",), [2, 3]), (("kw",), [2]), (("beta",), [2])])
+    def test_solves_per_fit(self, monkeypatch, models, dims):
+        # every two-parameter problem of a call shares one batch, and wk adds
+        # its refine in (log a, b, c); on these series a wk peak always ends
+        # at or above the kw optimum, so the nested start is not refined
+        real, calls = fit_mod.minimize_bounded, []
+
+        def count(fun, x0, bounds, tol=1e-6):
+            calls.append(len(x0))
+            return real(fun, x0, bounds, tol)
+
+        monkeypatch.setattr(fit_mod, "minimize_bounded", count)
+        for i, s in enumerate(report_series()):
+            calls.clear()
+            fit_models(s, models, 4)
+            assert calls == dims, i
 
     def test_histogram_built_once_per_sample(self, monkeypatch):
         real, calls = np.histogram, []

@@ -5,10 +5,10 @@ import pytest
 
 from scipy import special
 
+from helpers import finite_diff_grad
 from wtrv import (AccuracyError, BracketError, ConvergenceError, Interval,
-                  brent_root, finite_diff_grad, incomplete_beta_upper,
-                  integrate_adaptive, invert_monotone, kolmogorov_sf,
-                  make_catalog, minimize_bounded)
+                  brent_root, incomplete_beta_upper, integrate_adaptive,
+                  invert_monotone, kolmogorov_sf, make_catalog, minimize_bounded)
 from wtrv.numerics import _to_halve, scalar_or_array
 
 
@@ -270,6 +270,31 @@ class TestMinimizeBounded:
             one = minimize_bounded(quadratic([[2.0]], [targets[j]]), [[1.0, 4.0, 9.0][j]],
                                    [Interval(0.0, his[j])], 1e-8)
             assert one.argmin[0] == pytest.approx(res.argmin[0, j], abs=1e-12)
+
+    def test_tolerance_per_problem(self):
+        # two quartics side by side, run to the rounding floor (tol 0) and to
+        # a gradient of 1e-8: each column is its solo solve bit for bit, with
+        # its own converged flag
+        targets, tols = np.array([2.0, -1.5]), np.array([0.0, 1e-8])
+
+        def quartic(t):
+            def fun(v):
+                r = v[0] - t
+                return r ** 4, 4.0 * r[None] ** 3, 12.0 * r[None, None] ** 2
+            return fun
+
+        res = minimize_bounded(quartic(targets), [[0.5, 0.5]], [(-5.0, 5.0)], tols)
+        for j in range(2):
+            one = minimize_bounded(quartic(targets[j:j + 1]), [[0.5]], [(-5.0, 5.0)], tols[j])
+            for field in ("argmin", "objective", "gradient_norm", "converged"):
+                np.testing.assert_array_equal(getattr(res, field)[..., j],
+                                              getattr(one, field)[..., 0], err_msg=field)
+        assert res.converged.tolist() == [False, True]
+        # a scalar tol is that value for every problem
+        same = minimize_bounded(quartic(targets), [[0.5, 0.5]], [(-5.0, 5.0)], 1e-8)
+        each = minimize_bounded(quartic(targets), [[0.5, 0.5]], [(-5.0, 5.0)], np.full(2, 1e-8))
+        for field in ("argmin", "objective", "gradient_norm", "converged", "iterations"):
+            np.testing.assert_array_equal(getattr(same, field), getattr(each, field), err_msg=field)
 
     def test_step_stops_at_a_face_then_holds_it(self):
         # the unconstrained minimum (2, 2) lies past the face x = 1: the first
