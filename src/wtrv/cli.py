@@ -217,8 +217,7 @@ def _cmd_gof(args) -> int:
     result = _fit_mod.fit_mle(sample, args.model, starts=args.starts)
     report = _gof_mod.run_gof(sample.likelihood_values, result.handle(),
                               args.model, tests=args.tests.split(","),
-                              method=args.pvalue, bins=args.bins,
-                              family=args.model, params=result.params,
+                              method=args.pvalue, bins=args.bins, family=args.model,
                               replicates=args.replicates, seed=args.seed)
     _emit_json({"model": report.model, "n": report.n, "tests": report.tests,
                 "params": result.params}, args.out)
@@ -233,8 +232,7 @@ def _cmd_report(args) -> int:
     fits = _fit_mod.fit_models(sample, ("beta", "kw", "wk"), starts=args.starts)
     for model, result in fits.items():
         gof = _gof_mod.run_gof(sample.likelihood_values, result.handle(), model,
-                               bins=args.bins, family=model,
-                               params=result.params, seed=args.seed)
+                               bins=args.bins, family=model, seed=args.seed)
         out["models"][model] = {"params": result.params, "loglik": result.loglik,
                                 "aic": result.aic, "bic": result.bic,
                                 "rmse": result.rmse, "tests": gof.tests}

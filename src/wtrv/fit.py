@@ -243,11 +243,12 @@ class FitResult:
     rmse: float
     optimizer: OptimizeResult
     starts_tried: int
-    starts_failed: int  # raised ValueError or ended non-finite
+    starts_failed: int  # ended non-finite, or wk's nested start when the kw fit failed
     boundary_policy: str
+    law: DistributionHandle = field(repr=False, compare=False)  # the fitted law
 
     def handle(self) -> DistributionHandle:
-        return make_catalog(_CATALOG_NAME[self.model], dict(self.params))
+        return self.law
 
 
 def rmse_metric(sample: NormalizedSample, fitted: DistributionHandle,
@@ -353,9 +354,8 @@ def _solve_pairs(sample: NormalizedSample, problems: dict) -> dict:
     _peak_starts, maximising the kw log-likelihood in (log a, b) until the
     gradient is below 1e-8 per observation. The link problems share one
     _beta_terms evaluation. No column's arithmetic reads another's, so each
-    entry is its model's solve alone, steps aside. If the batch raises
-    ValueError, each model's problems are solved alone, and a model whose
-    own solve raises maps to that ValueError."""
+    entry is its model's solve alone, steps aside; a column whose objective
+    is not finite at its start ends there, non-finite, and fails alone."""
     if not problems:
         return {}
     n = len(sample._log_x)
@@ -382,14 +382,8 @@ def _solve_pairs(sample: NormalizedSample, problems: dict) -> dict:
         out = [f(theta[:, span]) for f, span, _ in parts]
         return tuple(np.concatenate(v, axis=-1) for v in zip(*out))
 
-    try:
-        res = minimize_bounded(stacked, theta0, list(zip(lo, hi)),
-                               tol=np.where(np.arange(edges[-1]) < n_link, 0.0, 1e-8 * n))
-    except ValueError as exc:
-        if len(problems) == 1:
-            return dict.fromkeys(problems, exc)
-        return {model: _solve_pairs(sample, {model: problems[model]})[model]
-                for model in problems}
+    res = minimize_bounded(stacked, theta0, list(zip(lo, hi)),
+                           tol=np.where(np.arange(edges[-1]) < n_link, 0.0, 1e-8 * n))
     cuts = edges[1:-1]
     return {model: (objective, argmin, res.iterations) for model, objective, argmin
             in zip(order, np.split(res.objective, cuts), np.split(res.argmin, cuts, axis=1))}
@@ -421,41 +415,28 @@ def _joint(sample: NormalizedSample, model: str, theta: np.ndarray) -> tuple:
 def _refine_wk(sample: NormalizedSample, box: np.ndarray):
     """Projected Newton ascent of the wk log-likelihood in θ = (s, b, c) from
     the _boxed starts `box`, until the gradient is below 1e-8 per
-    observation: (objective, argmin, steps), or the ValueError raised."""
+    observation: (objective, argmin, steps). No starts take no steps."""
     theta0, lo, hi = box
-    try:
-        res = minimize_bounded(functools.partial(_joint, sample, "wk"), theta0,
-                               list(zip(lo, hi)), tol=1e-8 * len(sample._log_x))
-    except ValueError as exc:  # a start outside the box, non-finite there
-        return exc
+    if not theta0.shape[-1]:  # a scan with no finite peak
+        return np.empty(0), theta0, 0
+    res = minimize_bounded(functools.partial(_joint, sample, "wk"), theta0,
+                           list(zip(lo, hi)), tol=1e-8 * len(sample._log_x))
     return res.objective, res.argmin, res.iterations
 
 
-def _fit_profile(sample: NormalizedSample, model: str, tried: int, solved,
-                 kw=None) -> tuple:
-    """The best refined start of a kw or wk model, from `solved`, the
-    refine of its `tried` peak starts: (objective, argmin, steps) or the
-    ValueError it raised, which fails all of them. A start that ends
-    non-finite fails alone. WK(a, b − 1, a) is Kw(a, b), so when b − 1 is in
-    the box and no wk peak ends above the kw optimum, wk is also refined
-    from kw, the call's kw fit, over the whole box: the wk fit never ends
-    below a kw fit it nests. Returns (params, value, starts tried, starts
-    failed, Newton steps); raises FitError when every start failed."""
-    found = []  # (value, θ) of each refined start
-    failed, steps = 0, 0
-
-    def take(solved, count):
-        nonlocal failed, steps
-        if isinstance(solved, ValueError):
-            failed += count
-            return
-        objective, theta, n_steps = solved
-        ok = np.isfinite(objective)
-        failed += int(np.sum(~ok))
-        steps += n_steps
-        found.extend((-objective[j], theta[:, j]) for j in np.nonzero(ok)[0])
-
-    take(solved, tried)
+def _fit_profile(sample: NormalizedSample, model: str, solved, kw=None) -> tuple:
+    """The best solved start of a model, from `solved`, the (objective,
+    argmin, steps) of its solve, one column per start: the column with the
+    highest finite log-likelihood. A column that is not finite is a failed
+    start. WK(a, b − 1, a) is Kw(a, b), so when b − 1 is in the box and no
+    wk peak ends at or above the kw optimum, wk is also refined from kw,
+    the call's kw fit, over the whole box: the wk fit never ends below a kw
+    fit it nests. That nested start counts as tried, and as failed when kw
+    is the FitError the kw fit raised. Returns (params, value, starts tried,
+    starts failed, Newton steps), with a = e^s for kw and wk; raises
+    FitError when every start failed."""
+    objective, theta, steps = solved
+    tried, failed = objective.size, 0
     if model == "wk":
         tried += 1
         if isinstance(kw, FitError):
@@ -463,16 +444,23 @@ def _fit_profile(sample: NormalizedSample, model: str, tried: int, solved,
         else:
             (a, b), kw_value = kw[:2]
             nested = PARAM_BOUNDS[0] <= b - 1.0 <= PARAM_BOUNDS[1]
-            if nested and not any(v >= kw_value for v, _ in found):
+            if nested and not np.any(np.isfinite(objective) & (-objective >= kw_value)):
                 box = _boxed(np.array([[math.log(a)], [b - 1.0], [a]]), _SCAN[:1], _SCAN[-1:])
-                take(_refine_wk(sample, box), 1)
-    if not found:
+                more, theta_more, more_steps = _refine_wk(sample, box)
+                objective, theta = np.append(objective, more), np.hstack([theta, theta_more])
+                steps += more_steps
+    ok = np.isfinite(objective)
+    failed += int(np.sum(~ok))
+    if not ok.any():
         raise FitError(f"all {tried} starts failed for model {model!r} "
                        f"(n={sample.n}, policy={sample.boundary_policy})")
-    value, theta = max(found, key=lambda f: f[0])
-    s = theta[0]
-    a = PARAM_BOUNDS[1] if s >= _SCAN[-1] else PARAM_BOUNDS[0] if s <= _SCAN[0] else math.exp(s)
-    return (a, *map(float, theta[1:])), value, tried, failed, steps
+    best = int(np.argmax(np.where(ok, -objective, -np.inf)))
+    params = [float(v) for v in theta[:, best]]
+    if model != "beta":  # s = log a, with a exactly on a face at the scan's ends
+        s = params[0]
+        params[0] = (PARAM_BOUNDS[1] if s >= _SCAN[-1] else PARAM_BOUNDS[0] if s <= _SCAN[0]
+                     else math.exp(s))
+    return tuple(params), -objective[best], tried, failed, steps
 
 
 def fit_models(sample: NormalizedSample, models: Sequence[str],
@@ -487,11 +475,12 @@ def fit_models(sample: NormalizedSample, models: Sequence[str],
     with wk fits kw too, once for both. Every two-parameter problem is
     solved in one batch, whose steps the beta and kw results' iterations
     count: the beta problem, the 49 Beta-link problems of the wk scan and
-    the kw refine. The wk refine is a second solve. A refinement that raises
-    ValueError or ends non-finite is a failed start. A model that fails
-    raises as it would alone, the first such model in order. Newton steps
-    and the convergence test read _terms; the reported log-likelihood is
-    _LOGLIK's.
+    the kw refine. The wk refine is a second solve. A start whose objective
+    is not finite where it starts fails alone, and the model's other starts
+    are solved as they would be without it. A model whose starts all fail
+    raises FitError as it would alone, the first such model in order.
+    Newton steps and the convergence test read _terms; the reported
+    log-likelihood is _LOGLIK's.
     """
     for model in models:
         if model not in MODELS:
@@ -505,7 +494,7 @@ def fit_models(sample: NormalizedSample, models: Sequence[str],
     kw = None
     if "kw" in solved:
         try:
-            kw = _fit_profile(sample, "kw", problems["kw"].shape[-1], solved.pop("kw"))
+            kw = _fit_profile(sample, "kw", solved.pop("kw"))
         except FitError as exc:
             kw = exc
     return {model: _fit_one(sample, model, starts, solved.get(model), kw)
@@ -519,25 +508,15 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16) -> FitResult
 
 def _fit_one(sample: NormalizedSample, model: str, starts: int, link, kw) -> FitResult:
     """fit_models' fit of one model, given its Beta-link entry of
-    _solve_pairs and the call's kw fit, or the FitError it raised."""
-    if isinstance(link, ValueError):
-        if model == "beta":
-            raise FitError(f"beta fit failed (n={sample.n}, "
-                           f"policy={sample.boundary_policy}): {link}") from link
-        raise link
+    _solve_pairs and the call's kw fit, or the FitError it raised. The law
+    built for the RMSE is the result's handle()."""
     names = MODELS[model]
     k = len(names)
-    if model == "beta":
-        _, argmin, steps = link
-        theta, tried, failed = argmin[:, 0], 1, 0
-    elif model == "kw":
-        if isinstance(kw, FitError):
-            raise kw
-        theta, _, tried, failed, steps = kw
-    else:
-        box = _peak_starts(*_wk_profile(sample, link), starts)
-        theta, _, tried, failed, steps = _fit_profile(sample, model, box.shape[-1],
-                                                      _refine_wk(sample, box), kw)
+    if model == "kw" and isinstance(kw, FitError):
+        raise kw
+    if model == "wk":
+        link = _refine_wk(sample, _peak_starts(*_wk_profile(sample, link), starts))
+    theta, _, tried, failed, steps = kw if model == "kw" else _fit_profile(sample, model, link, kw)
     theta = np.array(theta, dtype=float)
     ll = _LOGLIK[model](sample, *theta)
     lo, hi = np.full(k, PARAM_BOUNDS[0]), np.full(k, PARAM_BOUNDS[1])
@@ -554,4 +533,4 @@ def _fit_one(sample: NormalizedSample, model: str, starts: int, link, kw) -> Fit
                      rmse=rmse_metric(sample, fitted),
                      optimizer=optimizer, starts_tried=tried,
                      starts_failed=failed,
-                     boundary_policy=sample.boundary_policy)
+                     boundary_policy=sample.boundary_policy, law=fitted)

@@ -32,7 +32,6 @@ class BootstrapError(WtrvError):
 
 
 TEST_NAMES = ("ks", "ad", "cvm", "chisq")
-DF_CONVENTIONS = ("bins-1", "calibrated")
 _BOOTSTRAP_STARTS = 4
 
 
@@ -156,21 +155,16 @@ def cvm_test(values, model: DistributionHandle) -> tuple[float, float]:
 
 
 def chisq_test(values, model: DistributionHandle, bins: int = 10,
-               df_convention: str = "calibrated",
-               n_params: int = 0) -> tuple[float, float]:
-    """Equal-probability chi-square test.
-
-    The "calibrated" convention uses df = bins - 1 - n_params, the convention
-    that reproduces published p-values for this test family.
-    """
+                n_params: int = 0) -> tuple[float, float]:
+    """Equal-probability chi-square test, with df = bins - 1 - n_params (at
+    least 1), the convention that reproduces published p-values for this
+    test family."""
     x = _sorted(values)
     n = len(x)
     if bins < 2:
         raise ValueError("bins must be at least 2")
     if n < bins:
         raise ValueError("need at least as many observations as bins")
-    if df_convention not in DF_CONVENTIONS:
-        raise ValueError(f"unknown df convention {df_convention!r}")
     expected = n / bins
     if expected < 1.0:
         raise BinningError(f"expected count {expected:.3g} < 1 with {bins} bins")
@@ -179,20 +173,14 @@ def chisq_test(values, model: DistributionHandle, bins: int = 10,
     counts[0] += np.sum(x < edges[0])
     counts[-1] += np.sum(x > edges[-1])
     stat = float(np.sum((counts - expected) ** 2) / expected)
-    if df_convention == "bins-1":
-        df = bins - 1
-    else:
-        df = bins - 1 - n_params
-    df = max(df, 1)
-    return stat, float(_sc.chdtrc(df, stat))
+    return stat, float(_sc.chdtrc(max(bins - 1 - n_params, 1), stat))
 
 
 # (statistic, asymptotic p-value) of each test from the PIT (n, u, ranks)
 _FROM_PIT = {"ks": _ks, "ad": _ad, "cvm": _cvm}
 
 
-def _statistics(x: np.ndarray, model: DistributionHandle, bins: int, k: int,
-                df_convention: str) -> Callable:
+def _statistics(x: np.ndarray, model: DistributionHandle, bins: int, k: int) -> Callable:
     """name -> (statistic, asymptotic p-value) of that test on the sorted
     sample x. KS, AD and CvM read one PIT, made at the first of them that
     is asked for; until one is made, each asks for it again."""
@@ -200,31 +188,26 @@ def _statistics(x: np.ndarray, model: DistributionHandle, bins: int, k: int,
 
     def statistic(name: str) -> tuple[float, float]:
         if name == "chisq":
-            return chisq_test(x, model, bins=bins, df_convention=df_convention,
-                              n_params=k)
+            return chisq_test(x, model, bins=bins, n_params=k)
         return _FROM_PIT[name](*pit())
 
     return statistic
 
 
-def _bootstrap_pvalues(x: np.ndarray, family: str, fitted_params: dict[str, float],
-                       tests: Sequence[str], replicates: int, seed: int, bins: int,
-                       starts: int) -> dict[str, float]:
-    """Bootstrap p-values of several tests from one set of simulations and
-    refits; failures are counted per test."""
+def _bootstrap_pvalues(x: np.ndarray, family: str, fitted: DistributionHandle,
+                       tests: Sequence[str], replicates: int, seed: int,
+                       bins: int) -> dict[str, float]:
+    """Bootstrap p-values of several tests from one set of simulations from
+    the fitted law and refits of `family`; failures are counted per test."""
     if replicates < 99:
         raise ValueError("replicates must be at least 99")
     for test in tests:
         if test not in TEST_NAMES:
             raise ValueError(f"unknown test {test!r}")
-    if family not in MODELS:
-        raise ValueError(f"unknown model family {family!r}")
     x = _sorted(x)
     n = len(x)
     k = len(MODELS[family])
-    fitted = make_catalog(_CATALOG_NAME[family], dict(fitted_params))
-    # the statistic does not depend on the chi-square df convention
-    observed = _statistics(x, fitted, bins, k, "calibrated")
+    observed = _statistics(x, fitted, bins, k)
     t_obs = {t: observed(t)[0] for t in tests}
 
     exceed = dict.fromkeys(tests, 0)
@@ -232,12 +215,12 @@ def _bootstrap_pvalues(x: np.ndarray, family: str, fitted_params: dict[str, floa
     for r in range(replicates):
         sim = _draw(fitted, n, seed=seed + 1000 * (r + 1))
         try:
-            refit = fit_mle(from_unit_values(sim), family, starts=starts).handle()
+            refit = fit_mle(from_unit_values(sim), family, starts=_BOOTSTRAP_STARTS).handle()
         except (FitError, ValueError):
             for t in tests:
                 failures[t] += 1
             continue
-        replicate = _statistics(np.sort(sim), refit, bins, k, "calibrated")
+        replicate = _statistics(np.sort(sim), refit, bins, k)
         for t in tests:
             try:
                 t_star = replicate(t)[0]
@@ -254,11 +237,13 @@ def _bootstrap_pvalues(x: np.ndarray, family: str, fitted_params: dict[str, floa
 
 def bootstrap_pvalue(values, family: str, fitted_params: dict[str, float],
                      test: str, replicates: int = 199, seed: int = 42,
-                     bins: int = 10, starts: int = _BOOTSTRAP_STARTS) -> float:
+                     bins: int = 10) -> float:
     """Parametric bootstrap p-value: simulate from the fitted model, refit,
     recompute the statistic; p = (1 + #{T* >= T_obs}) / (replicates + 1)."""
-    return _bootstrap_pvalues(values, family, fitted_params, (test,), replicates,
-                              seed, bins, starts)[test]
+    if family not in MODELS:
+        raise ValueError(f"unknown model family {family!r}")
+    law = make_catalog(_CATALOG_NAME[family], fitted_params)
+    return _bootstrap_pvalues(values, family, law, (test,), replicates, seed, bins)[test]
 
 
 @dataclass(frozen=True)
@@ -270,19 +255,21 @@ class GofReport:
 
 def run_gof(values, model: DistributionHandle, model_name: str,
             tests: Sequence[str] = TEST_NAMES, method: str = "asymptotic",
-            bins: int = 10, df_convention: str = "calibrated",
-            family: Optional[str] = None, params: Optional[dict] = None,
+            bins: int = 10, family: Optional[str] = None,
             replicates: int = 199, seed: int = 42) -> GofReport:
     """Evaluate the selected tests and assemble a report. The sample is
-    sorted and model.cdf evaluated once per call, for KS, AD and CvM alike."""
+    sorted and model.cdf evaluated once per call, for KS, AD and CvM alike.
+    `family` is the model family `model` was fitted as; the chi-square df
+    subtracts its parameter count, and bootstrap p-values simulate from
+    `model` and refit that family."""
     if method not in ("asymptotic", "bootstrap"):
         raise ValueError(f"unknown p-value method {method!r}")
-    if method == "bootstrap" and (family is None or params is None):
-        raise ValueError("bootstrap p-values need the fitted family and params")
+    if method == "bootstrap" and family not in MODELS:
+        raise ValueError(f"bootstrap p-values need the fitted model family, got {family!r}")
     tests = tuple(tests)
     x = _sorted(values)
     k = len(MODELS[family]) if family in MODELS else 0
-    statistic = _statistics(x, model, bins, k, df_convention)
+    statistic = _statistics(x, model, bins, k)
     results: dict[str, dict] = {}
     for name in tests:
         if name not in TEST_NAMES:
@@ -290,8 +277,7 @@ def run_gof(values, model: DistributionHandle, model_name: str,
         stat, p = statistic(name)
         results[name] = {"statistic": stat, "p_value": p, "method": "asymptotic"}
     if method == "bootstrap":
-        boot = _bootstrap_pvalues(x, family, params, tests, replicates, seed, bins,
-                                  _BOOTSTRAP_STARTS)
+        boot = _bootstrap_pvalues(x, family, model, tests, replicates, seed, bins)
         for name in tests:
             results[name].update(p_value=boot[name], method="bootstrap")
     return GofReport(model=model_name, n=len(x), tests=results)

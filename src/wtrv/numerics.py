@@ -676,8 +676,9 @@ def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
     to the next (tol = 0 thus runs Newton to the rounding floor), when no
     halving lowers f, or after _MAX_STEPS steps. iterations counts the steps
     taken, and converged is set from the projected gradient at the returned
-    point. Raises ValueError when x0 is outside the box or f is not finite
-    there.
+    point. A problem whose f is not finite at x0 is closed there and
+    returned with that f and converged False; the others are solved as if it
+    were absent. Raises ValueError when x0 is outside the box.
     """
     x0 = np.asarray(x0, dtype=float)
     k = x0.shape[0]
@@ -699,10 +700,8 @@ def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
                 np.asarray(h, dtype=float).reshape(k, k, m))
 
     f, g, h = evaluate(x)
-    if not np.isfinite(f).all():
-        raise ValueError("objective is non-finite at x0")
     steps = 0
-    open_, last = np.ones(m, dtype=bool), np.full(m, np.inf)
+    open_, last = np.isfinite(f), np.full(m, np.inf)
     with np.errstate(all="ignore"):
         for _ in range(_MAX_STEPS):
             free = ~_held(g, x, at_lo, at_hi)
@@ -748,10 +747,11 @@ def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
                 t = np.where(moved, t, 0.5 * t)
             open_ &= moved
     norm = np.abs(np.where(_held(g, x, at_lo, at_hi), 0.0, g)).max(0)
+    converged = (norm <= tol) & np.isfinite(f)
     one = x0.ndim == 1
     return OptimizeResult(argmin=x.reshape(x0.shape), objective=float(f[0]) if one else f,
                           gradient_norm=float(norm[0]) if one else norm,
-                          iterations=steps, converged=bool(norm[0] <= tol) if one else norm <= tol)
+                          iterations=steps, converged=bool(converged[0]) if one else converged)
 
 
 def _held(g: np.ndarray, x: np.ndarray, at_lo: np.ndarray, at_hi: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wtrv import cli
+from wtrv import fit as fit_mod
 from wtrv.cli import main
 
 
@@ -266,6 +267,19 @@ class TestDataCommands:
         doc = json.loads(out)
         assert {"describe", "models"} <= set(doc)
         assert {"beta", "kw", "wk"} <= set(doc["models"])
+
+    def test_report_builds_each_law_once(self, capsys, csv_path, monkeypatch):
+        # the law each fit builds for its RMSE serves the goodness-of-fit tests
+        real, built = fit_mod.make_catalog, []
+
+        def count(name, params=None):
+            built.append(name)
+            return real(name, params)
+
+        monkeypatch.setattr(fit_mod, "make_catalog", count)
+        code, _, _ = run_cli(capsys, "report", "--starts", "4", csv_path)
+        assert code == 0
+        assert built == ["beta", "kumaraswamy", "weighted_kumaraswamy"]
 
     def test_simulate(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--dist",

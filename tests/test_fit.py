@@ -280,28 +280,35 @@ class TestFitMle:
         assert max(steps) <= 6
 
     def test_failed_start_counted(self, monkeypatch):
-        # a refinement that raises fails all the starts it carried; wk then
-        # still refines from the kw optimum and ends at or above the kw fit
-        real, calls = fit_mod.minimize_bounded, []
+        # a wk refine start whose objective is not finite there fails alone:
+        # the other starts of its batch end where they would without it, and
+        # wk still ends at or above the kw fit it nests
+        real, ends = fit_mod.minimize_bounded, []
 
-        def fail_first_refinement(fun, x0, bounds, tol=1e-6):
-            # (log a, b, c): the joint wk refinement of the scan's peaks; the
-            # scan's inner solves have two coordinates
-            if len(x0) == 3 and not calls:
-                calls.append(x0)
-                raise ValueError("forced failure")
-            return real(fun, x0, bounds, tol)
+        def poison(column):
+            def solve(fun, x0, bounds, tol=1e-6):
+                if np.shape(x0) != (3, 3):  # (log a, b, c) at the scan's three peaks
+                    return real(fun, x0, bounds, tol)
+                x0 = np.array(x0)
+                x0[:, column] = np.nan
+                res = real(fun, x0, bounds, tol)
+                ends.append(res.objective)
+                return res
+            return solve
 
-        s = unit_sample(n=300)
-        clean = fit_mle(s, "wk", starts=4)
-        assert clean.starts_failed == 0
-        monkeypatch.setattr(fit_mod, "minimize_bounded", fail_first_refinement)
-        res = fit_mle(s, "wk", starts=4)
-        assert calls
-        assert res.starts_tried == clean.starts_tried
-        assert res.starts_failed == clean.starts_tried - 1
-        kw = fit_mle(s, "kw", starts=4)
-        assert res.loglik >= kw.loglik - 1e-9 * (1.0 + abs(kw.loglik))
+        s = report_series()[30]  # three wk peaks, kw nested in the wk box
+        clean = fit_mle(twin(s), "wk", starts=4)
+        assert (clean.starts_tried, clean.starts_failed) == (4, 0)
+        kw = fit_mle(twin(s), "kw", starts=4)
+        for column in (1, 0):
+            ends.clear()
+            monkeypatch.setattr(fit_mod, "minimize_bounded", poison(column))
+            res = fit_mle(twin(s), "wk", starts=4)
+            assert np.isfinite(ends[0]).tolist() == [j != column for j in range(3)]
+            assert (res.starts_tried, res.starts_failed) == (4, 1)
+            if column:
+                np.testing.assert_equal(fields(res)[:5], fields(clean)[:5])
+            assert res.loglik >= kw.loglik - 1e-9 * (1.0 + abs(kw.loglik))
 
     def test_aic_bic_identities(self):
         s = unit_sample(n=500, seed=2)
@@ -401,9 +408,9 @@ class TestFitModels:
 
     @pytest.mark.parametrize("poisoned, failing", [(0.0, "beta"), (1.0, "wk")])
     def test_failed_solve_fails_the_same_model(self, monkeypatch, poisoned, failing):
-        # a Beta-link problem non-finite at its start fails the whole batch;
-        # each model is then solved alone, so the model it belongs to fails as
-        # fit_mle fails it, and the others fit as they would
+        # Beta-link problems non-finite at their start fail alone in the
+        # shared batch: the model they belong to fails or fits as fit_mle
+        # fits it alone, and the others fit as they would
         real = fit_mod._beta_start
 
         def poison(n, s1, s2, scale, shift):
@@ -414,18 +421,23 @@ class TestFitModels:
         clean = fit_models(twin(s), self.MODELS, 4)
         monkeypatch.setattr(fit_mod, "_beta_start", poison)
         expected = outcome(fit_mle, twin(s), failing, 4)
-        assert expected[0] is (fit_mod.FitError if failing == "beta" else ValueError)
-        assert "non-finite at x0" in expected[1]
-        assert outcome(fit_models, twin(s), self.MODELS, 4) == expected
         others = tuple(m for m in self.MODELS if m != failing)
-        together = fit_models(twin(s), others, 4)
+        if failing == "beta":  # its one start fails
+            assert expected[0] is fit_mod.FitError
+            assert "all 1 starts failed for model 'beta'" in expected[1]
+            assert outcome(fit_models, twin(s), self.MODELS, 4) == expected
+            together = fit_models(twin(s), others, 4)
+        else:  # a scan that is nowhere finite has no peaks: wk fits from its nested kw start
+            assert expected[5:7] == (1, 0)
+            together = fit_models(twin(s), self.MODELS, 4)
+            np.testing.assert_equal(fields(together["wk"]), expected)
         for model in others:
             np.testing.assert_equal(fields(together[model]), fields(clean[model]), err_msg=model)
 
     def test_failed_kw_solve_fails_only_kw(self, monkeypatch):
-        # kw refine starts non-finite there fail the shared batch; each model
-        # is then solved alone, so kw fails all its starts as fit_mle fails
-        # it, beta fits as it would, and wk counts its nested start failed
+        # kw refine starts non-finite there fail alone in the shared batch:
+        # kw fails all its starts as fit_mle fails it, beta fits as it would,
+        # and wk counts its nested start failed
         real = fit_mod._kw_profile
 
         def poison(sample):

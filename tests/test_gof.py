@@ -127,22 +127,18 @@ class TestChisq:
     def test_uniform_equal_probability_bins(self):
         # counts exactly equal across bins: statistic 0
         n, bins = 100, 10
-        stat, p = chisq_test(midpoint_grid(n), UNIFORM, bins=bins,
-                             df_convention="bins-1")
+        stat, p = chisq_test(midpoint_grid(n), UNIFORM, bins=bins)
         assert stat == pytest.approx(0.0, abs=1e-12)
         assert p == pytest.approx(1.0)
 
     def test_df_conventions(self):
         values = sample(UNIFORM, 400, seed=5)
         from scipy.stats import chi2
-        stat, p_full = chisq_test(values, UNIFORM, bins=10,
-                                  df_convention="bins-1")
-        _, p_cal = chisq_test(values, UNIFORM, bins=10,
-                              df_convention="calibrated", n_params=2)
+        # df = bins - 1 - n_params
+        stat, p_full = chisq_test(values, UNIFORM, bins=10, n_params=0)
+        _, p_cal = chisq_test(values, UNIFORM, bins=10, n_params=2)
         assert p_full == pytest.approx(float(chi2.sf(stat, 9)), abs=1e-12)
         assert p_cal == pytest.approx(float(chi2.sf(stat, 7)), abs=1e-12)
-        with pytest.raises(ValueError):  # a second spelling of "calibrated", dropped
-            chisq_test(values, UNIFORM, bins=10, df_convention="bins-1-k", n_params=2)
 
     def test_bad_bins(self):
         with pytest.raises(Exception):
@@ -230,8 +226,7 @@ class TestBootstrap:
         fitted = fit_mle(from_unit_values(values), "kw", starts=4)
         tests = ("ad", "chisq")
         rep = run_gof(values, fitted.handle(), "kw", tests=tests,
-                      method="bootstrap", family="kw", params=fitted.params,
-                      replicates=99, seed=13)
+                      method="bootstrap", family="kw", replicates=99, seed=13)
         for name in tests:
             assert rep.tests[name]["method"] == "bootstrap"
             assert rep.tests[name]["p_value"] == bootstrap_pvalue(

@@ -315,6 +315,35 @@ class TestMinimizeBounded:
         xy = np.linalg.solve(h[:2, :2], h[:2, :2] @ target[:2] - h[:2, 2] * (1.0 - target[2]))
         assert np.allclose(res.argmin, [*xy, 1.0], atol=1e-10) and res.converged
 
+    def test_non_finite_start_fails_only_its_problem(self):
+        # a NaN start and a start where f is inf (the barrier −log v at v = 0)
+        # are closed there, non-finite and not converged; the other problems
+        # are solved bit for bit as without them, in as many steps
+        def fun(targets, barrier):
+            def f(v):
+                r = v[0] - targets
+                return (r ** 4 - barrier * np.log(v[0]), (4.0 * r ** 3 - barrier / v[0])[None],
+                        (12.0 * r ** 2 + barrier / v[0] ** 2)[None, None])
+            return f
+
+        targets, barrier = np.array([2.0, 1.0, 4.5, 3.0]), np.array([0.0, 0.0, 0.0, 1.0])
+        x0, his = np.array([[0.5, np.nan, 0.5, 0.0]]), np.array([5.0, 5.0, 4.0, 5.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = minimize_bounded(fun(targets, barrier), x0, [(0.0, his)], 1e-8)
+        good = [0, 2]
+        alone = minimize_bounded(fun(targets[good], barrier[good]), x0[:, good],
+                                 [(0.0, his[good])], 1e-8)
+        for field in ("argmin", "objective", "gradient_norm", "converged"):
+            np.testing.assert_array_equal(getattr(res, field)[..., good],
+                                          getattr(alone, field), err_msg=field)
+        assert res.iterations == alone.iterations > 0
+        assert np.isnan(res.objective[1]) and res.objective[3] == np.inf
+        assert res.converged.tolist() == [True, False, True, False]
+        # one problem alone: a float objective that is not finite, not converged
+        one = minimize_bounded(lambda v: (np.inf, np.zeros(1), np.ones((1, 1))), [0.5],
+                               [Interval(0.0, 1.0)])
+        assert one.objective == np.inf and one.converged is False and one.iterations == 0
+
     def test_rejects_start_outside_box(self):
         with pytest.raises(ValueError, match="inside the bounds"):
             minimize_bounded(quadratic([[2.0]], [0.0]), [2.0], [Interval(0.0, 1.0)])
