@@ -39,14 +39,16 @@ class DistributionHandle:
 
 
 def _masked(support: Interval, inside: Callable, below: float, above: float) -> Callable:
+    """inside under the edge policy and an errstate; .inside is inside."""
     lo, hi = support.lo, support.hi
 
     @scalar_or_array
     def fn(x):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.where(x <= lo, below, np.where(x >= hi, above,
-                            inside(np.clip(x, lo, hi))))
+                            inside(np.minimum(np.maximum(x, lo), hi))))
 
+    fn.inside = inside
     return fn
 
 

@@ -182,9 +182,8 @@ _WMISS = (0.5 * (np.hstack([np.zeros((15, 1)), _WNODE]) + np.hstack([_WNODE, _WK
 
 def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
     """Evaluate a vectorized f on an array; a result of another shape raises
-    TypeError."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y = np.asarray(f(x), dtype=float)
+    TypeError. It runs under _gk15_cells's errstate."""
+    y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
         raise TypeError(f"integrand returned shape {y.shape} for input shape "
                         f"{x.shape}; it must be vectorized")
@@ -194,20 +193,20 @@ def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
 def _gk15_cells(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple:
     """Gauss-Kronrod 15/7 estimates for a batch of cells [a_i, b_i]: the
     integrals, their error estimates, and the (n, 15) values of f at each
-    cell's Kronrod nodes (NaN read as inf), 15 n evaluations."""
+    cell's Kronrod nodes (NaN read as inf), 15 n evaluations. One errstate
+    covers f and the cells where it is not finite."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * _XK[None, :]
-    y = _eval_batch(f, nodes.ravel())
-    vals = np.where(np.isnan(y), np.inf, y).reshape(nodes.shape)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = _eval_batch(f, nodes.ravel())
+        vals = np.where(np.isnan(y), np.inf, y).reshape(nodes.shape)
         kron = half * (vals @ _WK)
         gauss = half * (vals[:, _GAUSS_IDX] @ _WG)
         err = np.abs(kron - gauss)
-    # QUADPACK-style sharpening of the raw difference estimate.
-    with np.errstate(invalid="ignore"):
+        # QUADPACK-style sharpening of the raw difference estimate.
         scale = np.where(err > 0, np.minimum(1.0, (200.0 * err / np.maximum(np.abs(kron), 1e-300)) ** 1.5), 0.0)
-    err = np.where(np.isfinite(kron), err * np.maximum(scale, 1e-3) + np.abs(kron) * 1e-16, np.inf)
+        err = np.where(np.isfinite(kron), err * np.maximum(scale, 1e-3) + np.abs(kron) * 1e-16, np.inf)
     return kron, err, vals
 
 
@@ -236,7 +235,7 @@ def _split_cells(a: np.ndarray, b: np.ndarray, pieces: np.ndarray, lo: float) ->
     frac = np.where(edge[parent], _GRADED_LEFT[np.minimum(j, _GRADED_LEFT.size - 1)],
                     j / k[parent])
     left = a[parent] + (b - a)[parent] * frac
-    right = np.append(left[1:], b[-1])
+    right = np.concatenate((left[1:], b[-1:]))
     right[last] = b
     return left, right, parent
 
@@ -253,7 +252,8 @@ def _from_unit(t, lo: float):
 
 def unit_integrand(f: Callable, lo: float) -> Callable:
     """The integral of f over [lo, inf) as one over [0, 1): the integrand
-    f(x(t)) x'(t) of the substitution x(t) = _from_unit(t, lo)."""
+    f(x(t)) x'(t) of the substitution x(t) = _from_unit(t, lo), under
+    _gk15_cells's errstate."""
 
     def g(t):
         om = 1.0 - t
@@ -395,8 +395,8 @@ class CdfTable:
         return c1[i] + d2[i] * s + d3[i] * (s * s)
 
     def cdf(self, x):
-        """The cubic at x, clipped to [0, 1]."""
-        return np.clip(self.value(_to_unit(x, self.lo) if self.mapped else x), 0.0, 1.0)
+        """The cubic at x, clamped to [0, 1] (NaN stays NaN)."""
+        return np.minimum(np.maximum(self.value(_to_unit(x, self.lo) if self.mapped else x), 0.0), 1.0)
 
     def quantile(self, u):
         """The x where the cubic reaches u, for u in (0, 1), by invert_monotone
@@ -432,28 +432,26 @@ def _slopes(y: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(y) & (y >= 0.0), y, 0.0)
 
 
-def _worst(miss: np.ndarray) -> np.ndarray:
-    """Each row's largest absolute miss; a NaN reads inf."""
-    gap = np.abs(miss).max(axis=1)
-    gap[np.isnan(gap)] = np.inf
-    return gap
-
-
 def _knot_gap(miss: np.ndarray, half: np.ndarray, edge: np.ndarray) -> np.ndarray:
     """Largest miss of each cell's Hermite through its 17 knots at its 16
     piece midpoints: miss from f at the nodes (half * vals @ _WMISS), plus
-    the end slopes edge[i] and edge[i + 1] of its first and last piece."""
-    first = miss[:, 0] + (_DK[0] / 8.0) * half * edge[:-1]
-    last = miss[:, -1] - (_DK[-1] / 8.0) * half * edge[1:]
-    return _worst(np.column_stack([first, last, miss[:, 1:-1]]))
+    the end slopes edge[i] and edge[i + 1] of its first and last piece; a
+    NaN reads inf."""
+    first = np.abs(miss[:, 0] + (_DK[0] / 8.0) * half * edge[:-1])
+    last = np.abs(miss[:, -1] - (_DK[-1] / 8.0) * half * edge[1:])
+    gap = np.maximum(np.maximum(first, last), np.abs(miss[:, 1:-1]).max(axis=1))
+    gap[np.isnan(gap)] = np.inf
+    return gap
 
 
 def _end_gap(mass, parts, h, ga, gb) -> np.ndarray:
     """Largest miss of each cell's cubic Hermite cdf through its ends (mass,
     end slopes ga and gb, width h) against its partial masses at 1/4, 1/2
-    and 3/4."""
-    return _worst(mass[:, None] * _H_MASS
-                  + h[:, None] * (ga[:, None] * _H_LEFT + gb[:, None] * _H_RIGHT) - parts)
+    and 3/4; a NaN reads inf."""
+    gap = np.abs(mass[:, None] * _H_MASS + h[:, None] * (ga[:, None] * _H_LEFT + gb[:, None] * _H_RIGHT)
+                 - parts).max(axis=1)
+    gap[np.isnan(gap)] = np.inf
+    return gap
 
 
 def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
@@ -480,6 +478,7 @@ def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
     nondecreasing by a running maximum, and each slope is capped at 3 times
     the secants next to it, which keeps every cubic monotone (Fritsch and
     Carlson), also where rounding leaves equal values next to 1.
+    f is called only at Kronrod nodes, above lo, under an errstate.
     Raises AccuracyError, with the best estimate attached, when a round
     starts with _MAX_CELLS cells and a rule still applies, or cells too
     narrow to halve hold more GK15 error than its bound, which is also how
@@ -491,24 +490,21 @@ def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
         f, lo, hi = unit_integrand(f, lo), 0.0, 1.0
     ends = np.linspace(lo, hi, 9)
     a, b = ends[:-1], ends[1:]
-    new = np.ones(a.size, dtype=bool)
-    mass, err, vals = _gk15_cells(f, a, b)
-    miss, extra = np.empty((a.size, 16)), np.empty((a.size, 2))
-    evals, rounds = vals.size, 0
     # a cell of f not finite reads inf or NaN, and its error inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mass, err, vals = _gk15_cells(f, a, b)
+        miss, extra = 0.5 * (b - a)[:, None] * (vals @ _WMISS), vals @ _WEND
+        evals, rounds = vals.size, 0
         while True:
-            miss[new] = 0.5 * (b - a)[new, None] * (vals[new] @ _WMISS)
-            extra[new] = vals[new] @ _WEND
             total, err_total = float(mass.sum()), float(err.sum())
             # f at the cell ends: cell i spans edge[i], edge[i + 1]
-            edge = _slopes(np.append(extra[:, 0], extra[-1, 1]))
+            edge = _slopes(np.concatenate((extra[:, 0], extra[-1:, 1])))
             gap = _knot_gap(miss, 0.5 * (b - a), edge)
             wide = b - a > np.maximum(1e-13 * np.abs(b), 1e-300)
             tol = _TABLE_TOL * abs(total)
             cut = (gap > tol) & wide
             pieces = np.ones(a.size, dtype=int)
-            pieces[cut] = np.clip(np.ceil(1.2 * (gap[cut] / tol) ** 0.25), 2, 32)
+            pieces[cut] = np.minimum(np.maximum(np.ceil(1.2 * (gap[cut] / tol) ** 0.25), 2), 32)
             if total == 0.0 and wide[0]:  # the mass, if any, lies closer to lo
                 pieces[0] = 2
             err_tol = max(1e-12, 1e-10 * abs(total))
@@ -524,27 +520,33 @@ def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
             a, b, parent = _split_cells(a, b, pieces, lo)
             new = pieces[parent] > 1
             mass, err, vals, miss, extra = (v[parent] for v in (mass, err, vals, miss, extra))
-            mass[new], err[new], vals[new] = _gk15_cells(f, a[new], b[new])
-            evals, rounds = evals + 15 * int(new.sum()), rounds + 1
+            an, bn = a[new], b[new]
+            mass[new], err[new], fresh = _gk15_cells(f, an, bn)
+            vals[new], extra[new] = fresh, fresh @ _WEND
+            miss[new] = 0.5 * (bn - an)[:, None] * (fresh @ _WMISS)
+            evals, rounds = evals + fresh.size, rounds + 1
         half = 0.5 * (b - a)
         if not wide.all():
             n = ~wide
             gap[n] = _end_gap(mass[n], half[n, None] * (vals[n] @ _WPART), (b - a)[n],
                               edge[:-1][n], edge[1:][n])
-        # the knots, in order: rounding may put a node a float outside its cell
-        x = np.clip((0.5 * (a + b))[:, None] + half[:, None] * _XK, a[:, None], b[:, None])
+        # each cell's left end and nodes in a (cells, 16) block, then hi; a
+        # node that rounding puts a float outside its cell is clamped to it
         cum = np.concatenate([[0.0], np.cumsum(np.maximum(mass, 0.0))])
-        nodes = np.append(np.column_stack([a, x]).ravel(), hi)
-        values = np.append(np.column_stack([cum[:-1], cum[:-1, None] + half[:, None] * (vals @ _WNODE)])
-                           .ravel(), cum[-1])
-        slopes = np.append(np.column_stack([edge[:-1], _slopes(vals)]).ravel(), edge[-1])
+        nodes, values, slopes = (np.empty(16 * a.size + 1) for _ in range(3))
+        knot, value, slope = (v[:-1].reshape(a.size, 16) for v in (nodes, values, slopes))
+        knot[:, 0], value[:, 0], slope[:, 0], slope[:, 1:] = a, cum[:-1], edge[:-1], _slopes(vals)
+        x = (0.5 * (a + b))[:, None] + half[:, None] * _XK
+        np.minimum(np.maximum(x, a[:, None]), b[:, None], out=knot[:, 1:])
+        np.add(cum[:-1, None], half[:, None] * (vals @ _WNODE), out=value[:, 1:])
+        nodes[-1], values[-1], slopes[-1] = hi, cum[-1], edge[-1]
         keep = np.append(nodes[1:] > nodes[:-1], True)
-        nodes = nodes[keep]
+        nodes, values, slopes = nodes[keep], values[keep], slopes[keep]
         # a total of 0 gives NaN values, for the caller to reject
-        values = np.maximum.accumulate(np.clip(values[keep], 0.0, cum[-1])) / cum[-1]
-        secant = np.diff(values) / np.diff(nodes)
-        slopes = np.minimum(slopes[keep] / cum[-1],
-                            3.0 * np.minimum(np.append(secant, np.inf), np.append(np.inf, secant)))
+        values = np.maximum.accumulate(np.minimum(np.maximum(values, 0.0), cum[-1])) / cum[-1]
+        secant = np.full(nodes.size + 1, np.inf)
+        secant[1:-1] = np.diff(values) / np.diff(nodes)
+        slopes = np.minimum(slopes / cum[-1], 3.0 * np.minimum(secant[:-1], secant[1:]))
         gap = float(gap.max() / total)
     return CdfTable(nodes=nodes, values=values, slopes=slopes, total=total, gap=gap,
                     lo=rng.lo, mapped=mapped, evaluations=evals, rounds=rounds)
@@ -638,8 +640,8 @@ def _masked_solve(h: np.ndarray, g: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Solve h·d = g on the free coordinates of each of m problems, with
     d = 0 on the others: h is (k, k, m) and symmetric, g and free are (k, m),
     and g is 0 off the free coordinates. Two coordinates are solved in closed
-    form; a singular system gives a non-finite d. Run under
-    np.errstate(all="ignore")."""
+    form; a singular system gives a non-finite d in its own column alone.
+    Run under np.errstate(all="ignore")."""
     k = g.shape[0]
     if k == 2:
         h00, h11 = np.where(free[0], h[0, 0], 1.0), np.where(free[1], h[1, 1], 1.0)
@@ -648,8 +650,9 @@ def _masked_solve(h: np.ndarray, g: np.ndarray, free: np.ndarray) -> np.ndarray:
     hm = np.where(free[:, None] & free[None], h, np.eye(k)[:, :, None])
     try:
         return np.linalg.solve(np.moveaxis(hm, 2, 0), g.T[..., None])[..., 0].T
-    except np.linalg.LinAlgError:
-        return np.full_like(g, np.nan)
+    except np.linalg.LinAlgError:  # solve each problem alone
+        return np.full_like(g, np.nan) if g.shape[1] == 1 else np.hstack(
+            [_masked_solve(h[..., j:j + 1], g[:, j:j + 1], free[:, j:j + 1]) for j in range(g.shape[1])])
 
 
 def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],

@@ -83,12 +83,14 @@ def _check_grid_size(grid_size: int) -> None:
 
 
 def check_order(x: DistributionHandle, y: DistributionHandle, order: str,
-                grid_size: int = 128, slack: float = 1e-9) -> OrderVerdict:
-    """One-sided grid verdict for x <=_order y."""
+                grid_size: int = 128, slack: float = 1e-9, *,
+                grid: np.ndarray | None = None) -> OrderVerdict:
+    """One-sided grid verdict for x <=_order y. grid is internal: a caller
+    that has built _merged_grid(x, y, grid_size) already passes it on."""
     if order not in ORDER_NAMES:
         raise ValueError(f"unknown order {order!r}; known: {', '.join(ORDER_NAMES)}")
     _check_grid_size(grid_size)
-    grid = _merged_grid(x, y, grid_size)
+    grid = _merged_grid(x, y, grid_size) if grid is None else grid
     desc = f"merged quantile grid, {len(grid)} points"
     bounds_ok = (x.support.lo <= y.support.lo) and (x.support.hi <= y.support.hi)
 
@@ -186,11 +188,12 @@ THEOREM_IDS = ("thm5i", "thm5ii", "thm6", "thm7", "thm8", "thm9", "thm10")
 _AGING_IDS = tuple(k for k in _RESULTS if k not in THEOREM_IDS)
 
 
-def _resolver(operands: dict, facts: dict, grid_size: int) -> Callable:
+def _resolver(operands: dict, facts: dict, grid_size: int, xy_grid=None) -> Callable:
     """Evaluate names by the rule of _RESULTS, each at most once. `operands`
     maps a variable name to its handle, or to a function that builds it (or
     returns None when it does not exist, which makes its verdicts None);
-    `facts` maps every other name to the function that computes it."""
+    `facts` maps every other name to the function that computes it; the
+    X, Y verdicts reuse xy_grid, their merged grid, when it is given."""
     @functools.cache
     def operand(name):
         v = operands[name]
@@ -206,7 +209,8 @@ def _resolver(operands: dict, facts: dict, grid_size: int) -> Callable:
         a, *rest = name.split("_")
         if len(rest) == 2 and rest[0] in ORDER_NAMES:
             x, y = operand(a), operand(rest[1])
-            return None if x is None or y is None else check_order(x, y, rest[0], grid_size)
+            return None if x is None or y is None else check_order(
+                x, y, rest[0], grid_size, grid=xy_grid if (a, rest[1]) == ("X", "Y") else None)
         if len(rest) == 1 and rest[0] in AGING_CLASSES:
             return classes(a)[rest[0]]
         return facts[name]()
@@ -338,7 +342,7 @@ def verify_theorem(x: DistributionHandle, y: DistributionHandle,
     resolve = _resolver({"X": x, "Y": y, "Xw1": xw, "Xw": xw, "Yw2": yw, "Yw": yw,
                          "min(Xw,Yw)": lambda: minimum_of([xw, yw]) if same else None,
                          "min(X,Y)w": lambda: wtrv_of_minimum([x, y], w1) if same else None},
-                        _order_facts(x, y, w1, w2, xw, yw, grid), grid_size)
+                        _order_facts(x, y, w1, w2, xw, yw, grid), grid_size, grid)
     if "common_weight" in keys and not resolve("common_weight"):
         # the result speaks of one weight; nothing else is checked
         return TheoremReport(which, {"common_weight": False}, False, order, None,

@@ -62,6 +62,7 @@ def _quiet(f):
     def wrapped(x):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return f(x)
+    wrapped.raw = f
     return wrapped
 
 
@@ -138,15 +139,15 @@ def parse_weight_spec(text: str) -> WeightFunction:
 
 
 def tail_integrand(weight: WeightFunction, dist: DistributionHandle) -> Callable:
-    """w'(x) * sf(x), with the overflow-times-underflow tail resolved to 0:
-    once sf underflows to exactly 0 the product vanishes regardless of w'."""
+    """w'(x) * sf(x) from the weight's own w' and the family's interior sf,
+    under the caller's errstate: the quadrature's, or that of the constructed
+    pdf's handle, which also applies the edge policy. Once sf underflows to exactly
+    0 the product vanishes regardless of w', and it is 0 at and beyond hi."""
+    wp, sf, hi = weight.w_prime.raw, dist.sf.inside, dist.support.hi
 
     def integrand(x):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            wp = _arr(weight.w_prime(x))
-            s = _arr(dist.sf(x))
-            out = wp * s
-            return np.where((s == 0.0) & ~np.isfinite(wp), 0.0, out)
+        d, s = wp(x), sf(x)
+        return np.where(((s == 0.0) & ~np.isfinite(d)) | (x >= hi), 0.0, d * s)
 
     return integrand
 

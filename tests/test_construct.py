@@ -10,11 +10,11 @@ from wtrv import (check_order, classify_aging, construct, equilibrium, expected_
                   parse_weight_spec, sample,
                   table1_oracle_suite, weighted_kumaraswamy, wtrv_of_minimum)
 from wtrv.construct import _table1_rows
-from wtrv.numerics import (Interval, _from_unit, integrate_adaptive, invert_monotone,
-                            tabulate_cdf)
+from wtrv.numerics import (Interval, WtrvError, _from_unit, integrate_adaptive,
+                            invert_monotone, tabulate_cdf)
 from wtrv.weights import IntegrabilityError, tail_integrand, validate_weight
 
-from conftest import interior_grid
+from conftest import CATALOG_INSTANCES, interior_grid
 
 
 class TestExpectedWeight:
@@ -297,6 +297,96 @@ class TestTableInvariants:
                              Interval(0.0, math.inf))
         assert table.evaluations == 15 * sum(cells) == sum(points)
         assert table.rounds == len(cells) - 1 == len(points) - 1 >= 1
+
+
+def _flat_bases():
+    bases = [(name, make_catalog(name, dict(params))) for name, params in CATALOG_INSTANCES]
+    return bases + [
+        ("minimum", minimum_of([make_catalog("exponential", {"lambda": 1.3}),
+                                make_catalog("weibull", {"alpha": 1.7, "beta": 2.2})])),
+        ("constructed", construct(make_catalog("gamma", {"k": 2.5, "lambda": 1.5}),
+                                  make_weight("power", {"c": 1.5})))]
+
+
+# every weight family, power also singular at 0
+_FLAT_WEIGHTS = ["power(c=1.5)", "power(c=0.41)", "scaled_power(alpha=1.7,beta=2.2)",
+                 "log1p_power(c=2.5)", "neg_log_sq()", "exp_shift_sq()", "expm1()",
+                 "neg_x_log1m()", "linear()"]
+
+
+def _handle_integrand(weight, dist):
+    """w'(x) * sf(x) read through the public handles, with their edge
+    policy and errstates: the reference the flat integrand must match."""
+
+    def integrand(x):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            wp = np.asarray(weight.w_prime(x), dtype=float)
+            s = np.asarray(dist.sf(x), dtype=float)
+            return np.where((s == 0.0) & ~np.isfinite(wp), 0.0, wp * s)
+
+    return integrand
+
+
+class TestFlatIntegrand:
+    # the table pass reads w' and the family's interior sf through one flat
+    # function; every table must be the one the handles, with their edge
+    # policy and errstates, give, bit for bit, and a pair one path rejects
+    # the other rejects with the same error
+    @pytest.mark.parametrize("case", _flat_bases(), ids=lambda c: c[0])
+    def test_matches_tail_integrand(self, case, monkeypatch):
+        import wtrv.weights as weights
+        _, dist = case
+        for spec in _FLAT_WEIGHTS:
+            w = parse_weight_spec(spec)
+            results = []
+            for integrand in (tail_integrand, _handle_integrand):
+                monkeypatch.setattr(weights, "tail_integrand", integrand)
+                try:
+                    results.append(weights._tail_table(w, dist))
+                except IntegrabilityError as exc:  # AccuracyError, or None for a bad total
+                    results.append(type(exc.__cause__))
+            got, ref = results
+            if isinstance(ref, type) or isinstance(got, type):
+                assert got is ref, spec
+                continue
+            for field in ("nodes", "values", "slopes", "total", "gap", "evaluations", "rounds",
+                          "lo", "mapped"):
+                a, b = np.asarray(getattr(got, field)), np.asarray(getattr(ref, field))
+                assert a.dtype == b.dtype and a.shape == b.shape, (spec, field)
+                assert a.tobytes() == b.tobytes(), (spec, field)
+
+    @pytest.mark.parametrize("case", _flat_bases(), ids=lambda c: c[0])
+    def test_integrand_matches_handles_above_lo(self, case):
+        # the handles' edge policy is skipped: above lo only the clause for
+        # x >= hi stands in for it
+        _, dist = case
+        hi = dist.support.hi
+        x = np.concatenate([interior_grid(dist, 64), [hi, hi + 1.0, np.inf]])
+        for spec in _FLAT_WEIGHTS:
+            w = parse_weight_spec(spec)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                got, ref = tail_integrand(w, dist)(x), _handle_integrand(w, dist)(x)
+            np.testing.assert_array_equal(got, ref, err_msg=spec)  # 0.0 == -0.0 beyond hi
+
+    @pytest.mark.parametrize("case", _flat_bases(), ids=lambda c: c[0])
+    def test_constructed_pdf_matches_handles(self, case):
+        # the constructed pdf reads the flat integrand inside its own handle,
+        # which clamps x to the support and gives 0 at and beyond its ends
+        _, dist = case
+        if dist.support.lo != 0.0:
+            return
+        for spec in ("power(c=1.5)", "power(c=0.41)", "neg_x_log1m()"):
+            w = parse_weight_spec(spec)
+            try:
+                v = construct(dist, w)
+            except WtrvError:  # not admissible: TestAdmissibility covers it
+                continue
+            x = np.concatenate([[-1.0, 0.0, v.support.hi, v.support.hi + 1.0],
+                                interior_grid(v, 64)])
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ref = np.where((x <= 0.0) | (x >= v.support.hi), 0.0,
+                               _handle_integrand(w, dist)(x) / v.normalizer)
+            assert np.asarray(v.pdf(x)).tobytes() == ref.tobytes(), spec
 
 
 def _searching_quantile(table, u):

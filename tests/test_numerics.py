@@ -315,6 +315,33 @@ class TestMinimizeBounded:
         xy = np.linalg.solve(h[:2, :2], h[:2, :2] @ target[:2] - h[:2, 2] * (1.0 - target[2]))
         assert np.allclose(res.argmin, [*xy, 1.0], atol=1e-10) and res.converged
 
+    def test_singular_column_does_not_couple(self):
+        # a convex quadratic beside ½ (Σ v)², which starts at a minimum and
+        # whose Hessian, all ones, is exactly singular: the stacked solve
+        # fails on that column alone, so the quadratic takes its one Newton
+        # step and ends bit for bit where its solo solve does
+        a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+
+        def quad(v):  # ½ vᵀ a v − Σ v, per column
+            return (0.5 * (v * (a @ v)).sum(0) - v.sum(0), a @ v - 1.0,
+                    np.repeat(a[:, :, None], v.shape[1], axis=2))
+
+        def both(v):
+            s = v[:, 1].sum()
+            flat = (np.array([0.5 * s * s]), np.full((3, 1), s), np.ones((3, 3, 1)))
+            return tuple(np.concatenate([q, f], axis=-1) for q, f in zip(quad(v[:, :1]), flat))
+
+        box = [Interval(-10.0, 10.0)] * 3
+        x0 = np.array([[0.5, 1.0], [0.5, -0.5], [0.5, -0.5]])
+        res = minimize_bounded(both, x0, box, 1e-10)
+        one = minimize_bounded(quad, x0[:, :1], box, 1e-10)
+        assert res.iterations == one.iterations == 1
+        np.testing.assert_array_equal(res.argmin[:, 0], one.argmin[:, 0])
+        for field in ("objective", "gradient_norm", "converged"):
+            np.testing.assert_array_equal(getattr(res, field)[0], getattr(one, field)[0],
+                                          err_msg=field)
+        assert res.converged.all()
+
     def test_non_finite_start_fails_only_its_problem(self):
         # a NaN start and a start where f is inf (the barrier −log v at v = 0)
         # are closed there, non-finite and not converged; the other problems

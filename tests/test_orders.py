@@ -135,6 +135,31 @@ class TestVerifyTheorem:
         assert out["hypotheses"]["common_weight"] is common
         assert out["hypotheses_pass"] is common
 
+    @pytest.mark.parametrize("which, w1, w2", [("thm5i", 1.2, 2.0), ("thm8", 0.7, 1.8),
+                                               ("thm9", 0.7, 1.8), ("thm10", 0.7, 1.8)])
+    def test_merged_grid_built_once(self, monkeypatch, capsys, which, w1, w2):
+        # the hypothesis X <=_o Y reads the X/Y grid verify_theorem built, so
+        # the two merged grids (X/Y and the conclusion's Xw1/Yw2) take four
+        # quantile grids, not six, and the output is the bytes of a run in
+        # which check_order builds its grid itself
+        calls = []
+        interior, check = orders._interior_grid, orders.check_order
+        monkeypatch.setattr(orders, "_interior_grid",
+                            lambda *a: (calls.append(a[0].name), interior(*a))[1])
+        argv = ["verify-theorem", which, "--x", "exponential(lambda=2)",
+                "--y", "exponential(lambda=1.2)", "--w1", f"power(c={w1})",
+                "--w2", f"power(c={w2})"]
+        outputs = []
+        for builds in (False, True):
+            if builds:  # drop the handed-over grid
+                monkeypatch.setattr(orders, "check_order",
+                                    lambda *a, grid=None, **k: check(*a, **k))
+            calls.clear()
+            assert main(argv) == 0
+            outputs.append((len(calls), capsys.readouterr().out))
+        assert [n for n, _ in outputs] == [4, 6]
+        assert outputs[0][1] == outputs[1][1]
+
     def test_ratio_curve_shape(self):
         x, y, w1, w2, which = named_fixture("thm9-example7")
         xs, ratio = ratio_curve(x, y, w1, w2, grid_size=64)
