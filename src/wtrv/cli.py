@@ -180,8 +180,7 @@ def _cmd_table1_audit(args) -> int:
 
 
 def _cmd_describe(args) -> int:
-    series = _data_mod.read_csv(args.csv, args.value_column,
-                                year_column=args.year_column)
+    series = _data_mod.read_csv(args.csv, args.value_column)
     stats = _data_mod.describe(series, convention=args.convention)
     _emit_json(stats.as_dict(), args.out)
     return 0
@@ -255,16 +254,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "order checks, fitting, and goodness of fit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--out", default=None)
-
     p = sub.add_parser("construct", help="build a weighted tail variable")
     p.add_argument("--dist", required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--grid", type=int, default=201)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("check-aging", help="classify aging classes on a grid")
@@ -272,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", default=None)
     p.add_argument("--grid-size", type=int, default=128)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    add_common(p)
     p.set_defaults(func=_cmd_check_aging)
 
     p = sub.add_parser("check-order", help="check a stochastic order on a grid")
@@ -282,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wy", default=None)
     p.add_argument("--order", choices=_orders_mod.ORDER_NAMES, required=True)
     p.add_argument("--grid-size", type=int, default=128)
-    add_common(p)
     p.set_defaults(func=_cmd_check_order)
 
     p = sub.add_parser("verify-theorem",
@@ -295,41 +287,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-size", type=int, default=128)
     p.add_argument("--emit-ratio", default=None,
                    help="write the density-ratio curve as CSV to this path")
-    add_common(p)
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("table1-audit",
                        help="rebuild every closed-form catalog row numerically")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    add_common(p)
     p.set_defaults(func=_cmd_table1_audit)
 
     p = sub.add_parser("describe", help="descriptive statistics of a CSV column")
     p.add_argument("csv")
     p.add_argument("--value-column", default="rainfall_mm")
-    p.add_argument("--year-column", default=None)
     p.add_argument("--convention", choices=("population", "sample"),
                    default="population")
-    add_common(p)
     p.set_defaults(func=_cmd_describe)
 
     def add_fit_flags(p):
         p.add_argument("csv")
         p.add_argument("--value-column", default="rainfall_mm")
-        p.add_argument("--model", choices=tuple(_fit_mod.MODELS), default="wk")
         p.add_argument("--policy", choices=("exclude-boundary", "shrink"),
                        default="exclude-boundary")
         p.add_argument("--starts", type=int, default=16)
-        add_common(p)
 
     p = sub.add_parser("fit", help="maximum-likelihood fit to normalized data")
     add_fit_flags(p)
+    p.add_argument("--model", choices=tuple(_fit_mod.MODELS), default="wk")
     p.add_argument("--emit-density", default=None,
                    help="write the fitted (x, pdf) grid as CSV to this path")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("gof", help="goodness-of-fit tests for a fitted model")
     add_fit_flags(p)
+    p.add_argument("--model", choices=tuple(_fit_mod.MODELS), default="wk")
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tests", default="ks,ad,cvm,chisq")
     p.add_argument("--pvalue", choices=("asymptotic", "bootstrap"),
                    default="asymptotic")
@@ -340,6 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report",
                        help="describe, fit all models, and test goodness of fit")
     add_fit_flags(p)
+    # run_gof reads the seed for a bootstrap alone, which report never runs
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--convention", choices=("population", "sample"),
                    default="population")
     p.add_argument("--bins", type=int, default=10)
@@ -348,8 +339,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw inverse-transform samples")
     p.add_argument("--dist", required=True)
     p.add_argument("--n", type=int, default=1000)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_simulate)
+
+    for p in sub.choices.values():  # each command writes to --out, or to stdout
+        p.add_argument("--out", default=None)
     return parser
 
 

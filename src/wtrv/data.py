@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -24,34 +23,27 @@ class DegenerateSeriesError(ValueError):
 
 @dataclass(frozen=True)
 class Series:
-    label: str
     rainfall_mm: np.ndarray = field(repr=False)
-    year: Optional[np.ndarray] = field(default=None, repr=False)
     skipped: int = 0
 
     def __post_init__(self):
         v = np.asarray(self.rainfall_mm, dtype=float)
         if not np.all(np.isfinite(v)) or np.any(v <= 0):
             raise ValueError("values must be finite and positive")
-        if self.year is not None and len(self.year) != len(v):
-            raise ValueError("year and value vectors must have equal length")
 
     @property
     def n(self) -> int:
         return len(self.rainfall_mm)
 
 
-def read_csv(path: str, value_column: str,
-             year_column: Optional[str] = None, label: str = "") -> Series:
-    """Read one value column (and optional year column), skipping and
-    counting rows whose value is missing or unparseable."""
+def read_csv(path: str, value_column: str) -> Series:
+    """Read one value column, skipping and counting rows whose value is
+    missing or unparseable."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or value_column not in reader.fieldnames:
             raise SchemaError(f"column {value_column!r} not found in {path}")
-        if year_column is not None and year_column not in reader.fieldnames:
-            raise SchemaError(f"column {year_column!r} not found in {path}")
-        values, years, skipped = [], [], 0
+        values, skipped = [], 0
         for row in reader:
             raw = (row.get(value_column) or "").strip()
             try:
@@ -62,16 +54,9 @@ def read_csv(path: str, value_column: str,
                 skipped += 1
                 continue
             values.append(v)
-            if year_column is not None:
-                try:
-                    years.append(int(float(row[year_column])))
-                except (TypeError, ValueError):
-                    years.append(-1)
     if not values:
         raise EmptyDataError(f"no usable rows in {path}")
-    return Series(label=label or path, rainfall_mm=np.asarray(values, dtype=float),
-                  year=np.asarray(years, dtype=int) if year_column else None,
-                  skipped=skipped)
+    return Series(rainfall_mm=np.asarray(values, dtype=float), skipped=skipped)
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,19 @@ from .numerics import brent_root, incomplete_beta_upper  # noqa: F401 (re-export
 
 
 class CatalogError(ValueError):
-    """Unknown family name or parameter set."""
+    """A family or weight spec with a bad name, parameter set or value."""
+
+
+class CatalogEntry:
+    """Base of the families and weights, whose describe() is name(k=v,...)."""
+
+    def describe(self) -> str:
+        args = ",".join(f"{k}={v:g}" for k, v in self.params.items())
+        return f"{self.name}({args})"
 
 
 @dataclass(frozen=True)
-class DistributionHandle:
+class DistributionHandle(CatalogEntry):
     name: str
     params: dict[str, float]
     support: Interval
@@ -32,10 +40,6 @@ class DistributionHandle:
     cdf: Callable = field(repr=False)
     sf: Callable = field(repr=False)
     quantile: Callable = field(repr=False)
-
-    def describe(self) -> str:
-        args = ",".join(f"{k}={v:g}" for k, v in self.params.items())
-        return f"{self.name}({args})"
 
 
 def _masked(support: Interval, inside: Callable, below: float, above: float) -> Callable:
@@ -247,9 +251,8 @@ def _chi_square(k: float) -> DistributionHandle:
 
 def _truncated_power(beta: float) -> DistributionHandle:
     # SF (1-x)^(beta-1) on (0, 1), requires beta > 1
-    if not 1 < beta < math.inf:
-        raise CatalogError(f"parameter 'beta' of truncated_power must be finite and > 1, "
-                           f"got {beta}")
+    if not beta > 1:
+        raise CatalogError(f"parameter 'beta' of truncated_power must be > 1, got {beta}")
     sup = Interval(0.0, 1.0)
     return _handle(
         "truncated_power", {"beta": beta}, sup,
@@ -277,22 +280,25 @@ _BUILDERS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "truncated_power": (("beta",), lambda p: _truncated_power(p["beta"])),
 }
 
-CATALOG_NAMES = tuple(sorted(_BUILDERS))
+
+def catalog_build(catalog: dict, kind: str, name: str, params: dict[str, float] | None):
+    """The one lookup of the family and weight catalogs, which map a name to
+    (parameter names, builder): checks the name, the exact parameter set and
+    that each value is finite and positive, then builds. A bad spec raises
+    CatalogError naming the entry, or the parameter and its value."""
+    if name not in catalog:
+        raise CatalogError(f"unknown {kind} {name!r}; known: {', '.join(sorted(catalog))}")
+    wanted, builder = catalog[name]
+    params = dict(params or {})
+    if sorted(params) != sorted(wanted):
+        raise CatalogError(f"{name} expects parameters {wanted}, got {tuple(params)}")
+    _require_positive(params, *wanted)
+    return builder(params)
 
 
 def make_catalog(name: str, params: dict[str, float] | None = None) -> DistributionHandle:
     """Build a catalog distribution by family name and named parameters."""
-    if name not in _BUILDERS:
-        raise CatalogError(f"unknown distribution {name!r}; known: {', '.join(CATALOG_NAMES)}")
-    wanted, builder = _BUILDERS[name]
-    params = dict(params or {})
-    missing = [k for k in wanted if k not in params]
-    extra = [k for k in params if k not in wanted]
-    if missing or extra:
-        raise CatalogError(f"{name} expects parameters {wanted}, got {tuple(params)}")
-    if name != "truncated_power":
-        _require_positive(params, *wanted)
-    return builder(params)
+    return catalog_build(_BUILDERS, "distribution", name, params)
 
 
 _SPEC_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*\(([^()]*)\)\s*$")
@@ -321,8 +327,7 @@ def parse_kv_spec(text: str) -> tuple[str, dict[str, float]]:
 
 
 def parse_dist_spec(text: str) -> DistributionHandle:
-    name, params = parse_kv_spec(text)
-    return make_catalog(name, params)
+    return make_catalog(*parse_kv_spec(text))
 
 
 def sample(dist: DistributionHandle, n: int, seed: int) -> np.ndarray:

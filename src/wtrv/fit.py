@@ -44,6 +44,7 @@ class FitError(WtrvError):
 
 BOUNDARY_POLICIES = ("exclude_boundary", "shrink")
 PARAM_BOUNDS = (1e-3, 1e3)
+_RMSE_BINS = 10
 # the profile over s = log a is scanned on this grid, then refined
 _SCAN = np.linspace(math.log(PARAM_BOUNDS[0]), math.log(PARAM_BOUNDS[1]), 49)
 
@@ -64,18 +65,16 @@ class NormalizedSample:
     n: int = 0
     boundary_policy: str = "exclude_boundary"
 
-    @property
-    def likelihood_values(self) -> np.ndarray:
-        """Observations entering likelihood sums, after the boundary policy."""
-        if self.boundary_policy == "exclude_boundary":
-            v = self.values
-            return v[(v > 0.0) & (v < 1.0)]
-        return (self.values * (self.n - 1) + 0.5) / self.n
-
     @functools.cached_property
-    def _likelihood_set(self) -> np.ndarray:
-        """likelihood_values, checked for boundary values once per sample."""
-        x = self.likelihood_values
+    def likelihood_values(self) -> np.ndarray:
+        """Observations entering likelihood sums, after the boundary policy,
+        built and checked once per sample, read-only. Raises BoundaryError
+        when the set is empty or holds 0 or 1."""
+        v = self.values
+        if self.boundary_policy == "exclude_boundary":
+            x = v[(v > 0.0) & (v < 1.0)]
+        else:
+            x = (v * (self.n - 1) + 0.5) / self.n
         if len(x) == 0:
             raise BoundaryError("likelihood set is empty after the boundary policy")
         if np.any(x <= 0.0) or np.any(x >= 1.0):
@@ -86,7 +85,7 @@ class NormalizedSample:
     @functools.cached_property
     def _log_x(self) -> np.ndarray:
         """log of the likelihood set, once per sample."""
-        return np.log(self._likelihood_set)
+        return np.log(self.likelihood_values)
 
     @functools.cached_property
     def _log1m_scan(self) -> np.ndarray:
@@ -100,12 +99,15 @@ class NormalizedSample:
 
     @functools.cached_property
     def _sum_log1m_x(self) -> float:
-        return float(np.sum(np.log1p(-self._likelihood_set)))
+        return float(np.sum(np.log1p(-self.likelihood_values)))
 
     @functools.cached_property
-    def _histograms(self) -> dict:
-        """rmse_metric's histogram heights and bin midpoints by `bins`."""
-        return {}
+    def _histogram(self) -> tuple:
+        """rmse_metric's _RMSE_BINS equal-width density heights on [0, 1]
+        and bin midpoints."""
+        heights, edges = np.histogram(self.values, bins=_RMSE_BINS, range=(0.0, 1.0),
+                                      density=True)
+        return heights, 0.5 * (edges[:-1] + edges[1:])
 
 
 def _sorted(z, policy: str) -> np.ndarray:
@@ -193,7 +195,7 @@ def _terms(sample: NormalizedSample, model: str, theta) -> tuple:
     return value, grad, hess
 
 
-def _checked_terms(sample: NormalizedSample, model: str, theta: tuple) -> tuple:
+def _checked_terms(model: str, sample: NormalizedSample, theta) -> tuple:
     """_terms at θ, after raising ValueError for a parameter that is not
     positive and finite, where the likelihood is undefined."""
     for name, value in zip(MODELS[model], theta):
@@ -204,33 +206,35 @@ def _checked_terms(sample: NormalizedSample, model: str, theta: tuple) -> tuple:
 
 def loglik_wk(sample: NormalizedSample, a: float, b: float, c: float) -> float:
     """Log-likelihood of the weighted Kumaraswamy family."""
-    return float(_checked_terms(sample, "wk", (a, b, c))[0])
+    return float(_checked_terms("wk", sample, (a, b, c))[0])
 
 
 def loglik_kw(sample: NormalizedSample, a: float, b: float) -> float:
-    return float(_checked_terms(sample, "kw", (a, b))[0])
+    return float(_checked_terms("kw", sample, (a, b))[0])
 
 
 def loglik_beta(sample: NormalizedSample, alpha: float, beta: float) -> float:
-    return float(_checked_terms(sample, "beta", (alpha, beta))[0])
+    return float(_checked_terms("beta", sample, (alpha, beta))[0])
 
 
 def score_wk(sample: NormalizedSample, a: float, b: float, c: float) -> np.ndarray:
     """Gradient of loglik_wk in (a, b, c)."""
-    return _checked_terms(sample, "wk", (a, b, c))[1]
+    return _checked_terms("wk", sample, (a, b, c))[1]
 
 
 def score_kw(sample: NormalizedSample, a: float, b: float) -> np.ndarray:
     """Gradient of loglik_kw in (a, b)."""
-    return _checked_terms(sample, "kw", (a, b))[1]
+    return _checked_terms("kw", sample, (a, b))[1]
 
 
 def score_beta(sample: NormalizedSample, alpha: float, beta: float) -> np.ndarray:
     """Gradient of loglik_beta in (alpha, beta)."""
-    return _checked_terms(sample, "beta", (alpha, beta))[1]
+    return _checked_terms("beta", sample, (alpha, beta))[1]
 
 
-_LOGLIK: dict[str, Callable] = {"beta": loglik_beta, "kw": loglik_kw, "wk": loglik_wk}
+# _LOGLIK[model](sample, θ) is _checked_terms' triple; _fit_one reads it at the fitted θ
+_LOGLIK: dict[str, Callable] = {model: functools.partial(_checked_terms, model)
+                                for model in MODELS}
 
 
 @dataclass(frozen=True)
@@ -251,18 +255,11 @@ class FitResult:
         return self.law
 
 
-def rmse_metric(sample: NormalizedSample, fitted: DistributionHandle,
-                bins: int = 10) -> float:
-    """RMS difference between equal-width histogram density heights on [0,1]
-    and the fitted pdf at the bin midpoints. The histogram is built once per
-    sample and `bins`."""
-    if bins < 2:
-        raise ValueError("bins must be at least 2")
-    if bins not in sample._histograms:
-        heights, edges = np.histogram(sample.values, bins=bins, range=(0.0, 1.0),
-                                      density=True)
-        sample._histograms[bins] = heights, 0.5 * (edges[:-1] + edges[1:])
-    heights, mids = sample._histograms[bins]
+def rmse_metric(sample: NormalizedSample, fitted: DistributionHandle) -> float:
+    """RMS difference between _RMSE_BINS equal-width histogram density
+    heights on [0,1] and the fitted pdf at the bin midpoints. The histogram
+    is built once per sample."""
+    heights, mids = sample._histogram
     model = np.asarray(fitted.pdf(mids), dtype=float)
     return float(np.sqrt(np.mean((heights - model) ** 2)))
 
@@ -382,7 +379,7 @@ def _solve_pairs(sample: NormalizedSample, problems: dict) -> dict:
         out = [f(theta[:, span]) for f, span, _ in parts]
         return tuple(np.concatenate(v, axis=-1) for v in zip(*out))
 
-    res = minimize_bounded(stacked, theta0, list(zip(lo, hi)),
+    res = minimize_bounded(stacked, theta0, lo, hi,
                            tol=np.where(np.arange(edges[-1]) < n_link, 0.0, 1e-8 * n))
     cuts = edges[1:-1]
     return {model: (objective, argmin, res.iterations) for model, objective, argmin
@@ -416,11 +413,10 @@ def _refine_wk(sample: NormalizedSample, box: np.ndarray):
     """Projected Newton ascent of the wk log-likelihood in θ = (s, b, c) from
     the _boxed starts `box`, until the gradient is below 1e-8 per
     observation: (objective, argmin, steps). No starts take no steps."""
-    theta0, lo, hi = box
-    if not theta0.shape[-1]:  # a scan with no finite peak
-        return np.empty(0), theta0, 0
-    res = minimize_bounded(functools.partial(_joint, sample, "wk"), theta0,
-                           list(zip(lo, hi)), tol=1e-8 * len(sample._log_x))
+    if not box.shape[-1]:  # a scan with no finite peak
+        return np.empty(0), box[0], 0
+    res = minimize_bounded(functools.partial(_joint, sample, "wk"), *box,
+                           tol=1e-8 * len(sample._log_x))
     return res.objective, res.argmin, res.iterations
 
 
@@ -479,8 +475,8 @@ def fit_models(sample: NormalizedSample, models: Sequence[str],
     is not finite where it starts fails alone, and the model's other starts
     are solved as they would be without it. A model whose starts all fail
     raises FitError as it would alone, the first such model in order.
-    Newton steps and the convergence test read _terms; the reported
-    log-likelihood is _LOGLIK's.
+    Newton steps read _terms; the reported log-likelihood and the
+    convergence test read one _LOGLIK evaluation at the fitted θ.
     """
     for model in models:
         if model not in MODELS:
@@ -508,8 +504,9 @@ def fit_mle(sample: NormalizedSample, model: str, starts: int = 16) -> FitResult
 
 def _fit_one(sample: NormalizedSample, model: str, starts: int, link, kw) -> FitResult:
     """fit_models' fit of one model, given its Beta-link entry of
-    _solve_pairs and the call's kw fit, or the FitError it raised. The law
-    built for the RMSE is the result's handle()."""
+    _solve_pairs and the call's kw fit, or the FitError it raised. The
+    log-likelihood and the projected gradient come from one _LOGLIK call at
+    the fitted θ; the law built for the RMSE is the result's handle()."""
     names = MODELS[model]
     k = len(names)
     if model == "kw" and isinstance(kw, FitError):
@@ -518,18 +515,17 @@ def _fit_one(sample: NormalizedSample, model: str, starts: int, link, kw) -> Fit
         link = _refine_wk(sample, _peak_starts(*_wk_profile(sample, link), starts))
     theta, _, tried, failed, steps = kw if model == "kw" else _fit_profile(sample, model, link, kw)
     theta = np.array(theta, dtype=float)
-    ll = _LOGLIK[model](sample, *theta)
+    value, grad, _ = _LOGLIK[model](sample, theta)
+    ll = float(value)
     lo, hi = np.full(k, PARAM_BOUNDS[0]), np.full(k, PARAM_BOUNDS[1])
-    norm = float(np.max(np.abs(projected_gradient(-_terms(sample, model, theta)[1],
-                                                  theta, lo, hi))))
+    norm = float(np.max(np.abs(projected_gradient(-grad, theta, lo, hi))))
     # convergence judged relative to the objective scale
     optimizer = OptimizeResult(argmin=theta, objective=-ll, gradient_norm=norm,
                                iterations=steps, converged=bool(norm <= 1e-4 * (1.0 + abs(ll))))
     params = {name: float(v) for name, v in zip(names, theta)}
-    n_lik = len(sample.likelihood_values)
     fitted = make_catalog(_CATALOG_NAME[model], params)
-    return FitResult(model=model, params=params, loglik=ll,
-                     aic=2.0 * k - 2.0 * ll, bic=k * math.log(n_lik) - 2.0 * ll,
+    return FitResult(model=model, params=params, loglik=ll, aic=2.0 * k - 2.0 * ll,
+                     bic=k * math.log(len(sample.likelihood_values)) - 2.0 * ll,
                      rmse=rmse_metric(sample, fitted),
                      optimizer=optimizer, starts_tried=tried,
                      starts_failed=failed,

@@ -1,6 +1,6 @@
 """Shared numeric kernels: special functions, adaptive quadrature, the cdf
 table with its evaluation and inversion, root finding, box-constrained
-Newton minimization, finite differences.
+Newton minimization.
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads. The module loads NumPy only. scipy.special is read
@@ -65,8 +65,9 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """minimize_bounded's result; objective, gradient_norm and converged are
-    arrays over the problems of a batched call."""
+    """minimize_bounded's result, whose objective, gradient_norm and
+    converged are arrays over its problems; a fit's holds its one problem's
+    floats."""
 
     argmin: np.ndarray
     objective: float | np.ndarray
@@ -267,17 +268,17 @@ _MAX_CELLS = 8192
 
 
 def _to_halve(a: np.ndarray, b: np.ndarray, errs: np.ndarray, tol: float, total: float,
-              evals: int, max_cells: int) -> np.ndarray:
+              evals: int) -> np.ndarray:
     """The cells, of those wide enough for the floats to halve, whose error
     estimates dominate the sum. Raises AccuracyError, with the best estimate
-    attached, when there are max_cells cells, or when the cells too narrow to
+    attached, when there are _MAX_CELLS cells, or when the cells too narrow to
     halve hold more error than tol, which halving the others cannot remove."""
     err_total = float(errs.sum())
     mid = a + 0.5 * (b - a)
     halvable = (a < mid) & (mid < b)
     stuck = float(errs[~halvable].sum())
-    if a.size >= max_cells or not stuck < tol or not halvable.any():
-        why = (f"quadrature budget of {max_cells} cells exhausted" if a.size >= max_cells
+    if a.size >= _MAX_CELLS or not stuck < tol or not halvable.any():
+        why = (f"quadrature budget of {_MAX_CELLS} cells exhausted" if a.size >= _MAX_CELLS
                else "quadrature error held in cells too narrow to halve")
         raise AccuracyError(f"{why} (estimate {total:.6g}, error {err_total:.3g})",
                             estimate=total, abs_error_estimate=err_total, evaluations=evals)
@@ -288,7 +289,7 @@ def _to_halve(a: np.ndarray, b: np.ndarray, errs: np.ndarray, tol: float, total:
 
 
 def integrate_adaptive(f: Callable, rng: Interval, abs_tol: float = 1e-10,
-                       rel_tol: float = 1e-8, max_cells: int = _MAX_CELLS) -> QuadratureResult:
+                       rel_tol: float = 1e-8) -> QuadratureResult:
     """Globally adaptive GK15 quadrature on (lo, hi).
 
     Each round refines the cells whose error estimates dominate: a cell is
@@ -296,10 +297,10 @@ def integrate_adaptive(f: Callable, rng: Interval, abs_tol: float = 1e-10,
     an integrable singularity there costs a few rounds, not one per halving.
     An infinite upper limit is mapped to a finite interval with the
     substitution t = (x - lo) / (1 + x - lo) before integration. Raises
-    AccuracyError (with the best estimate attached) if the node budget is
-    exhausted, or cells too narrow to halve hold more error than the
-    tolerance, before it is met, which is also how divergent integrands
-    surface.
+    AccuracyError (with the best estimate attached) if the budget of
+    _MAX_CELLS cells is exhausted, or cells too narrow to halve hold more
+    error than the tolerance, before it is met, which is also how divergent
+    integrands surface.
     """
     if not (abs_tol > 0 and rel_tol > 0):
         raise ValueError("tolerances must be positive")
@@ -318,7 +319,7 @@ def integrate_adaptive(f: Callable, rng: Interval, abs_tol: float = 1e-10,
         tol = max(abs_tol, rel_tol * abs(total))
         if err_total <= tol and math.isfinite(total):
             return QuadratureResult(total, err_total, evals)
-        cut = _to_halve(a, b, errs, tol, total, evals, max_cells)
+        cut = _to_halve(a, b, errs, tol, total, evals)
         a, b, parent = _split_cells(a, b, np.where(cut, 2, 1), lo)
         new = cut[parent]
         vals, errs = vals[parent], errs[parent]
@@ -509,7 +510,7 @@ def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
                 pieces[0] = 2
             err_tol = max(1e-12, 1e-10 * abs(total))
             if not (err_total <= err_tol and math.isfinite(total)):
-                big = _to_halve(a, b, err, err_tol, total, evals, _MAX_CELLS)
+                big = _to_halve(a, b, err, err_tol, total, evals)
                 pieces[big] = np.maximum(pieces[big], 2)
             if pieces.max() == 1:
                 break
@@ -655,17 +656,16 @@ def _masked_solve(h: np.ndarray, g: np.ndarray, free: np.ndarray) -> np.ndarray:
             [_masked_solve(h[..., j:j + 1], g[:, j:j + 1], free[:, j:j + 1]) for j in range(g.shape[1])])
 
 
-def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
-                     tol: float | np.ndarray = 1e-6) -> OptimizeResult:
-    """Projected Newton descent in a box, on the caller's gradient and Hessian.
+def minimize_bounded(fun: Callable, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     tol: float | np.ndarray) -> OptimizeResult:
+    """Projected Newton descent in a box for m problems side by side, on the
+    caller's gradient and Hessian.
 
-    fun(x) returns (f, g, h): the objective, its gradient and its Hessian.
-    x0 has shape (k,) for one problem, or (k, m) for m problems solved side
-    by side; fun gets x in that shape and returns f, g, h shaped (m,),
-    (k, m) and (k, k, m), each problem's from its own column of x alone,
-    and the result's fields other than iterations are arrays over the m
-    problems. A bound is an Interval or a (lo, hi) pair whose ends may be
-    arrays of shape (m,), and tol a scalar or an array of shape (m,).
+    x0, lo and hi are (k, m) arrays: column j holds problem j's start and
+    box. fun(x) takes x of that shape and returns (f, g, h), the objectives,
+    gradients and Hessians shaped (m,), (k, m) and (k, k, m), each problem's
+    from its own column alone. tol is a scalar or an (m,) array. The
+    result's fields but iterations are arrays over the problems.
 
     Coordinates at a face whose gradient points out of the box are held;
     the Newton step on the others, or a diagonally scaled gradient step
@@ -681,28 +681,18 @@ def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
     taken, and converged is set from the projected gradient at the returned
     point. A problem whose f is not finite at x0 is closed there and
     returned with that f and converged False; the others are solved as if it
-    were absent. Raises ValueError when x0 is outside the box.
+    were absent. Raises ValueError when x0, lo and hi differ in shape or are
+    not 2-D, or x0 is outside the box.
     """
-    x0 = np.asarray(x0, dtype=float)
-    k = x0.shape[0]
-    if len(bounds) != k:
-        raise ValueError("one bound per coordinate required")
-    x = x0.reshape(k, -1).copy()
-    m = x.shape[1]
-    ends = [(bd.lo, bd.hi) if isinstance(bd, Interval) else bd for bd in bounds]
-    lo, hi = (np.array([np.broadcast_to(np.asarray(e[j], dtype=float), x0.shape[1:])
-                        for e in ends]).reshape(k, m) for j in (0, 1))
+    x, lo, hi = (np.array(v, dtype=float) for v in (x0, lo, hi))
+    if x.ndim != 2 or not x.shape == lo.shape == hi.shape:
+        raise ValueError("x0, lo and hi must be (k, m) arrays of one shape")
+    k, m = x.shape
     if np.any(x < lo) or np.any(x > hi):
         raise ValueError("x0 must lie inside the bounds")
     edge_lo, edge_hi = _EDGE * (1.0 + np.abs(lo)), _EDGE * (1.0 + np.abs(hi))
     at_lo, at_hi = lo + edge_lo, hi - edge_hi
-
-    def evaluate(point):
-        f, g, h = fun(point.reshape(x0.shape))
-        return (np.asarray(f, dtype=float).reshape(m), np.asarray(g, dtype=float).reshape(k, m),
-                np.asarray(h, dtype=float).reshape(k, k, m))
-
-    f, g, h = evaluate(x)
+    f, g, h = fun(x)
     steps = 0
     open_, last = np.isfinite(f), np.full(m, np.inf)
     with np.errstate(all="ignore"):
@@ -735,7 +725,7 @@ def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
             moved = ~open_
             for halving in range(_HALVINGS):
                 xt = np.where(room <= t, face, np.minimum(np.maximum(x + t * d, lo), hi))
-                ft, gt, ht = evaluate(xt)
+                ft, gt, ht = fun(xt)
                 ok = ~moved & np.isfinite(ft) & (trusted | (ft <= f + 1e-4 * (g * (xt - x)).sum(0)))
                 moved |= ok
                 if halving == 0 and moved.all():
@@ -750,11 +740,8 @@ def minimize_bounded(fun: Callable, x0, bounds: Sequence[Interval | tuple],
                 t = np.where(moved, t, 0.5 * t)
             open_ &= moved
     norm = np.abs(np.where(_held(g, x, at_lo, at_hi), 0.0, g)).max(0)
-    converged = (norm <= tol) & np.isfinite(f)
-    one = x0.ndim == 1
-    return OptimizeResult(argmin=x.reshape(x0.shape), objective=float(f[0]) if one else f,
-                          gradient_norm=float(norm[0]) if one else norm,
-                          iterations=steps, converged=bool(converged[0]) if one else converged)
+    return OptimizeResult(argmin=x, objective=f, gradient_norm=norm, iterations=steps,
+                          converged=(norm <= tol) & np.isfinite(f))
 
 
 def _held(g: np.ndarray, x: np.ndarray, at_lo: np.ndarray, at_hi: np.ndarray) -> np.ndarray:

@@ -52,8 +52,13 @@ def _cdf_accuracy(dist: DistributionHandle) -> float:
     return 2.0 * max(dist.table_gap, _TABLE_TOL) if isinstance(dist, WtrvDistribution) else 1e-12
 
 
-def _ratio_nondecreasing(xs, num, den, slack: float, noise=None):
-    """Monotone check of log(num/den) on the finite part of the grid.
+_ORDER_SLACK = 1e-9  # check_order's, absolute
+_CONCAVITY_SLACK = 1e-9  # the concavity checks', relative to the largest slope
+
+
+def _ratio_nondecreasing(xs, num, den, noise=None):
+    """Monotone check of log(num/den) on the finite part of the grid, up to
+    _ORDER_SLACK.
 
     `noise` is a per-point bound on the absolute error of the log-ratio;
     a decrease is a violation only when it exceeds what that error allows.
@@ -66,7 +71,7 @@ def _ratio_nondecreasing(xs, num, den, slack: float, noise=None):
     x, v = xs[ok], logr[ok]
     if len(v) < 3:
         return False, None
-    tol = np.full(len(v) - 1, slack)
+    tol = np.full(len(v) - 1, _ORDER_SLACK)
     if noise is not None:
         nz = np.asarray(noise, dtype=float)[ok]
         tol = tol + nz[:-1] + nz[1:]
@@ -83,10 +88,10 @@ def _check_grid_size(grid_size: int) -> None:
 
 
 def check_order(x: DistributionHandle, y: DistributionHandle, order: str,
-                grid_size: int = 128, slack: float = 1e-9, *,
-                grid: np.ndarray | None = None) -> OrderVerdict:
-    """One-sided grid verdict for x <=_order y. grid is internal: a caller
-    that has built _merged_grid(x, y, grid_size) already passes it on."""
+                grid_size: int = 128, *, grid: np.ndarray | None = None) -> OrderVerdict:
+    """One-sided grid verdict for x <=_order y, up to _ORDER_SLACK and the
+    handles' cdf accuracy. grid is internal: a caller that has built
+    _merged_grid(x, y, grid_size) already passes it on."""
     if order not in ORDER_NAMES:
         raise ValueError(f"unknown order {order!r}; known: {', '.join(ORDER_NAMES)}")
     _check_grid_size(grid_size)
@@ -97,7 +102,7 @@ def check_order(x: DistributionHandle, y: DistributionHandle, order: str,
     if order == "st":
         sfx = np.asarray(x.sf(grid), dtype=float)
         sfy = np.asarray(y.sf(grid), dtype=float)
-        bad = np.nonzero(sfx > sfy + slack + _cdf_accuracy(x) + _cdf_accuracy(y))[0]
+        bad = np.nonzero(sfx > sfy + _ORDER_SLACK + _cdf_accuracy(x) + _cdf_accuracy(y))[0]
         violation = None
         if bad.size:
             i = int(bad[0])
@@ -110,7 +115,7 @@ def check_order(x: DistributionHandle, y: DistributionHandle, order: str,
         inner = grid[(grid > lo) & (grid < hi)]
         num = np.asarray(y.pdf(inner), dtype=float)
         den = np.asarray(x.pdf(inner), dtype=float)
-        ok, violation = _ratio_nondecreasing(inner, num, den, slack)
+        ok, violation = _ratio_nondecreasing(inner, num, den)
         return OrderVerdict(order, ok and bounds_ok, bounds_ok, violation, desc)
 
     if order == "fr":
@@ -123,7 +128,7 @@ def check_order(x: DistributionHandle, y: DistributionHandle, order: str,
     with np.errstate(divide="ignore", invalid="ignore"):
         noise = (_cdf_accuracy(y) / np.maximum(num, 1e-300)
                  + _cdf_accuracy(x) / np.maximum(den, 1e-300))
-    ok, violation = _ratio_nondecreasing(grid, num, den, slack, noise=noise)
+    ok, violation = _ratio_nondecreasing(grid, num, den, noise=noise)
     return OrderVerdict(order, ok, bounds_ok, violation, desc)
 
 
@@ -226,26 +231,27 @@ def _weight_over_hazard(xs, dist: DistributionHandle, w: WeightFunction):
         return np.where(den > 0, num / np.maximum(den, 1e-300), np.nan)
 
 
-def concavity_on_grid(xs: np.ndarray, vals: np.ndarray, slack_rel: float = 1e-9):
-    """(concave_ok, convex_ok): divided-difference slopes monotone on the grid."""
+def concavity_on_grid(xs: np.ndarray, vals: np.ndarray):
+    """(concave_ok, convex_ok): divided-difference slopes monotone on the
+    grid, up to _CONCAVITY_SLACK of their largest magnitude."""
     ok = np.isfinite(vals) & np.isfinite(xs)
     x, v = xs[ok], vals[ok]
     dx = np.diff(x)
     keep = dx > 0
     if np.count_nonzero(keep) < 2:
         return False, False
-    nondec, noninc, _ = _monotone(x[:-1][keep], np.diff(v)[keep] / dx[keep], slack_rel=slack_rel)
+    nondec, noninc, _ = _monotone(x[:-1][keep], np.diff(v)[keep] / dx[keep], _CONCAVITY_SLACK)
     return noninc, nondec
 
 
-def log_concavity_on_grid(xs: np.ndarray, vals: np.ndarray, slack_rel: float = 1e-9):
+def log_concavity_on_grid(xs: np.ndarray, vals: np.ndarray):
     """(log_concave_ok, log_convex_ok) for a positive function sampled on a grid."""
     v = np.asarray(vals, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(v > 0, np.log(np.maximum(v, 1e-300)), np.nan)
     if np.count_nonzero(np.isfinite(logs)) < len(v) - 2:
         return False, False
-    return concavity_on_grid(xs, logs, slack_rel=slack_rel)
+    return concavity_on_grid(xs, logs)
 
 
 def _aging_facts(dist: DistributionHandle, weight: WeightFunction, grid_size: int) -> dict:

@@ -75,10 +75,14 @@ def mrl(dist: DistributionHandle, x):
     return _residual_life(x, dist)
 
 
+_H_REL = 1e-6  # glaser's central-difference step, relative to 1 + |x|
+_U_LO, _U_HI = 0.005, 0.995  # the quantile levels at the ends of _interior_grid
+
+
 @scalar_or_array
-def _log_pdf_slope(x, dist: DistributionHandle, h_rel: float):
+def _log_pdf_slope(x, dist: DistributionHandle):
     lo, hi = dist.support.lo, dist.support.hi
-    h = h_rel * (1.0 + np.abs(x))
+    h = _H_REL * (1.0 + np.abs(x))
     close = (x - h <= lo) | (math.isfinite(hi) & (x + h >= hi))
     with np.errstate(all="ignore"):
         fp = np.asarray(dist.pdf(x + h), dtype=float)
@@ -93,16 +97,16 @@ def _log_pdf_slope(x, dist: DistributionHandle, h_rel: float):
     return -(np.log(fp) - np.log(fm)) / (2.0 * h)
 
 
-def glaser(dist: DistributionHandle, x, h_rel: float = 1e-6):
-    """Glaser function -pdf'(x)/pdf(x), via central differences of log pdf;
-    TailError names the first point too close to the support boundary or
-    where the pdf vanishes."""
-    return _log_pdf_slope(x, dist, h_rel)
+def glaser(dist: DistributionHandle, x):
+    """Glaser function -pdf'(x)/pdf(x), via central differences of log pdf
+    with step _H_REL·(1 + |x|); TailError names the first point too close to
+    the support boundary or where the pdf vanishes."""
+    return _log_pdf_slope(x, dist)
 
 
-def _interior_grid(dist: DistributionHandle, grid_size: int,
-                   u_lo: float = 0.005, u_hi: float = 0.995) -> np.ndarray:
-    u = np.linspace(u_lo, u_hi, grid_size)
+def _interior_grid(dist: DistributionHandle, grid_size: int) -> np.ndarray:
+    """The distinct quantiles of grid_size levels from _U_LO to _U_HI."""
+    u = np.linspace(_U_LO, _U_HI, grid_size)
     return np.unique(np.asarray(dist.quantile(u), dtype=float))
 
 

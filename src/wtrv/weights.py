@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import DistributionHandle, parse_kv_spec
+from .distributions import CatalogEntry, DistributionHandle, catalog_build, parse_kv_spec
 from .numerics import AccuracyError, CdfTable, Interval, WtrvError, tabulate_cdf
 from .numerics import integrate_adaptive  # noqa: F401 (re-exported)
 
@@ -27,16 +27,12 @@ class IntegrabilityError(WtrvError):
 
 
 @dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(CatalogEntry):
     name: str
     params: dict[str, float]
     w: Callable
     w_prime: Callable
     domain_hint: Interval
-
-    def describe(self) -> str:
-        args = ",".join(f"{k}={v:g}" for k, v in self.params.items())
-        return f"{self.name}({args})"
 
 
 @dataclass(frozen=True)
@@ -70,13 +66,6 @@ def _mk(name, params, w, w_prime, hi=math.inf):
     return WeightFunction(name=name, params=dict(params), w=_quiet(w),
                           w_prime=_quiet(w_prime),
                           domain_hint=Interval(0.0, hi))
-
-
-def _positive(params, *names):
-    for n in names:
-        if not 0 < params.get(n, 0.0) < math.inf:
-            raise ValueError(f"weight parameter {n!r} must be finite and positive, "
-                             f"got {params.get(n)}")
 
 
 _WEIGHTS: dict[str, tuple[tuple[str, ...], Callable]] = {
@@ -116,26 +105,15 @@ _WEIGHTS: dict[str, tuple[tuple[str, ...], Callable]] = {
         lambda x: np.ones_like(_arr(x)))),
 }
 
-WEIGHT_NAMES = tuple(sorted(_WEIGHTS))
-
 
 def make_weight(name: str, params: dict[str, float] | None = None) -> WeightFunction:
-    """Build a catalog weight function with analytic w and w'."""
-    if name not in _WEIGHTS:
-        raise ValueError(f"unknown weight {name!r}; known: {', '.join(WEIGHT_NAMES)}")
-    wanted, builder = _WEIGHTS[name]
-    params = dict(params or {})
-    missing = [k for k in wanted if k not in params]
-    extra = [k for k in params if k not in wanted]
-    if missing or extra:
-        raise ValueError(f"weight {name} expects parameters {wanted}, got {tuple(params)}")
-    _positive(params, *wanted)
-    return builder(params)
+    """Build a catalog weight function with analytic w and w'; a bad name or
+    parameter set raises CatalogError."""
+    return catalog_build(_WEIGHTS, "weight", name, params)
 
 
 def parse_weight_spec(text: str) -> WeightFunction:
-    name, params = parse_kv_spec(text)
-    return make_weight(name, params)
+    return make_weight(*parse_kv_spec(text))
 
 
 def tail_integrand(weight: WeightFunction, dist: DistributionHandle) -> Callable:
@@ -175,10 +153,13 @@ def weight_normalizer_integral(weight: WeightFunction, dist: DistributionHandle)
     return _tail_table(weight, dist).total
 
 
-def validate_weight(weight: WeightFunction, dist: DistributionHandle,
-                    grid_size: int = 256) -> WeightValidityReport:
-    """Check w(0)=0, grid monotonicity, and integrability of w' against X.
-    The report carries the cdf table of an integrable pair, for construct."""
+_GRID_SIZE = 256  # points of validate_weight's monotonicity grid
+
+
+def validate_weight(weight: WeightFunction, dist: DistributionHandle) -> WeightValidityReport:
+    """Check w(0)=0, monotonicity on a grid of _GRID_SIZE points, and
+    integrability of w' against X. The report carries the cdf table of an
+    integrable pair, for construct."""
     if dist.support.lo != 0.0:
         raise ValueError("weight validation requires a base distribution with lower bound 0")
     hi = min(dist.support.hi, weight.domain_hint.hi)
@@ -186,9 +167,9 @@ def validate_weight(weight: WeightFunction, dist: DistributionHandle,
     starts_at_zero = abs(w0) <= 1e-12
 
     if math.isinf(hi):
-        grid = np.asarray(dist.quantile(np.linspace(1e-4, 1.0 - 1e-4, grid_size)))
+        grid = np.asarray(dist.quantile(np.linspace(1e-4, 1.0 - 1e-4, _GRID_SIZE)))
     else:
-        grid = np.linspace(0.0, hi, grid_size + 2)[1:-1]
+        grid = np.linspace(0.0, hi, _GRID_SIZE + 2)[1:-1]
     vals = _arr(weight.w(grid))
     scale = float(np.nanmax(np.abs(vals[np.isfinite(vals)]))) if np.isfinite(vals).any() else 1.0
     with np.errstate(invalid="ignore"):  # inf - inf where w overflows on the grid

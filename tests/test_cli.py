@@ -1,9 +1,12 @@
+import argparse
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,10 +241,8 @@ class TestDataCommands:
         assert doc["minimum"] >= 300.0 and doc["maximum"] <= 1200.0
 
     def test_fit_byte_identical_reruns(self, capsys, csv_path):
-        code1, out1, _ = run_cli(capsys, "fit", "--model", "kw", "--seed",
-                                 "42", "--starts", "4", csv_path)
-        code2, out2, _ = run_cli(capsys, "fit", "--model", "kw", "--seed",
-                                 "42", "--starts", "4", csv_path)
+        code1, out1, _ = run_cli(capsys, "fit", "--model", "kw", "--starts", "4", csv_path)
+        code2, out2, _ = run_cli(capsys, "fit", "--model", "kw", "--starts", "4", csv_path)
         assert code1 == code2 == 0
         assert out1 == out2
         assert set(json.loads(out1)) == {"model", "params", "loglik", "aic", "bic",
@@ -322,6 +323,25 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert base in lines[0] and weight in lines[0]
 
+    @pytest.mark.parametrize("flag, spec, named", [
+        ("--dist", "foo()", "unknown distribution 'foo'"),
+        ("--dist", "gamma(k=1)", "gamma expects parameters"),
+        ("--dist", "exponential(lambda=-1)", "'lambda' must be finite and positive, got -1.0"),
+        ("--dist", "truncated_power(beta=0.5)", "'beta' of truncated_power must be > 1, got 0.5"),
+        ("--weight", "foo()", "unknown weight 'foo'"),
+        ("--weight", "power(d=1)", "power expects parameters"),
+        ("--weight", "power(c=-1)", "'c' must be finite and positive, got -1.0"),
+        ("--weight", "scaled_power(alpha=1,beta=inf)", "'beta' must be finite and positive, got inf"),
+    ])
+    def test_bad_spec_is_one_catalog_error_line(self, capsys, flag, spec, named):
+        # families and weights go through one catalog lookup, so a bad spec
+        # of either kind fails with one typed line naming it
+        specs = {"--dist": "exponential(lambda=1)", "--weight": "linear()", flag: spec}
+        code, out, err = run_cli(capsys, "construct", *[v for kv in specs.items() for v in kv])
+        assert code == 1 and out == ""
+        assert err.startswith("error: CatalogError: ") and err.count("\n") == 1
+        assert named in err
+
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_grid_below_one_exit_one(self, capsys, grid):
         # --grid 0 printed an empty table and exited 0; --grid -3 gave
@@ -351,13 +371,87 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
 
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestEveryFlagIsRead:
+    # argv per subcommand, "CSV" and "OUT" filled in; every declared option
+    # of a subcommand must be read by its handler on one of its runs
+    RUNS = {
+        "construct": [["construct", "--dist", "exponential(lambda=1)", "--weight", "linear()",
+                       "--grid", "3"]],
+        "check-aging": [["check-aging", "--dist", "exponential(lambda=1)"]],
+        "check-order": [["check-order", "--x", "exponential(lambda=2)",
+                         "--y", "exponential(lambda=1)", "--order", "st"]],
+        "verify-theorem": [["verify-theorem", "thm5i-example4"],
+                           ["verify-theorem", "thm5i", "--x", "exponential(lambda=2)",
+                            "--y", "exponential(lambda=1)", "--w1", "power(c=1.5)",
+                            "--w2", "power(c=2.5)"]],
+        "table1-audit": [["table1-audit"]],
+        "describe": [["describe", "CSV"]],
+        "fit": [["fit", "CSV", "--starts", "4"]],
+        "gof": [["gof", "CSV", "--model", "kw", "--starts", "4"]],
+        "report": [["report", "CSV", "--starts", "4"]],
+        "simulate": [["simulate", "--dist", "uniform()", "--n", "3"]],
+    }
+
+    @staticmethod
+    def subparsers():
+        parser = cli._build_parser()
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_every_subcommand_is_run(self):
+        assert set(self.RUNS) == set(self.subparsers())
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_declared_dests_are_read(self, tmp_path, csv_path, command):
+        declared = {a.dest for a in self.subparsers()[command]._actions if a.dest != "help"}
+        read = set()
+        for argv in self.RUNS[command]:
+            argv = [csv_path if a == "CSV" else a for a in argv]
+            args = cli._build_parser().parse_args(argv + ["--out", str(tmp_path / "out")],
+                                                  namespace=ReadRecorder())
+            args.__dict__.pop("_read", None)  # argparse's own reads while parsing
+            assert args.func(args) == 0
+            read |= args.__dict__.pop("_read")
+        assert declared - read == set()
+
+
+def readme_examples():
+    """The wtrv lines of README's "CLI examples" block, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("wtrv ")]
+
+
+class TestReadmeExamples:
+    def test_block_found(self):
+        assert len(readme_examples()) >= 9
+
+    @pytest.mark.parametrize("argv", readme_examples(), ids=lambda argv: argv[0])
+    def test_example_runs(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        draws = 200.0 + 1500.0 * np.random.default_rng(5).beta(2.0, 5.0, 60)
+        (tmp_path / "rain.csv").write_text(
+            "year,rainfall_mm\n" + "".join(f"{1950 + i},{v:.3f}\n" for i, v in enumerate(draws)))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and out
+
+
 class TestParserCache:
     def test_built_once(self):
         assert cli._build_parser() is cli._build_parser()
 
     @pytest.mark.parametrize("first, second", [
         (["construct", "--dist", "gamma(k=2,lambda=1)", "--weight", "power(c=1.5)",
-          "--grid", "50", "--format", "json", "--seed", "7"],
+          "--grid", "50", "--format", "json"],
          ["simulate", "--dist", "weighted_kumaraswamy(a=2,b=3,c=1.5)", "--n", "20"]),
         (["report", "--starts", "4", "--bins", "5", "--seed", "3", "CSV"],
          ["describe", "CSV"]),

@@ -70,9 +70,10 @@ class TestLogLikelihoods:
 
     def test_likelihood_set_built_once(self):
         s = unit_sample()
-        assert s._likelihood_set is s._likelihood_set
-        assert np.array_equal(s._likelihood_set, s.likelihood_values)
-        assert not s._likelihood_set.flags.writeable
+        assert s.likelihood_values is s.likelihood_values
+        v = s.values
+        assert np.array_equal(s.likelihood_values, v[(v > 0.0) & (v < 1.0)])
+        assert not s.likelihood_values.flags.writeable
 
     def test_kw_next_to_one(self):
         # 1 − xᵃ is −expm1(a·log x): log1p(−xᵃ) was 7.7e-9 relative off here,
@@ -96,6 +97,8 @@ class TestLogLikelihoods:
         s = from_unit_values([0.0, 0.0, 1.0])
         with pytest.raises(BoundaryError, match="empty"):
             loglik_kw(s, 1.0, 1.0)
+        with pytest.raises(BoundaryError, match="empty"):
+            s.likelihood_values
 
 
 @pytest.mark.parametrize("fn, names", [
@@ -231,8 +234,8 @@ class TestFitMle:
             scans.append(1)
             return real_profile(sample)
 
-        def solve(fun, x0, bounds, tol=1e-6):
-            res = real_solve(fun, x0, bounds, tol)
+        def solve(fun, x0, lo, hi, tol):
+            res = real_solve(fun, x0, lo, hi, tol)
             solves.append((len(x0), res.iterations))
             return res
 
@@ -258,8 +261,8 @@ class TestFitMle:
         # at large a, where xᵃ underflows, b is on 1e3
         real, steps = fit_mod.minimize_bounded, []
 
-        def record(fun, x0, bounds, tol=1e-6):
-            res = real(fun, x0, bounds, tol)
+        def record(fun, x0, lo, hi, tol):
+            res = real(fun, x0, lo, hi, tol)
             steps.append(res.iterations)
             return res
 
@@ -286,12 +289,12 @@ class TestFitMle:
         real, ends = fit_mod.minimize_bounded, []
 
         def poison(column):
-            def solve(fun, x0, bounds, tol=1e-6):
+            def solve(fun, x0, lo, hi, tol):
                 if np.shape(x0) != (3, 3):  # (log a, b, c) at the scan's three peaks
-                    return real(fun, x0, bounds, tol)
+                    return real(fun, x0, lo, hi, tol)
                 x0 = np.array(x0)
                 x0[:, column] = np.nan
-                res = real(fun, x0, bounds, tol)
+                res = real(fun, x0, lo, hi, tol)
                 ends.append(res.objective)
                 return res
             return solve
@@ -464,15 +467,32 @@ class TestFitModels:
         # at or above the kw optimum, so the nested start is not refined
         real, calls = fit_mod.minimize_bounded, []
 
-        def count(fun, x0, bounds, tol=1e-6):
+        def count(fun, x0, lo, hi, tol):
             calls.append(len(x0))
-            return real(fun, x0, bounds, tol)
+            return real(fun, x0, lo, hi, tol)
 
         monkeypatch.setattr(fit_mod, "minimize_bounded", count)
         for i, s in enumerate(report_series()):
             calls.clear()
             fit_models(s, models, 4)
             assert calls == dims, i
+
+    def test_one_evaluation_at_each_fitted_theta(self, monkeypatch):
+        # each model's log-likelihood and projected gradient at its fitted θ
+        # come from one _LOGLIK call: one _terms call with scalar parameters
+        # per model, where the Newton steps evaluate arrays of problems
+        real, scalar = fit_mod._terms, []
+
+        def count(sample, model, theta):
+            if np.ndim(theta[0]) == 0:
+                scalar.append(model)
+            return real(sample, model, theta)
+
+        monkeypatch.setattr(fit_mod, "_terms", count)
+        for i, s in enumerate(report_series()[:10]):
+            scalar.clear()
+            fit_models(s, self.MODELS, 4)
+            assert scalar == list(self.MODELS), i
 
     def test_histogram_built_once_per_sample(self, monkeypatch):
         real, calls = np.histogram, []

@@ -9,6 +9,7 @@ from helpers import finite_diff_grad
 from wtrv import (AccuracyError, BracketError, ConvergenceError, Interval,
                   brent_root, incomplete_beta_upper, integrate_adaptive,
                   invert_monotone, kolmogorov_sf, make_catalog, minimize_bounded)
+from wtrv import numerics
 from wtrv.numerics import _to_halve, scalar_or_array
 
 
@@ -63,12 +64,13 @@ class TestIntegrateAdaptive:
                                  catalog_dist.support, 1e-12, 1e-10)
         assert res.value == pytest.approx(1.0, abs=1e-8)
 
-    def test_accuracy_error_carries_estimate(self):
+    def test_accuracy_error_carries_estimate(self, monkeypatch):
         # an unreachable tolerance on a tiny cell budget must fail loudly,
         # and the error must still expose the best available estimate
+        monkeypatch.setattr(numerics, "_MAX_CELLS", 2)
         with pytest.raises(AccuracyError) as err:
             integrate_adaptive(lambda x: np.sin(40 * x) ** 2,
-                               Interval(0.0, 1.0), 1e-300, 1e-300, max_cells=2)
+                               Interval(0.0, 1.0), 1e-300, 1e-300)
         assert err.value.estimate == pytest.approx(0.5, abs=0.2)
 
     def test_scalar_integrand_raises(self):
@@ -91,18 +93,19 @@ class TestToHalve:
         # it holds most of the error, so the halvable cell with the largest
         # error is halved in its place
         errs = np.array([1e-12, 2e-12, 8e-11])
-        mask = _to_halve(self.A, self.B, errs, 1e-10, 1.0, 45, 8192)
+        mask = _to_halve(self.A, self.B, errs, 1e-10, 1.0, 45)
         assert mask.tolist() == [False, True, False]
 
     def test_narrow_cell_above_tolerance(self):
         errs = np.array([1e-12, 2e-12, 2e-10])
         with pytest.raises(AccuracyError, match="too narrow to halve") as err:
-            _to_halve(self.A, self.B, errs, 1e-10, 1.0, 45, 8192)
+            _to_halve(self.A, self.B, errs, 1e-10, 1.0, 45)
         assert err.value.estimate == 1.0
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_CELLS", 3)
         with pytest.raises(AccuracyError, match="budget of 3 cells"):
-            _to_halve(self.A, self.B, np.array([1e-9, 1e-9, 0.0]), 1e-10, 1.0, 45, 3)
+            _to_halve(self.A, self.B, np.array([1e-9, 1e-9, 0.0]), 1e-10, 1.0, 45)
 
 
 class TestBrentRoot:
@@ -222,38 +225,44 @@ class TestScalarOrArray:
 
 
 def quadratic(hess, target):
-    """(f, g, h) of ½ (v − target)ᵀ hess (v − target)."""
-    hess, target = np.asarray(hess, dtype=float), np.asarray(target, dtype=float)
+    """(f, g, h) of ½ (v − target)ᵀ hess (v − target) for each column v."""
+    hess, target = np.asarray(hess, dtype=float), np.asarray(target, dtype=float)[:, None]
 
     def fun(v):
         r = v - target
         g = hess @ r
-        return 0.5 * float(r @ g), g, hess
+        return 0.5 * (r * g).sum(0), g, np.repeat(hess[:, :, None], v.shape[1], axis=2)
 
     return fun
 
 
+def column(*vectors):
+    """Each vector, one value per coordinate, as the (k, 1) array of one
+    problem: a start and the ends of its box."""
+    return [np.asarray(v, dtype=float).reshape(-1, 1) for v in vectors]
+
+
 class TestMinimizeBounded:
     def test_1d_quadratic(self):
-        res = minimize_bounded(quadratic([[2.0]], [3.0]), [1.0], [Interval(0.0, 10.0)], 1e-8)
-        assert res.argmin[0] == pytest.approx(3.0, abs=1e-6)
-        assert res.converged
+        res = minimize_bounded(quadratic([[2.0]], [3.0]), *column([1.0], [0.0], [10.0]), 1e-8)
+        assert res.argmin[0, 0] == pytest.approx(3.0, abs=1e-6)
+        assert res.converged.all()
 
     def test_2d_bowl(self):
-        res = minimize_bounded(quadratic(2.0 * np.eye(2), [0.0, 0.0]), [0.5, 0.5],
-                               [Interval(-1.0, 1.0)] * 2, 1e-8)
-        assert abs(res.argmin[0]) <= 1e-6 and abs(res.argmin[1]) <= 1e-6
+        res = minimize_bounded(quadratic(2.0 * np.eye(2), [0.0, 0.0]),
+                               *column([0.5, 0.5], [-1.0, -1.0], [1.0, 1.0]), 1e-8)
+        assert abs(res.argmin[0, 0]) <= 1e-6 and abs(res.argmin[1, 0]) <= 1e-6
 
     def test_convex_quadratic_generic(self):
         target = np.array([0.3, -0.2])
-        res = minimize_bounded(quadratic([[4.0, 1.0], [1.0, 10.0]], target), [0.0, 0.0],
-                               [Interval(-1.0, 1.0)] * 2, 1e-9)
-        assert np.allclose(res.argmin, target, atol=1e-6)
+        res = minimize_bounded(quadratic([[4.0, 1.0], [1.0, 10.0]], target),
+                               *column([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0]), 1e-9)
+        assert np.allclose(res.argmin[:, 0], target, atol=1e-6)
 
     def test_argmin_in_bounds(self):
-        res = minimize_bounded(quadratic([[2.0]], [-5.0]), [1.0], [Interval(0.0, 10.0)], 1e-8)
-        assert 0.0 <= res.argmin[0] <= 10.0
-        assert res.argmin[0] == pytest.approx(0.0, abs=1e-6)
+        res = minimize_bounded(quadratic([[2.0]], [-5.0]), *column([1.0], [0.0], [10.0]), 1e-8)
+        assert 0.0 <= res.argmin[0, 0] <= 10.0
+        assert res.argmin[0, 0] == pytest.approx(0.0, abs=1e-6)
 
     def test_batched_problems_match_one_at_a_time(self):
         # three 1-D problems with their own bounds, solved side by side
@@ -263,19 +272,20 @@ class TestMinimizeBounded:
             r = v[0] - targets
             return r ** 2, 2.0 * r[None], np.full((1, 1, 3), 2.0)
 
-        res = minimize_bounded(fun, [[1.0, 4.0, 9.0]], [(0.0, his)], 1e-8)
+        res = minimize_bounded(fun, [[1.0, 4.0, 9.0]], np.zeros((1, 3)), his[None], 1e-8)
         assert np.allclose(res.argmin[0], [3.0, 4.5, 0.0], atol=1e-12)
         assert res.converged.all()
         for j in range(3):
-            one = minimize_bounded(quadratic([[2.0]], [targets[j]]), [[1.0, 4.0, 9.0][j]],
-                                   [Interval(0.0, his[j])], 1e-8)
-            assert one.argmin[0] == pytest.approx(res.argmin[0, j], abs=1e-12)
+            one = minimize_bounded(quadratic([[2.0]], [targets[j]]),
+                                   *column([[1.0, 4.0, 9.0][j]], [0.0], [his[j]]), 1e-8)
+            assert one.argmin[0, 0] == pytest.approx(res.argmin[0, j], abs=1e-12)
 
     def test_tolerance_per_problem(self):
         # two quartics side by side, run to the rounding floor (tol 0) and to
         # a gradient of 1e-8: each column is its solo solve bit for bit, with
         # its own converged flag
         targets, tols = np.array([2.0, -1.5]), np.array([0.0, 1e-8])
+        lo, hi = np.full((1, 2), -5.0), np.full((1, 2), 5.0)
 
         def quartic(t):
             def fun(v):
@@ -283,16 +293,17 @@ class TestMinimizeBounded:
                 return r ** 4, 4.0 * r[None] ** 3, 12.0 * r[None, None] ** 2
             return fun
 
-        res = minimize_bounded(quartic(targets), [[0.5, 0.5]], [(-5.0, 5.0)], tols)
+        res = minimize_bounded(quartic(targets), [[0.5, 0.5]], lo, hi, tols)
         for j in range(2):
-            one = minimize_bounded(quartic(targets[j:j + 1]), [[0.5]], [(-5.0, 5.0)], tols[j])
+            one = minimize_bounded(quartic(targets[j:j + 1]), [[0.5]], lo[:, :1], hi[:, :1],
+                                   tols[j])
             for field in ("argmin", "objective", "gradient_norm", "converged"):
                 np.testing.assert_array_equal(getattr(res, field)[..., j],
                                               getattr(one, field)[..., 0], err_msg=field)
         assert res.converged.tolist() == [False, True]
         # a scalar tol is that value for every problem
-        same = minimize_bounded(quartic(targets), [[0.5, 0.5]], [(-5.0, 5.0)], 1e-8)
-        each = minimize_bounded(quartic(targets), [[0.5, 0.5]], [(-5.0, 5.0)], np.full(2, 1e-8))
+        same = minimize_bounded(quartic(targets), [[0.5, 0.5]], lo, hi, 1e-8)
+        each = minimize_bounded(quartic(targets), [[0.5, 0.5]], lo, hi, np.full(2, 1e-8))
         for field in ("argmin", "objective", "gradient_norm", "converged", "iterations"):
             np.testing.assert_array_equal(getattr(same, field), getattr(each, field), err_msg=field)
 
@@ -300,20 +311,20 @@ class TestMinimizeBounded:
         # the unconstrained minimum (2, 2) lies past the face x = 1: the first
         # step ends on it, the second holds x there and finds the constrained
         # minimum (1, 2 - 0.5 * (1 - 2)) = (1, 2.5)
-        res = minimize_bounded(quadratic([[2.0, 1.0], [1.0, 2.0]], [2.0, 2.0]), [0.0, 0.0],
-                               [Interval(-5.0, 1.0), Interval(-5.0, 5.0)], 1e-10)
-        assert np.allclose(res.argmin, [1.0, 2.5], atol=1e-12)
-        assert res.iterations <= 2 and res.converged
+        res = minimize_bounded(quadratic([[2.0, 1.0], [1.0, 2.0]], [2.0, 2.0]),
+                               *column([0.0, 0.0], [-5.0, -5.0], [1.0, 5.0]), 1e-10)
+        assert np.allclose(res.argmin[:, 0], [1.0, 2.5], atol=1e-12)
+        assert res.iterations <= 2 and res.converged.all()
 
     def test_three_coordinates(self):
         target = np.array([0.5, -0.25, 2.0])
         hess = [[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]]
-        res = minimize_bounded(quadratic(hess, target), [0.0, 0.0, 0.0],
-                               [Interval(-1.0, 1.0)] * 3, 1e-10)
+        res = minimize_bounded(quadratic(hess, target),
+                               *column(np.zeros(3), np.full(3, -1.0), np.ones(3)), 1e-10)
         # z stops at its face; x and y then minimize with z = 1
         h = np.asarray(hess)
         xy = np.linalg.solve(h[:2, :2], h[:2, :2] @ target[:2] - h[:2, 2] * (1.0 - target[2]))
-        assert np.allclose(res.argmin, [*xy, 1.0], atol=1e-10) and res.converged
+        assert np.allclose(res.argmin[:, 0], [*xy, 1.0], atol=1e-10) and res.converged.all()
 
     def test_singular_column_does_not_couple(self):
         # a convex quadratic beside ½ (Σ v)², which starts at a minimum and
@@ -331,10 +342,10 @@ class TestMinimizeBounded:
             flat = (np.array([0.5 * s * s]), np.full((3, 1), s), np.ones((3, 3, 1)))
             return tuple(np.concatenate([q, f], axis=-1) for q, f in zip(quad(v[:, :1]), flat))
 
-        box = [Interval(-10.0, 10.0)] * 3
+        lo, hi = np.full((3, 2), -10.0), np.full((3, 2), 10.0)
         x0 = np.array([[0.5, 1.0], [0.5, -0.5], [0.5, -0.5]])
-        res = minimize_bounded(both, x0, box, 1e-10)
-        one = minimize_bounded(quad, x0[:, :1], box, 1e-10)
+        res = minimize_bounded(both, x0, lo, hi, 1e-10)
+        one = minimize_bounded(quad, x0[:, :1], lo[:, :1], hi[:, :1], 1e-10)
         assert res.iterations == one.iterations == 1
         np.testing.assert_array_equal(res.argmin[:, 0], one.argmin[:, 0])
         for field in ("objective", "gradient_norm", "converged"):
@@ -354,26 +365,33 @@ class TestMinimizeBounded:
             return f
 
         targets, barrier = np.array([2.0, 1.0, 4.5, 3.0]), np.array([0.0, 0.0, 0.0, 1.0])
-        x0, his = np.array([[0.5, np.nan, 0.5, 0.0]]), np.array([5.0, 5.0, 4.0, 5.0])
+        x0, his = np.array([[0.5, np.nan, 0.5, 0.0]]), np.array([[5.0, 5.0, 4.0, 5.0]])
+        lo = np.zeros_like(x0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            res = minimize_bounded(fun(targets, barrier), x0, [(0.0, his)], 1e-8)
+            res = minimize_bounded(fun(targets, barrier), x0, lo, his, 1e-8)
         good = [0, 2]
         alone = minimize_bounded(fun(targets[good], barrier[good]), x0[:, good],
-                                 [(0.0, his[good])], 1e-8)
+                                 lo[:, good], his[:, good], 1e-8)
         for field in ("argmin", "objective", "gradient_norm", "converged"):
             np.testing.assert_array_equal(getattr(res, field)[..., good],
                                           getattr(alone, field), err_msg=field)
         assert res.iterations == alone.iterations > 0
         assert np.isnan(res.objective[1]) and res.objective[3] == np.inf
         assert res.converged.tolist() == [True, False, True, False]
-        # one problem alone: a float objective that is not finite, not converged
-        one = minimize_bounded(lambda v: (np.inf, np.zeros(1), np.ones((1, 1))), [0.5],
-                               [Interval(0.0, 1.0)])
-        assert one.objective == np.inf and one.converged is False and one.iterations == 0
+        # one problem alone: an objective that is not finite, not converged
+        one = minimize_bounded(lambda v: (np.full(1, np.inf), np.zeros((1, 1)), np.ones((1, 1, 1))),
+                               *column([0.5], [0.0], [1.0]), 1e-6)
+        assert one.objective[0] == np.inf and not one.converged[0] and one.iterations == 0
 
     def test_rejects_start_outside_box(self):
         with pytest.raises(ValueError, match="inside the bounds"):
-            minimize_bounded(quadratic([[2.0]], [0.0]), [2.0], [Interval(0.0, 1.0)])
+            minimize_bounded(quadratic([[2.0]], [0.0]), *column([2.0], [0.0], [1.0]), 1e-8)
+
+    def test_rejects_arrays_not_of_one_2d_shape(self):
+        with pytest.raises(ValueError, match=r"\(k, m\) arrays of one shape"):
+            minimize_bounded(quadratic([[2.0]], [0.0]), [0.5], [0.0], [1.0], 1e-8)
+        with pytest.raises(ValueError, match=r"\(k, m\) arrays of one shape"):
+            minimize_bounded(quadratic([[2.0]], [0.0]), [[0.5, 0.5]], [[0.0]], [[1.0]], 1e-8)
 
 
 class TestFiniteDiffGrad:
@@ -388,11 +406,12 @@ class TestFiniteDiffGrad:
     def test_converged_gradient_scaled_norm(self):
         f = lambda v: (v[0] - 2.0) ** 4 + (v[1] + 1.0) ** 2 + 10.0
         df = lambda v: np.array([4.0 * (v[0] - 2.0) ** 3, 2.0 * (v[1] + 1.0)])
-        d2f = lambda v: np.diag([12.0 * (v[0] - 2.0) ** 2, 2.0])
-        res = minimize_bounded(lambda v: (f(v), df(v), d2f(v)), [0.0, 0.0],
-                               [Interval(-5.0, 5.0)] * 2, 1e-7)
-        g = finite_diff_grad(f, res.argmin, 1e-6)
-        assert float(np.max(np.abs(g))) <= 1e-4 * (1.0 + abs(res.objective))
+        d2f = lambda v: np.array([[12.0 * (v[0] - 2.0) ** 2, 0.0 * v[0]],
+                                  [0.0 * v[0], 2.0 + 0.0 * v[0]]])
+        res = minimize_bounded(lambda v: (f(v), df(v), d2f(v)),
+                               *column([0.0, 0.0], [-5.0, -5.0], [5.0, 5.0]), 1e-7)
+        g = finite_diff_grad(f, res.argmin[:, 0], 1e-6)
+        assert float(np.max(np.abs(g))) <= 1e-4 * (1.0 + abs(res.objective[0]))
 
 
 class TestKolmogorovSf:

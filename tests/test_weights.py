@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from wtrv import (make_catalog, make_weight, parse_weight_spec, validate_weight,
-                  weight_normalizer_integral)
+from wtrv import (CatalogError, make_catalog, make_weight, parse_weight_spec,
+                  validate_weight, weight_normalizer_integral)
 
 WEIGHT_INSTANCES = [
     ("power", {"c": 2.0}),
@@ -71,7 +71,7 @@ class TestExamples:
         assert float(w.w_prime(100.0)) == pytest.approx(1.0)
 
     def test_unknown_weight(self):
-        with pytest.raises(Exception):
+        with pytest.raises(CatalogError, match="unknown weight 'cube_root'"):
             make_weight("cube_root", {})
 
     def test_spec_parsing(self):
@@ -83,7 +83,7 @@ class TestExamples:
                                                   for k in ps}))
     def test_nonfinite_parameter(self, name, key, bad):
         params = dict(WEIGHT_INSTANCES)[name]
-        with pytest.raises(ValueError, match=f"{key!r}"):
+        with pytest.raises(CatalogError, match=f"{key!r}"):
             make_weight(name, {**params, key: bad})
 
 
