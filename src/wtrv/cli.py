@@ -29,7 +29,7 @@ from .weights import parse_weight_spec
 
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
             return obj.tolist()  # no NaN or inf to turn into null
@@ -120,7 +120,7 @@ def _maybe_weighted(spec: str, wspec: Optional[str]):
 def _cmd_check_aging(args) -> int:
     dist = _maybe_weighted(args.dist, args.weight)
     label = dist.describe()
-    report = _rel_mod.classify_aging(dist, grid_size=args.grid_size)
+    report = _rel_mod.classify_aging(dist)
     if args.format == "json":
         _emit_json({"distribution": label, "classes": report.classes,
                     "witnesses": report.witnesses, "failures": report.failures},
@@ -137,7 +137,7 @@ def _cmd_check_aging(args) -> int:
 def _cmd_check_order(args) -> int:
     x = _maybe_weighted(args.x, args.wx)
     y = _maybe_weighted(args.y, args.wy)
-    verdict = _orders_mod.check_order(x, y, args.order, grid_size=args.grid_size)
+    verdict = _orders_mod.check_order(x, y, args.order)
     _emit_json({"x": x.describe(), "y": y.describe(), "order": verdict.order,
                 "holds_on_grid": verdict.holds_on_grid,
                 "bounds_ok": verdict.bounds_ok,
@@ -159,8 +159,7 @@ def _cmd_verify_theorem(args) -> int:
     if args.emit_ratio:
         xs, ratio = _orders_mod.ratio_curve(x, y, w1, w2)
         _emit_csv(["x", "density_ratio"], zip(xs.tolist(), ratio.tolist()), args.emit_ratio)
-    report = _orders_mod.verify_theorem(x, y, w1, w2, which,
-                                        grid_size=args.grid_size)
+    report = _orders_mod.verify_theorem(x, y, w1, w2, which)
     _emit_json(report, args.out)
     return 0
 
@@ -182,7 +181,7 @@ def _cmd_table1_audit(args) -> int:
 def _cmd_describe(args) -> int:
     series = _data_mod.read_csv(args.csv, args.value_column)
     stats = _data_mod.describe(series, convention=args.convention)
-    _emit_json(stats.as_dict(), args.out)
+    _emit_json(stats, args.out)
     return 0
 
 
@@ -227,7 +226,7 @@ def _cmd_report(args) -> int:
     series = _data_mod.read_csv(args.csv, args.value_column)
     stats = _data_mod.describe(series, convention=args.convention)
     sample = _fit_mod.normalize(series.rainfall_mm, policy=_policy(args.policy))
-    out = {"describe": stats.as_dict(), "models": {}}
+    out = {"describe": stats, "models": {}}
     fits = _fit_mod.fit_models(sample, ("beta", "kw", "wk"), starts=args.starts)
     for model, result in fits.items():
         gof = _gof_mod.run_gof(sample.likelihood_values, result.handle(), model,
@@ -264,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-aging", help="classify aging classes on a grid")
     p.add_argument("--dist", required=True)
     p.add_argument("--weight", default=None)
-    p.add_argument("--grid-size", type=int, default=128)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_check_aging)
 
@@ -274,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wx", default=None)
     p.add_argument("--wy", default=None)
     p.add_argument("--order", choices=_orders_mod.ORDER_NAMES, required=True)
-    p.add_argument("--grid-size", type=int, default=128)
     p.set_defaults(func=_cmd_check_order)
 
     p = sub.add_parser("verify-theorem",
@@ -284,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "thm9-example7")
     p.add_argument("--x"); p.add_argument("--y")
     p.add_argument("--w1"); p.add_argument("--w2")
-    p.add_argument("--grid-size", type=int, default=128)
     p.add_argument("--emit-ratio", default=None,
                    help="write the density-ratio curve as CSV to this path")
     p.set_defaults(func=_cmd_verify_theorem)

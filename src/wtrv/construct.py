@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import DistributionHandle, _handle, make_catalog
-from .numerics import ConvergenceError, Interval, WtrvError, _sc, invert_monotone
+from .numerics import CdfTable, ConvergenceError, Interval, WtrvError, _sc, invert_monotone
 from .numerics import brent_root, integrate_adaptive  # noqa: F401 (re-exported)
-from .weights import (IntegrabilityError, WeightFunction, make_weight,
-                      tail_integrand, validate_weight, weight_normalizer_integral)
+from .weights import (WeightFunction, make_weight, tail_integrand, validate_weight,
+                      weight_normalizer_integral)
 
 
 def expected_weight(dist: DistributionHandle, weight: WeightFunction) -> float:
@@ -33,12 +33,16 @@ def expected_weight(dist: DistributionHandle, weight: WeightFunction) -> float:
 class WtrvDistribution(DistributionHandle):
     base: DistributionHandle = None
     weight: WeightFunction = None
-    normalizer: float = float("nan")
-    cdf_nodes: np.ndarray = field(default=None, repr=False)
-    cdf_values: np.ndarray = field(default=None, repr=False)
-    # largest miss of the cdf interpolant against the table's partial masses
-    # (CdfTable.gap)
-    table_gap: float = 0.0
+    # validate_weight's cdf table, whose total is the normalizer
+    table: CdfTable = field(default=None, repr=False)
+
+    @property
+    def normalizer(self) -> float:
+        return self.table.total
+
+    @property
+    def cdf_nodes(self) -> np.ndarray:
+        return self.table.knots
 
     def describe(self) -> str:
         return f"wtrv[{self.base.describe()}; {self.weight.describe()}]"
@@ -47,15 +51,11 @@ class WtrvDistribution(DistributionHandle):
 def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribution:
     """Build the weighted tail variable of (X, w): its pdf is w'·sf/E[w(X)],
     and its cdf, sf and quantile are those of validate_weight's cdf table.
-    Raises WtrvError when the table's cubics overflow in floats."""
+    Raises IntegrabilityError for a pair that is not admissible, and
+    WtrvError when the table's cubics overflow in floats."""
     if dist.support.lo != 0.0:
         raise ValueError("construction requires a base distribution with lower bound 0")
-    report = validate_weight(weight, dist)
-    if not report.ok:
-        raise IntegrabilityError(
-            f"weight {weight.describe()} is not admissible for {dist.describe()}: "
-            f"{report.detail or 'validity flags failed'}")
-    table = report.table
+    table = validate_weight(weight, dist)
     try:
         table.cubic  # the coefficients, computed once here
     except FloatingPointError as exc:  # knots a few floats apart near 0
@@ -69,8 +69,7 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
         Interval(0.0, min(dist.support.hi, weight.domain_hint.hi)),
         pdf=lambda x: np.asarray(g(x), dtype=float) / z, cdf=table.cdf,
         sf=lambda x: 1.0 - table.cdf(x), quantile=table.quantile, cls=WtrvDistribution,
-        base=dist, weight=weight, normalizer=z, cdf_nodes=table.knots,
-        cdf_values=table.values, table_gap=table.gap)
+        base=dist, weight=weight, table=table)
 
 
 def equilibrium(dist: DistributionHandle) -> WtrvDistribution:

@@ -73,11 +73,6 @@ class DescriptiveStats:
     maximum: float
     convention: str
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("n", "mean", "median", "mode", "std", "variance",
-                 "skewness", "kurtosis", "minimum", "maximum", "convention")}
-
 
 def _mode_first_seen(values: np.ndarray) -> float:
     """The most frequent value; of several, the one seen first."""

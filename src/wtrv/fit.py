@@ -35,7 +35,7 @@ class DegenerateSampleError(ValueError):
 
 
 class BoundaryError(ValueError):
-    """A boundary value (0 or 1) entered a likelihood sum."""
+    """The likelihood set is empty after the boundary policy."""
 
 
 class FitError(WtrvError):
@@ -68,8 +68,9 @@ class NormalizedSample:
     @functools.cached_property
     def likelihood_values(self) -> np.ndarray:
         """Observations entering likelihood sums, after the boundary policy,
-        built and checked once per sample, read-only. Raises BoundaryError
-        when the set is empty or holds 0 or 1."""
+        built once per sample, read-only: exclude_boundary keeps the values
+        in (0, 1), and shrink maps [0, 1] into [0.5/n, 1 − 0.5/n]. Raises
+        BoundaryError when the set is empty."""
         v = self.values
         if self.boundary_policy == "exclude_boundary":
             x = v[(v > 0.0) & (v < 1.0)]
@@ -77,8 +78,6 @@ class NormalizedSample:
             x = (v * (self.n - 1) + 0.5) / self.n
         if len(x) == 0:
             raise BoundaryError("likelihood set is empty after the boundary policy")
-        if np.any(x <= 0.0) or np.any(x >= 1.0):
-            raise BoundaryError("boundary values 0/1 present in the likelihood set")
         x.flags.writeable = False
         return x
 
@@ -117,6 +116,9 @@ def _sorted(z, policy: str) -> np.ndarray:
     arr = np.sort(np.asarray(z, dtype=float))
     if len(arr) < 3:
         raise DegenerateSampleError("need at least 3 observations")
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ValueError(f"sample holds a non-finite value: {bad[0]}")
     return arr
 
 

@@ -49,7 +49,7 @@ def _cdf_accuracy(dist: DistributionHandle) -> float:
     Hermite's largest miss at the midpoints of its 16 pieces per cell (at 1/4,
     1/2 and 3/4 of a cell too narrow to cut), and at least twice the table
     tolerance."""
-    return 2.0 * max(dist.table_gap, _TABLE_TOL) if isinstance(dist, WtrvDistribution) else 1e-12
+    return 2.0 * max(dist.table.gap, _TABLE_TOL) if isinstance(dist, WtrvDistribution) else 1e-12
 
 
 _ORDER_SLACK = 1e-9  # check_order's, absolute

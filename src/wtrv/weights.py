@@ -1,4 +1,4 @@
-"""Weight functions and numeric admissibility checks.
+"""Weight functions and the numeric admissibility check.
 
 A weight is an increasing differentiable function on [0, u) with w(0) = 0
 whose derivative is absolutely integrable against the base distribution.
@@ -6,13 +6,14 @@ Integrability is verified as finiteness of the single integral of
 w'(x) * sf(x), which is the same criterion as the defining double integral
 for nonnegative derivatives and doubles as the construction normalizer. One
 adaptive pass, numerics.tabulate_cdf, computes that integral and the cdf
-table of the constructed variable together.
+table of the constructed variable together; validate_weight returns that
+table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,21 +34,6 @@ class WeightFunction(CatalogEntry):
     w: Callable
     w_prime: Callable
     domain_hint: Interval
-
-
-@dataclass(frozen=True)
-class WeightValidityReport:
-    starts_at_zero: bool
-    nondecreasing_on_grid: bool
-    integrability_ok: bool
-    normalizer: float | None
-    detail: str
-    # the cdf table of w'(x) * sf(x) whose total is the normalizer
-    table: CdfTable | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def ok(self) -> bool:
-        return self.starts_at_zero and self.nondecreasing_on_grid and self.integrability_ok
 
 
 def _arr(x):
@@ -153,37 +139,16 @@ def weight_normalizer_integral(weight: WeightFunction, dist: DistributionHandle)
     return _tail_table(weight, dist).total
 
 
-_GRID_SIZE = 256  # points of validate_weight's monotonicity grid
-
-
-def validate_weight(weight: WeightFunction, dist: DistributionHandle) -> WeightValidityReport:
-    """Check w(0)=0, monotonicity on a grid of _GRID_SIZE points, and
-    integrability of w' against X. The report carries the cdf table of an
-    integrable pair, for construct."""
+def validate_weight(weight: WeightFunction, dist: DistributionHandle) -> CdfTable:
+    """The cdf table of w'(x) * sf(x) for an admissible pair, whose total is
+    E[w(X)]; a pair whose pass does not reach a positive finite total raises
+    IntegrabilityError. Every catalog weight starts at zero and is
+    nondecreasing, which the tests check family by family, so integrability
+    is the one condition left to the pair."""
     if dist.support.lo != 0.0:
         raise ValueError("weight validation requires a base distribution with lower bound 0")
-    hi = min(dist.support.hi, weight.domain_hint.hi)
-    w0 = float(weight.w(0.0))
-    starts_at_zero = abs(w0) <= 1e-12
-
-    if math.isinf(hi):
-        grid = np.asarray(dist.quantile(np.linspace(1e-4, 1.0 - 1e-4, _GRID_SIZE)))
-    else:
-        grid = np.linspace(0.0, hi, _GRID_SIZE + 2)[1:-1]
-    vals = _arr(weight.w(grid))
-    scale = float(np.nanmax(np.abs(vals[np.isfinite(vals)]))) if np.isfinite(vals).any() else 1.0
-    with np.errstate(invalid="ignore"):  # inf - inf where w overflows on the grid
-        diffs = np.diff(vals)
-    nondecreasing = bool(np.all(diffs[np.isfinite(diffs)] >= -1e-12 * max(scale, 1.0)))
-
-    detail = ""
-    table: CdfTable | None = None
     try:
-        table = _tail_table(weight, dist)
+        return _tail_table(weight, dist)
     except IntegrabilityError as exc:
-        detail = str(exc)
-    return WeightValidityReport(starts_at_zero=starts_at_zero,
-                                nondecreasing_on_grid=nondecreasing,
-                                integrability_ok=table is not None,
-                                normalizer=None if table is None else table.total,
-                                detail=detail, table=table)
+        raise IntegrabilityError(f"weight {weight.describe()} is not admissible for "
+                                 f"{dist.describe()}: {exc}") from exc

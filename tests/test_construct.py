@@ -144,7 +144,7 @@ class TestConstructedQuantile:
                        make_weight("linear", {}))
         assert type(xw.quantile(0.5)) is float
         assert xw.quantile(0.0) == 0.0 and xw.quantile(1.0) == math.inf
-        assert xw.cdf_values[-1] == 1.0
+        assert xw.table.values[-1] == 1.0
         assert float(xw.cdf(xw.cdf_nodes[-1] * 2.0)) == 1.0
 
     def test_normalizer_integrated_once(self, monkeypatch):
@@ -188,14 +188,14 @@ class TestTableGap:
     ])
     def test_lower_end_singularity_converges(self, base, weight):
         xw = construct(parse_dist_spec(base), parse_weight_spec(weight))
-        assert xw.table_gap <= 1e-10
+        assert xw.table.gap <= 1e-10
 
     def test_upper_end_singularity_reported(self):
         # the floats next to x = 1 cannot resolve this singular end, and the
         # gap left there is reported, not hidden
         xw = construct(make_catalog("kumaraswamy", {"a": 1.0, "b": 0.5}),
                        make_weight("neg_log_sq", {}))
-        assert xw.table_gap > 1e-10
+        assert xw.table.gap > 1e-10
 
     def test_upper_end_singularity_cdf_error(self):
         # the cell next to x = 1 is one float wide and its GK15 mass reads 0,
@@ -239,17 +239,19 @@ class TestAdmissibility:
     @pytest.mark.parametrize("base, weight", _admissibility_pairs())
     def test_construct_iff_valid(self, base, weight):
         dist, w = parse_dist_spec(base), parse_weight_spec(weight)
-        report = validate_weight(w, dist)
-        assert (base, weight) not in self.REJECTED or not report.ok
-        assert (base, weight) not in self.ACCEPTED or report.ok
-        if not report.ok:
-            with pytest.raises(IntegrabilityError):
+        try:
+            table = validate_weight(w, dist)
+        except IntegrabilityError as exc:
+            assert (base, weight) not in self.ACCEPTED
+            with pytest.raises(IntegrabilityError) as err:
                 construct(dist, w)
+            assert str(err.value) == str(exc)
             return
+        assert (base, weight) not in self.REJECTED
         xw = construct(dist, w)
-        assert xw.normalizer == expected_weight(dist, w) == report.normalizer
+        assert xw.normalizer == expected_weight(dist, w) == table.total
         if (base, weight) == ("kumaraswamy(a=1,b=0.5)", "neg_log_sq()"):
-            assert xw.table_gap > 1e-10
+            assert xw.table.gap > 1e-10
 
 
 def _table_cases():
@@ -266,8 +268,9 @@ class TestTableInvariants:
     @pytest.mark.parametrize("case", _table_cases(), ids=lambda c: c[0])
     def test_knots_values_slopes_and_cdf(self, case):
         _, dist, w = case
-        table = validate_weight(w, dist).table
-        if table is None:  # not integrable: TestAdmissibility covers it
+        try:
+            table = validate_weight(w, dist)
+        except IntegrabilityError:  # not integrable: TestAdmissibility covers it
             return
         nodes, values, slopes = table.nodes, table.values, table.slopes
         assert np.all(np.diff(nodes) > 0.0)
@@ -409,8 +412,9 @@ class TestQuantileInItsPiece:
     @pytest.mark.parametrize("case", _table_cases(), ids=lambda c: c[0])
     def test_bit_identical_to_searching_quantile(self, case):
         _, dist, w = case
-        table = validate_weight(w, dist).table
-        if table is None:  # not integrable: TestAdmissibility covers it
+        try:
+            table = validate_weight(w, dist)
+        except IntegrabilityError:  # not integrable: TestAdmissibility covers it
             return
         xw = construct(dist, w)
         knots = table.values[(table.values > 0.0) & (table.values < 1.0)]

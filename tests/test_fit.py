@@ -44,6 +44,19 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize([1.0, 2.0, 3.0], policy="clip")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    def test_nonfinite_value_rejected(self, bad):
+        # NaN fails both range comparisons: it read as a constant sample
+        with pytest.raises(ValueError, match=f"non-finite value: {bad}$"):
+            normalize([1.0, bad, 3.0, 4.0])
+
+    @pytest.mark.parametrize("policy", ["exclude_boundary", "shrink"])
+    def test_unit_values_nan_rejected(self, policy):
+        # NaN was accepted: exclude_boundary dropped it from the likelihood
+        # set, and shrink failed every fit start
+        with pytest.raises(ValueError, match="non-finite value: nan$"):
+            from_unit_values([0.2, math.nan, 0.5, 0.7], policy)
+
 
 class TestLogLikelihoods:
     def test_wk_unit_parameters(self):

@@ -1,12 +1,17 @@
-"""Property tests over parameter boxes: every catalog family and a set of
-constructed variables."""
+"""Property tests over parameter boxes: every catalog family and weight, a
+set of constructed variables, and the likelihood set of a normalized
+sample."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wtrv import construct, make_catalog, make_weight
+from wtrv import construct, from_unit_values, make_catalog, make_weight, normalize
+from wtrv.fit import BOUNDARY_POLICIES, BoundaryError
+from wtrv.weights import _WEIGHTS
 
 
 def positive(lo, hi):
@@ -104,3 +109,38 @@ def test_weighted_kumaraswamy_closed_form_matches_construction(a, b, c):
     pdf = np.asarray(closed.pdf(xs))
     assert np.max(np.abs(np.asarray(built.pdf(xs)) - pdf) / pdf) <= 1e-8
     assert np.max(np.abs(np.asarray(built.cdf(xs)) - np.asarray(closed.cdf(xs)))) <= 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(_WEIGHTS))
+@given(data=st.data())
+def test_catalog_weight_starts_at_zero_and_increases(name, data):
+    # construct relies on this without a run-time check: w(0) = 0, w' >= 0
+    # and w nondecreasing on a grid of [0, hi), at parameters log-uniform
+    # in e^-3..e^3
+    w = make_weight(name, {k: math.exp(data.draw(st.floats(-3.0, 3.0), label=k))
+                           for k in _WEIGHTS[name][0]})
+    x = np.linspace(0.0, min(w.domain_hint.hi, 20.0), 257)[:-1]
+    v = np.asarray(w.w(x), dtype=float)
+    assert abs(v[0]) <= 1e-12
+    assert np.all(np.asarray(w.w_prime(x), dtype=float) >= 0.0)
+    assert np.all(np.diff(v) >= -1e-12 * np.max(np.abs(v)))
+
+
+@pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
+@given(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                min_size=3, max_size=40))
+def test_likelihood_set_strictly_inside_unit_interval(policy, values):
+    # exclude_boundary keeps the values in (0, 1); shrink keeps all n, mapped
+    # into [0.5/n, 1 - 0.5/n]; ties and the ends 0 and 1 included
+    samples = [from_unit_values(values, policy)]
+    if max(values) > min(values):
+        samples.append(normalize(values, policy))
+    for s in samples:
+        inner = np.count_nonzero((s.values > 0.0) & (s.values < 1.0))
+        if policy == "exclude_boundary" and inner == 0:
+            with pytest.raises(BoundaryError, match="empty"):
+                s.likelihood_values
+            continue
+        x = s.likelihood_values
+        assert np.all((x > 0.0) & (x < 1.0))
+        assert len(x) == (inner if policy == "exclude_boundary" else s.n)

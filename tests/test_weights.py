@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from wtrv import (CatalogError, make_catalog, make_weight, parse_weight_spec,
-                  validate_weight, weight_normalizer_integral)
+from wtrv import (CatalogError, IntegrabilityError, make_catalog, make_weight,
+                  parse_weight_spec, validate_weight, weight_normalizer_integral)
 
 WEIGHT_INSTANCES = [
     ("power", {"c": 2.0}),
@@ -88,24 +88,22 @@ class TestExamples:
 
 
 class TestValidation:
-    def test_linear_exponential_all_pass(self):
-        rep = validate_weight(make_weight("linear", {}),
-                              make_catalog("exponential", {"lambda": 1.0}))
-        assert rep.starts_at_zero and rep.nondecreasing_on_grid
-        assert rep.integrability_ok
-        assert rep.normalizer == pytest.approx(1.0, abs=1e-8)
+    def test_linear_exponential_table(self):
+        table = validate_weight(make_weight("linear", {}),
+                                make_catalog("exponential", {"lambda": 1.0}))
+        assert table.total == pytest.approx(1.0, abs=1e-8)
+        assert table.values[0] == 0.0 and table.values[-1] == 1.0
 
     def test_power_two_lomax_one_diverges(self):
-        rep = validate_weight(make_weight("power", {"c": 2.0}),
-                              make_catalog("pareto_lomax", {"alpha": 1.0}))
-        assert not rep.integrability_ok
+        with pytest.raises(IntegrabilityError, match=r"^weight power\(c=2\) is not admissible "
+                                                     r"for pareto_lomax\(alpha=1\): "):
+            validate_weight(make_weight("power", {"c": 2.0}),
+                            make_catalog("pareto_lomax", {"alpha": 1.0}))
 
     def test_sqrt_kumaraswamy_passes(self):
-        rep = validate_weight(make_weight("power", {"c": 0.5}),
-                              make_catalog("kumaraswamy", {"a": 2.0, "b": 3.0}))
-        assert rep.starts_at_zero and rep.nondecreasing_on_grid
-        assert rep.integrability_ok
-        assert rep.normalizer is not None and rep.normalizer > 0
+        table = validate_weight(make_weight("power", {"c": 0.5}),
+                                make_catalog("kumaraswamy", {"a": 2.0, "b": 3.0}))
+        assert math.isfinite(table.total) and table.total > 0
 
 
 class TestNormalizerNearSingularity:
