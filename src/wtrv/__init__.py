@@ -6,10 +6,9 @@ classes and stochastic orders carry over to the constructed variable, and
 fit the weighted Kumaraswamy special case to data.
 """
 
-from .construct import (WtrvDistribution, construct, equilibrium,
-                        expected_weight, minimum_of, table1_oracle_suite,
-                        weighted_kumaraswamy, wtrv_of_minimum)
-from .distributions import (CatalogError, DistributionHandle, kumaraswamy_moment,
+from .construct import (WtrvDistribution, construct, equilibrium, minimum_of,
+                        table1_oracle_suite, wtrv_of_minimum)
+from .distributions import (CatalogError, DistributionHandle, Interior, kumaraswamy_moment,
                             make_catalog, parse_dist_spec, sample, wk_moment)
 from .fit import (FitResult, NormalizedSample, fit_mle, fit_models, from_unit_values,
                   loglik_beta, loglik_kw, loglik_wk, normalize, rmse_metric,

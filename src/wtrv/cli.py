@@ -156,10 +156,12 @@ def _cmd_verify_theorem(args) -> int:
                              "fixture is given")
         x, y = parse_dist_spec(args.x), parse_dist_spec(args.y)
         w1, w2 = parse_weight_spec(args.w1), parse_weight_spec(args.w2)
+    built = None
     if args.emit_ratio:
-        xs, ratio = _orders_mod.ratio_curve(x, y, w1, w2)
+        built = (_construct(x, w1), _construct(y, w2))
+        xs, ratio = _orders_mod.ratio_curve(*built)
         _emit_csv(["x", "density_ratio"], zip(xs.tolist(), ratio.tolist()), args.emit_ratio)
-    report = _orders_mod.verify_theorem(x, y, w1, w2, which)
+    report = _orders_mod.verify_theorem(x, y, w1, w2, which, built=built)
     _emit_json(report, args.out)
     return 0
 

@@ -4,9 +4,10 @@ Given a base distribution X with lower bound 0 and an admissible weight w,
 the constructed variable has density w'(x) * sf_X(x) / E[w(X)]. The one
 GK15 pass of validate_weight gives both E[w(X)] and the cdf table
 (numerics.CdfTable), whose cdf and quantile the variable reads. The
-constructed variable and the minimum of independent variables pass only
-what they compute inside the support to distributions._handle, which adds
-the edge values and the scalar/array handling shared by every handle.
+constructed variable and the minimum of independent variables declare only
+what they compute inside the support, as distributions.Interior; their
+DistributionHandle adds the edge values and the scalar/array handling
+shared by every handle.
 """
 
 from __future__ import annotations
@@ -17,24 +18,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import DistributionHandle, _handle, make_catalog
+from .distributions import DistributionHandle, Interior, make_catalog
 from .numerics import CdfTable, ConvergenceError, Interval, WtrvError, _sc, invert_monotone
 from .numerics import brent_root, integrate_adaptive  # noqa: F401 (re-exported)
-from .weights import (WeightFunction, make_weight, tail_integrand, validate_weight,
-                      weight_normalizer_integral)
-
-
-def expected_weight(dist: DistributionHandle, weight: WeightFunction) -> float:
-    """E[w(X)] via the tail identity: integral of w'(x) * sf(x)."""
-    return weight_normalizer_integral(weight, dist)
+from .weights import WeightFunction, make_weight, tail_integrand, validate_weight
+from .weights import weight_normalizer_integral  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
 class WtrvDistribution(DistributionHandle):
-    base: DistributionHandle = None
-    weight: WeightFunction = None
+    base: DistributionHandle
+    weight: WeightFunction
     # validate_weight's cdf table, whose total is the normalizer
-    table: CdfTable = field(default=None, repr=False)
+    table: CdfTable = field(repr=False)
 
     @property
     def normalizer(self) -> float:
@@ -53,8 +49,6 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
     and its cdf, sf and quantile are those of validate_weight's cdf table.
     Raises IntegrabilityError for a pair that is not admissible, and
     WtrvError when the table's cubics overflow in floats."""
-    if dist.support.lo != 0.0:
-        raise ValueError("construction requires a base distribution with lower bound 0")
     table = validate_weight(weight, dist)
     try:
         table.cubic  # the coefficients, computed once here
@@ -63,23 +57,18 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
                         f"cannot be interpolated in floats: {exc}") from exc
     z = table.total
     g = tail_integrand(weight, dist)
-    return _handle(
+    return WtrvDistribution(
         "wtrv", {**{f"base_{k}": v for k, v in dist.params.items()},
                  **{f"w_{k}": v for k, v in weight.params.items()}},
         Interval(0.0, min(dist.support.hi, weight.domain_hint.hi)),
-        pdf=lambda x: np.asarray(g(x), dtype=float) / z, cdf=table.cdf,
-        sf=lambda x: 1.0 - table.cdf(x), quantile=table.quantile, cls=WtrvDistribution,
-        base=dist, weight=weight, table=table)
+        Interior(pdf=lambda x: np.asarray(g(x), dtype=float) / z, cdf=table.cdf,
+                 sf=lambda x: 1.0 - table.cdf(x), quantile=table.quantile),
+        dist, weight, table)
 
 
 def equilibrium(dist: DistributionHandle) -> WtrvDistribution:
     """Equilibrium variable of X: the tail construction with the identity weight."""
     return construct(dist, make_weight("linear"))
-
-
-def weighted_kumaraswamy(a: float, b: float, c: float) -> DistributionHandle:
-    """Closed-form handle for the three-parameter weighted Kumaraswamy family."""
-    return make_catalog("weighted_kumaraswamy", {"a": a, "b": b, "c": c})
 
 
 def minimum_of(handles: Sequence[DistributionHandle]) -> DistributionHandle:
@@ -121,7 +110,7 @@ def minimum_of(handles: Sequence[DistributionHandle]) -> DistributionHandle:
         return invert_monotone(lambda x, _: cdf(x), lambda x, _: pdf(x), u, lo, hi)
 
     name = "min[" + ",".join(h.describe() for h in handles) + "]"
-    return _handle(name, {}, sup, pdf=pdf, cdf=cdf, sf=sf, quantile=quantile)
+    return DistributionHandle(name, {}, sup, Interior(pdf, cdf, sf, quantile))
 
 
 def wtrv_of_minimum(dists: Sequence[DistributionHandle],
@@ -153,11 +142,12 @@ def _burr_power_target(c: float, k: float, a: float) -> DistributionHandle:
         v = _sc.betaincinv(p, q, u)
         return (v / (1.0 - v)) ** (1.0 / c)
 
-    return _handle("burr12_power_wtrv", {"c": c, "k": k, "a": a}, Interval(0.0, math.inf),
-                   pdf=lambda x: a * x ** (a - 1) * (1 + x ** c) ** (-k) / norm,
-                   cdf=lambda x: _sc.betainc(p, q, 1.0 / (1.0 + x ** -c)),
-                   sf=lambda x: _sc.betainc(q, p, 1.0 / (1.0 + x ** c)),
-                   quantile=quantile)
+    return DistributionHandle(
+        "burr12_power_wtrv", {"c": c, "k": k, "a": a}, Interval(0.0, math.inf), Interior(
+            pdf=lambda x: a * x ** (a - 1) * (1 + x ** c) ** (-k) / norm,
+            cdf=lambda x: _sc.betainc(p, q, 1.0 / (1.0 + x ** -c)),
+            sf=lambda x: _sc.betainc(q, p, 1.0 / (1.0 + x ** c)),
+            quantile=quantile))
 
 
 def _table1_rows() -> list[tuple[str, DistributionHandle, WeightFunction, DistributionHandle, str]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,19 +31,45 @@ class CatalogEntry:
         return f"{self.name}({args})"
 
 
+class Interior(NamedTuple):
+    """A family's vectorized pdf, cdf, sf and quantile, which need be right
+    only strictly inside its support, the quantile only on u in (0, 1)."""
+
+    pdf: Callable
+    cdf: Callable
+    sf: Callable
+    quantile: Callable
+
+
 @dataclass(frozen=True)
 class DistributionHandle(CatalogEntry):
+    """A distribution on support, built from its interior functions. Its
+    pdf, cdf, sf and quantile are derived from them here, so a replace()
+    derives them again: pdf, cdf and sf take their edge values at and beyond
+    the support, the quantile gives the support's ends at u <= 0 and u >= 1
+    and calls the interior quantile only on u in (0, 1), and a scalar in
+    gives a float out."""
+
     name: str
     params: dict[str, float]
     support: Interval
-    pdf: Callable = field(repr=False)
-    cdf: Callable = field(repr=False)
-    sf: Callable = field(repr=False)
-    quantile: Callable = field(repr=False)
+    interior: Interior = field(repr=False)
+    pdf: Callable = field(init=False, repr=False, compare=False)
+    cdf: Callable = field(init=False, repr=False, compare=False)
+    sf: Callable = field(init=False, repr=False, compare=False)
+    quantile: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sup, f = self.support, self.interior
+        for name, guarded in (("pdf", _masked(sup, f.pdf, 0.0, 0.0)),
+                              ("cdf", _masked(sup, f.cdf, 0.0, 1.0)),
+                              ("sf", _masked(sup, f.sf, 1.0, 0.0)),
+                              ("quantile", _inverse(sup, f.quantile))):
+            object.__setattr__(self, name, guarded)
 
 
 def _masked(support: Interval, inside: Callable, below: float, above: float) -> Callable:
-    """inside under the edge policy and an errstate; .inside is inside."""
+    """inside under the edge policy and an errstate."""
     lo, hi = support.lo, support.hi
 
     @scalar_or_array
@@ -52,7 +78,6 @@ def _masked(support: Interval, inside: Callable, below: float, above: float) -> 
             return np.where(x <= lo, below, np.where(x >= hi, above,
                             inside(np.minimum(np.maximum(x, lo), hi))))
 
-    fn.inside = inside
     return fn
 
 
@@ -67,17 +92,7 @@ def _inverse(support: Interval, inside: Callable) -> Callable:
     return fn
 
 
-def _handle(name, params, support, pdf, cdf, sf, quantile, cls=DistributionHandle, **fields):
-    """Build a distribution handle; every handle is made here. The
-    vectorized functions given need only be right inside the support: pdf,
-    cdf and sf take their edge values at and beyond it, the quantile gives
-    the support's ends at u <= 0 and u >= 1 and runs only on u in (0, 1),
-    and a scalar in gives a float out. A subclass cls receives its extra
-    fields."""
-    return cls(
-        name=name, params=dict(params), support=support,
-        pdf=_masked(support, pdf, 0.0, 0.0), cdf=_masked(support, cdf, 0.0, 1.0),
-        sf=_masked(support, sf, 1.0, 0.0), quantile=_inverse(support, quantile), **fields)
+_HALF_LINE, _UNIT = Interval(0.0, math.inf), Interval(0.0, 1.0)
 
 
 def _require_positive(params: dict[str, float], *names: str) -> None:
@@ -88,131 +103,98 @@ def _require_positive(params: dict[str, float], *names: str) -> None:
 
 
 def _exponential(lam: float) -> DistributionHandle:
-    sup = Interval(0.0, math.inf)
-    return _handle(
-        "exponential", {"lambda": lam}, sup,
+    return DistributionHandle("exponential", {"lambda": lam}, _HALF_LINE, Interior(
         pdf=lambda x: lam * np.exp(-lam * x),
         cdf=lambda x: -np.expm1(-lam * x),
         sf=lambda x: np.exp(-lam * x),
-        quantile=lambda u: -np.log1p(-u) / lam,
-    )
+        quantile=lambda u: -np.log1p(-u) / lam))
 
 
 def _gamma(k: float, lam: float) -> DistributionHandle:
-    sup = Interval(0.0, math.inf)
     lg = _sc.gammaln(k)
-    return _handle(
-        "gamma", {"k": k, "lambda": lam}, sup,
+    return DistributionHandle("gamma", {"k": k, "lambda": lam}, _HALF_LINE, Interior(
         pdf=lambda x: np.exp(k * np.log(lam) + (k - 1) * np.log(x) - lam * x - lg),
         cdf=lambda x: _sc.gammainc(k, lam * x),
         sf=lambda x: _sc.gammaincc(k, lam * x),
-        quantile=lambda u: _sc.gammaincinv(k, u) / lam,
-    )
+        quantile=lambda u: _sc.gammaincinv(k, u) / lam))
 
 
 def _weibull(alpha: float, beta: float) -> DistributionHandle:
-    sup = Interval(0.0, math.inf)
-    return _handle(
-        "weibull", {"alpha": alpha, "beta": beta}, sup,
+    return DistributionHandle("weibull", {"alpha": alpha, "beta": beta}, _HALF_LINE, Interior(
         pdf=lambda x: (alpha / beta) * (x / beta) ** (alpha - 1) * np.exp(-((x / beta) ** alpha)),
         cdf=lambda x: -np.expm1(-((x / beta) ** alpha)),
         sf=lambda x: np.exp(-((x / beta) ** alpha)),
-        quantile=lambda u: beta * (-np.log1p(-u)) ** (1.0 / alpha),
-    )
+        quantile=lambda u: beta * (-np.log1p(-u)) ** (1.0 / alpha)))
 
 
 def _rayleigh(sigma: float) -> DistributionHandle:
-    sup = Interval(0.0, math.inf)
     s2 = sigma * sigma
-    return _handle(
-        "rayleigh", {"sigma": sigma}, sup,
+    return DistributionHandle("rayleigh", {"sigma": sigma}, _HALF_LINE, Interior(
         pdf=lambda x: (x / s2) * np.exp(-x * x / (2 * s2)),
         cdf=lambda x: -np.expm1(-x * x / (2 * s2)),
         sf=lambda x: np.exp(-x * x / (2 * s2)),
-        quantile=lambda u: sigma * np.sqrt(-2.0 * np.log1p(-u)),
-    )
+        quantile=lambda u: sigma * np.sqrt(-2.0 * np.log1p(-u))))
 
 
 def _half_normal(sigma: float) -> DistributionHandle:
-    sup = Interval(0.0, math.inf)
     c = math.sqrt(2.0 / math.pi) / sigma
     rt2 = math.sqrt(2.0)
-    return _handle(
-        "half_normal", {"sigma": sigma}, sup,
+    return DistributionHandle("half_normal", {"sigma": sigma}, _HALF_LINE, Interior(
         pdf=lambda x: c * np.exp(-x * x / (2 * sigma * sigma)),
         cdf=lambda x: _sc.erf(x / (sigma * rt2)),
         sf=lambda x: _sc.erfc(x / (sigma * rt2)),
-        quantile=lambda u: sigma * rt2 * _sc.erfinv(u),
-    )
+        quantile=lambda u: sigma * rt2 * _sc.erfinv(u)))
 
 
 def _generalized_gamma(p: float, a: float, d: float) -> DistributionHandle:
-    sup = Interval(0.0, math.inf)
     lg = _sc.gammaln(d / p)
-    return _handle(
-        "generalized_gamma", {"p": p, "a": a, "d": d}, sup,
+    return DistributionHandle("generalized_gamma", {"p": p, "a": a, "d": d}, _HALF_LINE, Interior(
         pdf=lambda x: np.exp(np.log(p) + (d - 1) * np.log(x) - (x / a) ** p
                              - d * np.log(a) - lg),
         cdf=lambda x: _sc.gammainc(d / p, (x / a) ** p),
         sf=lambda x: _sc.gammaincc(d / p, (x / a) ** p),
-        quantile=lambda u: a * _sc.gammaincinv(d / p, u) ** (1.0 / p),
-    )
+        quantile=lambda u: a * _sc.gammaincinv(d / p, u) ** (1.0 / p)))
 
 
 def _burr12(c: float, k: float) -> DistributionHandle:
-    sup = Interval(0.0, math.inf)
-    return _handle(
-        "burr12", {"c": c, "k": k}, sup,
+    return DistributionHandle("burr12", {"c": c, "k": k}, _HALF_LINE, Interior(
         pdf=lambda x: c * k * x ** (c - 1) * (1 + x ** c) ** (-(k + 1)),
         cdf=lambda x: 1.0 - (1 + x ** c) ** (-k),
         sf=lambda x: (1 + x ** c) ** (-k),
-        quantile=lambda u: np.expm1(-np.log1p(-u) / k) ** (1.0 / c),
-    )
+        quantile=lambda u: np.expm1(-np.log1p(-u) / k) ** (1.0 / c)))
 
 
 def _pareto_lomax(alpha: float) -> DistributionHandle:
-    sup = Interval(0.0, math.inf)
-    return _handle(
-        "pareto_lomax", {"alpha": alpha}, sup,
+    return DistributionHandle("pareto_lomax", {"alpha": alpha}, _HALF_LINE, Interior(
         pdf=lambda x: alpha * (1 + x) ** (-(alpha + 1)),
         cdf=lambda x: 1.0 - (1 + x) ** (-alpha),
         sf=lambda x: (1 + x) ** (-alpha),
-        quantile=lambda u: np.expm1(-np.log1p(-u) / alpha),
-    )
+        quantile=lambda u: np.expm1(-np.log1p(-u) / alpha)))
 
 
 def _uniform() -> DistributionHandle:
-    sup = Interval(0.0, 1.0)
-    return _handle(
-        "uniform", {}, sup,
+    return DistributionHandle("uniform", {}, _UNIT, Interior(
         pdf=lambda x: np.ones_like(x),
         cdf=lambda x: x,
         sf=lambda x: 1.0 - x,
-        quantile=lambda u: u,
-    )
+        quantile=lambda u: u))
 
 
 def _beta(alpha: float, beta: float) -> DistributionHandle:
-    sup = Interval(0.0, 1.0)
     lb = _sc.betaln(alpha, beta)
-    return _handle(
-        "beta", {"alpha": alpha, "beta": beta}, sup,
+    return DistributionHandle("beta", {"alpha": alpha, "beta": beta}, _UNIT, Interior(
         pdf=lambda x: np.exp((alpha - 1) * np.log(x) + (beta - 1) * np.log1p(-x) - lb),
         cdf=lambda x: _sc.betainc(alpha, beta, x),
         sf=lambda x: _sc.betaincc(alpha, beta, x),
-        quantile=lambda u: _sc.betaincinv(alpha, beta, u),
-    )
+        quantile=lambda u: _sc.betaincinv(alpha, beta, u)))
 
 
 def _kumaraswamy(a: float, b: float) -> DistributionHandle:
-    sup = Interval(0.0, 1.0)
-    return _handle(
-        "kumaraswamy", {"a": a, "b": b}, sup,
+    return DistributionHandle("kumaraswamy", {"a": a, "b": b}, _UNIT, Interior(
         pdf=lambda x: a * b * x ** (a - 1) * (1 - x ** a) ** (b - 1),
         cdf=lambda x: 1.0 - (1 - x ** a) ** b,
         sf=lambda x: (1 - x ** a) ** b,
-        quantile=lambda u: (-np.expm1(np.log1p(-u) / b)) ** (1.0 / a),
-    )
+        quantile=lambda u: (-np.expm1(np.log1p(-u) / b)) ** (1.0 / a)))
 
 
 def _weighted_kumaraswamy(a: float, b: float, c: float) -> DistributionHandle:
@@ -225,12 +207,11 @@ def _weighted_kumaraswamy(a: float, b: float, c: float) -> DistributionHandle:
         log_x = np.log(x)
         return np.exp(log_c + (c - 1) * log_x + b * np.log(-np.expm1(a * log_x)) - log_norm)
 
-    return _handle(
-        "weighted_kumaraswamy", {"a": a, "b": b, "c": c}, Interval(0.0, 1.0), pdf=pdf,
+    return DistributionHandle("weighted_kumaraswamy", {"a": a, "b": b, "c": c}, _UNIT, Interior(
+        pdf=pdf,
         cdf=lambda x: _sc.betainc(p, q, x ** a),
         sf=lambda x: _sc.betaincc(p, q, x ** a),
-        quantile=lambda u: _sc.betaincinv(p, q, u) ** (1.0 / a),
-    )
+        quantile=lambda u: _sc.betaincinv(p, q, u) ** (1.0 / a)))
 
 
 def wk_moment(a: float, b: float, c: float, n: int) -> float:
@@ -253,14 +234,11 @@ def _truncated_power(beta: float) -> DistributionHandle:
     # SF (1-x)^(beta-1) on (0, 1), requires beta > 1
     if not beta > 1:
         raise CatalogError(f"parameter 'beta' of truncated_power must be > 1, got {beta}")
-    sup = Interval(0.0, 1.0)
-    return _handle(
-        "truncated_power", {"beta": beta}, sup,
+    return DistributionHandle("truncated_power", {"beta": beta}, _UNIT, Interior(
         pdf=lambda x: (beta - 1) * (1 - x) ** (beta - 2),
         cdf=lambda x: 1.0 - (1 - x) ** (beta - 1),
         sf=lambda x: (1 - x) ** (beta - 1),
-        quantile=lambda u: -np.expm1(np.log1p(-u) / (beta - 1)),
-    )
+        quantile=lambda u: -np.expm1(np.log1p(-u) / (beta - 1))))
 
 
 _BUILDERS: dict[str, tuple[tuple[str, ...], Callable]] = {

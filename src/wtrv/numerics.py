@@ -96,6 +96,14 @@ class AccuracyError(WtrvError):
         self.evaluations = evaluations
 
 
+class NegativeDensityError(WtrvError):
+    """A density to tabulate reads a negative value at x."""
+
+    def __init__(self, x: float):
+        super().__init__(f"density is negative at x = {x:.6g}")
+        self.x = x
+
+
 class BracketError(ValueError):
     """Root bracket does not enclose a sign change."""
 
@@ -106,15 +114,14 @@ class ConvergenceError(WtrvError):
 
 def scalar_or_array(fn: Callable) -> Callable:
     """Call fn(x, *args) with x as a float array; a scalar x gives a float.
-    Handles build these per instance, so the wrapper carries only
-    __wrapped__, not functools.wraps' copied attributes."""
+    Handles build these per instance, so the wrapper copies none of
+    functools.wraps' attributes."""
 
     def wrapped(x, *args):
         arr = np.asarray(x, dtype=float)
         out = fn(arr, *args)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
-    wrapped.__wrapped__ = fn
     return wrapped
 
 
@@ -455,6 +462,15 @@ def _end_gap(mass, parts, h, ga, gb) -> np.ndarray:
     return gap
 
 
+def _nonnegative(vals: np.ndarray, a: np.ndarray, b: np.ndarray, rng: Interval) -> None:
+    """Raise NegativeDensityError at the first Kronrod node of the cells
+    [a_i, b_i], in the table's coordinate, where f reads below 0."""
+    if vals.min() < 0.0:  # vals holds no NaN: _gk15_cells reads it as inf
+        i, k = np.argwhere(vals < 0.0)[0]
+        t = 0.5 * (a[i] + b[i]) + 0.5 * (b[i] - a[i]) * _XK[k]
+        raise NegativeDensityError(float(_from_unit(t, rng.lo) if math.isinf(rng.hi) else t))
+
+
 def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
     """Integrate the density f over rng and tabulate its cdf in one globally
     adaptive GK15 pass.
@@ -479,11 +495,12 @@ def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
     nondecreasing by a running maximum, and each slope is capped at 3 times
     the secants next to it, which keeps every cubic monotone (Fritsch and
     Carlson), also where rounding leaves equal values next to 1.
-    f is called only at Kronrod nodes, above lo, under an errstate.
-    Raises AccuracyError, with the best estimate attached, when a round
-    starts with _MAX_CELLS cells and a rule still applies, or cells too
-    narrow to halve hold more GK15 error than its bound, which is also how
-    a divergent integral surfaces.
+    f is called only at Kronrod nodes, above lo, under an errstate; a
+    batch in which f reads below 0 raises NegativeDensityError at once,
+    naming the first such node's x. Raises AccuracyError, with the best
+    estimate attached, when a round starts with _MAX_CELLS cells and a rule
+    still applies, or cells too narrow to halve hold more GK15 error than
+    its bound, which is also how a divergent integral surfaces.
     """
     lo, hi = rng.lo, rng.hi
     mapped = math.isinf(hi)
@@ -494,6 +511,7 @@ def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
     # a cell of f not finite reads inf or NaN, and its error inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mass, err, vals = _gk15_cells(f, a, b)
+        _nonnegative(vals, a, b, rng)
         miss, extra = 0.5 * (b - a)[:, None] * (vals @ _WMISS), vals @ _WEND
         evals, rounds = vals.size, 0
         while True:
@@ -523,6 +541,7 @@ def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
             mass, err, vals, miss, extra = (v[parent] for v in (mass, err, vals, miss, extra))
             an, bn = a[new], b[new]
             mass[new], err[new], fresh = _gk15_cells(f, an, bn)
+            _nonnegative(fresh, an, bn, rng)
             vals[new], extra[new] = fresh, fresh @ _WEND
             miss[new] = 0.5 * (bn - an)[:, None] * (fresh @ _WMISS)
             evals, rounds = evals + fresh.size, rounds + 1

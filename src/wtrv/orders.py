@@ -331,16 +331,18 @@ def _try_construct(dist, weight):
 
 def verify_theorem(x: DistributionHandle, y: DistributionHandle,
                    w1: WeightFunction, w2: WeightFunction, which: str,
-                   grid_size: int = 128) -> TheoremReport:
+                   grid_size: int = 128, *, built: tuple | None = None) -> TheoremReport:
     """Check one order-preservation result end to end: construct the weighted
-    variables, grid-test the hypotheses, test the conclusion."""
+    variables, grid-test the hypotheses, test the conclusion. built is
+    internal: a caller that has constructed (X_w1, Y_w2) already passes them
+    on."""
     if which not in THEOREM_IDS:
         raise ValueError(f"unknown result id {which!r}; known: {', '.join(THEOREM_IDS)}")
     _check_grid_size(grid_size)
     [(keys, order, conclusion)], _ = _RESULTS[which]
     grid = _merged_grid(x, y, grid_size)
-    xw, dx = _try_construct(x, w1)
-    yw, dy = _try_construct(y, w2)
+    xw, dx = _try_construct(x, w1) if built is None else (built[0], "")
+    yw, dy = _try_construct(y, w2) if built is None else (built[1], "")
     if xw is None or yw is None:
         return TheoremReport(which, {"construction_ok": False}, False, "", None,
                              True, dx or dy)
@@ -402,12 +404,10 @@ def named_fixture(name: str):
             parse_weight_spec(w1s), parse_weight_spec(w2s), which)
 
 
-def ratio_curve(x: DistributionHandle, y: DistributionHandle,
-                w1: WeightFunction, w2: WeightFunction,
+def ratio_curve(xw: DistributionHandle, yw: DistributionHandle,
                 grid_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise density ratio f_{Y_w2}/f_{X_w1} on the common interior."""
-    xw = construct(x, w1)
-    yw = construct(y, w2)
+    """Pointwise density ratio f_{Y_w2}/f_{X_w1} of the constructed X_w1 and
+    Y_w2 on their common interior."""
     lo = max(xw.support.lo, yw.support.lo)
     hi = min(xw.support.hi, yw.support.hi)
     if math.isinf(hi):

@@ -13,13 +13,14 @@ table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .distributions import CatalogEntry, DistributionHandle, catalog_build, parse_kv_spec
-from .numerics import AccuracyError, CdfTable, Interval, WtrvError, tabulate_cdf
+from .numerics import (AccuracyError, CdfTable, Interval, NegativeDensityError, WtrvError,
+                       tabulate_cdf)
 from .numerics import integrate_adaptive  # noqa: F401 (re-exported)
 
 
@@ -29,11 +30,22 @@ class IntegrabilityError(WtrvError):
 
 @dataclass(frozen=True)
 class WeightFunction(CatalogEntry):
+    """A weight on domain_hint built from its vectorized raw_w and
+    raw_w_prime; w and w_prime are derived from them here, under an
+    errstate that silences their edge arithmetic, so a replace() derives
+    them again."""
+
     name: str
     params: dict[str, float]
-    w: Callable
-    w_prime: Callable
-    domain_hint: Interval
+    raw_w: Callable = field(repr=False)
+    raw_w_prime: Callable = field(repr=False)
+    domain_hint: Interval = Interval(0.0, math.inf)
+    w: Callable = field(init=False, repr=False, compare=False)
+    w_prime: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "w", _quiet(self.raw_w))
+        object.__setattr__(self, "w_prime", _quiet(self.raw_w_prime))
 
 
 def _arr(x):
@@ -44,48 +56,41 @@ def _quiet(f):
     def wrapped(x):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return f(x)
-    wrapped.raw = f
     return wrapped
 
 
-def _mk(name, params, w, w_prime, hi=math.inf):
-    return WeightFunction(name=name, params=dict(params), w=_quiet(w),
-                          w_prime=_quiet(w_prime),
-                          domain_hint=Interval(0.0, hi))
-
-
 _WEIGHTS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "power": (("c",), lambda p: _mk(
+    "power": (("c",), lambda p: WeightFunction(
         "power", p,
         lambda x: _arr(x) ** p["c"],
         lambda x: p["c"] * _arr(x) ** (p["c"] - 1.0))),
-    "scaled_power": (("alpha", "beta"), lambda p: _mk(
+    "scaled_power": (("alpha", "beta"), lambda p: WeightFunction(
         "scaled_power", p,
         lambda x: (_arr(x) / p["beta"]) ** p["alpha"],
         lambda x: (p["alpha"] / p["beta"]) * (_arr(x) / p["beta"]) ** (p["alpha"] - 1.0))),
-    "log1p_power": (("c",), lambda p: _mk(
+    "log1p_power": (("c",), lambda p: WeightFunction(
         "log1p_power", p,
         lambda x: np.log1p(_arr(x) ** p["c"]),
         lambda x: p["c"] * _arr(x) ** (p["c"] - 1.0) / (1.0 + _arr(x) ** p["c"]))),
-    "neg_log_sq": ((), lambda p: _mk(
+    "neg_log_sq": ((), lambda p: WeightFunction(
         "neg_log_sq", p,
         lambda x: -np.log1p(-_arr(x) ** 2),
         lambda x: 2.0 * _arr(x) / (1.0 - _arr(x) ** 2),
-        hi=1.0)),
-    "exp_shift_sq": ((), lambda p: _mk(
+        Interval(0.0, 1.0))),
+    "exp_shift_sq": ((), lambda p: WeightFunction(
         "exp_shift_sq", p,
         lambda x: np.exp((_arr(x) + 1.0) ** 2) - math.e,
         lambda x: 2.0 * (_arr(x) + 1.0) * np.exp((_arr(x) + 1.0) ** 2))),
-    "expm1": ((), lambda p: _mk(
+    "expm1": ((), lambda p: WeightFunction(
         "expm1", p,
         lambda x: np.expm1(_arr(x)),
         lambda x: np.exp(_arr(x)))),
-    "neg_x_log1m": ((), lambda p: _mk(
+    "neg_x_log1m": ((), lambda p: WeightFunction(
         "neg_x_log1m", p,
         lambda x: -_arr(x) - np.log1p(-_arr(x)),
         lambda x: _arr(x) / (1.0 - _arr(x)),
-        hi=1.0)),
-    "linear": ((), lambda p: _mk(
+        Interval(0.0, 1.0))),
+    "linear": ((), lambda p: WeightFunction(
         "linear", p,
         lambda x: _arr(x),
         lambda x: np.ones_like(_arr(x)))),
@@ -103,11 +108,11 @@ def parse_weight_spec(text: str) -> WeightFunction:
 
 
 def tail_integrand(weight: WeightFunction, dist: DistributionHandle) -> Callable:
-    """w'(x) * sf(x) from the weight's own w' and the family's interior sf,
+    """w'(x) * sf(x) from the weight's raw w' and the family's interior sf,
     under the caller's errstate: the quadrature's, or that of the constructed
     pdf's handle, which also applies the edge policy. Once sf underflows to exactly
     0 the product vanishes regardless of w', and it is 0 at and beyond hi."""
-    wp, sf, hi = weight.w_prime.raw, dist.sf.inside, dist.support.hi
+    wp, sf, hi = weight.raw_w_prime, dist.interior.sf, dist.support.hi
 
     def integrand(x):
         d, s = wp(x), sf(x)
@@ -118,11 +123,14 @@ def tail_integrand(weight: WeightFunction, dist: DistributionHandle) -> Callable
 
 def _tail_table(weight: WeightFunction, dist: DistributionHandle) -> CdfTable:
     """The cdf table of w'(x) * sf(x) over the support; its total is E[w(X)].
-    A pass that does not converge, or a total that is not a positive finite
-    number, raises IntegrabilityError."""
+    A negative w'*sf, a pass that does not converge, or a total that is not
+    a positive finite number raises IntegrabilityError."""
     rng = Interval(dist.support.lo, min(dist.support.hi, weight.domain_hint.hi))
     try:
         table = tabulate_cdf(tail_integrand(weight, dist), rng)
+    except NegativeDensityError as exc:
+        raise IntegrabilityError(f"w'*sf for {weight.describe()} against {dist.describe()} "
+                                 f"is negative at x = {exc.x:.6g}") from exc
     except AccuracyError as exc:
         raise IntegrabilityError(
             f"integral of w'*sf for {weight.describe()} against {dist.describe()} "

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from wtrv import (check_order, check_theorem_conditions, classify_aging,
-                  construct, equilibrium, expected_weight, fit_mle,
+                  construct, equilibrium, fit_mle,
                   from_unit_values, ks_test, make_catalog, make_weight,
                   named_fixture, randomized_theorem_audit, sample,
-                  table1_oracle_suite, verify_theorem)
+                  table1_oracle_suite, validate_weight, verify_theorem)
 from wtrv.numerics import integrate_adaptive
 from wtrv.weights import IntegrabilityError
 
@@ -58,7 +58,7 @@ def test_criterion_2_tail_expectation_identity():
     for i, ((dname, dparams), (wname, wparams)) in enumerate(pairs):
         dist = make_catalog(dname, dict(dparams))
         w = make_weight(wname, dict(wparams))
-        value = expected_weight(dist, w)
+        value = validate_weight(w, dist).total
         draws = np.asarray(w.w(sample(dist, n, seed=1000 + i)), dtype=float)
         se = float(np.std(draws, ddof=1)) / math.sqrt(n)
         if abs(float(np.mean(draws)) - value) > 3 * se:

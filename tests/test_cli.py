@@ -225,6 +225,18 @@ class TestJsonCommands:
         assert doc["hypotheses_pass"] is True
         assert doc["consistent"] is True
 
+    @pytest.mark.parametrize("fixture", ["thm9-example7", "thm10-example8", "thm5i-example4"])
+    def test_emit_ratio_builds_each_variable_once(self, capsys, monkeypatch, tmp_path, fixture):
+        # the ratio curve and the verdict read the same X_w1 and Y_w2: one
+        # table pass each
+        import wtrv.weights as weights
+        real, passes = weights.tabulate_cdf, []
+        monkeypatch.setattr(weights, "tabulate_cdf",
+                            lambda f, rng: (passes.append(rng), real(f, rng))[1])
+        code, _, err = run_cli(capsys, "verify-theorem", fixture,
+                               "--emit-ratio", str(tmp_path / "ratio.csv"))
+        assert code == 0 and err == "" and len(passes) == 2
+
     def test_table1_audit(self, capsys):
         code, out, _ = run_cli(capsys, "table1-audit", "--format", "json")
         assert code == 0

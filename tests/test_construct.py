@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,33 +6,33 @@ import pytest
 
 from scipy import special
 
-from wtrv import (check_order, classify_aging, construct, equilibrium, expected_weight,
+from wtrv import (check_order, classify_aging, construct, equilibrium,
                   make_catalog, make_weight, minimum_of, parse_dist_spec,
                   parse_weight_spec, sample,
-                  table1_oracle_suite, weighted_kumaraswamy, wtrv_of_minimum)
+                  table1_oracle_suite, wtrv_of_minimum)
 from wtrv.construct import _table1_rows
 from wtrv.numerics import (Interval, WtrvError, _from_unit, integrate_adaptive,
                             invert_monotone, tabulate_cdf)
-from wtrv.weights import IntegrabilityError, tail_integrand, validate_weight
+from wtrv.weights import IntegrabilityError, WeightFunction, tail_integrand, validate_weight
 
 from conftest import CATALOG_INSTANCES, interior_grid
 
 
 class TestExpectedWeight:
     def test_exponential_mean(self):
-        v = expected_weight(make_catalog("exponential", {"lambda": 1.0}),
-                            make_weight("linear", {}))
+        v = validate_weight(make_weight("linear", {}),
+                            make_catalog("exponential", {"lambda": 1.0})).total
         assert v == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_square(self):
-        v = expected_weight(make_catalog("uniform", {}),
-                            make_weight("power", {"c": 2.0}))
+        v = validate_weight(make_weight("power", {"c": 2.0}),
+                            make_catalog("uniform", {})).total
         assert v == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_kumaraswamy_power_closed_form(self):
         a, b, c = 2.0, 3.0, 1.5
-        v = expected_weight(make_catalog("kumaraswamy", {"a": a, "b": b}),
-                            make_weight("power", {"c": c}))
+        v = validate_weight(make_weight("power", {"c": c}),
+                            make_catalog("kumaraswamy", {"a": a, "b": b})).total
         assert v == pytest.approx(b * special.beta(1 + c / a, b), rel=1e-9)
 
     def test_divergent_weight(self):
@@ -227,7 +228,7 @@ def _admissibility_pairs():
 
 class TestAdmissibility:
     # one rule decides admissibility: construct builds exactly the pairs
-    # validate_weight accepts, and its normalizer is expected_weight's value,
+    # validate_weight accepts, and its normalizer is validate_weight's total,
     # computed by the same pass
     REJECTED = {("pareto_lomax(alpha=1)", "linear()"), ("pareto_lomax(alpha=1.5)", "power(c=2.5)"),
                 ("exponential(lambda=1)", "expm1()"), ("gamma(k=2,lambda=1.5)", "exp_shift_sq()"),
@@ -249,7 +250,7 @@ class TestAdmissibility:
             return
         assert (base, weight) not in self.REJECTED
         xw = construct(dist, w)
-        assert xw.normalizer == expected_weight(dist, w) == table.total
+        assert xw.normalizer == validate_weight(w, dist).total == table.total
         if (base, weight) == ("kumaraswamy(a=1,b=0.5)", "neg_log_sq()"):
             assert xw.table.gap > 1e-10
 
@@ -330,11 +331,21 @@ def _handle_integrand(weight, dist):
     return integrand
 
 
+def _by_hand(weight, dist):
+    """The pair rebuilt through the public dataclasses from the fields each
+    declares, as a caller outside the catalog would build it."""
+    return (WeightFunction(weight.name, weight.params, weight.raw_w, weight.raw_w_prime,
+                           weight.domain_hint),
+            type(dist)(**{f.name: getattr(dist, f.name) for f in dataclasses.fields(dist)
+                          if f.init}))
+
+
 class TestFlatIntegrand:
     # the table pass reads w' and the family's interior sf through one flat
     # function; every table must be the one the handles, with their edge
     # policy and errstates, give, bit for bit, and a pair one path rejects
-    # the other rejects with the same error
+    # the other rejects with the same error. A weight and a base built by
+    # hand give the catalog pair's table and error
     @pytest.mark.parametrize("case", _flat_bases(), ids=lambda c: c[0])
     def test_matches_tail_integrand(self, case, monkeypatch):
         import wtrv.weights as weights
@@ -342,21 +353,23 @@ class TestFlatIntegrand:
         for spec in _FLAT_WEIGHTS:
             w = parse_weight_spec(spec)
             results = []
-            for integrand in (tail_integrand, _handle_integrand):
+            for integrand, pair in ((tail_integrand, (w, dist)), (_handle_integrand, (w, dist)),
+                                    (tail_integrand, _by_hand(w, dist))):
                 monkeypatch.setattr(weights, "tail_integrand", integrand)
                 try:
-                    results.append(weights._tail_table(w, dist))
+                    results.append(weights._tail_table(*pair))
                 except IntegrabilityError as exc:  # AccuracyError, or None for a bad total
-                    results.append(type(exc.__cause__))
-            got, ref = results
-            if isinstance(ref, type) or isinstance(got, type):
-                assert got is ref, spec
+                    results.append((type(exc.__cause__), str(exc)))
+            got, ref, hand = results
+            if any(isinstance(r, tuple) for r in results):  # rejected on one path: on all
+                assert hand == got and isinstance(ref, tuple) and ref[0] is got[0], spec
                 continue
             for field in ("nodes", "values", "slopes", "total", "gap", "evaluations", "rounds",
                           "lo", "mapped"):
-                a, b = np.asarray(getattr(got, field)), np.asarray(getattr(ref, field))
-                assert a.dtype == b.dtype and a.shape == b.shape, (spec, field)
-                assert a.tobytes() == b.tobytes(), (spec, field)
+                a, b, c = (np.asarray(getattr(t, field)) for t in (got, ref, hand))
+                assert a.dtype == b.dtype == c.dtype and a.shape == b.shape == c.shape, \
+                    (spec, field)
+                assert a.tobytes() == b.tobytes() == c.tobytes(), (spec, field)
 
     @pytest.mark.parametrize("case", _flat_bases(), ids=lambda c: c[0])
     def test_integrand_matches_handles_above_lo(self, case):
@@ -552,7 +565,7 @@ class TestEquilibrium:
 class TestWeightedKumaraswamy:
     def test_matches_numeric_construction(self):
         a, b, c = 2.0, 3.0, 1.5
-        wk = weighted_kumaraswamy(a, b, c)
+        wk = make_catalog("weighted_kumaraswamy", {"a": a, "b": b, "c": c})
         xw = construct(make_catalog("kumaraswamy", {"a": a, "b": b}),
                        make_weight("power", {"c": c}))
         xs = np.linspace(0.02, 0.98, 200)
@@ -561,7 +574,7 @@ class TestWeightedKumaraswamy:
 
     def test_bad_params(self):
         with pytest.raises(Exception):
-            weighted_kumaraswamy(-1.0, 3.0, 1.5)
+            make_catalog("weighted_kumaraswamy", {"a": -1.0, "b": 3.0, "c": 1.5})
 
 
 class TestMinima:
@@ -614,7 +627,7 @@ class TestMonteCarloIdentity:
         ]
         n = 200_000
         for i, (dist, w) in enumerate(pairs):
-            v = expected_weight(dist, w)
+            v = validate_weight(w, dist).total
             draws = np.asarray(w.w(sample(dist, n, seed=100 + i)), dtype=float)
             se = float(np.std(draws, ddof=1)) / math.sqrt(n)
             assert abs(float(np.mean(draws)) - v) <= 3 * se

@@ -1,4 +1,6 @@
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +79,39 @@ class TestEdgePolicy:
             assert type(fn(v)) is float
             out = fn(np.full((2, 3), v))
             assert out.shape == (2, 3) and np.allclose(out, fn(v), rtol=1e-14, atol=0.0)
+
+
+class TestDerivedHandles:
+    """The public functions are derived from the declared interior ones, in
+    one place, so a replace() derives them again."""
+
+    def test_replace_rederives_without_stacking(self):
+        gamma = make_catalog("gamma", {"k": 1.5, "lambda": 0.5})
+        chi = make_catalog("chi_square", {"k": 3.0})  # a replace of gamma(1.5, 0.5)
+        xs = np.array([-1.0, 0.0, 0.3, 2.0, 9.0, np.inf])
+        for fn in ("pdf", "cdf", "sf"):
+            assert getattr(chi, fn)(xs).tobytes() == getattr(gamma, fn)(xs).tobytes()
+        depths = []
+
+        def half_cdf(x):
+            depths.append(len(inspect.stack(0)))
+            return 0.5 * gamma.interior.cdf(x)
+
+        halved = replace(gamma, interior=gamma.interior._replace(cdf=half_cdf))
+        again = replace(replace(halved, name="halved"), params={})
+        for h in (halved, again):
+            assert h.cdf(xs).tolist() == [0.0, 0.0, *(0.5 * gamma.cdf(xs[2:5])), 1.0]
+            assert h.sf(xs).tobytes() == gamma.sf(xs).tobytes()
+        # each replace wraps the interior cdf in one guard, not the last one's
+        assert len(depths) == 2 and depths[0] == depths[1]
+        with pytest.raises(ValueError, match="init=False"):
+            replace(gamma, cdf=half_cdf)
+
+    def test_weight_replace_rederives(self):
+        w = make_weight("power", {"c": 2.0})
+        doubled = replace(w, raw_w_prime=lambda x: 2.0 * w.raw_w_prime(x))
+        assert doubled.w_prime(np.array([0.5, 3.0])).tolist() == [2.0, 12.0]
+        assert doubled.w is not w.w and doubled.w(3.0) == w.w(3.0) == 9.0
 
 
 class TestSpecificFamilies:

@@ -197,8 +197,8 @@ class TestRunGof:
                     return law.cdf(x)
 
                 values = s.likelihood_values
-                rep = run_gof(values, dataclasses.replace(law, cdf=cdf), model,
-                              family=model)
+                rep = run_gof(values, dataclasses.replace(
+                    law, interior=law.interior._replace(cdf=cdf)), model, family=model)
                 assert calls == [len(values)], (i, model)
                 for name, test in (("ks", ks_test), ("ad", ad_test), ("cvm", cvm_test)):
                     stat, p = test(values, law)

@@ -162,7 +162,7 @@ class TestVerifyTheorem:
 
     def test_ratio_curve_shape(self):
         x, y, w1, w2, which = named_fixture("thm9-example7")
-        xs, ratio = ratio_curve(x, y, w1, w2, grid_size=64)
+        xs, ratio = ratio_curve(construct(x, w1), construct(y, w2), grid_size=64)
         assert len(xs) == len(ratio) == 64
         assert np.all(np.isfinite(ratio)) and np.all(ratio >= 0)
         # the non-monotone shape: the ratio rises and then falls

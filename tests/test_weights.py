@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wtrv import (CatalogError, IntegrabilityError, make_catalog, make_weight,
+from wtrv import (CatalogError, IntegrabilityError, WeightFunction, make_catalog, make_weight,
                   parse_weight_spec, validate_weight, weight_normalizer_integral)
 
 WEIGHT_INSTANCES = [
@@ -99,6 +99,18 @@ class TestValidation:
                                                      r"for pareto_lomax\(alpha=1\): "):
             validate_weight(make_weight("power", {"c": 2.0}),
                             make_catalog("pareto_lomax", {"alpha": 1.0}))
+
+    def test_negative_slope_rejected_at_once(self):
+        # w' = 1 - x/2 turns negative at x = 2; the pass stops at the first
+        # node where w'*sf < 0 instead of spending its cell budget
+        w = WeightFunction("tent", {}, lambda x: x - x * x / 4, lambda x: 1.0 - x / 2)
+        with pytest.raises(IntegrabilityError, match=r"^weight tent\(\) is not admissible for "
+                           r"exponential\(lambda=1\): w'\*sf for tent\(\) against "
+                           r"exponential\(lambda=1\) is negative at x = ") as err:
+            validate_weight(w, make_catalog("exponential", {"lambda": 1.0}))
+        x = err.value.__cause__.__cause__.x  # NegativeDensityError, under _tail_table's error
+        assert x > 2.0 and float(w.w_prime(x)) < 0.0
+        assert str(err.value).endswith(f"x = {x:.6g}")
 
     def test_sqrt_kumaraswamy_passes(self):
         table = validate_weight(make_weight("power", {"c": 0.5}),
