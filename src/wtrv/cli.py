@@ -21,9 +21,10 @@ from . import gof as _gof_mod
 from . import orders as _orders_mod
 from . import reliability as _rel_mod
 from .construct import construct as _construct
+from .construct import construct_all as _construct_all
 from .construct import table1_oracle_suite as _table1_oracle_suite
 from .distributions import parse_dist_spec, sample as _draw
-from .numerics import WtrvError
+from .numerics import WtrvError, value_or_raise
 from .weights import parse_weight_spec
 
 
@@ -135,8 +136,11 @@ def _cmd_check_aging(args) -> int:
 
 
 def _cmd_check_order(args) -> int:
-    x = _maybe_weighted(args.x, args.wx)
-    y = _maybe_weighted(args.y, args.wy)
+    # the weighted sides are built in one table pass; X's error comes first
+    sides = [(parse_dist_spec(s), w and parse_weight_spec(w))
+             for s, w in ((args.x, args.wx), (args.y, args.wy))]
+    built = iter(_construct_all([side for side in sides if side[1]]))
+    x, y = (value_or_raise(next(built)) if w else d for d, w in sides)
     verdict = _orders_mod.check_order(x, y, args.order)
     _emit_json({"x": x.describe(), "y": y.describe(), "order": verdict.order,
                 "holds_on_grid": verdict.holds_on_grid,
@@ -158,7 +162,7 @@ def _cmd_verify_theorem(args) -> int:
         w1, w2 = parse_weight_spec(args.w1), parse_weight_spec(args.w2)
     built = None
     if args.emit_ratio:
-        built = (_construct(x, w1), _construct(y, w2))
+        built = [value_or_raise(v) for v in _construct_all([(x, w1), (y, w2)])]
         xs, ratio = _orders_mod.ratio_curve(*built)
         _emit_csv(["x", "density_ratio"], zip(xs.tolist(), ratio.tolist()), args.emit_ratio)
     report = _orders_mod.verify_theorem(x, y, w1, w2, which, built=built)

@@ -3,7 +3,8 @@
 Given a base distribution X with lower bound 0 and an admissible weight w,
 the constructed variable has density w'(x) * sf_X(x) / E[w(X)]. The one
 GK15 pass of validate_weight gives both E[w(X)] and the cdf table
-(numerics.CdfTable), whose cdf and quantile the variable reads. The
+(numerics.CdfTable), whose cdf and quantile the variable reads;
+construct_all builds several variables on the tables of one pass. The
 constructed variable and the minimum of independent variables declare only
 what they compute inside the support, as distributions.Interior; their
 DistributionHandle adds the edge values and the scalar/array handling
@@ -19,9 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import DistributionHandle, Interior, make_catalog
-from .numerics import CdfTable, ConvergenceError, Interval, WtrvError, _sc, invert_monotone
+from .numerics import (CdfTable, ConvergenceError, Interval, WtrvError, _sc, invert_monotone,
+                       value_or_raise, with_cause)
 from .numerics import brent_root, integrate_adaptive  # noqa: F401 (re-exported)
-from .weights import WeightFunction, make_weight, tail_integrand, validate_weight
+from .weights import (WeightFunction, make_weight, tail_integrand, validate_weight,
+                      validate_weights)
 from .weights import weight_normalizer_integral  # noqa: F401 (re-exported)
 
 
@@ -44,17 +47,14 @@ class WtrvDistribution(DistributionHandle):
         return f"wtrv[{self.base.describe()}; {self.weight.describe()}]"
 
 
-def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribution:
-    """Build the weighted tail variable of (X, w): its pdf is w'·sf/E[w(X)],
-    and its cdf, sf and quantile are those of validate_weight's cdf table.
-    Raises IntegrabilityError for a pair that is not admissible, and
-    WtrvError when the table's cubics overflow in floats."""
-    table = validate_weight(weight, dist)
+def _built(dist: DistributionHandle, weight: WeightFunction, table: CdfTable):
+    """The weighted tail variable on the pair's table, or the WtrvError
+    that its cubics overflow in floats."""
     try:
         table.cubic  # the coefficients, computed once here
     except FloatingPointError as exc:  # knots a few floats apart near 0
-        raise WtrvError(f"cdf table of {weight.describe()} against {dist.describe()} "
-                        f"cannot be interpolated in floats: {exc}") from exc
+        return with_cause(WtrvError(f"cdf table of {weight.describe()} against {dist.describe()} "
+                                    f"cannot be interpolated in floats: {exc}"), exc)
     z = table.total
     g = tail_integrand(weight, dist)
     return WtrvDistribution(
@@ -64,6 +64,23 @@ def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribut
         Interior(pdf=lambda x: np.asarray(g(x), dtype=float) / z, cdf=table.cdf,
                  sf=lambda x: 1.0 - table.cdf(x), quantile=table.quantile),
         dist, weight, table)
+
+
+def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribution:
+    """Build the weighted tail variable of (X, w): its pdf is w'·sf/E[w(X)],
+    and its cdf, sf and quantile are those of validate_weight's cdf table.
+    Raises IntegrabilityError for a pair that is not admissible, and
+    WtrvError when the table's cubics overflow in floats."""
+    return value_or_raise(_built(dist, weight, validate_weight(weight, dist)))
+
+
+def construct_all(pairs: Sequence[tuple[DistributionHandle, WeightFunction]]) -> list:
+    """construct for each (dist, weight) pair, with all their tables from
+    one pass of validate_weights: each pair's WtrvDistribution, or the
+    WtrvError that construct raises for it, which leaves the other pairs
+    alone."""
+    tables = validate_weights([(w, d) for d, w in pairs])
+    return [t if isinstance(t, WtrvError) else _built(d, w, t) for (d, w), t in zip(pairs, tables)]
 
 
 def equilibrium(dist: DistributionHandle) -> WtrvDistribution:

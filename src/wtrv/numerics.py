@@ -13,6 +13,7 @@ nothing in the package calls it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -125,6 +126,21 @@ def scalar_or_array(fn: Callable) -> Callable:
     return wrapped
 
 
+def value_or_raise(result):
+    """result, unless it is an exception, which is raised: the reading of a
+    batch that returns each item's value or the error that ended it."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def with_cause(exc: Exception, cause: Exception) -> Exception:
+    """exc with cause as its __cause__, as `raise exc from cause` sets it,
+    for a batch to return in place of an item."""
+    exc.__cause__ = cause
+    return exc
+
+
 def incomplete_beta_upper(y: float, p: float, q: float) -> float:
     """Upper (non-regularized) incomplete beta: integral of t^{p-1}(1-t)^{q-1}
     over [y, 1]."""
@@ -190,7 +206,7 @@ _WMISS = (0.5 * (np.hstack([np.zeros((15, 1)), _WNODE]) + np.hstack([_WNODE, _WK
 
 def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
     """Evaluate a vectorized f on an array; a result of another shape raises
-    TypeError. It runs under _gk15_cells's errstate."""
+    TypeError. It runs under the errstate of _gk15_cells's caller."""
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
         raise TypeError(f"integrand returned shape {y.shape} for input shape "
@@ -198,23 +214,34 @@ def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _gk15_cells(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple:
-    """Gauss-Kronrod 15/7 estimates for a batch of cells [a_i, b_i]: the
-    integrals, their error estimates, and the (n, 15) values of f at each
-    cell's Kronrod nodes (NaN read as inf), 15 n evaluations. One errstate
-    covers f and the cells where it is not finite."""
+def _blocks(vals: np.ndarray, weights: np.ndarray, cuts: list) -> np.ndarray:
+    """vals @ weights, one product per block of rows cuts[j]:cuts[j + 1]:
+    BLAS may give a row bits that depend on the product's row count, so each
+    block keeps those of its own product."""
+    if len(cuts) == 2:  # one block
+        return vals @ weights
+    return np.concatenate([vals[s:e] @ weights for s, e in zip(cuts[:-1], cuts[1:])])
+
+
+def _gk15_cells(fs: Sequence[Callable], a: np.ndarray, b: np.ndarray, cuts: list) -> tuple:
+    """Gauss-Kronrod 15/7 estimates for a batch of cells [a_i, b_i], those
+    of block cuts[j]:cuts[j + 1] of fs[j]: the integrals, their error
+    estimates, and the (n, 15) values of the integrands at each cell's
+    Kronrod nodes (NaN read as inf), 15 n evaluations. The caller's
+    errstate, which must ignore over, invalid and divide, covers the
+    integrands and the cells where they are not finite."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * _XK[None, :]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y = _eval_batch(f, nodes.ravel())
-        vals = np.where(np.isnan(y), np.inf, y).reshape(nodes.shape)
-        kron = half * (vals @ _WK)
-        gauss = half * (vals[:, _GAUSS_IDX] @ _WG)
-        err = np.abs(kron - gauss)
-        # QUADPACK-style sharpening of the raw difference estimate.
-        scale = np.where(err > 0, np.minimum(1.0, (200.0 * err / np.maximum(np.abs(kron), 1e-300)) ** 1.5), 0.0)
-        err = np.where(np.isfinite(kron), err * np.maximum(scale, 1e-3) + np.abs(kron) * 1e-16, np.inf)
+    flat = nodes.ravel()
+    y = np.concatenate([_eval_batch(f, flat[15 * s:15 * e]) for f, s, e in zip(fs, cuts[:-1], cuts[1:])])
+    vals = np.where(np.isnan(y), np.inf, y).reshape(nodes.shape)
+    kron = half * _blocks(vals, _WK, cuts)
+    gauss = half * _blocks(vals[:, _GAUSS_IDX], _WG, cuts)
+    err, size = np.abs(kron - gauss), np.abs(kron)
+    # QUADPACK-style sharpening of the raw difference estimate.
+    scale = np.where(err > 0, np.minimum(1.0, (200.0 * err / np.maximum(size, 1e-300)) ** 1.5), 0.0)
+    err = np.where(np.isfinite(kron), err * np.maximum(scale, 1e-3) + size * 1e-16, np.inf)
     return kron, err, vals
 
 
@@ -225,9 +252,10 @@ _GRADED_CUTS = 2.0 ** -np.arange(24, 0, -1)
 _GRADED_LEFT = np.append(0.0, _GRADED_CUTS)
 
 
-def _split_cells(a: np.ndarray, b: np.ndarray, pieces: np.ndarray, lo: float) -> tuple:
-    """Cut cell i of an ordered partition of [lo, ...) into pieces[i] equal
-    parts; a cell with pieces[i] = 1 is kept.
+def _split_cells(a: np.ndarray, b: np.ndarray, pieces: np.ndarray, lo) -> tuple:
+    """Cut cell i of ordered partitions of [lo, ...) into pieces[i] equal
+    parts; a cell with pieces[i] = 1 is kept. lo is the lower end of each
+    cell's partition, or of all.
 
     The cell that starts at lo, when cut, is cut at lo + d*2^-k for
     k = 24..1 instead (d its width). Each cut is a + d*s for a fraction s of
@@ -240,8 +268,9 @@ def _split_cells(a: np.ndarray, b: np.ndarray, pieces: np.ndarray, lo: float) ->
     parent = np.repeat(np.arange(a.size), k)
     last = np.cumsum(k) - 1
     j = np.arange(parent.size) - (last - k + 1)[parent]  # index of a part in its cell
-    frac = np.where(edge[parent], _GRADED_LEFT[np.minimum(j, _GRADED_LEFT.size - 1)],
-                    j / k[parent])
+    frac = j / k[parent]
+    if edge.any():
+        frac = np.where(edge[parent], _GRADED_LEFT[np.minimum(j, _GRADED_LEFT.size - 1)], frac)
     left = a[parent] + (b - a)[parent] * frac
     right = np.concatenate((left[1:], b[-1:]))
     right[last] = b
@@ -261,11 +290,11 @@ def _from_unit(t, lo: float):
 def unit_integrand(f: Callable, lo: float) -> Callable:
     """The integral of f over [lo, inf) as one over [0, 1): the integrand
     f(x(t)) x'(t) of the substitution x(t) = _from_unit(t, lo), under
-    _gk15_cells's errstate."""
+    the errstate of _gk15_cells's caller."""
 
     def g(t):
         om = 1.0 - t
-        return _eval_batch(f, _from_unit(t, lo)) / (om * om)
+        return _eval_batch(f, lo + t / om) / (om * om)
 
     return g
 
@@ -317,21 +346,21 @@ def integrate_adaptive(f: Callable, rng: Interval, abs_tol: float = 1e-10,
 
     ends = np.linspace(lo, hi, 9)
     a, b = ends[:-1], ends[1:]
-    vals, errs, fx = _gk15_cells(f, a, b)
-    evals = fx.size
-
-    while True:
-        total = float(vals.sum())
-        err_total = float(errs.sum())
-        tol = max(abs_tol, rel_tol * abs(total))
-        if err_total <= tol and math.isfinite(total):
-            return QuadratureResult(total, err_total, evals)
-        cut = _to_halve(a, b, errs, tol, total, evals)
-        a, b, parent = _split_cells(a, b, np.where(cut, 2, 1), lo)
-        new = cut[parent]
-        vals, errs = vals[parent], errs[parent]
-        vals[new], errs[new], fx = _gk15_cells(f, a[new], b[new])
-        evals += fx.size
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals, errs, fx = _gk15_cells((f,), a, b, [0, a.size])
+        evals = fx.size
+        while True:
+            total = float(vals.sum())
+            err_total = float(errs.sum())
+            tol = max(abs_tol, rel_tol * abs(total))
+            if err_total <= tol and math.isfinite(total):
+                return QuadratureResult(total, err_total, evals)
+            cut = _to_halve(a, b, errs, tol, total, evals)
+            a, b, parent = _split_cells(a, b, np.where(cut, 2, 1), lo)
+            new = cut[parent]
+            vals, errs = vals[parent], errs[parent]
+            vals[new], errs[new], fx = _gk15_cells((f,), a[new], b[new], [0, np.count_nonzero(new)])
+            evals += fx.size
 
 
 @dataclass(frozen=True)
@@ -376,53 +405,91 @@ class CdfTable:
             c1, c2, c3 = dydx[:-1], (secant - dydx[:-1]) / h - t, t / h
             return c1, c2, c3, c2 * 2, c3 * 3
 
-    def _piece(self, t, piece):
-        """Each t's piece i and t - nodes[i]. Without piece, i is found by a
-        search over the knots. piece gives k per point instead, for t in
-        [nodes[k], nodes[k+1]] (a quantile bracket, up to a rounding at its
-        right end), with the same result: t >= nodes[k + 1] reads piece k + 1,
-        as the search does, so the value at a knot is its table value."""
-        x, last = self.nodes, self.nodes.size - 2
-        if piece is None:
-            i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, last)
-        else:
-            i = np.minimum(piece + (t >= x[piece + 1]), last)
-        return i, t - x[i]
+    def _piece(self, t):
+        """Each t's piece, found by a search over the knots."""
+        return np.minimum(np.maximum(np.searchsorted(self.nodes, t, side="right") - 1, 0),
+                          self.nodes.size - 2)
 
-    def value(self, t, piece=None):
+    def value(self, t):
         """The cubic at table coordinates t, summed in SciPy's order, so it
         gives CubicHermiteSpline's floats."""
-        c1, c2, c3 = self.cubic[:3]
-        i, s = self._piece(t, piece)
-        return self.values[i] + c1[i] * s + c2[i] * (s * s) + c3[i] * (s * s * s)
+        return _cubic_value((self.nodes, self.values, *self.cubic), t, self._piece(t))
 
-    def slope(self, t, piece=None):
+    def slope(self, t):
         """The cubic's slope at table coordinates t."""
-        c1, _, _, d2, d3 = self.cubic
-        i, s = self._piece(t, piece)
-        return c1[i] + d2[i] * s + d3[i] * (s * s)
+        return _cubic_slope((self.nodes, self.values, *self.cubic), t, self._piece(t))
 
     def cdf(self, x):
         """The cubic at x, clamped to [0, 1] (NaN stays NaN)."""
         return np.minimum(np.maximum(self.value(_to_unit(x, self.lo) if self.mapped else x), 0.0), 1.0)
 
     def quantile(self, u):
-        """The x where the cubic reaches u, for u in (0, 1), by invert_monotone
-        on all points at once. Each u is bracketed by the pair of knots whose
-        values enclose it, and each Newton round evaluates the cubic of its
-        piece, so no round searches the knots."""
-        i = np.searchsorted(self.values, u, side="right")
-        piece = (i - 1).ravel()
-        t = invert_monotone(lambda v, idx: self.value(v, piece[idx]),
-                            lambda v, idx: self.slope(v, piece[idx]),
-                            u, self.nodes[i - 1], self.nodes[i])
-        return _from_unit(t, self.lo) if self.mapped else t
+        """The x where the cubic reaches u, for u in (0, 1): table_quantiles
+        of this table alone."""
+        return table_quantiles([self], u)[0]
 
     @property
     def knots(self) -> np.ndarray:
         """The nodes in x: on a mapped table the last is inf."""
         with np.errstate(divide="ignore"):
             return _from_unit(self.nodes, self.lo) if self.mapped else self.nodes
+
+
+def _cubic_value(rows: tuple, t, i):
+    """Piece i's cubic at t, from the rows nodes, values and CdfTable.cubic,
+    summed in SciPy's order."""
+    x, y, c1, c2, c3 = rows[:5]
+    s = t - x[i]
+    return y[i] + c1[i] * s + c2[i] * (s * s) + c3[i] * (s * s * s)
+
+
+def _cubic_slope(rows: tuple, t, i):
+    """Piece i's cubic's slope at t, from the rows nodes, values and
+    CdfTable.cubic."""
+    x, _, c1, _, _, d2, d3 = rows
+    s = t - x[i]
+    return c1[i] + d2[i] * s + d3[i] * (s * s)
+
+
+_NO_PIECE = np.zeros(1)
+
+
+def table_quantiles(tables: Sequence[CdfTable], u) -> list:
+    """Each table's quantile at the levels u in (0, 1), by one
+    invert_monotone call on the points of all tables.
+
+    The tables' nodes, values and cubic coefficients are laid end to end.
+    Each point is bracketed by the pair of its table's knots whose values
+    enclose its level, and each Newton round evaluates the cubic of that
+    piece, so no round searches the knots; a point at its bracket's right
+    knot reads the next piece, as a search does, unless the bracket is its
+    table's last piece. Every point solves alone, so a table's quantiles
+    are those it gives by itself."""
+    u = np.asarray(u, dtype=float)
+    if len(tables) == 1:
+        rows = (tables[0].nodes, tables[0].values, *tables[0].cubic)
+    else:  # a table's last node starts no piece: its coefficients there are 0
+        rows = (np.concatenate([t.nodes for t in tables]), np.concatenate([t.values for t in tables]),
+                *(np.concatenate([v for t in tables for v in (t.cubic[r], _NO_PIECE)]) for r in range(5)))
+    # each point's bracket [nodes[i - 1], nodes[i]], i counted on the rows;
+    # step is nodes[i], or inf where the bracket is its table's last piece
+    i, step, start = [], [], 0
+    for t in tables:
+        k = np.searchsorted(t.values, u, side="right").ravel()
+        i.append(k + start)
+        step.append(np.where(k < t.nodes.size - 1, t.nodes[k], np.inf))
+        start += t.nodes.size
+    i, step = np.concatenate(i), np.concatenate(step)
+    nodes, piece = rows[0], i - 1
+
+    def at(v, idx):  # each point's piece
+        return piece[idx] + (v >= step[idx])
+
+    roots = invert_monotone(lambda v, idx: _cubic_value(rows, v, at(v, idx)),
+                            lambda v, idx: _cubic_slope(rows, v, at(v, idx)),
+                            np.concatenate([u.ravel()] * len(tables)), nodes[piece], nodes[i])
+    roots = [roots[j * u.size:(j + 1) * u.size].reshape(u.shape) for j in range(len(tables))]
+    return [_from_unit(r, t.lo) if t.mapped else r for t, r in zip(tables, roots)]
 
 
 # A table cell is cut while its Hermite cdf misses the interpolant's partial
@@ -440,14 +507,15 @@ def _slopes(y: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(y) & (y >= 0.0), y, 0.0)
 
 
-def _knot_gap(miss: np.ndarray, half: np.ndarray, edge: np.ndarray) -> np.ndarray:
+def _knot_gap(miss: np.ndarray, half: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Largest miss of each cell's Hermite through its 17 knots at its 16
-    piece midpoints: miss from f at the nodes (half * vals @ _WMISS), plus
-    the end slopes edge[i] and edge[i + 1] of its first and last piece; a
-    NaN reads inf."""
-    first = np.abs(miss[:, 0] + (_DK[0] / 8.0) * half * edge[:-1])
-    last = np.abs(miss[:, -1] - (_DK[-1] / 8.0) * half * edge[1:])
-    gap = np.maximum(np.maximum(first, last), np.abs(miss[:, 1:-1]).max(axis=1))
+    piece midpoints, from _cells's miss (the misses of its first and last
+    piece from f at the nodes, and the largest of the others), plus the end
+    slopes left[i] and right[i] of its first and last piece; a NaN reads
+    inf."""
+    first = np.abs(miss[:, 0] + (_DK[0] / 8.0) * half * left)
+    last = np.abs(miss[:, 1] - (_DK[-1] / 8.0) * half * right)
+    gap = np.maximum(np.maximum(first, last), miss[:, 2])
     gap[np.isnan(gap)] = np.inf
     return gap
 
@@ -462,18 +530,92 @@ def _end_gap(mass, parts, h, ga, gb) -> np.ndarray:
     return gap
 
 
-def _nonnegative(vals: np.ndarray, a: np.ndarray, b: np.ndarray, rng: Interval) -> None:
-    """Raise NegativeDensityError at the first Kronrod node of the cells
-    [a_i, b_i], in the table's coordinate, where f reads below 0."""
+def _first_negative(vals: np.ndarray, a: np.ndarray, b: np.ndarray, cuts: list) -> list:
+    """For each block cuts[j]:cuts[j + 1] of the cells [a_i, b_i], its first
+    Kronrod node, in the table's coordinate, where f reads below 0, or None."""
+    out = [None] * (len(cuts) - 1)
     if vals.min() < 0.0:  # vals holds no NaN: _gk15_cells reads it as inf
-        i, k = np.argwhere(vals < 0.0)[0]
-        t = 0.5 * (a[i] + b[i]) + 0.5 * (b[i] - a[i]) * _XK[k]
-        raise NegativeDensityError(float(_from_unit(t, rng.lo) if math.isinf(rng.hi) else t))
+        rows, cols = np.nonzero(vals < 0.0)
+        block = np.searchsorted(cuts, rows, side="right") - 1
+        for j, first in zip(*np.unique(block, return_index=True)):
+            i = rows[first]
+            out[j] = 0.5 * (a[i] + b[i]) + 0.5 * (b[i] - a[i]) * _XK[cols[first]]
+    return out
 
 
-def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
-    """Integrate the density f over rng and tabulate its cdf in one globally
-    adaptive GK15 pass.
+def _table(a, b, mass, vals, left, right, gap, wide, total, hi, rng, mapped, evals, rounds) -> CdfTable:
+    """The CdfTable of one pass's final cells: their ends a and b, masses,
+    values at the Kronrod nodes, end slopes, gaps and width flags, under the
+    pass's errstate."""
+    half = 0.5 * (b - a)
+    if not wide.all():
+        n = ~wide
+        gap[n] = _end_gap(mass[n], half[n, None] * (vals[n] @ _WPART), (b - a)[n], left[n], right[n])
+    # each cell's left end and nodes in a (cells, 16) block, then hi; a
+    # node that rounding puts a float outside its cell is clamped to it
+    cum = np.concatenate([[0.0], np.cumsum(np.maximum(mass, 0.0))])
+    nodes, values, slopes = (np.empty(16 * a.size + 1) for _ in range(3))
+    knot, value, slope = (v[:-1].reshape(a.size, 16) for v in (nodes, values, slopes))
+    knot[:, 0], value[:, 0], slope[:, 0], slope[:, 1:] = a, cum[:-1], left, _slopes(vals)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _XK
+    np.minimum(np.maximum(x, a[:, None]), b[:, None], out=knot[:, 1:])
+    np.add(cum[:-1, None], half[:, None] * (vals @ _WNODE), out=value[:, 1:])
+    nodes[-1], values[-1], slopes[-1] = hi, cum[-1], right[-1]
+    keep = nodes[1:] > nodes[:-1]
+    if not keep.all():  # knots that rounding puts on one float
+        keep = np.append(keep, True)
+        nodes, values, slopes = nodes[keep], values[keep], slopes[keep]
+    # a total of 0 gives NaN values, for the caller to reject
+    values = np.maximum.accumulate(np.minimum(np.maximum(values, 0.0), cum[-1])) / cum[-1]
+    secant = np.full(nodes.size + 1, np.inf)
+    secant[1:-1] = (values[1:] - values[:-1]) / (nodes[1:] - nodes[:-1])
+    slopes = np.minimum(slopes / cum[-1], 3.0 * np.minimum(secant[:-1], secant[1:]))
+    return CdfTable(nodes=nodes, values=values, slopes=slopes, total=total,
+                    gap=float(gap.max() / total), lo=rng.lo, mapped=mapped,
+                    evaluations=evals, rounds=rounds)
+
+
+def _cells(fs: Sequence[Callable], a: np.ndarray, b: np.ndarray, cuts: list) -> tuple:
+    """_gk15_cells, and what a table keeps of each cell besides: the
+    interpolant's values at the cell's ends (vals @ _WEND), and the misses
+    half width times vals @ _WMISS of _knot_gap, as those of the first and
+    last piece, whose end slopes are added later, and the largest magnitude
+    of the others (NaN if one is)."""
+    mass, err, vals = _gk15_cells(fs, a, b, cuts)
+    m = 0.5 * (b - a)[:, None] * _blocks(vals, _WMISS, cuts)
+    miss = np.empty((a.size, 3))
+    miss[:, :2] = m[:, ::15]
+    # the largest over the middle 14 pieces, reduced across rows, which is faster
+    miss[:, 2] = np.abs(np.ascontiguousarray(m[:, 1:-1].T)).max(axis=0)
+    return mass, err, vals, miss, _blocks(vals, _WEND, cuts)
+
+
+def _refine(pieces, a, b, mass, err, gap, wide, evals):
+    """Set the parts of one table's cells under the two cut rules of
+    tabulate_cdf, in place. Returns None while a rule applies and the total
+    once none does; raises the AccuracyError that ends the pass."""
+    total, err_total = float(mass.sum()), float(err.sum())
+    tol = _TABLE_TOL * abs(total)
+    cut = (gap > tol) & wide
+    pieces[cut] = np.minimum(np.maximum(np.ceil(1.2 * (gap[cut] / tol) ** 0.25), 2), 32)
+    if total == 0.0 and wide[0]:  # the mass, if any, lies closer to lo
+        pieces[0] = 2
+    err_tol = max(1e-12, 1e-10 * abs(total))
+    if not (err_total <= err_tol and math.isfinite(total)):
+        big = _to_halve(a, b, err, err_tol, total, evals)
+        pieces[big] = np.maximum(pieces[big], 2)
+    if pieces.max() == 1:
+        return total
+    if a.size >= _MAX_CELLS:
+        raise AccuracyError(f"cdf table budget of {_MAX_CELLS} cells exhausted "
+                            f"(estimate {total:.6g}, error {err_total:.3g})",
+                            estimate=total, abs_error_estimate=err_total, evaluations=evals)
+    return None
+
+
+def tabulate_cdf(fs: Sequence[Callable], rngs: Sequence[Interval]) -> list:
+    """Integrate each density fs[j] over rngs[j] and tabulate its cdf, all
+    in one globally adaptive GK15 pass.
 
     Each cell's knots are its left end and its 15 Kronrod nodes. A knot's
     value is the mass before the cell plus the cell's degree-14 interpolant
@@ -495,81 +637,85 @@ def tabulate_cdf(f: Callable, rng: Interval) -> CdfTable:
     nondecreasing by a running maximum, and each slope is capped at 3 times
     the secants next to it, which keeps every cubic monotone (Fritsch and
     Carlson), also where rounding leaves equal values next to 1.
-    f is called only at Kronrod nodes, above lo, under an errstate; a
-    batch in which f reads below 0 raises NegativeDensityError at once,
-    naming the first such node's x. Raises AccuracyError, with the best
-    estimate attached, when a round starts with _MAX_CELLS cells and a rule
-    still applies, or cells too narrow to halve hold more GK15 error than
-    its bound, which is also how a divergent integral surfaces.
+    f is called only at Kronrod nodes, above lo, under an errstate. A batch
+    in which f reads below 0 ends the table's pass with a
+    NegativeDensityError naming the first such node's x. An AccuracyError,
+    with the best estimate attached, ends it when a round starts with
+    _MAX_CELLS cells and a rule still applies, or cells too narrow to halve
+    hold more GK15 error than its bound, which is also how a divergent
+    integral surfaces.
+
+    The tables share the pass: a round's elementwise work runs once over
+    the cells of every table still refined, while each table's integrand,
+    sums and products with the rule's weights run on its own block of
+    cells, so each table is the one its pass alone gives, bit for bit. A
+    table leaves the pass with its table or its error, and the others go
+    on. Returns, in the order of fs, each table or the error that ended it.
     """
-    lo, hi = rng.lo, rng.hi
-    mapped = math.isinf(hi)
-    if mapped:
-        f, lo, hi = unit_integrand(f, lo), 0.0, 1.0
-    ends = np.linspace(lo, hi, 9)
-    a, b = ends[:-1], ends[1:]
+    if not fs:
+        return []
+    mapped = [math.isinf(r.hi) for r in rngs]
+    fs = [unit_integrand(f, r.lo) if m else f for f, r, m in zip(fs, rngs, mapped)]
+    lo = [0.0 if m else r.lo for r, m in zip(rngs, mapped)]
+    hi = [1.0 if m else r.hi for r, m in zip(rngs, mapped)]
+    ends = np.array([np.linspace(l, h, 9) for l, h in zip(lo, hi)])
+    # each cell's ends, and the lo of its table
+    a, b, base = ends[:, :-1].ravel(), ends[:, 1:].ravel(), np.array(lo).repeat(8)
+    out: list = [None] * len(fs)
+    # the tables still refined, in order: live[j] holds cells cuts[j]:cuts[j + 1]
+    live, cuts = list(range(len(fs))), list(range(0, a.size + 1, 8))
+    evals, rounds = [15 * 8] * len(fs), [0] * len(fs)
     # a cell of f not finite reads inf or NaN, and its error inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mass, err, vals = _gk15_cells(f, a, b)
-        _nonnegative(vals, a, b, rng)
-        miss, extra = 0.5 * (b - a)[:, None] * (vals @ _WMISS), vals @ _WEND
-        evals, rounds = vals.size, 0
+        mass, err, vals, miss, extra = _cells(fs, a, b, cuts)
+        negative = _first_negative(vals, a, b, cuts)
         while True:
-            total, err_total = float(mass.sum()), float(err.sum())
-            # f at the cell ends: cell i spans edge[i], edge[i + 1]
-            edge = _slopes(np.concatenate((extra[:, 0], extra[-1:, 1])))
-            gap = _knot_gap(miss, 0.5 * (b - a), edge)
+            # f at the cell ends: cell i spans left[i], right[i], and a
+            # table's last cell ends at its own interpolant's value
+            slope = _slopes(extra)
+            left = slope[:, 0]
+            right = np.concatenate((left[1:], slope[-1:, 1]))
+            inner = [e - 1 for e in cuts[1:-1]]
+            if inner:
+                right[inner] = slope[inner, 1]
+            gap = _knot_gap(miss, 0.5 * (b - a), left, right)
             wide = b - a > np.maximum(1e-13 * np.abs(b), 1e-300)
-            tol = _TABLE_TOL * abs(total)
-            cut = (gap > tol) & wide
             pieces = np.ones(a.size, dtype=int)
-            pieces[cut] = np.minimum(np.maximum(np.ceil(1.2 * (gap[cut] / tol) ** 0.25), 2), 32)
-            if total == 0.0 and wide[0]:  # the mass, if any, lies closer to lo
-                pieces[0] = 2
-            err_tol = max(1e-12, 1e-10 * abs(total))
-            if not (err_total <= err_tol and math.isfinite(total)):
-                big = _to_halve(a, b, err, err_tol, total, evals)
-                pieces[big] = np.maximum(pieces[big], 2)
-            if pieces.max() == 1:
-                break
-            if a.size >= _MAX_CELLS:
-                raise AccuracyError(f"cdf table budget of {_MAX_CELLS} cells exhausted "
-                                    f"(estimate {total:.6g}, error {err_total:.3g})",
-                                    estimate=total, abs_error_estimate=err_total, evaluations=evals)
-            a, b, parent = _split_cells(a, b, pieces, lo)
+            for i, s, e, t in zip(live, cuts[:-1], cuts[1:], negative):
+                if t is not None:
+                    out[i] = NegativeDensityError(float(_from_unit(t, rngs[i].lo) if mapped[i] else t))
+                    continue
+                try:
+                    total = _refine(pieces[s:e], a[s:e], b[s:e], mass[s:e], err[s:e], gap[s:e],
+                                    wide[s:e], evals[i])
+                except AccuracyError as exc:
+                    out[i] = exc
+                    continue
+                if total is not None:
+                    out[i] = _table(a[s:e], b[s:e], mass[s:e], vals[s:e], left[s:e], right[s:e],
+                                    gap[s:e], wide[s:e], total, hi[i], rngs[i], mapped[i],
+                                    evals[i], rounds[i])
+            stay = [out[i] is None for i in live]
+            if not all(stay):
+                if not any(stay):
+                    return out
+                size = [e - s for s, e in zip(cuts[:-1], cuts[1:])]
+                keep = np.repeat(stay, size)
+                a, b, base, mass, err, vals, miss, extra, pieces = (
+                    v[keep] for v in (a, b, base, mass, err, vals, miss, extra, pieces))
+                live = [i for i, st in zip(live, stay) if st]
+                cuts = [0, *itertools.accumulate(n for n, st in zip(size, stay) if st)]
+            a, b, parent = _split_cells(a, b, pieces, base)
+            cuts = np.searchsorted(parent, cuts).tolist()
             new = pieces[parent] > 1
-            mass, err, vals, miss, extra = (v[parent] for v in (mass, err, vals, miss, extra))
+            base, mass, err, vals, miss, extra = (v[parent] for v in (base, mass, err, vals, miss, extra))
             an, bn = a[new], b[new]
-            mass[new], err[new], fresh = _gk15_cells(f, an, bn)
-            _nonnegative(fresh, an, bn, rng)
-            vals[new], extra[new] = fresh, fresh @ _WEND
-            miss[new] = 0.5 * (bn - an)[:, None] * (fresh @ _WMISS)
-            evals, rounds = evals + fresh.size, rounds + 1
-        half = 0.5 * (b - a)
-        if not wide.all():
-            n = ~wide
-            gap[n] = _end_gap(mass[n], half[n, None] * (vals[n] @ _WPART), (b - a)[n],
-                              edge[:-1][n], edge[1:][n])
-        # each cell's left end and nodes in a (cells, 16) block, then hi; a
-        # node that rounding puts a float outside its cell is clamped to it
-        cum = np.concatenate([[0.0], np.cumsum(np.maximum(mass, 0.0))])
-        nodes, values, slopes = (np.empty(16 * a.size + 1) for _ in range(3))
-        knot, value, slope = (v[:-1].reshape(a.size, 16) for v in (nodes, values, slopes))
-        knot[:, 0], value[:, 0], slope[:, 0], slope[:, 1:] = a, cum[:-1], edge[:-1], _slopes(vals)
-        x = (0.5 * (a + b))[:, None] + half[:, None] * _XK
-        np.minimum(np.maximum(x, a[:, None]), b[:, None], out=knot[:, 1:])
-        np.add(cum[:-1, None], half[:, None] * (vals @ _WNODE), out=value[:, 1:])
-        nodes[-1], values[-1], slopes[-1] = hi, cum[-1], edge[-1]
-        keep = np.append(nodes[1:] > nodes[:-1], True)
-        nodes, values, slopes = nodes[keep], values[keep], slopes[keep]
-        # a total of 0 gives NaN values, for the caller to reject
-        values = np.maximum.accumulate(np.minimum(np.maximum(values, 0.0), cum[-1])) / cum[-1]
-        secant = np.full(nodes.size + 1, np.inf)
-        secant[1:-1] = np.diff(values) / np.diff(nodes)
-        slopes = np.minimum(slopes / cum[-1], 3.0 * np.minimum(secant[:-1], secant[1:]))
-        gap = float(gap.max() / total)
-    return CdfTable(nodes=nodes, values=values, slopes=slopes, total=total, gap=gap,
-                    lo=rng.lo, mapped=mapped, evaluations=evals, rounds=rounds)
+            at = [0, *itertools.accumulate(np.count_nonzero(new[s:e]) for s, e in zip(cuts[:-1], cuts[1:]))]
+            fresh = _cells([fs[i] for i in live], an, bn, at)
+            mass[new], err[new], vals[new], miss[new], extra[new] = fresh
+            negative = _first_negative(fresh[2], an, bn, at)
+            for i, s, e in zip(live, at[:-1], at[1:]):
+                evals[i], rounds[i] = evals[i] + 15 * (e - s), rounds[i] + 1
 
 
 def brent_root(f: Callable[[float], float], lo: float, hi: float,

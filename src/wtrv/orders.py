@@ -17,10 +17,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import reliability
-from .construct import WtrvDistribution, construct, minimum_of, wtrv_of_minimum
+from .construct import WtrvDistribution, construct, construct_all, minimum_of, wtrv_of_minimum
 from .distributions import DistributionHandle, make_catalog, parse_dist_spec
-from .numerics import _TABLE_TOL
-from .reliability import AGING_CLASSES, TailError, _interior_grid, _monotone, mrl
+from .numerics import _TABLE_TOL, WtrvError, table_quantiles
+from .reliability import (_U_HI, _U_LO, AGING_CLASSES, TailError, _interior_grid, _monotone,
+                          mrl)
 from .weights import IntegrabilityError, WeightFunction, make_weight, parse_weight_spec
 
 ORDER_NAMES = ("lr", "fr", "rfr", "st")
@@ -39,7 +40,11 @@ class OrderVerdict:
 
 
 def _merged_grid(x: DistributionHandle, y: DistributionHandle, grid_size: int) -> np.ndarray:
+    """The union of both handles' interior grids; two constructed variables
+    invert their tables in one Newton pass."""
     half = max(grid_size // 2, 32)
+    if isinstance(x, WtrvDistribution) and isinstance(y, WtrvDistribution):
+        return np.union1d(*table_quantiles([x.table, y.table], np.linspace(_U_LO, _U_HI, half)))
     return np.union1d(_interior_grid(x, half), _interior_grid(y, half))
 
 
@@ -322,30 +327,28 @@ def _order_facts(x: DistributionHandle, y: DistributionHandle, w1: WeightFunctio
             "w2p_over_rY_increasing": lambda: over_hazard(y, w2)[0]}
 
 
-def _try_construct(dist, weight):
-    try:
-        return construct(dist, weight), ""
-    except IntegrabilityError as exc:
-        return None, str(exc)
-
-
 def verify_theorem(x: DistributionHandle, y: DistributionHandle,
                    w1: WeightFunction, w2: WeightFunction, which: str,
                    grid_size: int = 128, *, built: tuple | None = None) -> TheoremReport:
     """Check one order-preservation result end to end: construct the weighted
-    variables, grid-test the hypotheses, test the conclusion. built is
-    internal: a caller that has constructed (X_w1, Y_w2) already passes them
-    on."""
+    variables, grid-test the hypotheses, test the conclusion. X_w1 and Y_w2
+    are built in one table pass; a pair that is not admissible gives a
+    report without verdicts whose detail holds the error of each failing
+    pair. built is internal: a caller that has constructed (X_w1, Y_w2)
+    already passes them on."""
     if which not in THEOREM_IDS:
         raise ValueError(f"unknown result id {which!r}; known: {', '.join(THEOREM_IDS)}")
     _check_grid_size(grid_size)
     [(keys, order, conclusion)], _ = _RESULTS[which]
     grid = _merged_grid(x, y, grid_size)
-    xw, dx = _try_construct(x, w1) if built is None else (built[0], "")
-    yw, dy = _try_construct(y, w2) if built is None else (built[1], "")
-    if xw is None or yw is None:
-        return TheoremReport(which, {"construction_ok": False}, False, "", None,
-                             True, dx or dy)
+    xw, yw = construct_all([(x, w1), (y, w2)]) if built is None else built
+    failed = [v for v in (xw, yw) if isinstance(v, WtrvError)]
+    for exc in failed:
+        if not isinstance(exc, IntegrabilityError):
+            raise exc
+    if failed:
+        return TheoremReport(which, {"construction_ok": False}, False, order, None,
+                             True, "; ".join(map(str, failed)))
     same = x.support == y.support
     resolve = _resolver({"X": x, "Y": y, "Xw1": xw, "Xw": xw, "Yw2": yw, "Yw": yw,
                          "min(Xw,Yw)": lambda: minimum_of([xw, yw]) if same else None,

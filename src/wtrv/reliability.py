@@ -55,7 +55,8 @@ def _residual_life(x, dist: DistributionHandle):
         raise TailError(f"survival function vanishes at {grid[np.argmax(s <= 0.0)]} "
                         f"for {dist.describe()}")
     sf = lambda t: np.asarray(dist.sf(t), dtype=float)
-    seg = _gk15_cells(sf, grid[:-1], grid[1:])[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        seg = _gk15_cells((sf,), grid[:-1], grid[1:], [0, grid.size - 1])[0]
     try:
         tail = integrate_adaptive(sf, Interval(float(grid[-1]), dist.support.hi),
                                   abs_tol=1e-11, rel_tol=1e-8).value

@@ -7,20 +7,20 @@ w'(x) * sf(x), which is the same criterion as the defining double integral
 for nonnegative derivatives and doubles as the construction normalizer. One
 adaptive pass, numerics.tabulate_cdf, computes that integral and the cdf
 table of the constructed variable together; validate_weight returns that
-table.
+table, and validate_weights the tables of several pairs from one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .distributions import CatalogEntry, DistributionHandle, catalog_build, parse_kv_spec
 from .numerics import (AccuracyError, CdfTable, Interval, NegativeDensityError, WtrvError,
-                       tabulate_cdf)
+                       tabulate_cdf, value_or_raise, with_cause)
 from .numerics import integrate_adaptive  # noqa: F401 (re-exported)
 
 
@@ -121,30 +121,49 @@ def tail_integrand(weight: WeightFunction, dist: DistributionHandle) -> Callable
     return integrand
 
 
-def _tail_table(weight: WeightFunction, dist: DistributionHandle) -> CdfTable:
-    """The cdf table of w'(x) * sf(x) over the support; its total is E[w(X)].
-    A negative w'*sf, a pass that does not converge, or a total that is not
-    a positive finite number raises IntegrabilityError."""
-    rng = Interval(dist.support.lo, min(dist.support.hi, weight.domain_hint.hi))
-    try:
-        table = tabulate_cdf(tail_integrand(weight, dist), rng)
-    except NegativeDensityError as exc:
-        raise IntegrabilityError(f"w'*sf for {weight.describe()} against {dist.describe()} "
-                                 f"is negative at x = {exc.x:.6g}") from exc
-    except AccuracyError as exc:
-        raise IntegrabilityError(
-            f"integral of w'*sf for {weight.describe()} against {dist.describe()} "
-            f"did not converge (best estimate {exc.estimate:.4g})") from exc
-    if not math.isfinite(table.total) or table.total <= 0:
-        raise IntegrabilityError(
-            f"normalizer for {weight.describe()} against {dist.describe()} "
-            f"is not a positive finite number: {table.total}")
-    return table
+def _tail_tables(pairs: Sequence[tuple[WeightFunction, DistributionHandle]]) -> list:
+    """The cdf table of w'(x) * sf(x) over the support of each (weight,
+    dist) pair, all in one tabulate_cdf pass; a table's total is E[w(X)]. A
+    pair whose w'*sf is negative, whose pass does not converge, or whose
+    total is not a positive finite number gets an IntegrabilityError in
+    place of its table."""
+    tables = tabulate_cdf([tail_integrand(w, d) for w, d in pairs],
+                          [Interval(d.support.lo, min(d.support.hi, w.domain_hint.hi))
+                           for w, d in pairs])
+    return [_rejected(w, d, t) or t for (w, d), t in zip(pairs, tables)]
+
+
+def _rejected(weight: WeightFunction, dist: DistributionHandle, table) -> IntegrabilityError | None:
+    """The IntegrabilityError for the pair's pass result, or None for a
+    table with a positive finite total."""
+    pair = f"{weight.describe()} against {dist.describe()}"
+    if isinstance(table, NegativeDensityError):
+        text = f"w'*sf for {pair} is negative at x = {table.x:.6g}"
+    elif isinstance(table, AccuracyError):
+        text = f"integral of w'*sf for {pair} did not converge (best estimate {table.estimate:.4g})"
+    elif not math.isfinite(table.total) or table.total <= 0:
+        return IntegrabilityError(f"normalizer for {pair} is not a positive finite number: "
+                                  f"{table.total}")
+    else:
+        return None
+    return with_cause(IntegrabilityError(text), table)
 
 
 def weight_normalizer_integral(weight: WeightFunction, dist: DistributionHandle) -> float:
     """E[w(X)] computed as the integral of w'(x) * sf(x) over the support."""
-    return _tail_table(weight, dist).total
+    return value_or_raise(_tail_tables([(weight, dist)])[0]).total
+
+
+def validate_weights(pairs: Sequence[tuple[WeightFunction, DistributionHandle]]) -> list:
+    """validate_weight for each (weight, dist) pair, all in one table pass:
+    each pair's table, or the IntegrabilityError that rejects it, which
+    leaves the other pairs alone."""
+    if any(d.support.lo != 0.0 for _, d in pairs):
+        raise ValueError("weight validation requires a base distribution with lower bound 0")
+    return [with_cause(IntegrabilityError(f"weight {w.describe()} is not admissible for "
+                                       f"{d.describe()}: {t}"), t)
+            if isinstance(t, IntegrabilityError) else t
+            for (w, d), t in zip(pairs, _tail_tables(pairs))]
 
 
 def validate_weight(weight: WeightFunction, dist: DistributionHandle) -> CdfTable:
@@ -153,10 +172,4 @@ def validate_weight(weight: WeightFunction, dist: DistributionHandle) -> CdfTabl
     IntegrabilityError. Every catalog weight starts at zero and is
     nondecreasing, which the tests check family by family, so integrability
     is the one condition left to the pair."""
-    if dist.support.lo != 0.0:
-        raise ValueError("weight validation requires a base distribution with lower bound 0")
-    try:
-        return _tail_table(weight, dist)
-    except IntegrabilityError as exc:
-        raise IntegrabilityError(f"weight {weight.describe()} is not admissible for "
-                                 f"{dist.describe()}: {exc}") from exc
+    return value_or_raise(validate_weights([(weight, dist)])[0])

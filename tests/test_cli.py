@@ -227,15 +227,63 @@ class TestJsonCommands:
 
     @pytest.mark.parametrize("fixture", ["thm9-example7", "thm10-example8", "thm5i-example4"])
     def test_emit_ratio_builds_each_variable_once(self, capsys, monkeypatch, tmp_path, fixture):
-        # the ratio curve and the verdict read the same X_w1 and Y_w2: one
-        # table pass each
+        # the ratio curve and the verdict read the same X_w1 and Y_w2, built
+        # in one table pass
         import wtrv.weights as weights
         real, passes = weights.tabulate_cdf, []
         monkeypatch.setattr(weights, "tabulate_cdf",
-                            lambda f, rng: (passes.append(rng), real(f, rng))[1])
+                            lambda fs, rngs: (passes.append(rngs), real(fs, rngs))[1])
         code, _, err = run_cli(capsys, "verify-theorem", fixture,
                                "--emit-ratio", str(tmp_path / "ratio.csv"))
-        assert code == 0 and err == "" and len(passes) == 2
+        assert code == 0 and err == "" and [len(p) for p in passes] == [2]
+
+    _EXPLICIT = ("thm8", "--x", "exponential(lambda=2)", "--y", "exponential(lambda=1)",
+                 "--w1", "power(c=0.7)", "--w2", "power(c=1.8)")
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The tables of each tabulate_cdf pass, and the tables of each
+        invert_monotone pass over constructed variables, in call order."""
+        import wtrv.numerics as numerics
+        import wtrv.orders as orders
+        import wtrv.weights as weights
+        log = {"tables": [], "inversions": []}
+        tabulate, quantiles = weights.tabulate_cdf, numerics.table_quantiles
+        monkeypatch.setattr(weights, "tabulate_cdf",
+                            lambda fs, rngs: (log["tables"].append(len(fs)), tabulate(fs, rngs))[1])
+        for module in (numerics, orders):
+            monkeypatch.setattr(module, "table_quantiles", lambda tables, u: (
+                log["inversions"].append(len(tables)), quantiles(tables, u))[1])
+        return log
+
+    @pytest.mark.parametrize("argv, ratio_grid", [
+        (("thm9-example7",), False), (("thm5i-example4",), True), (_EXPLICIT, True)])
+    @pytest.mark.parametrize("emit_ratio", [False, True])
+    def test_verify_theorem_builds_the_pair_in_one_pass(self, capsys, passes, tmp_path, argv,
+                                                        ratio_grid, emit_ratio):
+        # X_w1 and Y_w2 come from one table pass, and the merged grid of the
+        # conclusion inverts both in one Newton pass; the ratio curve, on an
+        # infinite common support, merges its own grid the same way
+        extra = ("--emit-ratio", str(tmp_path / "ratio.csv")) if emit_ratio else ()
+        code, _, err = run_cli(capsys, "verify-theorem", *argv, *extra)
+        assert code == 0 and err == ""
+        assert passes["tables"] == [2]
+        assert passes["inversions"] == [2] * (1 + (emit_ratio and ratio_grid))
+
+    def test_check_order_builds_the_pair_in_one_pass(self, capsys, passes):
+        code, _, err = run_cli(capsys, "check-order", "--x", "exponential(lambda=2)",
+                               "--wx", "power(c=1.5)", "--y", "exponential(lambda=1)",
+                               "--wy", "power(c=2.5)", "--order", "lr")
+        assert code == 0 and err == ""
+        assert passes["tables"] == [2] and passes["inversions"] == [2]
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "--dist", "gamma(k=2,lambda=1)", "--weight", "power(c=1.5)", "--grid", "50"),
+        ("check-aging", "--dist", "gamma(k=2,lambda=1)", "--weight", "power(c=1.5)")])
+    def test_one_variable_one_pass(self, capsys, passes, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert passes["tables"] == [1] and passes["inversions"] == [1]
 
     def test_table1_audit(self, capsys):
         code, out, _ = run_cli(capsys, "table1-audit", "--format", "json")

@@ -12,7 +12,8 @@ from wtrv import (check_order, classify_aging, construct, equilibrium,
                   table1_oracle_suite, wtrv_of_minimum)
 from wtrv.construct import _table1_rows
 from wtrv.numerics import (Interval, WtrvError, _from_unit, integrate_adaptive,
-                            invert_monotone, tabulate_cdf)
+                            invert_monotone, table_quantiles, tabulate_cdf,
+                            value_or_raise)
 from wtrv.weights import IntegrabilityError, WeightFunction, tail_integrand, validate_weight
 
 from conftest import CATALOG_INSTANCES, interior_grid
@@ -294,11 +295,11 @@ class TestTableInvariants:
         cells, points = [], []
         gk15 = numerics._gk15_cells
         monkeypatch.setattr(numerics, "_gk15_cells",
-                            lambda f, a, b: (cells.append(a.size), gk15(f, a, b))[1])
+                            lambda fs, a, b, cuts: (cells.append(a.size), gk15(fs, a, b, cuts))[1])
         dist, w = make_catalog("exponential", {"lambda": 1.0}), make_weight("power", {"c": 0.3})
         f = tail_integrand(w, dist)
-        table = tabulate_cdf(lambda x: (points.append(np.size(x)), f(x))[1],
-                             Interval(0.0, math.inf))
+        [table] = tabulate_cdf([lambda x: (points.append(np.size(x)), f(x))[1]],
+                               [Interval(0.0, math.inf)])
         assert table.evaluations == 15 * sum(cells) == sum(points)
         assert table.rounds == len(cells) - 1 == len(points) - 1 >= 1
 
@@ -357,7 +358,7 @@ class TestFlatIntegrand:
                                     (tail_integrand, _by_hand(w, dist))):
                 monkeypatch.setattr(weights, "tail_integrand", integrand)
                 try:
-                    results.append(weights._tail_table(*pair))
+                    results.append(value_or_raise(weights._tail_tables([pair])[0]))
                 except IntegrabilityError as exc:  # AccuracyError, or None for a bad total
                     results.append((type(exc.__cause__), str(exc)))
             got, ref, hand = results
@@ -403,6 +404,81 @@ class TestFlatIntegrand:
                 ref = np.where((x <= 0.0) | (x >= v.support.hi), 0.0,
                                _handle_integrand(w, dist)(x) / v.normalizer)
             assert np.asarray(v.pdf(x)).tobytes() == ref.tobytes(), spec
+
+
+_TABLE_FIELDS = ("nodes", "values", "slopes", "total", "gap", "evaluations", "rounds", "lo",
+                 "mapped")
+
+
+def _flat_pairs():
+    """The (weight, base) pairs of TestFlatIntegrand, 16 bases times 9 weights."""
+    return [(parse_weight_spec(spec), dist) for _, dist in _flat_bases() for spec in _FLAT_WEIGHTS]
+
+
+def _groupings(n, seed):
+    """A seeded shuffle of range(n) cut into groups of 1 to 5."""
+    rng = np.random.default_rng(seed)
+    order, groups = rng.permutation(n).tolist(), []
+    while order:
+        k = int(rng.integers(1, 6))
+        groups.append(order[:k])
+        order = order[k:]
+    return groups
+
+
+def _same_result(got, ref):
+    """Every CdfTable field byte-equal, or the same rejection: the same
+    error type, cause type and text."""
+    if isinstance(ref, Exception):
+        return (type(got) is type(ref) and type(got.__cause__) is type(ref.__cause__)
+                and str(got) == str(ref))
+    return all(np.asarray(getattr(got, f)).tobytes() == np.asarray(getattr(ref, f)).tobytes()
+               and np.asarray(getattr(got, f)).dtype == np.asarray(getattr(ref, f)).dtype
+               for f in _TABLE_FIELDS)
+
+
+class TestBatchedPass:
+    # tables that share one tabulate_cdf pass are the tables of their solo
+    # passes bit for bit, and a rejected pair fails alone, with its own text
+    @pytest.fixture(scope="class")
+    def solo(self):
+        import wtrv.weights as weights
+        pairs = _flat_pairs()
+        return pairs, [weights._tail_tables([pair])[0] for pair in pairs]
+
+    def test_solo_rejects_the_known_pairs(self, solo):
+        _, results = solo
+        assert sum(isinstance(r, IntegrabilityError) for r in results) == 37
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_groupings_match_solo(self, solo, seed):
+        import wtrv.weights as weights
+        pairs, results = solo
+        mixed = 0
+        for group in _groupings(len(pairs), seed):
+            batch = weights._tail_tables([pairs[i] for i in group])
+            assert len(batch) == len(group)
+            for i, got in zip(group, batch):
+                assert _same_result(got, results[i]), (i, group)
+            kinds = {isinstance(results[i], Exception) for i in group}
+            mixed += kinds == {True, False}
+        assert mixed > 0  # some batch holds a rejected pair beside accepted ones
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batched_inversion_matches_each_table(self, solo, seed):
+        # one invert_monotone call over several tables gives each table's
+        # own quantile bit for bit, on the CLI's grids, at knot values and
+        # next to 0 and 1
+        _, results = solo
+        tables = [t for t in results if not isinstance(t, Exception)]
+        u = np.concatenate([np.linspace(0.005, 0.995, 201), TestQuantileInItsPiece.EDGES])
+        with np.errstate(divide="ignore"):  # heavy tails reach x = inf next to u = 1
+            for group in _groupings(len(tables), seed):
+                batch = [tables[i] for i in group]
+                knots = batch[0].values[::97]
+                levels = np.concatenate([u, knots[(knots > 0.0) & (knots < 1.0)]])
+                for t, got in zip(batch, table_quantiles(batch, levels)):
+                    assert got.tobytes() == np.asarray(t.quantile(levels)).tobytes()
 
 
 def _searching_quantile(table, u):
@@ -454,7 +530,7 @@ class TestHermite:
 
         dist, w = parse_dist_spec(base), parse_weight_spec(weight)
         hi = min(dist.support.hi, w.domain_hint.hi)
-        table = tabulate_cdf(tail_integrand(w, dist), Interval(0.0, hi))
+        [table] = tabulate_cdf([tail_integrand(w, dist)], [Interval(0.0, hi)])
         nodes, values, slopes = table.nodes, table.values, table.slopes
         ref = CubicHermiteSpline(nodes, values, slopes)
         pts = np.concatenate([nodes, np.random.default_rng(3).uniform(nodes[0], nodes[-1], 20000)])

@@ -93,11 +93,34 @@ class TestVerifyTheorem:
             raise AssertionError("constructed before the grid check")
 
         monkeypatch.setattr(orders, "construct", no_construct)
+        monkeypatch.setattr(orders, "construct_all", no_construct)
         with pytest.raises(ValueError, match="grid_size must be at least 64"):
             verify_theorem(make_catalog("exponential", {"lambda": 2.0}),
                            make_catalog("exponential", {"lambda": 1.0}),
                            make_weight("power", {"c": 1.5}),
                            make_weight("power", {"c": k2}), which, grid_size=32)
+
+    _BAD = {"x": ("pareto_lomax(alpha=1)", "linear()"), "y": ("exponential(lambda=1)", "expm1()")}
+
+    @pytest.mark.parametrize("failing", [("x",), ("y",), ("x", "y")])
+    @pytest.mark.parametrize("which, order", [("thm8", "st"), ("thm5i", "lr")])
+    def test_failed_construction_names_order_and_pairs(self, capsys, failing, which, order):
+        # a pair that is not admissible gives a report without verdicts that
+        # still names the result's conclusion order; its detail holds the
+        # error construct prints for each failing pair, X's first
+        texts = []
+        for side in failing:
+            dist, weight = self._BAD[side]
+            assert main(["construct", "--dist", dist, "--weight", weight]) == 1
+            texts.append(capsys.readouterr().err.removeprefix("error: IntegrabilityError: ").rstrip("\n"))
+        x = self._BAD["x"] if "x" in failing else ("exponential(lambda=2)", "power(c=0.7)")
+        y = self._BAD["y"] if "y" in failing else ("exponential(lambda=1)", "power(c=1.8)")
+        code = main(["verify-theorem", which, "--x", x[0], "--w1", x[1], "--y", y[0], "--w2", y[1]])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["hypotheses"] == {"construction_ok": False} and out["conclusion"] is None
+        assert out["conclusion_order"] == order and out["consistent"] is True
+        assert out["detail"] == "; ".join(texts)
 
     def test_vanishing_initial_slope_blocks_hypotheses(self):
         # w1 = x^2 has w'(0) = 0, so the reversed-rate comparison with a
@@ -144,8 +167,11 @@ class TestVerifyTheorem:
         # which check_order builds its grid itself
         calls = []
         interior, check = orders._interior_grid, orders.check_order
+        quantiles = orders.table_quantiles
         monkeypatch.setattr(orders, "_interior_grid",
                             lambda *a: (calls.append(a[0].name), interior(*a))[1])
+        monkeypatch.setattr(orders, "table_quantiles",
+                            lambda tables, u: (calls.extend(tables), quantiles(tables, u))[1])
         argv = ["verify-theorem", which, "--x", "exponential(lambda=2)",
                 "--y", "exponential(lambda=1.2)", "--w1", f"power(c={w1})",
                 "--w2", f"power(c={w2})"]
