@@ -20,8 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import DistributionHandle, Interior, make_catalog
-from .numerics import (CdfTable, ConvergenceError, Interval, WtrvError, _sc, invert_monotone,
-                       value_or_raise, with_cause)
+from .numerics import CdfTable, ConvergenceError, Interval, WtrvError, _sc, invert_monotone
 from .numerics import brent_root, integrate_adaptive  # noqa: F401 (re-exported)
 from .weights import (WeightFunction, make_weight, tail_integrand, validate_weight,
                       validate_weights)
@@ -47,14 +46,8 @@ class WtrvDistribution(DistributionHandle):
         return f"wtrv[{self.base.describe()}; {self.weight.describe()}]"
 
 
-def _built(dist: DistributionHandle, weight: WeightFunction, table: CdfTable):
-    """The weighted tail variable on the pair's table, or the WtrvError
-    that its cubics overflow in floats."""
-    try:
-        table.cubic  # the coefficients, computed once here
-    except FloatingPointError as exc:  # knots a few floats apart near 0
-        return with_cause(WtrvError(f"cdf table of {weight.describe()} against {dist.describe()} "
-                                    f"cannot be interpolated in floats: {exc}"), exc)
+def _built(dist: DistributionHandle, weight: WeightFunction, table: CdfTable) -> WtrvDistribution:
+    """The weighted tail variable on the pair's table."""
     z = table.total
     g = tail_integrand(weight, dist)
     return WtrvDistribution(
@@ -69,9 +62,8 @@ def _built(dist: DistributionHandle, weight: WeightFunction, table: CdfTable):
 def construct(dist: DistributionHandle, weight: WeightFunction) -> WtrvDistribution:
     """Build the weighted tail variable of (X, w): its pdf is w'·sf/E[w(X)],
     and its cdf, sf and quantile are those of validate_weight's cdf table.
-    Raises IntegrabilityError for a pair that is not admissible, and
-    WtrvError when the table's cubics overflow in floats."""
-    return value_or_raise(_built(dist, weight, validate_weight(weight, dist)))
+    Raises validate_weight's error for a pair it does not accept."""
+    return _built(dist, weight, validate_weight(weight, dist))
 
 
 def construct_all(pairs: Sequence[tuple[DistributionHandle, WeightFunction]]) -> list:

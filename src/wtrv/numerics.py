@@ -12,7 +12,6 @@ nothing in the package calls it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -376,7 +375,8 @@ class CdfTable:
     (for a cell too narrow to cut, the miss of the Hermite through its ends
     at 1/4, 1/2 and 3/4). evaluations counts f's values, 15 per cell
     evaluated, and rounds the refinement rounds after the first batch of
-    cells.
+    cells. cubic holds each piece's (c1, c2, c3) of SciPy's
+    CubicHermiteSpline cubic in s = t - nodes[i], and (2 c2, 3 c3) of its slope.
 
     value and slope read the cubic in t, cdf and quantile in x; knots are
     the nodes in x."""
@@ -390,20 +390,7 @@ class CdfTable:
     mapped: bool
     evaluations: int
     rounds: int
-
-    @functools.cached_property
-    def cubic(self) -> tuple:
-        """Each piece's coefficients (c1, c2, c3) of SciPy's CubicHermiteSpline
-        cubic in s = t - nodes[i], and (2 c2, 3 c3) of its slope, computed at
-        the first read. Raises FloatingPointError where they overflow, as for
-        knots a few floats apart near 0."""
-        x, y, dydx = self.nodes, self.values, self.slopes
-        with np.errstate(over="raise", invalid="raise"):
-            h = np.diff(x)
-            secant = np.diff(y) / h
-            t = (dydx[:-1] + dydx[1:] - 2 * secant) / h
-            c1, c2, c3 = dydx[:-1], (secant - dydx[:-1]) / h - t, t / h
-            return c1, c2, c3, c2 * 2, c3 * 3
+    cubic: tuple
 
     def _piece(self, t):
         """Each t's piece, found by a search over the knots."""
@@ -424,8 +411,7 @@ class CdfTable:
         return np.minimum(np.maximum(self.value(_to_unit(x, self.lo) if self.mapped else x), 0.0), 1.0)
 
     def quantile(self, u):
-        """The x where the cubic reaches u, for u in (0, 1): table_quantiles
-        of this table alone."""
+        """The x where the cubic reaches u: table_quantiles of this table alone."""
         return table_quantiles([self], u)[0]
 
     @property
@@ -455,8 +441,10 @@ _NO_PIECE = np.zeros(1)
 
 
 def table_quantiles(tables: Sequence[CdfTable], u) -> list:
-    """Each table's quantile at the levels u in (0, 1), by one
-    invert_monotone call on the points of all tables.
+    """Each table's quantile at the levels u, by one invert_monotone call on
+    the points of all tables. A level at or below 0 gives the table's lower
+    end and one at or above 1 its last knot (inf on a mapped table); a NaN
+    level raises ConvergenceError.
 
     The tables' nodes, values and cubic coefficients are laid end to end.
     Each point is bracketed by the pair of its table's knots whose values
@@ -466,6 +454,10 @@ def table_quantiles(tables: Sequence[CdfTable], u) -> list:
     table's last piece. Every point solves alone, so a table's quantiles
     are those it gives by itself."""
     u = np.asarray(u, dtype=float)
+    if np.isnan(u).any():
+        raise ConvergenceError("quantile level is NaN")
+    inner = (u > 0.0) & (u < 1.0)
+    level = u[inner]
     if len(tables) == 1:
         rows = (tables[0].nodes, tables[0].values, *tables[0].cubic)
     else:  # a table's last node starts no piece: its coefficients there are 0
@@ -475,7 +467,7 @@ def table_quantiles(tables: Sequence[CdfTable], u) -> list:
     # step is nodes[i], or inf where the bracket is its table's last piece
     i, step, start = [], [], 0
     for t in tables:
-        k = np.searchsorted(t.values, u, side="right").ravel()
+        k = np.searchsorted(t.values, level, side="right")
         i.append(k + start)
         step.append(np.where(k < t.nodes.size - 1, t.nodes[k], np.inf))
         start += t.nodes.size
@@ -487,9 +479,11 @@ def table_quantiles(tables: Sequence[CdfTable], u) -> list:
 
     roots = invert_monotone(lambda v, idx: _cubic_value(rows, v, at(v, idx)),
                             lambda v, idx: _cubic_slope(rows, v, at(v, idx)),
-                            np.concatenate([u.ravel()] * len(tables)), nodes[piece], nodes[i])
-    roots = [roots[j * u.size:(j + 1) * u.size].reshape(u.shape) for j in range(len(tables))]
-    return [_from_unit(r, t.lo) if t.mapped else r for t, r in zip(tables, roots)]
+                            np.concatenate([level] * len(tables)), nodes[piece], nodes[i])
+    out = [np.where(u <= 0.0, t.lo, np.inf if t.mapped else t.nodes[-1]) for t in tables]
+    for t, r, x in zip(tables, roots.reshape(len(tables), level.size), out):
+        x[inner] = _from_unit(r, t.lo) if t.mapped else r
+    return out
 
 
 # A table cell is cut while its Hermite cdf misses the interpolant's partial
@@ -530,23 +524,10 @@ def _end_gap(mass, parts, h, ga, gb) -> np.ndarray:
     return gap
 
 
-def _first_negative(vals: np.ndarray, a: np.ndarray, b: np.ndarray, cuts: list) -> list:
-    """For each block cuts[j]:cuts[j + 1] of the cells [a_i, b_i], its first
-    Kronrod node, in the table's coordinate, where f reads below 0, or None."""
-    out = [None] * (len(cuts) - 1)
-    if vals.min() < 0.0:  # vals holds no NaN: _gk15_cells reads it as inf
-        rows, cols = np.nonzero(vals < 0.0)
-        block = np.searchsorted(cuts, rows, side="right") - 1
-        for j, first in zip(*np.unique(block, return_index=True)):
-            i = rows[first]
-            out[j] = 0.5 * (a[i] + b[i]) + 0.5 * (b[i] - a[i]) * _XK[cols[first]]
-    return out
-
-
-def _table(a, b, mass, vals, left, right, gap, wide, total, hi, rng, mapped, evals, rounds) -> CdfTable:
+def _table(a, b, mass, vals, left, right, gap, wide, total, hi, rng, mapped, evals, rounds):
     """The CdfTable of one pass's final cells: their ends a and b, masses,
     values at the Kronrod nodes, end slopes, gaps and width flags, under the
-    pass's errstate."""
+    pass's errstate; or the WtrvError that its cubics overflow in floats."""
     half = 0.5 * (b - a)
     if not wide.all():
         n = ~wide
@@ -570,9 +551,18 @@ def _table(a, b, mass, vals, left, right, gap, wide, total, hi, rng, mapped, eva
     secant = np.full(nodes.size + 1, np.inf)
     secant[1:-1] = (values[1:] - values[:-1]) / (nodes[1:] - nodes[:-1])
     slopes = np.minimum(slopes / cum[-1], 3.0 * np.minimum(secant[:-1], secant[1:]))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            h = np.diff(nodes)
+            chord = np.diff(values) / h
+            t = (slopes[:-1] + slopes[1:] - 2 * chord) / h
+            c1, c2, c3 = slopes[:-1], (chord - slopes[:-1]) / h - t, t / h
+            cubic = c1, c2, c3, c2 * 2, c3 * 3
+    except FloatingPointError as exc:  # knots a few floats apart near 0
+        return with_cause(WtrvError(f"cannot be interpolated in floats: {exc}"), exc)
     return CdfTable(nodes=nodes, values=values, slopes=slopes, total=total,
                     gap=float(gap.max() / total), lo=rng.lo, mapped=mapped,
-                    evaluations=evals, rounds=rounds)
+                    evaluations=evals, rounds=rounds, cubic=cubic)
 
 
 def _cells(fs: Sequence[Callable], a: np.ndarray, b: np.ndarray, cuts: list) -> tuple:
@@ -643,7 +633,8 @@ def tabulate_cdf(fs: Sequence[Callable], rngs: Sequence[Interval]) -> list:
     with the best estimate attached, ends it when a round starts with
     _MAX_CELLS cells and a rule still applies, or cells too narrow to halve
     hold more GK15 error than its bound, which is also how a divergent
-    integral surfaces.
+    integral surfaces. A finished table whose cubics overflow in floats
+    leaves as the WtrvError that says so.
 
     The tables share the pass: a round's elementwise work runs once over
     the cells of every table still refined, while each table's integrand,
@@ -668,7 +659,6 @@ def tabulate_cdf(fs: Sequence[Callable], rngs: Sequence[Interval]) -> list:
     # a cell of f not finite reads inf or NaN, and its error inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mass, err, vals, miss, extra = _cells(fs, a, b, cuts)
-        negative = _first_negative(vals, a, b, cuts)
         while True:
             # f at the cell ends: cell i spans left[i], right[i], and a
             # table's last cell ends at its own interpolant's value
@@ -681,8 +671,11 @@ def tabulate_cdf(fs: Sequence[Callable], rngs: Sequence[Interval]) -> list:
             gap = _knot_gap(miss, 0.5 * (b - a), left, right)
             wide = b - a > np.maximum(1e-13 * np.abs(b), 1e-300)
             pieces = np.ones(a.size, dtype=int)
-            for i, s, e, t in zip(live, cuts[:-1], cuts[1:], negative):
-                if t is not None:
+            for i, s, e in zip(live, cuts[:-1], cuts[1:]):
+                below = vals[s:e] < 0.0  # vals holds no NaN: _gk15_cells reads it as inf
+                if below.any():  # the first such node, in the table's coordinate
+                    c, k = divmod(int(np.argmax(below)), 15)
+                    t = 0.5 * (a[s + c] + b[s + c]) + 0.5 * (b[s + c] - a[s + c]) * _XK[k]
                     out[i] = NegativeDensityError(float(_from_unit(t, rngs[i].lo) if mapped[i] else t))
                     continue
                 try:
@@ -709,11 +702,9 @@ def tabulate_cdf(fs: Sequence[Callable], rngs: Sequence[Interval]) -> list:
             cuts = np.searchsorted(parent, cuts).tolist()
             new = pieces[parent] > 1
             base, mass, err, vals, miss, extra = (v[parent] for v in (base, mass, err, vals, miss, extra))
-            an, bn = a[new], b[new]
             at = [0, *itertools.accumulate(np.count_nonzero(new[s:e]) for s, e in zip(cuts[:-1], cuts[1:]))]
-            fresh = _cells([fs[i] for i in live], an, bn, at)
-            mass[new], err[new], vals[new], miss[new], extra[new] = fresh
-            negative = _first_negative(fresh[2], an, bn, at)
+            mass[new], err[new], vals[new], miss[new], extra[new] = _cells([fs[i] for i in live],
+                                                                           a[new], b[new], at)
             for i, s, e in zip(live, at[:-1], at[1:]):
                 evals[i], rounds[i] = evals[i] + 15 * (e - s), rounds[i] + 1
 

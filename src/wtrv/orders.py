@@ -20,8 +20,8 @@ from . import reliability
 from .construct import WtrvDistribution, construct, construct_all, minimum_of, wtrv_of_minimum
 from .distributions import DistributionHandle, make_catalog, parse_dist_spec
 from .numerics import _TABLE_TOL, WtrvError, table_quantiles
-from .reliability import (_U_HI, _U_LO, AGING_CLASSES, TailError, _interior_grid, _monotone,
-                          mrl)
+from .reliability import (_U_HI, _U_LO, AGING_CLASSES, TailError, _check_grid_size,
+                          _interior_grid, _monotone, mrl)
 from .weights import IntegrabilityError, WeightFunction, make_weight, parse_weight_spec
 
 ORDER_NAMES = ("lr", "fr", "rfr", "st")
@@ -85,11 +85,6 @@ def _ratio_nondecreasing(xs, num, den, noise=None):
         i = int(bad[0])
         return False, (float(x[i]), float(x[i + 1]), float(v[i]), float(v[i + 1]))
     return True, None
-
-
-def _check_grid_size(grid_size: int) -> None:
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
 
 
 def check_order(x: DistributionHandle, y: DistributionHandle, order: str,

@@ -105,6 +105,11 @@ def glaser(dist: DistributionHandle, x):
     return _log_pdf_slope(x, dist)
 
 
+def _check_grid_size(grid_size: int) -> None:
+    if grid_size < 64:
+        raise ValueError("grid_size must be at least 64")
+
+
 def _interior_grid(dist: DistributionHandle, grid_size: int) -> np.ndarray:
     """The distinct quantiles of grid_size levels from _U_LO to _U_HI."""
     u = np.linspace(_U_LO, _U_HI, grid_size)
@@ -149,8 +154,7 @@ def classify_aging(dist: DistributionHandle, grid_size: int = 128) -> AgingRepor
     """Grid classification of the six aging classes, with the implication
     chain (ILR implies IFR implies DMRL; DLR implies DFR implies IMRL)
     applied as closure so marginal numerical misses cannot break it."""
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
+    _check_grid_size(grid_size)
     grid = _interior_grid(dist, grid_size)
     classes = {c: False for c in AGING_CLASSES}
     witnesses: dict[str, tuple] = {}

@@ -121,55 +121,46 @@ def tail_integrand(weight: WeightFunction, dist: DistributionHandle) -> Callable
     return integrand
 
 
-def _tail_tables(pairs: Sequence[tuple[WeightFunction, DistributionHandle]]) -> list:
-    """The cdf table of w'(x) * sf(x) over the support of each (weight,
-    dist) pair, all in one tabulate_cdf pass; a table's total is E[w(X)]. A
-    pair whose w'*sf is negative, whose pass does not converge, or whose
-    total is not a positive finite number gets an IntegrabilityError in
-    place of its table."""
-    tables = tabulate_cdf([tail_integrand(w, d) for w, d in pairs],
-                          [Interval(d.support.lo, min(d.support.hi, w.domain_hint.hi))
-                           for w, d in pairs])
-    return [_rejected(w, d, t) or t for (w, d), t in zip(pairs, tables)]
-
-
-def _rejected(weight: WeightFunction, dist: DistributionHandle, table) -> IntegrabilityError | None:
-    """The IntegrabilityError for the pair's pass result, or None for a
-    table with a positive finite total."""
+def _admitted(weight: WeightFunction, dist: DistributionHandle, table):
+    """The pair's table, if its total is a positive finite number, or the
+    error that rejects the pair, caused by the pass's own error (or None)."""
     pair = f"{weight.describe()} against {dist.describe()}"
     if isinstance(table, NegativeDensityError):
         text = f"w'*sf for {pair} is negative at x = {table.x:.6g}"
     elif isinstance(table, AccuracyError):
         text = f"integral of w'*sf for {pair} did not converge (best estimate {table.estimate:.4g})"
+    elif isinstance(table, WtrvError):  # the cubics overflow
+        return with_cause(WtrvError(f"cdf table of {pair} {table}"), table.__cause__)
     elif not math.isfinite(table.total) or table.total <= 0:
-        return IntegrabilityError(f"normalizer for {pair} is not a positive finite number: "
-                                  f"{table.total}")
+        text, table = f"normalizer for {pair} is not a positive finite number: {table.total}", None
     else:
-        return None
-    return with_cause(IntegrabilityError(text), table)
+        return table
+    return with_cause(IntegrabilityError(f"weight {weight.describe()} is not admissible for "
+                                         f"{dist.describe()}: {text}"), table)
 
 
 def weight_normalizer_integral(weight: WeightFunction, dist: DistributionHandle) -> float:
     """E[w(X)] computed as the integral of w'(x) * sf(x) over the support."""
-    return value_or_raise(_tail_tables([(weight, dist)])[0]).total
+    return validate_weight(weight, dist).total
 
 
 def validate_weights(pairs: Sequence[tuple[WeightFunction, DistributionHandle]]) -> list:
-    """validate_weight for each (weight, dist) pair, all in one table pass:
-    each pair's table, or the IntegrabilityError that rejects it, which
-    leaves the other pairs alone."""
+    """validate_weight for each (weight, dist) pair, all in one tabulate_cdf
+    pass of w'(x) * sf(x) over the pair's support: each pair's table, or the
+    error that rejects it, which leaves the other pairs alone."""
     if any(d.support.lo != 0.0 for _, d in pairs):
         raise ValueError("weight validation requires a base distribution with lower bound 0")
-    return [with_cause(IntegrabilityError(f"weight {w.describe()} is not admissible for "
-                                       f"{d.describe()}: {t}"), t)
-            if isinstance(t, IntegrabilityError) else t
-            for (w, d), t in zip(pairs, _tail_tables(pairs))]
+    tables = tabulate_cdf([tail_integrand(w, d) for w, d in pairs],
+                          [Interval(d.support.lo, min(d.support.hi, w.domain_hint.hi))
+                           for w, d in pairs])
+    return [_admitted(w, d, t) for (w, d), t in zip(pairs, tables)]
 
 
 def validate_weight(weight: WeightFunction, dist: DistributionHandle) -> CdfTable:
     """The cdf table of w'(x) * sf(x) for an admissible pair, whose total is
     E[w(X)]; a pair whose pass does not reach a positive finite total raises
-    IntegrabilityError. Every catalog weight starts at zero and is
-    nondecreasing, which the tests check family by family, so integrability
-    is the one condition left to the pair."""
+    IntegrabilityError, and one whose cubics overflow in floats WtrvError.
+    Every catalog weight starts at zero and is nondecreasing, which the
+    tests check family by family, so integrability is the one condition
+    left to the pair."""
     return value_or_raise(validate_weights([(weight, dist)])[0])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from wtrv import (check_order, classify_aging, construct, equilibrium,
                   parse_weight_spec, sample,
                   table1_oracle_suite, wtrv_of_minimum)
 from wtrv.construct import _table1_rows
-from wtrv.numerics import (Interval, WtrvError, _from_unit, integrate_adaptive,
-                            invert_monotone, table_quantiles, tabulate_cdf,
-                            value_or_raise)
-from wtrv.weights import IntegrabilityError, WeightFunction, tail_integrand, validate_weight
+from wtrv.numerics import (AccuracyError, ConvergenceError, Interval, NegativeDensityError,
+                            WtrvError, _from_unit, integrate_adaptive, invert_monotone,
+                            table_quantiles, tabulate_cdf, value_or_raise)
+from wtrv.weights import (IntegrabilityError, WeightFunction, tail_integrand, validate_weight,
+                          weight_normalizer_integral)
 
 from conftest import CATALOG_INSTANCES, interior_grid
 
@@ -227,29 +229,50 @@ def _admissibility_pairs():
                     ("gamma(k=0.4,lambda=1)", "neg_log_sq()")]
 
 
+# the cause of a rejection: the table pass's own error, or None for a
+# total that is not a positive finite number
+_PASS_ERRORS = (AccuracyError, NegativeDensityError, FloatingPointError, type(None))
+
+
+def _one_level(exc):
+    """Whether exc's cause is the pass's own error, which has no cause."""
+    return type(exc.__cause__) in _PASS_ERRORS and getattr(exc.__cause__, "__cause__", None) is None
+
+
 class TestAdmissibility:
     # one rule decides admissibility: construct builds exactly the pairs
     # validate_weight accepts, and its normalizer is validate_weight's total,
-    # computed by the same pass
+    # computed by the same pass; a rejected pair gets the same error from
+    # validate_weight, weight_normalizer_integral and construct
     REJECTED = {("pareto_lomax(alpha=1)", "linear()"), ("pareto_lomax(alpha=1.5)", "power(c=2.5)"),
                 ("exponential(lambda=1)", "expm1()"), ("gamma(k=2,lambda=1.5)", "exp_shift_sq()"),
                 ("gamma(k=0.4,lambda=1)", "neg_log_sq()")}
     ACCEPTED = {("exponential(lambda=2.18)", "expm1()"), ("pareto_lomax(alpha=6)", "power(c=2.5)"),
                 ("pareto_lomax(alpha=1.5)", "power(c=0.41)"), ("gamma(k=2,lambda=1.5)", "expm1()"),
                 ("kumaraswamy(a=1,b=0.5)", "neg_log_sq()")}
+    # integrable, but the table's cubics overflow in floats: knots a few
+    # floats apart near 0
+    OVERFLOW = [("exponential(lambda=1e+200)", "linear()"), ("exponential(lambda=1)", "power(c=0.05)"),
+                ("gamma(k=0.05,lambda=1)", "power(c=0.05)"),
+                ("beta(alpha=0.05,beta=0.05)", "power(c=0.05)"), ("burr12(c=0.2,k=3)", "power(c=0.1)")]
 
-    @pytest.mark.parametrize("base, weight", _admissibility_pairs())
+    @pytest.mark.parametrize("base, weight", _admissibility_pairs() + OVERFLOW)
     def test_construct_iff_valid(self, base, weight):
         dist, w = parse_dist_spec(base), parse_weight_spec(weight)
         try:
             table = validate_weight(w, dist)
-        except IntegrabilityError as exc:
-            assert (base, weight) not in self.ACCEPTED
-            with pytest.raises(IntegrabilityError) as err:
-                construct(dist, w)
-            assert str(err.value) == str(exc)
+        except WtrvError as exc:
+            assert (base, weight) not in self.ACCEPTED and _one_level(exc)
+            for call in (weight_normalizer_integral, lambda w, d: construct(d, w)):
+                with pytest.raises(WtrvError) as err:
+                    call(w, dist)
+                assert type(err.value) is type(exc) and str(err.value) == str(exc)
+            if (base, weight) in self.OVERFLOW:
+                assert type(exc) is WtrvError and type(exc.__cause__) is FloatingPointError
+                assert str(exc).startswith(f"cdf table of {weight} against {base} cannot be "
+                                           f"interpolated in floats: ")
             return
-        assert (base, weight) not in self.REJECTED
+        assert (base, weight) not in self.REJECTED and (base, weight) not in self.OVERFLOW
         xw = construct(dist, w)
         assert xw.normalizer == validate_weight(w, dist).total == table.total
         if (base, weight) == ("kumaraswamy(a=1,b=0.5)", "neg_log_sq()"):
@@ -358,7 +381,7 @@ class TestFlatIntegrand:
                                     (tail_integrand, _by_hand(w, dist))):
                 monkeypatch.setattr(weights, "tail_integrand", integrand)
                 try:
-                    results.append(value_or_raise(weights._tail_tables([pair])[0]))
+                    results.append(value_or_raise(weights.validate_weights([pair])[0]))
                 except IntegrabilityError as exc:  # AccuracyError, or None for a bad total
                     results.append((type(exc.__cause__), str(exc)))
             got, ref, hand = results
@@ -407,7 +430,7 @@ class TestFlatIntegrand:
 
 
 _TABLE_FIELDS = ("nodes", "values", "slopes", "total", "gap", "evaluations", "rounds", "lo",
-                 "mapped")
+                 "mapped", "cubic")
 
 
 def _flat_pairs():
@@ -444,11 +467,12 @@ class TestBatchedPass:
     def solo(self):
         import wtrv.weights as weights
         pairs = _flat_pairs()
-        return pairs, [weights._tail_tables([pair])[0] for pair in pairs]
+        return pairs, [weights.validate_weights([pair])[0] for pair in pairs]
 
     def test_solo_rejects_the_known_pairs(self, solo):
         _, results = solo
         assert sum(isinstance(r, IntegrabilityError) for r in results) == 37
+        assert all(_one_level(r) for r in results if isinstance(r, Exception))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_groupings_match_solo(self, solo, seed):
@@ -456,7 +480,7 @@ class TestBatchedPass:
         pairs, results = solo
         mixed = 0
         for group in _groupings(len(pairs), seed):
-            batch = weights._tail_tables([pairs[i] for i in group])
+            batch = weights.validate_weights([pairs[i] for i in group])
             assert len(batch) == len(group)
             for i, got in zip(group, batch):
                 assert _same_result(got, results[i]), (i, group)
@@ -513,6 +537,24 @@ class TestQuantileInItsPiece:
             with np.errstate(divide="ignore"):
                 got, ref = np.asarray(xw.quantile(u)), _searching_quantile(table, u)
             assert np.array_equal(got, ref)
+
+
+class TestQuantileEdges:
+    # the table's quantile takes the handles' edge policy: the lower end at
+    # u <= 0 and the last knot (inf on a mapped table) at u >= 1, without a
+    # warning; a NaN level raises
+    @pytest.mark.parametrize("base, upper", [("exponential(lambda=1)", math.inf),
+                                             ("kumaraswamy(a=2,b=3)", 1.0)])
+    def test_ends_and_nan(self, base, upper):
+        table = construct(parse_dist_spec(base), make_weight("linear")).table
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for u, end in ((-0.1, 0.0), (0.0, 0.0), (1.0, upper), (1.5, upper)):
+                assert table.quantile([u]).tolist() == [end]
+                assert [q.tolist() for q in table_quantiles([table, table], [u, 0.5])] == \
+                    [[end, float(table.quantile(0.5))]] * 2
+            with pytest.raises(ConvergenceError):
+                table.quantile([np.nan])
 
 
 class TestHermite:

@@ -108,9 +108,20 @@ class TestValidation:
                            r"exponential\(lambda=1\): w'\*sf for tent\(\) against "
                            r"exponential\(lambda=1\) is negative at x = ") as err:
             validate_weight(w, make_catalog("exponential", {"lambda": 1.0}))
-        x = err.value.__cause__.__cause__.x  # NegativeDensityError, under _tail_table's error
+        x = err.value.__cause__.x  # the pass's NegativeDensityError
         assert x > 2.0 and float(w.w_prime(x)) < 0.0
         assert str(err.value).endswith(f"x = {x:.6g}")
+
+    def test_zero_total_rejected_without_cause(self):
+        # w' = 0 integrates to 0: the pass ends with a table that no error
+        # stopped, and the rejection has no cause
+        w = WeightFunction("zero", {}, lambda x: 0.0 * x, lambda x: 0.0 * x)
+        with pytest.raises(IntegrabilityError) as err:
+            validate_weight(w, make_catalog("exponential", {"lambda": 1.0}))
+        assert str(err.value) == ("weight zero() is not admissible for exponential(lambda=1): "
+                                  "normalizer for zero() against exponential(lambda=1) is not a "
+                                  "positive finite number: 0.0")
+        assert err.value.__cause__ is None
 
     def test_sqrt_kumaraswamy_passes(self):
         table = validate_weight(make_weight("power", {"c": 0.5}),
