@@ -97,17 +97,15 @@ def _cmd_construct(args) -> int:
     weight = parse_weight_spec(args.weight)
     built = _construct(dist, weight)
     u = np.linspace(0.005, 0.995, args.grid)
-    x = np.asarray(built.quantile(u), dtype=float)
+    x = built.quantile(u)
     if args.format == "json":
         _emit_json({"base": dist.describe(), "weight": weight.describe(),
                     "normalizer": built.normalizer,
                     "support": [built.support.lo, built.support.hi],
-                    "x": x, "pdf": np.asarray(built.pdf(x)),
-                    "cdf": np.asarray(built.cdf(x))}, args.out)
+                    "x": x, "pdf": built.pdf(x), "cdf": built.cdf(x)}, args.out)
     else:
         _emit_csv(["x", "pdf", "cdf"],
-                  zip(x.tolist(), np.asarray(built.pdf(x)).tolist(),
-                      np.asarray(built.cdf(x)).tolist()), args.out)
+                  zip(x.tolist(), built.pdf(x).tolist(), built.cdf(x).tolist()), args.out)
     return 0
 
 
@@ -162,8 +160,10 @@ def _cmd_verify_theorem(args) -> int:
         w1, w2 = parse_weight_spec(args.w1), parse_weight_spec(args.w2)
     built = None
     if args.emit_ratio:
-        built = [value_or_raise(v) for v in _construct_all([(x, w1), (y, w2)])]
-        xs, ratio = _orders_mod.ratio_curve(*built)
+        built = _construct_all([(x, w1), (y, w2)])
+        xs = ratio = np.empty(0)  # a rejected pair: the report says why
+        if not any(isinstance(v, WtrvError) for v in built):
+            xs, ratio = _orders_mod.ratio_curve(*built)
         _emit_csv(["x", "density_ratio"], zip(xs.tolist(), ratio.tolist()), args.emit_ratio)
     report = _orders_mod.verify_theorem(x, y, w1, w2, which, built=built)
     _emit_json(report, args.out)
@@ -206,7 +206,7 @@ def _cmd_fit(args) -> int:
     if args.emit_density:
         grid = np.linspace(0.001, 0.999, 399)
         _emit_csv(["x", "pdf"],
-                  zip(grid.tolist(), np.asarray(result.handle().pdf(grid)).tolist()),
+                  zip(grid.tolist(), result.handle().pdf(grid).tolist()),
                   args.emit_density)
     _emit_json({"model": result.model, "params": result.params,
                 "loglik": result.loglik, "aic": result.aic, "bic": result.bic,

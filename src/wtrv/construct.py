@@ -54,7 +54,7 @@ def _built(dist: DistributionHandle, weight: WeightFunction, table: CdfTable) ->
         "wtrv", {**{f"base_{k}": v for k, v in dist.params.items()},
                  **{f"w_{k}": v for k, v in weight.params.items()}},
         Interval(0.0, min(dist.support.hi, weight.domain_hint.hi)),
-        Interior(pdf=lambda x: np.asarray(g(x), dtype=float) / z, cdf=table.cdf,
+        Interior(pdf=lambda x: g(x) / z, cdf=table.cdf,
                  sf=lambda x: 1.0 - table.cdf(x), quantile=table.quantile),
         dist, weight, table)
 
@@ -90,14 +90,14 @@ def minimum_of(handles: Sequence[DistributionHandle]) -> DistributionHandle:
             raise ValueError("minimum requires identical supports")
 
     def sf(x):
-        return np.prod([np.asarray(h.sf(x), dtype=float) for h in handles], axis=0)
+        return np.prod([h.sf(x) for h in handles], axis=0)
 
     def cdf(x):
         return 1.0 - sf(x)
 
     def pdf(x):
-        sfs = [np.asarray(h.sf(x), dtype=float) for h in handles]
-        pdfs = [np.asarray(h.pdf(x), dtype=float) for h in handles]
+        sfs = [h.sf(x) for h in handles]
+        pdfs = [h.pdf(x) for h in handles]
         total = np.prod(sfs, axis=0)
         out = np.zeros_like(total)
         for s, p in zip(sfs, pdfs):
@@ -217,8 +217,8 @@ def table1_oracle_suite(grid_size: int = 512, tolerance: float = 1e-6) -> list[T
         if target.support.is_finite:
             grid = np.linspace(target.support.lo, target.support.hi, grid_size + 2)[1:-1]
         else:
-            grid = np.asarray(target.quantile(np.linspace(1e-3, 1.0 - 1e-3, grid_size)))
-        sup_norm = float(np.max(np.abs(np.asarray(built.pdf(grid)) - np.asarray(target.pdf(grid)))))
+            grid = target.quantile(np.linspace(1e-3, 1.0 - 1e-3, grid_size))
+        sup_norm = float(np.max(np.abs(built.pdf(grid) - target.pdf(grid))))
         rows.append(Table1Row(index=i, base=base.describe(), weight=weight.describe(),
                               target=f"{label}: {target.describe()}", sup_norm=sup_norm,
                               passed=sup_norm <= tolerance, note=note))

@@ -314,4 +314,4 @@ def sample(dist: DistributionHandle, n: int, seed: int) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     u = rng.random(n)
-    return np.asarray(dist.quantile(u), dtype=float)
+    return dist.quantile(u)

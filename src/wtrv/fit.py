@@ -262,8 +262,7 @@ def rmse_metric(sample: NormalizedSample, fitted: DistributionHandle) -> float:
     heights on [0,1] and the fitted pdf at the bin midpoints. The histogram
     is built once per sample."""
     heights, mids = sample._histogram
-    model = np.asarray(fitted.pdf(mids), dtype=float)
-    return float(np.sqrt(np.mean((heights - model) ** 2)))
+    return float(np.sqrt(np.mean((heights - fitted.pdf(mids)) ** 2)))
 
 
 def _beta_start(n: int, s1, s2, scale, shift) -> np.ndarray:

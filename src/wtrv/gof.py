@@ -41,7 +41,7 @@ def _pit(x: np.ndarray, model: DistributionHandle) -> tuple[int, np.ndarray, np.
     n = len(x)
     if n < 2:
         raise ValueError("need at least 2 observations")
-    u = np.clip(np.asarray(model.cdf(x), dtype=float), 1e-12, 1.0 - 1e-12)
+    u = np.clip(model.cdf(x), 1e-12, 1.0 - 1e-12)
     return n, u, np.arange(1, n + 1)
 
 
@@ -168,7 +168,7 @@ def chisq_test(values, model: DistributionHandle, bins: int = 10,
     expected = n / bins
     if expected < 1.0:
         raise BinningError(f"expected count {expected:.3g} < 1 with {bins} bins")
-    edges = np.asarray(model.quantile(np.linspace(0.0, 1.0, bins + 1)), dtype=float)
+    edges = model.quantile(np.linspace(0.0, 1.0, bins + 1))
     counts = np.diff(np.searchsorted(x, edges, side="right"))
     counts[0] += np.sum(x < edges[0])
     counts[-1] += np.sum(x > edges[-1])

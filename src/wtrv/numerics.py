@@ -113,13 +113,13 @@ class ConvergenceError(WtrvError):
 
 
 def scalar_or_array(fn: Callable) -> Callable:
-    """Call fn(x, *args) with x as a float array; a scalar x gives a float.
-    Handles build these per instance, so the wrapper copies none of
-    functools.wraps' attributes."""
+    """Call fn(x, *args) with x as a float array: a scalar x gives a float,
+    an array a float64 array. Handles and weights build these per instance,
+    so the wrapper copies none of functools.wraps' attributes."""
 
     def wrapped(x, *args):
         arr = np.asarray(x, dtype=float)
-        out = fn(arr, *args)
+        out = np.asarray(fn(arr, *args), dtype=float)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
     return wrapped

@@ -100,8 +100,7 @@ def check_order(x: DistributionHandle, y: DistributionHandle, order: str,
     bounds_ok = (x.support.lo <= y.support.lo) and (x.support.hi <= y.support.hi)
 
     if order == "st":
-        sfx = np.asarray(x.sf(grid), dtype=float)
-        sfy = np.asarray(y.sf(grid), dtype=float)
+        sfx, sfy = x.sf(grid), y.sf(grid)
         bad = np.nonzero(sfx > sfy + _ORDER_SLACK + _cdf_accuracy(x) + _cdf_accuracy(y))[0]
         violation = None
         if bad.size:
@@ -113,18 +112,14 @@ def check_order(x: DistributionHandle, y: DistributionHandle, order: str,
         lo = max(x.support.lo, y.support.lo)
         hi = min(x.support.hi, y.support.hi)
         inner = grid[(grid > lo) & (grid < hi)]
-        num = np.asarray(y.pdf(inner), dtype=float)
-        den = np.asarray(x.pdf(inner), dtype=float)
-        ok, violation = _ratio_nondecreasing(inner, num, den)
+        ok, violation = _ratio_nondecreasing(inner, y.pdf(inner), x.pdf(inner))
         return OrderVerdict(order, ok and bounds_ok, bounds_ok, violation, desc)
 
     if order == "fr":
-        num = np.asarray(y.sf(grid), dtype=float)
-        den = np.asarray(x.sf(grid), dtype=float)
+        num, den = y.sf(grid), x.sf(grid)
     else:  # rfr: cdf ratio on the common support
         grid = grid[grid < min(x.support.hi, y.support.hi)]
-        num = np.asarray(y.cdf(grid), dtype=float)
-        den = np.asarray(x.cdf(grid), dtype=float)
+        num, den = y.cdf(grid), x.cdf(grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         noise = (_cdf_accuracy(y) / np.maximum(num, 1e-300)
                  + _cdf_accuracy(x) / np.maximum(den, 1e-300))
@@ -226,8 +221,8 @@ def _resolver(operands: dict, facts: dict, grid_size: int, xy_grid=None) -> Call
 def _weight_over_hazard(xs, dist: DistributionHandle, w: WeightFunction):
     """w'(x)/r_X(x) = w'(x) sf(x) / pdf(x) on a grid, nan where the pdf vanishes."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        num = np.asarray(w.w_prime(xs), dtype=float) * np.asarray(dist.sf(xs), dtype=float)
-        den = np.asarray(dist.pdf(xs), dtype=float)
+        num = w.w_prime(xs) * dist.sf(xs)
+        den = dist.pdf(xs)
         return np.where(den > 0, num / np.maximum(den, 1e-300), np.nan)
 
 
@@ -262,8 +257,7 @@ def _aging_facts(dist: DistributionHandle, weight: WeightFunction, grid_size: in
     else:
         grid = np.linspace(dist.support.lo, hi, grid_size + 2)[1:-1]
     ratio = _weight_over_hazard(grid, dist, weight)
-    wp = np.asarray(weight.w_prime(grid), dtype=float)
-    w = np.asarray(weight.w(grid), dtype=float)
+    wp, w = weight.w_prime(grid), weight.w(grid)
 
     def mrl_shape():
         try:
@@ -292,22 +286,20 @@ def _order_facts(x: DistributionHandle, y: DistributionHandle, w1: WeightFunctio
 
     def slope_ratio_increasing(wa, wb):  # w_a'/w_b', nan where w_b' vanishes
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            num = np.asarray(wa.w_prime(inner), dtype=float)
-            den = np.asarray(wb.w_prime(inner), dtype=float)
+            num, den = wa.w_prime(inner), wb.w_prime(inner)
             ratio = np.where(np.abs(den) > 0, num / np.where(den == 0, 1.0, den), np.nan)
         return _monotone(inner, ratio, 1e-9)[0]
 
     def slope_nonzero(w):
-        return bool(np.all(np.abs(np.asarray(w.w_prime(inner), dtype=float)) > 0))
+        return bool(np.all(np.abs(w.w_prime(inner)) > 0))
 
     def over_hazard(dist, w):
         g = grid[(grid > dist.support.lo) & (grid < min(dist.support.hi, w.domain_hint.hi))]
         return _monotone(g, _weight_over_hazard(g, dist, w), 1e-9)
 
     def slope_nonzero_at_origin():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w1p0 = float(np.asarray(w1.w_prime(0.0), dtype=float))
-        return bool(w1p0 == w1p0 and w1p0 != 0.0)
+        w1p0 = w1.w_prime(0.0)
+        return w1p0 == w1p0 and w1p0 != 0.0
 
     return {"l1_le_l2": lambda: xw.support.lo <= yw.support.lo,
             "u1_le_u2": lambda: xw.support.hi <= yw.support.hi,
@@ -327,10 +319,10 @@ def verify_theorem(x: DistributionHandle, y: DistributionHandle,
                    grid_size: int = 128, *, built: tuple | None = None) -> TheoremReport:
     """Check one order-preservation result end to end: construct the weighted
     variables, grid-test the hypotheses, test the conclusion. X_w1 and Y_w2
-    are built in one table pass; a pair that is not admissible gives a
+    are built in one table pass; a pair that construct rejects gives a
     report without verdicts whose detail holds the error of each failing
-    pair. built is internal: a caller that has constructed (X_w1, Y_w2)
-    already passes them on."""
+    pair. built is internal: a caller that has called construct_all on
+    the two pairs already passes its results on, errors included."""
     if which not in THEOREM_IDS:
         raise ValueError(f"unknown result id {which!r}; known: {', '.join(THEOREM_IDS)}")
     _check_grid_size(grid_size)
@@ -338,9 +330,6 @@ def verify_theorem(x: DistributionHandle, y: DistributionHandle,
     grid = _merged_grid(x, y, grid_size)
     xw, yw = construct_all([(x, w1), (y, w2)]) if built is None else built
     failed = [v for v in (xw, yw) if isinstance(v, WtrvError)]
-    for exc in failed:
-        if not isinstance(exc, IntegrabilityError):
-            raise exc
     if failed:
         return TheoremReport(which, {"construction_ok": False}, False, order, None,
                              True, "; ".join(map(str, failed)))
@@ -378,7 +367,7 @@ def check_theorem_conditions(dist: DistributionHandle, weight: WeightFunction,
         return ConditionReport(which, hyp, False, fallback, None, "hypotheses not met")
     try:
         operands["Xw"] = construct(dist, weight)
-    except IntegrabilityError as exc:
+    except WtrvError as exc:
         return ConditionReport(which, hyp, True, label, None, f"construction failed: {exc}")
     return ConditionReport(which, hyp, True, label, bool(resolve(conclusion)), "")
 
@@ -414,7 +403,7 @@ def ratio_curve(xw: DistributionHandle, yw: DistributionHandle,
     else:
         grid = np.linspace(lo, hi, grid_size + 2)[1:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.asarray(yw.pdf(grid), dtype=float) / np.asarray(xw.pdf(grid), dtype=float)
+        ratio = yw.pdf(grid) / xw.pdf(grid)
     return grid, ratio
 
 

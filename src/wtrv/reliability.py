@@ -29,12 +29,11 @@ class TailError(ValueError):
 AGING_CLASSES = ("ILR", "DLR", "IFR", "DFR", "DMRL", "IMRL")
 
 
-@scalar_or_array
 def _pdf_ratio(x, dist: DistributionHandle, den, what: str):
-    d = np.asarray(den(x), dtype=float)
+    d = den(x)
     if np.any(d <= 0.0):
         raise TailError(f"{what} vanishes on the requested points of {dist.describe()}")
-    return np.asarray(dist.pdf(x), dtype=float) / d
+    return dist.pdf(x) / d
 
 
 def hazard(dist: DistributionHandle, x):
@@ -50,15 +49,14 @@ def reversed_hazard(dist: DistributionHandle, x):
 @scalar_or_array
 def _residual_life(x, dist: DistributionHandle):
     grid = x.ravel()
-    s = np.asarray(dist.sf(grid), dtype=float)
+    s = dist.sf(grid)
     if np.any(s <= 0.0):
         raise TailError(f"survival function vanishes at {grid[np.argmax(s <= 0.0)]} "
                         f"for {dist.describe()}")
-    sf = lambda t: np.asarray(dist.sf(t), dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        seg = _gk15_cells((sf,), grid[:-1], grid[1:], [0, grid.size - 1])[0]
+        seg = _gk15_cells((dist.sf,), grid[:-1], grid[1:], [0, grid.size - 1])[0]
     try:
-        tail = integrate_adaptive(sf, Interval(float(grid[-1]), dist.support.hi),
+        tail = integrate_adaptive(dist.sf, Interval(float(grid[-1]), dist.support.hi),
                                   abs_tol=1e-11, rel_tol=1e-8).value
     except AccuracyError as exc:
         raise IntegrabilityError(
@@ -86,8 +84,8 @@ def _log_pdf_slope(x, dist: DistributionHandle):
     h = _H_REL * (1.0 + np.abs(x))
     close = (x - h <= lo) | (math.isfinite(hi) & (x + h >= hi))
     with np.errstate(all="ignore"):
-        fp = np.asarray(dist.pdf(x + h), dtype=float)
-        fm = np.asarray(dist.pdf(x - h), dtype=float)
+        fp = dist.pdf(x + h)
+        fm = dist.pdf(x - h)
     bad = close | (fp <= 0.0) | (fm <= 0.0)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -113,7 +111,7 @@ def _check_grid_size(grid_size: int) -> None:
 def _interior_grid(dist: DistributionHandle, grid_size: int) -> np.ndarray:
     """The distinct quantiles of grid_size levels from _U_LO to _U_HI."""
     u = np.linspace(_U_LO, _U_HI, grid_size)
-    return np.unique(np.asarray(dist.quantile(u), dtype=float))
+    return np.unique(dist.quantile(u))
 
 
 def _monotone(xs: np.ndarray, vals: np.ndarray, slack_rel: float = 5e-7):
@@ -174,7 +172,7 @@ def classify_aging(dist: DistributionHandle, grid_size: int = 128) -> AgingRepor
         failures["glaser"] = str(exc)
 
     try:
-        record(grid, np.asarray(hazard(dist, grid), dtype=float), "IFR", "DFR")
+        record(grid, hazard(dist, grid), "IFR", "DFR")
     except TailError as exc:
         failures["hazard"] = str(exc)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import CatalogEntry, DistributionHandle, catalog_build, parse_kv_spec
 from .numerics import (AccuracyError, CdfTable, Interval, NegativeDensityError, WtrvError,
-                       tabulate_cdf, value_or_raise, with_cause)
+                       scalar_or_array, tabulate_cdf, value_or_raise, with_cause)
 from .numerics import integrate_adaptive  # noqa: F401 (re-exported)
 
 
@@ -31,9 +31,10 @@ class IntegrabilityError(WtrvError):
 @dataclass(frozen=True)
 class WeightFunction(CatalogEntry):
     """A weight on domain_hint built from its vectorized raw_w and
-    raw_w_prime; w and w_prime are derived from them here, under an
-    errstate that silences their edge arithmetic, so a replace() derives
-    them again."""
+    raw_w_prime; w and w_prime are derived from them here, so a replace()
+    derives them again: under an errstate that silences their edge
+    arithmetic, a scalar gives a float and an array a float64 array of its
+    shape, as a DistributionHandle's functions do."""
 
     name: str
     params: dict[str, float]
@@ -44,15 +45,12 @@ class WeightFunction(CatalogEntry):
     w_prime: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "w", _quiet(self.raw_w))
-        object.__setattr__(self, "w_prime", _quiet(self.raw_w_prime))
+        object.__setattr__(self, "w", _derived(self.raw_w))
+        object.__setattr__(self, "w_prime", _derived(self.raw_w_prime))
 
 
-def _arr(x):
-    return np.asarray(x, dtype=float)
-
-
-def _quiet(f):
+def _derived(f):
+    @scalar_or_array
     def wrapped(x):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return f(x)
@@ -62,38 +60,32 @@ def _quiet(f):
 _WEIGHTS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "power": (("c",), lambda p: WeightFunction(
         "power", p,
-        lambda x: _arr(x) ** p["c"],
-        lambda x: p["c"] * _arr(x) ** (p["c"] - 1.0))),
+        lambda x: x ** p["c"],
+        lambda x: p["c"] * x ** (p["c"] - 1.0))),
     "scaled_power": (("alpha", "beta"), lambda p: WeightFunction(
         "scaled_power", p,
-        lambda x: (_arr(x) / p["beta"]) ** p["alpha"],
-        lambda x: (p["alpha"] / p["beta"]) * (_arr(x) / p["beta"]) ** (p["alpha"] - 1.0))),
+        lambda x: (x / p["beta"]) ** p["alpha"],
+        lambda x: (p["alpha"] / p["beta"]) * (x / p["beta"]) ** (p["alpha"] - 1.0))),
     "log1p_power": (("c",), lambda p: WeightFunction(
         "log1p_power", p,
-        lambda x: np.log1p(_arr(x) ** p["c"]),
-        lambda x: p["c"] * _arr(x) ** (p["c"] - 1.0) / (1.0 + _arr(x) ** p["c"]))),
+        lambda x: np.log1p(x ** p["c"]),
+        lambda x: p["c"] * x ** (p["c"] - 1.0) / (1.0 + x ** p["c"]))),
     "neg_log_sq": ((), lambda p: WeightFunction(
         "neg_log_sq", p,
-        lambda x: -np.log1p(-_arr(x) ** 2),
-        lambda x: 2.0 * _arr(x) / (1.0 - _arr(x) ** 2),
+        lambda x: -np.log1p(-x ** 2),
+        lambda x: 2.0 * x / (1.0 - x ** 2),
         Interval(0.0, 1.0))),
     "exp_shift_sq": ((), lambda p: WeightFunction(
         "exp_shift_sq", p,
-        lambda x: np.exp((_arr(x) + 1.0) ** 2) - math.e,
-        lambda x: 2.0 * (_arr(x) + 1.0) * np.exp((_arr(x) + 1.0) ** 2))),
-    "expm1": ((), lambda p: WeightFunction(
-        "expm1", p,
-        lambda x: np.expm1(_arr(x)),
-        lambda x: np.exp(_arr(x)))),
+        lambda x: np.exp((x + 1.0) ** 2) - math.e,
+        lambda x: 2.0 * (x + 1.0) * np.exp((x + 1.0) ** 2))),
+    "expm1": ((), lambda p: WeightFunction("expm1", p, np.expm1, np.exp)),
     "neg_x_log1m": ((), lambda p: WeightFunction(
         "neg_x_log1m", p,
-        lambda x: -_arr(x) - np.log1p(-_arr(x)),
-        lambda x: _arr(x) / (1.0 - _arr(x)),
+        lambda x: -x - np.log1p(-x),
+        lambda x: x / (1.0 - x),
         Interval(0.0, 1.0))),
-    "linear": ((), lambda p: WeightFunction(
-        "linear", p,
-        lambda x: _arr(x),
-        lambda x: np.ones_like(_arr(x)))),
+    "linear": ((), lambda p: WeightFunction("linear", p, lambda x: x, np.ones_like)),
 }
 
 

@@ -78,7 +78,8 @@ class TestEdgePolicy:
         for fn, v in ((h.pdf, mid), (h.cdf, mid), (h.sf, mid), (h.quantile, 0.5)):
             assert type(fn(v)) is float
             out = fn(np.full((2, 3), v))
-            assert out.shape == (2, 3) and np.allclose(out, fn(v), rtol=1e-14, atol=0.0)
+            assert out.shape == (2, 3) and out.dtype == np.float64
+            assert np.allclose(out, fn(v), rtol=1e-14, atol=0.0)
 
 
 class TestDerivedHandles:

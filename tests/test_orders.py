@@ -100,27 +100,44 @@ class TestVerifyTheorem:
                            make_weight("power", {"c": 1.5}),
                            make_weight("power", {"c": k2}), which, grid_size=32)
 
-    _BAD = {"x": ("pareto_lomax(alpha=1)", "linear()"), "y": ("exponential(lambda=1)", "expm1()")}
+    # each failing pair, and the side it is built on; x_overflow is
+    # integrable, but its table's cubics overflow in floats
+    _BAD = {"x": ("pareto_lomax(alpha=1)", "linear()"), "y": ("exponential(lambda=1)", "expm1()"),
+            "x_overflow": ("exponential(lambda=1e+200)", "linear()")}
 
-    @pytest.mark.parametrize("failing", [("x",), ("y",), ("x", "y")])
+    @pytest.mark.parametrize("emit_ratio", [False, True])
+    @pytest.mark.parametrize("failing", [("x",), ("y",), ("x", "y"), ("x_overflow",)])
     @pytest.mark.parametrize("which, order", [("thm8", "st"), ("thm5i", "lr")])
-    def test_failed_construction_names_order_and_pairs(self, capsys, failing, which, order):
+    def test_failed_construction_names_order_and_pairs(self, capsys, tmp_path, failing, which,
+                                                       order, emit_ratio):
         # a pair that is not admissible gives a report without verdicts that
         # still names the result's conclusion order; its detail holds the
-        # error construct prints for each failing pair, X's first
+        # error construct prints for each failing pair, X's first. With
+        # --emit-ratio the report is the same and the file holds the header
+        # alone, whatever it held before
         texts = []
-        for side in failing:
-            dist, weight = self._BAD[side]
+        sides = {"x": ("exponential(lambda=2)", "power(c=0.7)"),
+                 "y": ("exponential(lambda=1)", "power(c=1.8)")}
+        for bad in failing:
+            dist, weight = self._BAD[bad]
+            sides[bad[0]] = dist, weight
             assert main(["construct", "--dist", dist, "--weight", weight]) == 1
-            texts.append(capsys.readouterr().err.removeprefix("error: IntegrabilityError: ").rstrip("\n"))
-        x = self._BAD["x"] if "x" in failing else ("exponential(lambda=2)", "power(c=0.7)")
-        y = self._BAD["y"] if "y" in failing else ("exponential(lambda=1)", "power(c=1.8)")
-        code = main(["verify-theorem", which, "--x", x[0], "--w1", x[1], "--y", y[0], "--w2", y[1]])
-        out = json.loads(capsys.readouterr().out)
-        assert code == 0
+            err = capsys.readouterr().err.rstrip("\n")
+            texts.append(err.removeprefix("error: IntegrabilityError: ").removeprefix("error: WtrvError: "))
+        (x, w1), (y, w2) = sides["x"], sides["y"]
+        args = ["verify-theorem", which, "--x", x, "--w1", w1, "--y", y, "--w2", w2]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        out = json.loads(printed)
         assert out["hypotheses"] == {"construction_ok": False} and out["conclusion"] is None
         assert out["conclusion_order"] == order and out["consistent"] is True
         assert out["detail"] == "; ".join(texts)
+        if emit_ratio:
+            path = tmp_path / "ratio.csv"
+            path.write_text("x,density_ratio\n1,2\n")
+            assert main([*args, "--emit-ratio", str(path)]) == 0
+            assert capsys.readouterr().out == printed
+            assert path.read_text() == "x,density_ratio\n"
 
     def test_vanishing_initial_slope_blocks_hypotheses(self):
         # w1 = x^2 has w'(0) = 0, so the reversed-rate comparison with a

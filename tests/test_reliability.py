@@ -4,6 +4,7 @@ import pytest
 from wtrv import (check_theorem_conditions, classify_aging, construct,
                   equilibrium, glaser, hazard, make_catalog, make_weight, mrl,
                   parse_dist_spec, parse_weight_spec, reversed_hazard)
+from wtrv.numerics import WtrvError
 from wtrv.reliability import TailError
 from wtrv.weights import IntegrabilityError
 
@@ -169,15 +170,20 @@ class TestTheoremConditions:
         assert rep.hypotheses_pass
         assert rep.conclusion_pass is True
 
-    def test_dfr_case_with_divergent_normalizer(self):
-        # hypotheses can hold while the construction itself diverges; the
+    @pytest.mark.parametrize("base, weight, which", [
+        ("pareto_lomax(alpha=2.5)", "exp_shift_sq()", "thm2"),
+        # integrable, but the table's cubics overflow in floats
+        ("exponential(lambda=1e+200)", "linear()", "thm1")])
+    def test_dfr_case_with_divergent_normalizer(self, base, weight, which):
+        # hypotheses can hold while the construction itself fails; the
         # report must say so instead of fabricating a verdict
-        rep = check_theorem_conditions(
-            make_catalog("pareto_lomax", {"alpha": 2.5}),
-            make_weight("exp_shift_sq", {}), "thm2")
+        dist, w = parse_dist_spec(base), parse_weight_spec(weight)
+        rep = check_theorem_conditions(dist, w, which)
         assert rep.hypotheses_pass
         assert rep.conclusion_pass is None
-        assert "did not converge" in rep.detail or "not admissible" in rep.detail
+        with pytest.raises(WtrvError) as err:
+            construct(dist, w)
+        assert rep.detail == f"construction failed: {err.value}"
 
     def test_hypotheses_not_met_reported(self):
         rep = check_theorem_conditions(

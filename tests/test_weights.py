@@ -53,6 +53,20 @@ class TestWeightInvariants:
         xs = weight_grid(weight)
         assert np.all(np.asarray(weight.w_prime(xs), dtype=float) >= 0.0)
 
+    @pytest.mark.parametrize("make", [
+        *(lambda n=name, p=params: make_weight(n, dict(p)) for name, params in WEIGHT_INSTANCES),
+        lambda: WeightFunction("square", {}, lambda x: x * x, lambda x: 2 * x)],
+        ids=[f"{n}{p}" for n, p in WEIGHT_INSTANCES] + ["hand_built"])
+    def test_scalar_and_array(self, make):
+        # the derived functions own the float contract, also over raw
+        # functions written with integer literals, so callers convert nothing
+        w = make()
+        assert type(w.w(0.5)) is float and type(w.w_prime(3)) is float
+        for fn in (w.w, w.w_prime):
+            for x, shape in ((np.full((2, 3), 0.5), (2, 3)), ([0.25, 0.5], (2,))):
+                out = fn(x)
+                assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == shape
+
 
 class TestExamples:
     def test_power_two(self):
