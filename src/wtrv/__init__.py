@@ -13,8 +13,7 @@ from .distributions import (CatalogError, DistributionHandle, Interior, kumarasw
 from .fit import (FitResult, NormalizedSample, fit_mle, fit_models, from_unit_values,
                   loglik_beta, loglik_kw, loglik_wk, normalize, rmse_metric,
                   score_beta, score_kw, score_wk)
-from .gof import (GofReport, ad_test, bootstrap_pvalue, chisq_test, cvm_test,
-                  ks_test, run_gof)
+from .gof import ad_test, bootstrap_pvalue, chisq_test, cvm_test, ks_test, run_gof
 from .numerics import (AccuracyError, BracketError, ConvergenceError, Interval,
                        OptimizeResult, QuadratureResult, WtrvError, brent_root,
                        incomplete_beta_upper, integrate_adaptive, invert_monotone,

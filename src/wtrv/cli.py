@@ -206,7 +206,7 @@ def _cmd_fit(args) -> int:
     if args.emit_density:
         grid = np.linspace(0.001, 0.999, 399)
         _emit_csv(["x", "pdf"],
-                  zip(grid.tolist(), result.handle().pdf(grid).tolist()),
+                  zip(grid.tolist(), result.law.pdf(grid).tolist()),
                   args.emit_density)
     _emit_json({"model": result.model, "params": result.params,
                 "loglik": result.loglik, "aic": result.aic, "bic": result.bic,
@@ -219,11 +219,11 @@ def _cmd_fit(args) -> int:
 def _cmd_gof(args) -> int:
     sample = _load_sample(args)
     result = _fit_mod.fit_mle(sample, args.model, starts=args.starts)
-    report = _gof_mod.run_gof(sample.likelihood_values, result.handle(),
-                              args.model, tests=args.tests.split(","),
-                              method=args.pvalue, bins=args.bins, family=args.model,
-                              replicates=args.replicates, seed=args.seed)
-    _emit_json({"model": report.model, "n": report.n, "tests": report.tests,
+    values = sample.likelihood_values
+    tests = _gof_mod.run_gof(values, result.law, tests=args.tests.split(","),
+                             method=args.pvalue, bins=args.bins, family=args.model,
+                             replicates=args.replicates, seed=args.seed)
+    _emit_json({"model": args.model, "n": len(values), "tests": tests,
                 "params": result.params}, args.out)
     return 0
 
@@ -235,11 +235,11 @@ def _cmd_report(args) -> int:
     out = {"describe": stats, "models": {}}
     fits = _fit_mod.fit_models(sample, ("beta", "kw", "wk"), starts=args.starts)
     for model, result in fits.items():
-        gof = _gof_mod.run_gof(sample.likelihood_values, result.handle(), model,
-                               bins=args.bins, family=model, seed=args.seed)
+        tests = _gof_mod.run_gof(sample.likelihood_values, result.law,
+                                 bins=args.bins, family=model, seed=args.seed)
         out["models"][model] = {"params": result.params, "loglik": result.loglik,
                                 "aic": result.aic, "bic": result.bic,
-                                "rmse": result.rmse, "tests": gof.tests}
+                                "rmse": result.rmse, "tests": tests}
     _emit_json(out, args.out)
     return 0
 

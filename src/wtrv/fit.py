@@ -62,8 +62,11 @@ class NormalizedSample:
     values: np.ndarray = field(repr=False)
     z_min: float = 0.0
     z_max: float = 1.0
-    n: int = 0
     boundary_policy: str = "exclude_boundary"
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
 
     @functools.cached_property
     def likelihood_values(self) -> np.ndarray:
@@ -129,7 +132,7 @@ def normalize(z, policy: str = "exclude_boundary") -> NormalizedSample:
     if not z_max > z_min:
         raise DegenerateSampleError("constant sample cannot be normalized")
     return NormalizedSample(values=(arr - z_min) / (z_max - z_min), z_min=z_min,
-                            z_max=z_max, n=len(arr), boundary_policy=policy)
+                            z_max=z_max, boundary_policy=policy)
 
 
 def from_unit_values(x, policy: str = "exclude_boundary") -> NormalizedSample:
@@ -137,7 +140,7 @@ def from_unit_values(x, policy: str = "exclude_boundary") -> NormalizedSample:
     arr = _sorted(x, policy)
     if arr[0] < 0.0 or arr[-1] > 1.0:
         raise ValueError("values must lie in [0, 1]")
-    return NormalizedSample(values=arr, n=len(arr), boundary_policy=policy)
+    return NormalizedSample(values=arr, boundary_policy=policy)
 
 
 def _power_sums(sample: NormalizedSample, a):
@@ -252,9 +255,6 @@ class FitResult:
     starts_failed: int  # ended non-finite, or wk's nested start when the kw fit failed
     boundary_policy: str
     law: DistributionHandle = field(repr=False, compare=False)  # the fitted law
-
-    def handle(self) -> DistributionHandle:
-        return self.law
 
 
 def rmse_metric(sample: NormalizedSample, fitted: DistributionHandle) -> float:
@@ -507,7 +507,7 @@ def _fit_one(sample: NormalizedSample, model: str, starts: int, link, kw) -> Fit
     """fit_models' fit of one model, given its Beta-link entry of
     _solve_pairs and the call's kw fit, or the FitError it raised. The
     log-likelihood and the projected gradient come from one _LOGLIK call at
-    the fitted θ; the law built for the RMSE is the result's handle()."""
+    the fitted θ; the law built for the RMSE is the result's law."""
     names = MODELS[model]
     k = len(names)
     if model == "kw" and isinstance(kw, FitError):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -194,34 +193,25 @@ def _statistics(x: np.ndarray, model: DistributionHandle, bins: int, k: int) -> 
     return statistic
 
 
-def _bootstrap_pvalues(x: np.ndarray, family: str, fitted: DistributionHandle,
-                       tests: Sequence[str], replicates: int, seed: int,
+def _bootstrap_pvalues(n: int, family: str, fitted: DistributionHandle,
+                       t_obs: dict[str, float], replicates: int, seed: int,
                        bins: int) -> dict[str, float]:
-    """Bootstrap p-values of several tests from one set of simulations from
-    the fitted law and refits of `family`; failures are counted per test."""
-    if replicates < 99:
-        raise ValueError("replicates must be at least 99")
-    for test in tests:
-        if test not in TEST_NAMES:
-            raise ValueError(f"unknown test {test!r}")
-    x = _sorted(x)
-    n = len(x)
+    """Bootstrap p-values of the tests in t_obs, {test: observed statistic}
+    on a sample of n, from one set of simulations from the fitted law and
+    refits of `family`; failures are counted per test."""
     k = len(MODELS[family])
-    observed = _statistics(x, fitted, bins, k)
-    t_obs = {t: observed(t)[0] for t in tests}
-
-    exceed = dict.fromkeys(tests, 0)
-    failures = dict.fromkeys(tests, 0)
+    exceed = dict.fromkeys(t_obs, 0)
+    failures = dict.fromkeys(t_obs, 0)
     for r in range(replicates):
         sim = _draw(fitted, n, seed=seed + 1000 * (r + 1))
         try:
-            refit = fit_mle(from_unit_values(sim), family, starts=_BOOTSTRAP_STARTS).handle()
+            refit = fit_mle(from_unit_values(sim), family, starts=_BOOTSTRAP_STARTS).law
         except (FitError, ValueError):
-            for t in tests:
+            for t in t_obs:
                 failures[t] += 1
             continue
         replicate = _statistics(np.sort(sim), refit, bins, k)
-        for t in tests:
+        for t in t_obs:
             try:
                 t_star = replicate(t)[0]
             except ValueError:
@@ -229,44 +219,37 @@ def _bootstrap_pvalues(x: np.ndarray, family: str, fitted: DistributionHandle,
                 continue
             if t_star >= t_obs[t]:
                 exceed[t] += 1
-    for t in tests:
+    for t in t_obs:
         if failures[t] > 0.1 * replicates:
             raise BootstrapError(f"{failures[t]}/{replicates} bootstrap refits failed")
-    return {t: (1.0 + exceed[t]) / (replicates + 1.0) for t in tests}
+    return {t: (1.0 + exceed[t]) / (replicates + 1.0) for t in t_obs}
 
 
 def bootstrap_pvalue(values, family: str, fitted_params: dict[str, float],
                      test: str, replicates: int = 199, seed: int = 42,
                      bins: int = 10) -> float:
     """Parametric bootstrap p-value: simulate from the fitted model, refit,
-    recompute the statistic; p = (1 + #{T* >= T_obs}) / (replicates + 1)."""
+    recompute the statistic; p = (1 + #{T* >= T_obs}) / (replicates + 1).
+    It is run_gof's bootstrap of the one test."""
     if family not in MODELS:
         raise ValueError(f"unknown model family {family!r}")
     law = make_catalog(_CATALOG_NAME[family], fitted_params)
-    return _bootstrap_pvalues(values, family, law, (test,), replicates, seed, bins)[test]
+    return run_gof(values, law, (test,), "bootstrap", bins, family, replicates,
+                   seed)[test]["p_value"]
 
 
-@dataclass(frozen=True)
-class GofReport:
-    model: str
-    n: int
-    tests: dict[str, dict]
-
-
-def run_gof(values, model: DistributionHandle, model_name: str,
-            tests: Sequence[str] = TEST_NAMES, method: str = "asymptotic",
-            bins: int = 10, family: Optional[str] = None,
-            replicates: int = 199, seed: int = 42) -> GofReport:
-    """Evaluate the selected tests and assemble a report. The sample is
-    sorted and model.cdf evaluated once per call, for KS, AD and CvM alike.
-    `family` is the model family `model` was fitted as; the chi-square df
-    subtracts its parameter count, and bootstrap p-values simulate from
-    `model` and refit that family."""
+def run_gof(values, model: DistributionHandle, tests: Sequence[str] = TEST_NAMES,
+            method: str = "asymptotic", bins: int = 10, family: Optional[str] = None,
+            replicates: int = 199, seed: int = 42) -> dict[str, dict]:
+    """{test: {statistic, p_value, method}} of the selected tests. The
+    sample is sorted and model.cdf evaluated once per call, for KS, AD and
+    CvM alike. `family` is the model family `model` was fitted as; the
+    chi-square df subtracts its parameter count, and bootstrap p-values
+    simulate from `model` and refit that family."""
     if method not in ("asymptotic", "bootstrap"):
         raise ValueError(f"unknown p-value method {method!r}")
     if method == "bootstrap" and family not in MODELS:
         raise ValueError(f"bootstrap p-values need the fitted model family, got {family!r}")
-    tests = tuple(tests)
     x = _sorted(values)
     k = len(MODELS[family]) if family in MODELS else 0
     statistic = _statistics(x, model, bins, k)
@@ -277,7 +260,10 @@ def run_gof(values, model: DistributionHandle, model_name: str,
         stat, p = statistic(name)
         results[name] = {"statistic": stat, "p_value": p, "method": "asymptotic"}
     if method == "bootstrap":
-        boot = _bootstrap_pvalues(x, family, model, tests, replicates, seed, bins)
-        for name in tests:
-            results[name].update(p_value=boot[name], method="bootstrap")
-    return GofReport(model=model_name, n=len(x), tests=results)
+        if replicates < 99:
+            raise ValueError("replicates must be at least 99")
+        t_obs = {name: r["statistic"] for name, r in results.items()}
+        boot = _bootstrap_pvalues(len(x), family, model, t_obs, replicates, seed, bins)
+        for name, p in boot.items():
+            results[name].update(p_value=p, method="bootstrap")
+    return results

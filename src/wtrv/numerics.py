@@ -114,13 +114,16 @@ class ConvergenceError(WtrvError):
 
 def scalar_or_array(fn: Callable) -> Callable:
     """Call fn(x, *args) with x as a float array: a scalar x gives a float,
-    an array a float64 array. Handles and weights build these per instance,
-    so the wrapper copies none of functools.wraps' attributes."""
+    an array a float64 array that shares no memory with x, copied only when
+    fn returns its input or a view of it. Handles and weights build these
+    per instance, so the wrapper copies none of functools.wraps' attributes."""
 
     def wrapped(x, *args):
         arr = np.asarray(x, dtype=float)
         out = np.asarray(fn(arr, *args), dtype=float)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        if np.isscalar(x) or arr.ndim == 0:
+            return float(out)
+        return out.copy() if np.may_share_memory(out, arr) else out
 
     return wrapped
 

@@ -27,7 +27,7 @@ def report(num, ok, desc):
 
 def test_criterion_1_closed_form_catalog_equivalence():
     start = time.perf_counter()
-    rows = table1_oracle_suite(grid_size=512, tolerance=1e-6)
+    rows = table1_oracle_suite()
     elapsed = time.perf_counter() - start
     worst = max(r.sup_norm for r in rows)
     ok = (len(rows) == 12 and all(r.passed for r in rows)

@@ -14,6 +14,7 @@ import pytest
 from wtrv import cli
 from wtrv import fit as fit_mod
 from wtrv.cli import main
+from wtrv.data import read_csv
 
 
 def run_cli(capsys, *argv):
@@ -321,6 +322,9 @@ class TestDataCommands:
         assert code == 0
         doc = json.loads(out)
         assert all(0.0 <= t["p_value"] <= 1.0 for t in doc["tests"].values())
+        assert set(doc) == {"model", "n", "tests", "params"} and doc["model"] == "kw"
+        series = read_csv(csv_path, "rainfall_mm")
+        assert doc["n"] == len(fit_mod.normalize(series.rainfall_mm).likelihood_values)
 
     def test_report_runs(self, capsys, csv_path):
         code, out, _ = run_cli(capsys, "report", "--starts", "4", csv_path)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ class TestNormalize:
         lv = s.likelihood_values
         assert len(lv) == s.n
         assert np.all((lv > 0) & (lv < 1))
+
+    def test_hand_built_sample_counts_its_values(self):
+        # n is read from the values, so a sample built without it shrinks
+        # as from_unit_values' does rather than dividing by zero
+        v = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
+        s = fit_mod.NormalizedSample(values=v, boundary_policy="shrink")
+        assert s.n == len(v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.array_equal(s.likelihood_values,
+                                  from_unit_values(v, "shrink").likelihood_values)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateSampleError):
@@ -345,7 +357,7 @@ class TestFitMle:
     def test_handle_roundtrip(self):
         s = unit_sample(n=500, seed=6)
         res = fit_mle(s, "kw", starts=4)
-        h = res.handle()
+        h = res.law
         assert h.name == "kumaraswamy"
         assert float(h.cdf(0.5)) == pytest.approx(
             1 - (1 - 0.5 ** res.params["a"]) ** res.params["b"], rel=1e-10)
@@ -355,7 +367,7 @@ class TestFitMle:
         res = fit_mle(s, "kw", starts=4)
         assert np.isfinite(res.rmse)
         assert res.rmse == pytest.approx(
-            rmse_metric(s, res.handle()), abs=1e-12)
+            rmse_metric(s, res.law), abs=1e-12)
 
     def test_wk_rmse_finite_on_three_point_samples(self):
         # the WK optimum of one observation lies at the box corner a = 1e-3,
@@ -379,7 +391,7 @@ def three_point_samples():
 def twin(s):
     """A fresh sample object with the same data and nothing cached."""
     return fit_mod.NormalizedSample(values=s.values, z_min=s.z_min, z_max=s.z_max,
-                                    n=s.n, boundary_policy=s.boundary_policy)
+                                    boundary_policy=s.boundary_policy)
 
 
 def fields(res):
@@ -519,4 +531,4 @@ class TestFitModels:
         fits = fit_models(s, self.MODELS, 4)
         assert len(calls) == 1
         for res in fits.values():
-            assert res.rmse == rmse_metric(twin(s), res.handle())
+            assert res.rmse == rmse_metric(twin(s), res.law)

@@ -173,24 +173,23 @@ class TestRunGof:
     def test_report_structure(self):
         d = make_catalog("kumaraswamy", {"a": 2.0, "b": 3.0})
         values = sample(d, 300, seed=4)
-        rep = run_gof(values, d, "kw")
-        assert rep.model == "kw" and rep.n == 300
+        rep = run_gof(values, d)
+        assert list(rep) == ["ks", "ad", "cvm", "chisq"]
         for name in ("ks", "ad", "cvm", "chisq"):
-            assert name in rep.tests
-            assert 0.0 <= rep.tests[name]["p_value"] <= 1.0
+            assert 0.0 <= rep[name]["p_value"] <= 1.0
 
     def test_true_model_not_rejected(self):
         d = make_catalog("kumaraswamy", {"a": 2.0, "b": 3.0})
         values = sample(d, 500, seed=12)
-        rep = run_gof(values, d, "kw")
-        assert all(t["p_value"] > 0.01 for t in rep.tests.values())
+        rep = run_gof(values, d)
+        assert all(t["p_value"] > 0.01 for t in rep.values())
 
     def test_one_cdf_evaluation(self):
         # KS, AD and CvM read one probability-integral transform per run_gof
         # call, with the values the separate tests give
         for i, s in enumerate(report_series()):
             for model, res in fit_models(s, ("beta", "kw", "wk"), 4).items():
-                law, calls = res.handle(), []
+                law, calls = res.law, []
 
                 def cdf(x, law=law, calls=calls):
                     calls.append(len(x))
@@ -198,15 +197,31 @@ class TestRunGof:
 
                 values = s.likelihood_values
                 rep = run_gof(values, dataclasses.replace(
-                    law, interior=law.interior._replace(cdf=cdf)), model, family=model)
+                    law, interior=law.interior._replace(cdf=cdf)), family=model)
                 assert calls == [len(values)], (i, model)
                 for name, test in (("ks", ks_test), ("ad", ad_test), ("cvm", cvm_test)):
                     stat, p = test(values, law)
-                    assert (rep.tests[name]["statistic"], rep.tests[name]["p_value"]) == \
+                    assert (rep[name]["statistic"], rep[name]["p_value"]) == \
                         (stat, p), (i, model, name)
 
 
 class TestBootstrap:
+    def test_one_cdf_evaluation(self):
+        # the bootstrap refits from the observed statistics run_gof has
+        # computed, so the observed law's cdf is read once
+        s = report_series()[0]
+        law, calls = fit_mle(s, "kw", starts=4).law, []
+
+        def cdf(x):
+            calls.append(len(x))
+            return law.cdf(x)
+
+        values = s.likelihood_values
+        rep = run_gof(values, dataclasses.replace(law, interior=law.interior._replace(cdf=cdf)),
+                      method="bootstrap", family="kw", replicates=99)
+        assert calls == [len(values)]
+        assert all(t["method"] == "bootstrap" for t in rep.values())
+
     def test_bootstrap_pvalue_reasonable_and_deterministic(self):
         d = make_catalog("kumaraswamy", {"a": 2.0, "b": 5.0})
         values = np.asarray(sample(d, 150, seed=3))
@@ -220,14 +235,24 @@ class TestBootstrap:
         assert 1.0 / 100 <= p1 <= 1.0
         assert p1 > 0.05  # true model should not be rejected
 
+    def test_repeated_test_counted_once(self):
+        # a test named twice is one entry of the result, with the p-value it
+        # has alone: its exceedances and failures were counted once per name
+        d = make_catalog("kumaraswamy", {"a": 2.0, "b": 3.0})
+        values = sample(d, 40, seed=6)
+        law = fit_mle(from_unit_values(values), "kw", starts=4).law
+        twice, once = (run_gof(values, law, tests, method="bootstrap", family="kw",
+                               replicates=99, seed=13) for tests in (("ks", "ks"), ("ks",)))
+        assert twice == once and 0.0 < twice["ks"]["p_value"] <= 1.0
+
     def test_run_gof_matches_per_test_bootstrap(self):
         d = make_catalog("kumaraswamy", {"a": 2.0, "b": 3.0})
         values = np.sort(np.asarray(sample(d, 40, seed=6)))
         fitted = fit_mle(from_unit_values(values), "kw", starts=4)
         tests = ("ad", "chisq")
-        rep = run_gof(values, fitted.handle(), "kw", tests=tests,
+        rep = run_gof(values, fitted.law, tests=tests,
                       method="bootstrap", family="kw", replicates=99, seed=13)
         for name in tests:
-            assert rep.tests[name]["method"] == "bootstrap"
-            assert rep.tests[name]["p_value"] == bootstrap_pvalue(
+            assert rep[name]["method"] == "bootstrap"
+            assert rep[name]["p_value"] == bootstrap_pvalue(
                 values, "kw", fitted.params, name, replicates=99, seed=13)

@@ -55,17 +55,21 @@ class TestWeightInvariants:
 
     @pytest.mark.parametrize("make", [
         *(lambda n=name, p=params: make_weight(n, dict(p)) for name, params in WEIGHT_INSTANCES),
-        lambda: WeightFunction("square", {}, lambda x: x * x, lambda x: 2 * x)],
-        ids=[f"{n}{p}" for n, p in WEIGHT_INSTANCES] + ["hand_built"])
+        lambda: WeightFunction("square", {}, lambda x: x * x, lambda x: 2 * x),
+        lambda: WeightFunction("view", {}, lambda t: t.reshape(t.shape),
+                               lambda t: np.ones_like(t))],
+        ids=[f"{n}{p}" for n, p in WEIGHT_INSTANCES] + ["hand_built", "view"])
     def test_scalar_and_array(self, make):
         # the derived functions own the float contract, also over raw
-        # functions written with integer literals, so callers convert nothing
+        # functions written with integer literals or returning a view of
+        # their input, so callers convert nothing and own what they get
         w = make()
         assert type(w.w(0.5)) is float and type(w.w_prime(3)) is float
         for fn in (w.w, w.w_prime):
             for x, shape in ((np.full((2, 3), 0.5), (2, 3)), ([0.25, 0.5], (2,))):
                 out = fn(x)
                 assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == shape
+                assert not np.shares_memory(out, x)
 
 
 class TestExamples:
