@@ -51,9 +51,7 @@ def _built(dist: DistributionHandle, weight: WeightFunction, table: CdfTable) ->
     z = table.total
     g = tail_integrand(weight, dist)
     return WtrvDistribution(
-        "wtrv", {**{f"base_{k}": v for k, v in dist.params.items()},
-                 **{f"w_{k}": v for k, v in weight.params.items()}},
-        Interval(0.0, min(dist.support.hi, weight.domain_hint.hi)),
+        "wtrv", {}, Interval(0.0, min(dist.support.hi, weight.domain_hint.hi)),
         Interior(pdf=lambda x: g(x) / z, cdf=table.cdf,
                  sf=lambda x: 1.0 - table.cdf(x), quantile=table.quantile),
         dist, weight, table)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+import weakref
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numerics import Interval, _sc, scalar_or_array
+from .numerics import Interval, WtrvError, _sc, scalar_or_array
 from .numerics import brent_root, incomplete_beta_upper  # noqa: F401 (re-exported)
 
 
@@ -47,8 +48,8 @@ class DistributionHandle(CatalogEntry):
     pdf, cdf, sf and quantile are derived from them here, so a replace()
     derives them again: pdf, cdf and sf take their edge values at and beyond
     the support, the quantile gives the support's ends at u <= 0 and u >= 1
-    and calls the interior quantile only on u in (0, 1), and a scalar in
-    gives a float out."""
+    and calls the interior quantile only on u in (0, 1), where a value that
+    is not finite raises WtrvError, and a scalar in gives a float out."""
 
     name: str
     params: dict[str, float]
@@ -64,8 +65,17 @@ class DistributionHandle(CatalogEntry):
         for name, guarded in (("pdf", _masked(sup, f.pdf, 0.0, 0.0)),
                               ("cdf", _masked(sup, f.cdf, 0.0, 1.0)),
                               ("sf", _masked(sup, f.sf, 1.0, 0.0)),
-                              ("quantile", _inverse(sup, f.quantile))):
+                              ("quantile", _inverse(sup, f.quantile, _label(self)))):
             object.__setattr__(self, name, guarded)
+
+
+def _label(handle: DistributionHandle) -> Callable[[], str]:
+    """handle.describe through a weak reference, since a quantile holding the
+    handle would keep it, and a constructed variable's table, alive until a
+    full garbage collection; a quantile that outlives its handle names it by
+    its name."""
+    ref, name = weakref.ref(handle), handle.name
+    return lambda: h.describe() if (h := ref()) is not None else name
 
 
 def _masked(support: Interval, inside: Callable, below: float, above: float) -> Callable:
@@ -81,12 +91,18 @@ def _masked(support: Interval, inside: Callable, below: float, above: float) -> 
     return fn
 
 
-def _inverse(support: Interval, inside: Callable) -> Callable:
+def _inverse(support: Interval, inside: Callable, describe: Callable) -> Callable:
+    """inside on u in (0, 1) under _masked's errstate; a level there whose
+    quantile is not finite raises WtrvError naming describe() and the level."""
     @scalar_or_array
     def fn(u):
         out = np.where(u <= 0.0, support.lo, np.where(u >= 1.0, support.hi, np.nan))
         inner = (u > 0.0) & (u < 1.0)
-        out[inner] = inside(u[inner])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[inner] = inside(u[inner])
+        bad = inner & ~np.isfinite(out)
+        if bad.any():
+            raise WtrvError(f"quantile of {describe()} is not finite at u = {float(u[bad][0])!r}")
         return out
 
     return fn
@@ -102,102 +118,94 @@ def _require_positive(params: dict[str, float], *names: str) -> None:
                                f"got {params.get(n)}")
 
 
-def _exponential(lam: float) -> DistributionHandle:
-    return DistributionHandle("exponential", {"lambda": lam}, _HALF_LINE, Interior(
+def _exponential(lam: float) -> tuple[Interval, Interior]:
+    return _HALF_LINE, Interior(
         pdf=lambda x: lam * np.exp(-lam * x),
         cdf=lambda x: -np.expm1(-lam * x),
         sf=lambda x: np.exp(-lam * x),
-        quantile=lambda u: -np.log1p(-u) / lam))
+        quantile=lambda u: -np.log1p(-u) / lam)
 
 
-def _gamma(k: float, lam: float) -> DistributionHandle:
+def _gamma(k: float, lam: float) -> tuple[Interval, Interior]:
     lg = _sc.gammaln(k)
-    return DistributionHandle("gamma", {"k": k, "lambda": lam}, _HALF_LINE, Interior(
+    return _HALF_LINE, Interior(
         pdf=lambda x: np.exp(k * np.log(lam) + (k - 1) * np.log(x) - lam * x - lg),
         cdf=lambda x: _sc.gammainc(k, lam * x),
         sf=lambda x: _sc.gammaincc(k, lam * x),
-        quantile=lambda u: _sc.gammaincinv(k, u) / lam))
+        quantile=lambda u: _sc.gammaincinv(k, u) / lam)
 
 
-def _weibull(alpha: float, beta: float) -> DistributionHandle:
-    return DistributionHandle("weibull", {"alpha": alpha, "beta": beta}, _HALF_LINE, Interior(
+def _weibull(alpha: float, beta: float) -> tuple[Interval, Interior]:
+    return _HALF_LINE, Interior(
         pdf=lambda x: (alpha / beta) * (x / beta) ** (alpha - 1) * np.exp(-((x / beta) ** alpha)),
         cdf=lambda x: -np.expm1(-((x / beta) ** alpha)),
         sf=lambda x: np.exp(-((x / beta) ** alpha)),
-        quantile=lambda u: beta * (-np.log1p(-u)) ** (1.0 / alpha)))
+        quantile=lambda u: beta * (-np.log1p(-u)) ** (1.0 / alpha))
 
 
-def _rayleigh(sigma: float) -> DistributionHandle:
+def _rayleigh(sigma: float) -> tuple[Interval, Interior]:
     s2 = sigma * sigma
-    return DistributionHandle("rayleigh", {"sigma": sigma}, _HALF_LINE, Interior(
+    return _HALF_LINE, Interior(
         pdf=lambda x: (x / s2) * np.exp(-x * x / (2 * s2)),
         cdf=lambda x: -np.expm1(-x * x / (2 * s2)),
         sf=lambda x: np.exp(-x * x / (2 * s2)),
-        quantile=lambda u: sigma * np.sqrt(-2.0 * np.log1p(-u))))
+        quantile=lambda u: sigma * np.sqrt(-2.0 * np.log1p(-u)))
 
 
-def _half_normal(sigma: float) -> DistributionHandle:
+def _half_normal(sigma: float) -> tuple[Interval, Interior]:
     c = math.sqrt(2.0 / math.pi) / sigma
     rt2 = math.sqrt(2.0)
-    return DistributionHandle("half_normal", {"sigma": sigma}, _HALF_LINE, Interior(
+    return _HALF_LINE, Interior(
         pdf=lambda x: c * np.exp(-x * x / (2 * sigma * sigma)),
         cdf=lambda x: _sc.erf(x / (sigma * rt2)),
         sf=lambda x: _sc.erfc(x / (sigma * rt2)),
-        quantile=lambda u: sigma * rt2 * _sc.erfinv(u)))
+        quantile=lambda u: sigma * rt2 * _sc.erfinv(u))
 
 
-def _generalized_gamma(p: float, a: float, d: float) -> DistributionHandle:
+def _generalized_gamma(p: float, a: float, d: float) -> tuple[Interval, Interior]:
     lg = _sc.gammaln(d / p)
-    return DistributionHandle("generalized_gamma", {"p": p, "a": a, "d": d}, _HALF_LINE, Interior(
+    return _HALF_LINE, Interior(
         pdf=lambda x: np.exp(np.log(p) + (d - 1) * np.log(x) - (x / a) ** p
                              - d * np.log(a) - lg),
         cdf=lambda x: _sc.gammainc(d / p, (x / a) ** p),
         sf=lambda x: _sc.gammaincc(d / p, (x / a) ** p),
-        quantile=lambda u: a * _sc.gammaincinv(d / p, u) ** (1.0 / p)))
+        quantile=lambda u: a * _sc.gammaincinv(d / p, u) ** (1.0 / p))
 
 
-def _burr12(c: float, k: float) -> DistributionHandle:
-    return DistributionHandle("burr12", {"c": c, "k": k}, _HALF_LINE, Interior(
+def _burr12(c: float, k: float) -> tuple[Interval, Interior]:
+    return _HALF_LINE, Interior(
         pdf=lambda x: c * k * x ** (c - 1) * (1 + x ** c) ** (-(k + 1)),
         cdf=lambda x: 1.0 - (1 + x ** c) ** (-k),
         sf=lambda x: (1 + x ** c) ** (-k),
-        quantile=lambda u: np.expm1(-np.log1p(-u) / k) ** (1.0 / c)))
+        quantile=lambda u: np.expm1(-np.log1p(-u) / k) ** (1.0 / c))
 
 
-def _pareto_lomax(alpha: float) -> DistributionHandle:
-    return DistributionHandle("pareto_lomax", {"alpha": alpha}, _HALF_LINE, Interior(
-        pdf=lambda x: alpha * (1 + x) ** (-(alpha + 1)),
-        cdf=lambda x: 1.0 - (1 + x) ** (-alpha),
-        sf=lambda x: (1 + x) ** (-alpha),
-        quantile=lambda u: np.expm1(-np.log1p(-u) / alpha)))
-
-
-def _uniform() -> DistributionHandle:
-    return DistributionHandle("uniform", {}, _UNIT, Interior(
+def _uniform() -> tuple[Interval, Interior]:
+    return _UNIT, Interior(
         pdf=lambda x: np.ones_like(x),
         cdf=lambda x: x,
         sf=lambda x: 1.0 - x,
-        quantile=lambda u: u))
+        quantile=lambda u: u)
 
 
-def _beta(alpha: float, beta: float) -> DistributionHandle:
+def _beta(alpha: float, beta: float) -> tuple[Interval, Interior]:
     lb = _sc.betaln(alpha, beta)
-    return DistributionHandle("beta", {"alpha": alpha, "beta": beta}, _UNIT, Interior(
+    return _UNIT, Interior(
         pdf=lambda x: np.exp((alpha - 1) * np.log(x) + (beta - 1) * np.log1p(-x) - lb),
         cdf=lambda x: _sc.betainc(alpha, beta, x),
         sf=lambda x: _sc.betaincc(alpha, beta, x),
-        quantile=lambda u: _sc.betaincinv(alpha, beta, u)))
+        quantile=lambda u: _sc.betaincinv(alpha, beta, u))
 
 
-def _kumaraswamy(a: float, b: float) -> DistributionHandle:
-    return DistributionHandle("kumaraswamy", {"a": a, "b": b}, _UNIT, Interior(
+def _kumaraswamy(a: float, b: float) -> tuple[Interval, Interior]:
+    return _UNIT, Interior(
         pdf=lambda x: a * b * x ** (a - 1) * (1 - x ** a) ** (b - 1),
         cdf=lambda x: 1.0 - (1 - x ** a) ** b,
         sf=lambda x: (1 - x ** a) ** b,
-        quantile=lambda u: (-np.expm1(np.log1p(-u) / b)) ** (1.0 / a)))
+        quantile=lambda u: (-np.expm1(np.log1p(-u) / b)) ** (1.0 / a))
 
 
-def _weighted_kumaraswamy(a: float, b: float, c: float) -> DistributionHandle:
+def _weighted_kumaraswamy(a: float, b: float, c: float) -> tuple[Interval, Interior]:
     # Beta link: X^a ~ Beta(c/a, b+1). The pdf c x^(c-1) (1-x^a)^b / (b B(1+c/a, b))
     # in logs, whose factors under- and overflow apart at the fit's box corners
     log_c, log_norm = math.log(c), math.log(b) + _sc.betaln(1.0 + c / a, b)
@@ -207,11 +215,11 @@ def _weighted_kumaraswamy(a: float, b: float, c: float) -> DistributionHandle:
         log_x = np.log(x)
         return np.exp(log_c + (c - 1) * log_x + b * np.log(-np.expm1(a * log_x)) - log_norm)
 
-    return DistributionHandle("weighted_kumaraswamy", {"a": a, "b": b, "c": c}, _UNIT, Interior(
+    return _UNIT, Interior(
         pdf=pdf,
         cdf=lambda x: _sc.betainc(p, q, x ** a),
         sf=lambda x: _sc.betaincc(p, q, x ** a),
-        quantile=lambda u: _sc.betaincinv(p, q, u) ** (1.0 / a)))
+        quantile=lambda u: _sc.betaincinv(p, q, u) ** (1.0 / a))
 
 
 def wk_moment(a: float, b: float, c: float, n: int) -> float:
@@ -226,44 +234,40 @@ def kumaraswamy_moment(a: float, b: float, n: int) -> float:
     return float(b * _sc.beta(1.0 + n / a, b))
 
 
-def _chi_square(k: float) -> DistributionHandle:
-    return replace(_gamma(k / 2.0, 0.5), name="chi_square", params={"k": k})
-
-
-def _truncated_power(beta: float) -> DistributionHandle:
-    # SF (1-x)^(beta-1) on (0, 1), requires beta > 1
+def _truncated_power(beta: float) -> tuple[Interval, Interior]:
+    # Kumaraswamy(1, beta - 1): SF (1-x)^(beta-1) on (0, 1), requires beta > 1
     if not beta > 1:
         raise CatalogError(f"parameter 'beta' of truncated_power must be > 1, got {beta}")
-    return DistributionHandle("truncated_power", {"beta": beta}, _UNIT, Interior(
-        pdf=lambda x: (beta - 1) * (1 - x) ** (beta - 2),
-        cdf=lambda x: 1.0 - (1 - x) ** (beta - 1),
-        sf=lambda x: (1 - x) ** (beta - 1),
-        quantile=lambda u: -np.expm1(np.log1p(-u) / (beta - 1))))
+    return _kumaraswamy(1.0, beta - 1.0)
 
 
 _BUILDERS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "exponential": (("lambda",), lambda p: _exponential(p["lambda"])),
-    "gamma": (("k", "lambda"), lambda p: _gamma(p["k"], p["lambda"])),
-    "weibull": (("alpha", "beta"), lambda p: _weibull(p["alpha"], p["beta"])),
-    "rayleigh": (("sigma",), lambda p: _rayleigh(p["sigma"])),
-    "half_normal": (("sigma",), lambda p: _half_normal(p["sigma"])),
-    "generalized_gamma": (("p", "a", "d"), lambda p: _generalized_gamma(p["p"], p["a"], p["d"])),
-    "burr12": (("c", "k"), lambda p: _burr12(p["c"], p["k"])),
-    "pareto_lomax": (("alpha",), lambda p: _pareto_lomax(p["alpha"])),
-    "uniform": ((), lambda p: _uniform()),
-    "beta": (("alpha", "beta"), lambda p: _beta(p["alpha"], p["beta"])),
-    "kumaraswamy": (("a", "b"), lambda p: _kumaraswamy(p["a"], p["b"])),
-    "weighted_kumaraswamy": (("a", "b", "c"), lambda p: _weighted_kumaraswamy(p["a"], p["b"], p["c"])),
-    "chi_square": (("k",), lambda p: _chi_square(p["k"])),
-    "truncated_power": (("beta",), lambda p: _truncated_power(p["beta"])),
+    "exponential": (("lambda",), _exponential),
+    "gamma": (("k", "lambda"), _gamma),
+    "weibull": (("alpha", "beta"), _weibull),
+    "rayleigh": (("sigma",), _rayleigh),
+    "half_normal": (("sigma",), _half_normal),
+    "generalized_gamma": (("p", "a", "d"), _generalized_gamma),
+    "burr12": (("c", "k"), _burr12),
+    "pareto_lomax": (("alpha",), lambda alpha: _burr12(1.0, alpha)),
+    "uniform": ((), _uniform),
+    "beta": (("alpha", "beta"), _beta),
+    "kumaraswamy": (("a", "b"), _kumaraswamy),
+    "weighted_kumaraswamy": (("a", "b", "c"), _weighted_kumaraswamy),
+    "chi_square": (("k",), lambda k: _gamma(k / 2.0, 0.5)),
+    "truncated_power": (("beta",), _truncated_power),
 }
 
 
-def catalog_build(catalog: dict, kind: str, name: str, params: dict[str, float] | None):
+def catalog_build(catalog: dict, entry: type, kind: str, name: str,
+                  params: dict[str, float] | None):
     """The one lookup of the family and weight catalogs, which map a name to
     (parameter names, builder): checks the name, the exact parameter set and
-    that each value is finite and positive, then builds. A bad spec raises
-    CatalogError naming the entry, or the parameter and its value."""
+    that each value is finite and positive, then builds entry(name, params
+    in declared order, *builder(*their values)), where a family's builder
+    gives (support, Interior) and a weight's (raw_w, raw_w_prime[, domain]).
+    A bad spec raises CatalogError naming the entry, or the parameter and
+    its value."""
     if name not in catalog:
         raise CatalogError(f"unknown {kind} {name!r}; known: {', '.join(sorted(catalog))}")
     wanted, builder = catalog[name]
@@ -271,12 +275,13 @@ def catalog_build(catalog: dict, kind: str, name: str, params: dict[str, float] 
     if sorted(params) != sorted(wanted):
         raise CatalogError(f"{name} expects parameters {wanted}, got {tuple(params)}")
     _require_positive(params, *wanted)
-    return builder(params)
+    values = [params[k] for k in wanted]
+    return entry(name, dict(zip(wanted, values)), *builder(*values))
 
 
 def make_catalog(name: str, params: dict[str, float] | None = None) -> DistributionHandle:
     """Build a catalog distribution by family name and named parameters."""
-    return catalog_build(_BUILDERS, "distribution", name, params)
+    return catalog_build(_BUILDERS, DistributionHandle, "distribution", name, params)
 
 
 _SPEC_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*\(([^()]*)\)\s*$")
@@ -297,8 +302,11 @@ def parse_kv_spec(text: str) -> tuple[str, dict[str, float]]:
             if "=" not in piece:
                 raise CatalogError(f"expected k=v in {text!r}, got {piece!r}")
             k, v = piece.split("=", 1)
+            k = k.strip()
+            if k in params:
+                raise CatalogError(f"parameter {k!r} given twice in {text!r}")
             try:
-                params[k.strip()] = float(v)
+                params[k] = float(v)
             except ValueError as exc:
                 raise CatalogError(f"bad numeric value in {text!r}: {v!r}") from exc
     return name, params

@@ -58,41 +58,33 @@ def _derived(f):
 
 
 _WEIGHTS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "power": (("c",), lambda p: WeightFunction(
-        "power", p,
-        lambda x: x ** p["c"],
-        lambda x: p["c"] * x ** (p["c"] - 1.0))),
-    "scaled_power": (("alpha", "beta"), lambda p: WeightFunction(
-        "scaled_power", p,
-        lambda x: (x / p["beta"]) ** p["alpha"],
-        lambda x: (p["alpha"] / p["beta"]) * (x / p["beta"]) ** (p["alpha"] - 1.0))),
-    "log1p_power": (("c",), lambda p: WeightFunction(
-        "log1p_power", p,
-        lambda x: np.log1p(x ** p["c"]),
-        lambda x: p["c"] * x ** (p["c"] - 1.0) / (1.0 + x ** p["c"]))),
-    "neg_log_sq": ((), lambda p: WeightFunction(
-        "neg_log_sq", p,
+    "power": (("c",), lambda c: (lambda x: x ** c, lambda x: c * x ** (c - 1.0))),
+    "scaled_power": (("alpha", "beta"), lambda alpha, beta: (
+        lambda x: (x / beta) ** alpha,
+        lambda x: (alpha / beta) * (x / beta) ** (alpha - 1.0))),
+    "log1p_power": (("c",), lambda c: (
+        lambda x: np.log1p(x ** c),
+        lambda x: c * x ** (c - 1.0) / (1.0 + x ** c))),
+    "neg_log_sq": ((), lambda: (
         lambda x: -np.log1p(-x ** 2),
         lambda x: 2.0 * x / (1.0 - x ** 2),
         Interval(0.0, 1.0))),
-    "exp_shift_sq": ((), lambda p: WeightFunction(
-        "exp_shift_sq", p,
+    "exp_shift_sq": ((), lambda: (
         lambda x: np.exp((x + 1.0) ** 2) - math.e,
         lambda x: 2.0 * (x + 1.0) * np.exp((x + 1.0) ** 2))),
-    "expm1": ((), lambda p: WeightFunction("expm1", p, np.expm1, np.exp)),
-    "neg_x_log1m": ((), lambda p: WeightFunction(
-        "neg_x_log1m", p,
+    "expm1": ((), lambda: (np.expm1, np.exp)),
+    "neg_x_log1m": ((), lambda: (
         lambda x: -x - np.log1p(-x),
         lambda x: x / (1.0 - x),
         Interval(0.0, 1.0))),
-    "linear": ((), lambda p: WeightFunction("linear", p, lambda x: x, np.ones_like)),
+    "linear": ((), lambda: (lambda x: x, np.ones_like)),
 }
 
 
 def make_weight(name: str, params: dict[str, float] | None = None) -> WeightFunction:
     """Build a catalog weight function with analytic w and w'; a bad name or
     parameter set raises CatalogError."""
-    return catalog_build(_WEIGHTS, "weight", name, params)
+    return catalog_build(_WEIGHTS, WeightFunction, "weight", name, params)
 
 
 def parse_weight_spec(text: str) -> WeightFunction:

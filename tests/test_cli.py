@@ -2,10 +2,12 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from wtrv import cli
 from wtrv import fit as fit_mod
 from wtrv.cli import main
 from wtrv.data import read_csv
+from wtrv.distributions import _BUILDERS
 
 
 def run_cli(capsys, *argv):
@@ -405,6 +408,41 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith("error: CatalogError: ") and err.count("\n") == 1
         assert named in err
+
+    @pytest.mark.parametrize("flag, spec", [("--dist", "exponential(lambda=1,lambda=2)"),
+                                            ("--weight", "power(c=1,c=3)")])
+    def test_repeated_parameter_is_one_catalog_error_line(self, capsys, flag, spec):
+        # the last value used to win silently
+        specs = {"--dist": "exponential(lambda=1)", "--weight": "linear()", flag: spec}
+        code, out, err = run_cli(capsys, "construct", *[v for kv in specs.items() for v in kv])
+        key = spec[:spec.index("=")].split("(")[1]
+        assert code == 1 and out == ""
+        assert err == f"error: CatalogError: parameter {key!r} given twice in {spec!r}\n"
+
+    def test_extreme_shapes_finite_or_one_error_line(self, capsys):
+        # each family with one parameter at a time at an extreme, the others
+        # at 0.37 and 2.5 in turn: a command prints finite numbers or fails
+        # with one typed line, and warns of nothing
+        token = re.compile(r"\b(inf|nan|null|Infinity|NaN)\b", re.IGNORECASE)
+        failures = []
+        for family, (names, _) in _BUILDERS.items():
+            for key in names:
+                for extreme in (1e-300, 1e-12, 1e12, 1e300):
+                    others = iter((0.37, 2.5, 0.37))
+                    spec = family + "(" + ",".join(
+                        f"{k}={extreme if k == key else next(others):g}" for k in names) + ")"
+                    for argv in (["simulate", "--dist", spec, "--n", "20"],
+                                 ["check-aging", "--dist", spec, "--format", "json"]):
+                        with warnings.catch_warnings(record=True) as caught:
+                            warnings.simplefilter("always")
+                            code, out, err = run_cli(capsys, *argv)
+                        ok = not caught and (
+                            (code == 0 and not token.search(out)) or
+                            (code == 1 and out == "" and err.startswith("error: ")
+                             and err.count("\n") == 1))
+                        if not ok:
+                            failures.append((argv, code, err, [str(w.message) for w in caught]))
+        assert failures == []
 
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_grid_below_one_exit_one(self, capsys, grid):

@@ -1,5 +1,7 @@
+import gc
 import inspect
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 
 from wtrv import (construct, kumaraswamy_moment, make_catalog, make_weight, minimum_of,
                   parse_dist_spec, sample, wk_moment)
-from wtrv.distributions import CatalogError
-from wtrv.numerics import Interval, integrate_adaptive
+from wtrv.distributions import _BUILDERS, CatalogError, parse_kv_spec
+from wtrv.numerics import Interval, WtrvError, integrate_adaptive
 
 from conftest import CATALOG_INSTANCES, interior_grid
 
@@ -88,7 +90,7 @@ class TestDerivedHandles:
 
     def test_replace_rederives_without_stacking(self):
         gamma = make_catalog("gamma", {"k": 1.5, "lambda": 0.5})
-        chi = make_catalog("chi_square", {"k": 3.0})  # a replace of gamma(1.5, 0.5)
+        chi = make_catalog("chi_square", {"k": 3.0})  # gamma(1.5, 0.5)'s functions
         xs = np.array([-1.0, 0.0, 0.3, 2.0, 9.0, np.inf])
         for fn in ("pdf", "cdf", "sf"):
             assert getattr(chi, fn)(xs).tobytes() == getattr(gamma, fn)(xs).tobytes()
@@ -108,11 +110,77 @@ class TestDerivedHandles:
         with pytest.raises(ValueError, match="init=False"):
             replace(gamma, cdf=half_cdf)
 
+    def test_dropped_handle_is_freed_at_once(self):
+        # a quantile reaches its handle only through a weak reference, so a
+        # dropped handle, and a constructed variable's table, are freed
+        # without waiting for the collector; a quantile that outlives its
+        # handle names it by its name
+        gc.disable()
+        try:
+            built = construct(make_catalog("exponential", {"lambda": 1.0}), make_weight("linear"))
+            refs = [weakref.ref(built), weakref.ref(built.table)]
+            q = make_catalog("weibull", {"alpha": 1e-300, "beta": 1.0}).quantile
+            del built
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+        with pytest.raises(WtrvError, match=r"^quantile of weibull is not finite at u = 0\.9$"):
+            q(0.9)
+
     def test_weight_replace_rederives(self):
         w = make_weight("power", {"c": 2.0})
         doubled = replace(w, raw_w_prime=lambda x: 2.0 * w.raw_w_prime(x))
         assert doubled.w_prime(np.array([0.5, 3.0])).tolist() == [2.0, 12.0]
         assert doubled.w is not w.w and doubled.w(3.0) == w.w(3.0) == 9.0
+
+
+def _quantile_outcome(handle, u):
+    """The quantiles at u, or the level named by the WtrvError they raise."""
+    try:
+        return handle.quantile(u)
+    except WtrvError as exc:
+        return str(exc).rsplit(" at u = ", 1)[1]
+
+
+class TestReparameterizedFamilies:
+    # Lomax, truncated power and chi-square call their parent's builder, so
+    # each function gives the parent's floats, at the support's edges, far
+    # outside it, on NaN and next to u = 0 and u = 1
+    X = np.array([-np.inf, -1.0, 0.0, 5e-324, 1e-300, 1e-150, 1e-15, 1e-8, 0.1, 0.5,
+                  1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, 2.0, 1e8, 1e150, 1e300, np.inf,
+                  np.nan])
+    U = np.array([-0.5, 0.0, 5e-324, 1e-300, 1e-150, 1e-15, 1e-8, 0.1, 0.5, 0.9,
+                  1.0 - 1e-8, 1.0 - 1e-15, 1.0 - 2.0 ** -53, 1.0, 1.5, np.nan])
+    VALUES = [1e-3, 0.37, 1.0, 2.5, 40.0,
+              *np.exp(np.random.default_rng(5).uniform(np.log(1e-2), np.log(1e2), 20)).tolist()]
+    CASES = [
+        *((("pareto_lomax", {"alpha": v}), ("burr12", {"c": 1.0, "k": v})) for v in VALUES),
+        *((("truncated_power", {"beta": 1.0 + v}), ("kumaraswamy", {"a": 1.0, "b": 1.0 + v - 1.0}))
+          for v in VALUES),
+        *((("chi_square", {"k": v}), ("gamma", {"k": v / 2.0, "lambda": 0.5})) for v in VALUES),
+    ]
+
+    @pytest.mark.parametrize("child, parent", CASES,
+                             ids=[f"{c[0]}{c[1]}" for c, _ in CASES])
+    def test_bit_identical_to_parent(self, child, parent):
+        c, p = make_catalog(*child), make_catalog(*parent)
+        for fn in ("pdf", "cdf", "sf"):
+            assert np.array_equal(getattr(c, fn)(self.X), getattr(p, fn)(self.X), equal_nan=True)
+        got, ref = _quantile_outcome(c, self.U), _quantile_outcome(p, self.U)
+        assert type(got) is type(ref)
+        assert np.array_equal(got, ref, equal_nan=True) if isinstance(ref, np.ndarray) else got == ref
+
+
+class TestDeclaredOrder:
+    # catalog_build names every entry and orders its parameters as the
+    # catalog declares them, whatever order the caller gives
+    @pytest.mark.parametrize("name, params", CATALOG_INSTANCES, ids=[n for n, _ in CATALOG_INSTANCES])
+    def test_reversed_parameters_build_the_same_family(self, name, params):
+        fwd = make_catalog(name, dict(params))
+        rev = make_catalog(name, dict(reversed(list(params.items()))))
+        assert list(fwd.params) == list(_BUILDERS[name][0])
+        assert (rev.name, list(rev.params.items()), rev.describe()) == \
+            (fwd.name, list(fwd.params.items()), fwd.describe())
 
 
 class TestSpecificFamilies:
@@ -218,6 +286,12 @@ class TestErrors:
         params = dict(CATALOG_INSTANCES)[name]
         with pytest.raises(CatalogError, match=f"{key!r}"):
             make_catalog(name, {**params, key: bad})
+
+    @pytest.mark.parametrize("spec", ["exponential(lambda=1,lambda=2)",
+                                      "gamma(k=1, lambda=2,lambda =3)"])
+    def test_repeated_key(self, spec):
+        with pytest.raises(CatalogError, match="'lambda' given twice in "):
+            parse_kv_spec(spec)
 
     def test_spec_parsing(self):
         d = parse_dist_spec("exponential(lambda=2)")

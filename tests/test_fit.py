@@ -11,12 +11,19 @@ from helpers import finite_diff_grad
 from wtrv import (fit_mle, fit_models, from_unit_values, loglik_beta, loglik_kw,
                   loglik_wk, make_catalog, normalize, rmse_metric, sample,
                   score_beta, score_kw, score_wk)
+from wtrv.distributions import _BUILDERS
 from wtrv.fit import BoundaryError, DegenerateSampleError
 
 
 def unit_sample(a=2.0, b=5.0, n=400, seed=3, family="kumaraswamy", **extra):
     params = {"a": a, "b": b, **extra}
     return from_unit_values(sample(make_catalog(family, params), n, seed))
+
+
+@pytest.mark.parametrize("model", fit_mod.MODELS)
+def test_model_parameters_are_the_catalogs(model):
+    # a fitted model is built by its catalog name from MODELS' names
+    assert fit_mod.MODELS[model] == _BUILDERS[fit_mod._CATALOG_NAME[model]][0]
 
 
 class TestNormalize:

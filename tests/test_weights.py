@@ -6,6 +6,7 @@ import pytest
 
 from wtrv import (CatalogError, IntegrabilityError, WeightFunction, make_catalog, make_weight,
                   parse_weight_spec, validate_weight, weight_normalizer_integral)
+from wtrv.weights import _WEIGHTS
 
 WEIGHT_INSTANCES = [
     ("power", {"c": 2.0}),
@@ -70,6 +71,21 @@ class TestWeightInvariants:
                 out = fn(x)
                 assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == shape
                 assert not np.shares_memory(out, x)
+
+
+class TestDeclaredOrder:
+    # catalog_build names every weight and orders its parameters as the
+    # catalog declares them, whatever order the caller gives
+    @pytest.mark.parametrize("name, params", WEIGHT_INSTANCES,
+                             ids=[f"{n}{p}" for n, p in WEIGHT_INSTANCES])
+    def test_reversed_parameters_build_the_same_weight(self, name, params):
+        fwd = make_weight(name, dict(params))
+        rev = make_weight(name, dict(reversed(list(params.items()))))
+        assert list(fwd.params) == list(_WEIGHTS[name][0])
+        assert (rev.name, list(rev.params.items()), rev.describe()) == \
+            (fwd.name, list(fwd.params.items()), fwd.describe())
+        x = weight_grid(fwd, n=16)
+        assert rev.w(x).tobytes() == fwd.w(x).tobytes()
 
 
 class TestExamples:
