@@ -234,12 +234,13 @@ def _cmd_report(args) -> int:
     sample = _fit_mod.normalize(series.rainfall_mm, policy=_policy(args.policy))
     out = {"describe": stats, "models": {}}
     fits = _fit_mod.fit_models(sample, ("beta", "kw", "wk"), starts=args.starts)
+    tests = _gof_mod.run_gof(sample.likelihood_values,
+                             {model: result.law for model, result in fits.items()},
+                             bins=args.bins, seed=args.seed)
     for model, result in fits.items():
-        tests = _gof_mod.run_gof(sample.likelihood_values, result.law,
-                                 bins=args.bins, family=model, seed=args.seed)
         out["models"][model] = {"params": result.params, "loglik": result.loglik,
                                 "aic": result.aic, "bic": result.bic,
-                                "rmse": result.rmse, "tests": tests}
+                                "rmse": result.rmse, "tests": tests[model]}
     _emit_json(out, args.out)
     return 0
 

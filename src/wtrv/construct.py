@@ -46,6 +46,15 @@ class WtrvDistribution(DistributionHandle):
         return f"wtrv[{self.base.describe()}; {self.weight.describe()}]"
 
 
+@dataclass(frozen=True)
+class MinimumDistribution(DistributionHandle):
+    """The minimum of independent variables. Its name, min[...] of its
+    parts' describe(), describes it whole: it has no parameters."""
+
+    def describe(self) -> str:
+        return self.name
+
+
 def _built(dist: DistributionHandle, weight: WeightFunction, table: CdfTable) -> WtrvDistribution:
     """The weighted tail variable on the pair's table."""
     z = table.total
@@ -117,7 +126,7 @@ def minimum_of(handles: Sequence[DistributionHandle]) -> DistributionHandle:
         return invert_monotone(lambda x, _: cdf(x), lambda x, _: pdf(x), u, lo, hi)
 
     name = "min[" + ",".join(h.describe() for h in handles) + "]"
-    return DistributionHandle(name, {}, sup, Interior(pdf, cdf, sf, quantile))
+    return MinimumDistribution(name, {}, sup, Interior(pdf, cdf, sf, quantile))
 
 
 def wtrv_of_minimum(dists: Sequence[DistributionHandle],

@@ -15,6 +15,7 @@ import pytest
 
 from wtrv import cli
 from wtrv import fit as fit_mod
+from wtrv import gof as gof_mod
 from wtrv.cli import main
 from wtrv.data import read_csv
 from wtrv.distributions import _BUILDERS
@@ -348,6 +349,21 @@ class TestDataCommands:
         code, _, _ = run_cli(capsys, "report", "--starts", "4", csv_path)
         assert code == 0
         assert built == ["beta", "kumaraswamy", "weighted_kumaraswamy"]
+
+    def test_report_tests_the_laws_in_one_run_gof_call(self, capsys, csv_path, monkeypatch):
+        real, calls = gof_mod.run_gof, []
+
+        def count(values, model, *args, **kwargs):
+            calls.append(list(model))
+            return real(values, model, *args, **kwargs)
+
+        monkeypatch.setattr(gof_mod, "run_gof", count)
+        code, out, _ = run_cli(capsys, "report", "--starts", "4", csv_path)
+        assert code == 0 and calls == [["beta", "kw", "wk"]]
+        sample = fit_mod.normalize(read_csv(csv_path, "rainfall_mm").rainfall_mm)
+        for model, doc in json.loads(out)["models"].items():
+            law = fit_mod.make_catalog(fit_mod._CATALOG_NAME[model], doc["params"])
+            assert doc["tests"] == real(sample.likelihood_values, law, family=model), model
 
     def test_simulate(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--dist",

@@ -717,6 +717,14 @@ class TestMinima:
                         make_catalog("exponential", {"lambda": 2.0})])
         assert float(m.sf(1.0)) == pytest.approx(math.exp(-3.0), rel=1e-12)
 
+    def test_describe_names_the_parts(self):
+        # the minimum has no parameter list of its own; a weight without
+        # parameters keeps its empty one
+        m = minimum_of([make_catalog("exponential", {"lambda": 1.0}),
+                        make_catalog("exponential", {"lambda": 2.0})])
+        assert m.describe() == "min[exponential(lambda=1),exponential(lambda=2)]"
+        assert make_weight("linear", {}).describe() == "linear()"
+
     def test_wtrv_of_minimum_matches_direct(self):
         dists = [make_catalog("exponential", {"lambda": 1.0}),
                  make_catalog("exponential", {"lambda": 2.0})]

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import cramervonmises
-from test_fit import report_series
+from test_fit import rainfall_series, report_series
 
 import wtrv.gof as gof_mod
 from wtrv import (ad_test, bootstrap_pvalue, chisq_test, cvm_test, fit_mle,
                   fit_models, from_unit_values, ks_test, kolmogorov_sf,
                   make_catalog, run_gof, sample)
-from wtrv.gof import _cvm_pvalue
+from wtrv.gof import _cvm_pvalues
 
 UNIFORM = make_catalog("uniform", {})
 
@@ -60,17 +60,19 @@ class TestCvm:
     def test_matches_scipy_past_one_block(self, monkeypatch):
         # each series is evaluated _BLOCK terms at a time: near n/3 it runs
         # for several blocks, and just above 1/(12n) it ends in its first,
-        # at its first term for n = 400 (blocks counts both series' blocks)
+        # at its first term for n = 400 (blocks counts both series' blocks);
+        # stacked, each value is summed through its own blocks alone
         real, blocks = gof_mod._sum_until_small, []
 
-        def record(term):  # the first k of each block evaluated
-            return real(lambda k: (blocks.append(k[0]), term(k))[1])
+        def record(term, m):  # the first k of each block evaluated
+            return real(lambda r, k: (blocks.append(k[0]), term(r, k))[1], m)
 
         monkeypatch.setattr(gof_mod, "_sum_until_small", record)
         rng = np.random.default_rng(18)
         longest = {}
         for n in (3, 10, 40, 100, 250, 400):
             mid = (np.arange(1, n + 1) - 0.5) / n
+            refs = []
             for scale in (1e-6, 1e-4, 1e-2, 0.1, 0.3):
                 # a cdf near 0 on the whole sample: W² just below n/3; and the
                 # midpoint grid, slightly perturbed: W² just above 1/(12n)
@@ -80,8 +82,11 @@ class TestCvm:
                     w2 = float(ref.statistic)
                     assert 1.0 / (12 * n) < w2 < n / 3.0, (n, scale)
                     blocks.clear()
-                    assert _cvm_pvalue(w2, n) == ref.pvalue, (n, scale, w2)
+                    assert _cvm_pvalues(np.array([w2]), n)[0] == ref.pvalue, (n, scale, w2)
                     longest[side] = max(longest.get(side, 0), len(blocks))
+                    refs.append(ref)
+            w2 = np.array([float(ref.statistic) for ref in refs])
+            assert _cvm_pvalues(w2, n).tolist() == [ref.pvalue for ref in refs], n
         assert longest["high"] >= 10 and longest["low"] == 2
 
     @pytest.mark.parametrize("n", [2, 3, 10, 57, 300])
@@ -91,8 +96,8 @@ class TestCvm:
         low = cramervonmises(midpoint_grid(n), "uniform")
         high = cramervonmises(np.linspace(0.1, 0.9, n), np.zeros_like)
         assert low.statistic <= 1.0 / (12 * n) and high.statistic >= n / 3.0
-        assert _cvm_pvalue(float(low.statistic), n) == low.pvalue == 1.0
-        assert _cvm_pvalue(float(high.statistic), n) == high.pvalue == 0.0
+        w2 = np.array([low.statistic, high.statistic], dtype=float)
+        assert _cvm_pvalues(w2, n).tolist() == [low.pvalue, high.pvalue] == [1.0, 0.0]
 
 
 class TestAd:
@@ -256,3 +261,40 @@ class TestBootstrap:
             assert rep[name]["method"] == "bootstrap"
             assert rep[name]["p_value"] == bootstrap_pvalue(
                 values, "kw", fitted.params, name, replicates=99, seed=13)
+
+
+class TestStackedLaws:
+    def test_equals_one_law_runs(self):
+        # one run_gof call on several fitted laws gives each law the bits of
+        # its own one-law call, on report-like series (n in 30-100) whose wk
+        # fits include each box face a = 1e-3, b = 1e3 and a = 1e3
+        faces = set()
+        for i in range(200):
+            s = rainfall_series(np.random.default_rng([77, i]), ("kw", "wk")[i % 2])
+            fits = fit_models(s, ("beta", "kw", "wk"), 4)
+            values = s.likelihood_values
+            stacked = run_gof(values, {m: r.law for m, r in fits.items()})
+            alone = {m: run_gof(values, r.law, family=m) for m, r in fits.items()}
+            assert repr(stacked) == repr(alone), i
+            a, b = fits["wk"].params["a"], fits["wk"].params["b"]
+            faces |= {face for face, on in (("a", a == 1e-3), ("b", b == 1e3),
+                                            ("A", a == 1e3)) if on}
+        assert faces == {"a", "b", "A"}
+
+    def test_bootstrap_pvalues_pinned(self):
+        # exceedances among 99 replicates (seed 13) of each model's tests on
+        # one report-like series, as each model's own run gave them before
+        # the laws were stacked
+        s = report_series()[1]
+        fits = fit_models(s, ("beta", "kw", "wk"), 4)
+        rep = run_gof(s.likelihood_values, {m: r.law for m, r in fits.items()},
+                      method="bootstrap", replicates=99, seed=13)
+        exceed = {"beta": (18, 13, 27, 32), "kw": (15, 20, 35, 75), "wk": (78, 75, 66, 16)}
+        for m, counts in exceed.items():
+            assert [t["p_value"] for t in rep[m].values()] == \
+                [(1.0 + c) / (99 + 1.0) for c in counts], m
+
+    def test_family_is_the_key(self):
+        law = make_catalog("kumaraswamy", {"a": 2.0, "b": 3.0})
+        with pytest.raises(ValueError, match="keyed by their families"):
+            run_gof(sample(law, 40, seed=6), {"kw": law}, family="kw")
